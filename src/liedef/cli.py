@@ -2,9 +2,10 @@
 
 Exit codes follow the three-valued verdicts throughout: 0 for success or
 Definable, 1 for a certified negative answer, 2 for an honest Unknown, 3 for
-malformed input.  Every positive answer can be exported as a certificate
-with --cert-out and re-checked later with verify-cert, which recomputes only
-the checking side.
+malformed input, 4 for an internal error (a computation that left the
+scalar tower or failed its own check), which is no answer at all.  Every
+positive answer can be exported as a certificate with --cert-out and
+re-checked later with verify-cert, which recomputes only the checking side.
 """
 from __future__ import annotations
 
@@ -21,9 +22,9 @@ from .definability import (NOT_TBC, SS_NO, SS_YES, TBC,
                            DEFINABLE, NOT_DEFINABLE, UNKNOWN,
                            GroupPresentation, NonRealWitness, TbcObstruction,
                            definability_oracle, supersolvable_test, tbc_find)
-from .errors import (InputError, NotNilpotentError, NotSolvableError,
-                     NotSupersolvableError, PreconditionError,
-                     UnsupportedError)
+from .errors import (InputError, InternalCheckError, NotNilpotentError,
+                     NotSolvableError, NotSupersolvableError,
+                     PreconditionError, ScalarTowerError, UnsupportedError)
 from .formats import load_algebra_file, matrix_from_json
 from .reps import GroupRepData, nilpotent_ado, quotient_rep, extend_rep, \
     supersolvable_triangular_rep
@@ -498,6 +499,10 @@ def main(argv=None) -> int:
             PreconditionError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 3
+    except (ScalarTowerError, InternalCheckError) as e:
+        print("internal error: %s: %s" % (type(e).__name__, e),
+              file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

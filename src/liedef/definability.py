@@ -124,6 +124,20 @@ def supersolvable_test(g: LieAlgebra) -> SupersolvableResult:
     if not g.is_solvable():
         raise NotSolvableError(
             "supersolvability is only asked of solvable algebras")
+    screen, bad = _screen(g)
+    if bad is None:
+        return _flag_result(g, screen)
+    witness = NonRealWitness(
+        element=g.basis_vector(bad.index),
+        char_coeffs=bad.char_coeffs,
+        real_distinct=bad.real_distinct,
+        distinct=bad.distinct,
+        weight_values=_nonreal_weight_values(adjoint_weights(g)))
+    return SupersolvableResult(SS_NO, None, None, witness, screen, None)
+
+
+def _screen(g):
+    """The screen entries and the first one with nonreal spectrum, or None."""
     screen = []
     bad = None
     for i in range(g.dim):
@@ -134,15 +148,12 @@ def supersolvable_test(g: LieAlgebra) -> SupersolvableResult:
         screen.append(entry)
         if bad is None and not entry.all_real:
             bad = entry
-    screen = tuple(screen)
-    if bad is not None:
-        witness = NonRealWitness(
-            element=g.basis_vector(bad.index),
-            char_coeffs=bad.char_coeffs,
-            real_distinct=bad.real_distinct,
-            distinct=bad.distinct,
-            weight_values=_nonreal_weight_values(g))
-        return SupersolvableResult(SS_NO, None, None, witness, screen, None)
+    return tuple(screen), bad
+
+
+def _flag_result(g, screen):
+    """Yes with a rational flag of ideals, or Indeterminate, for an algebra
+    whose screen passed."""
     ads = [g.ad(g.basis_vector(i)) for i in range(g.dim)]
     status, second, third = real_flag(g, ads)
     if status == "nonreal":
@@ -169,8 +180,7 @@ def supersolvable_test(g: LieAlgebra) -> SupersolvableResult:
                                screen, None)
 
 
-def _nonreal_weight_values(g):
-    table = adjoint_weights(g)
+def _nonreal_weight_values(table):
     if isinstance(table, Indeterminate):
         return None
     for e in table.entries:
@@ -337,16 +347,21 @@ def tbc_find(r: LieAlgebra) -> TbcResult:
     """
     if not r.is_solvable():
         raise NotSolvableError("tbc splittings describe solvable algebras")
-    ss = supersolvable_test(r)
-    if ss.status == SS_YES:
-        cert = TbcCertificate(ss.flag, (), ss.flag, ())
-        return TbcResult(TBC, _assert_verified(r, cert), None, None)
+    screen, bad = _screen(r)
+    if bad is None:
+        ss = _flag_result(r, screen)
+        if ss.status == SS_YES:
+            cert = TbcCertificate(ss.flag, (), ss.flag, ())
+            return TbcResult(TBC, _assert_verified(r, cert), None, None)
 
     table = adjoint_weights(r)
     if isinstance(table, Indeterminate):
         return TbcResult(TBC_UNKNOWN, None, None,
                          "adjoint weights do not split over Q(i): "
                          + str(table.reason))
+    if bad is not None:
+        # cross-check: the screen's nonreal spectrum must show in the weights
+        _nonreal_weight_values(table)
 
     im_rows = [tuple(v.im for v in e.values) for e in table.entries]
     re_rows = [tuple(v.re for v in e.values) for e in table.entries]

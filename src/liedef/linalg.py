@@ -11,9 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import Indeterminate, InputError, InternalCheckError
-from .poly import Poly, gaussian_roots, poly_gcd, squarefree_part
-from .scalars import GaussRat, gauss
+from .errors import InputError, InternalCheckError
+from .poly import Poly, poly_gcd, squarefree_part
+from .scalars import GaussRat
 
 
 def vadd(u, v):
@@ -22,10 +22,6 @@ def vadd(u, v):
 
 def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c, v):
-    return tuple(c * a for a in v)
 
 
 def is_zero_vec(v) -> bool:
@@ -306,12 +302,22 @@ def reduce_against(basis_rows, pivots, v):
     return tuple(v)
 
 
-def span_contains(vectors, v) -> bool:
-    rows = span_basis(vectors)
-    if not rows:
-        return is_zero_vec(v)
-    pivots = [next(j for j, c in enumerate(r) if c) for r in rows]
-    return is_zero_vec(reduce_against(rows, pivots, v))
+def restrict_to_span(a: Mat, basis):
+    """Matrix of a on an invariant span, in the given basis coordinates.
+
+    One elimination of [basis | a(basis)] solves for every column at once;
+    a pivot among the image columns means some image leaves the span.
+    """
+    d = len(basis)
+    if not d:
+        return Mat([])
+    R, pivots = rref(Mat.from_cols(list(basis) + [a @ v for v in basis]))
+    if pivots and pivots[-1] >= d:
+        raise InputError("matrix does not preserve the span")
+    out = [[Fraction(0)] * d for _ in range(d)]
+    for i, pc in enumerate(pivots):
+        out[pc] = R.rows[i][d:]
+    return Mat(out)
 
 
 def coords_in_basis(basis, v):
@@ -555,61 +561,3 @@ def clear_denominators(v):
     if g > 1:
         ints = [c // g for c in ints]
     return tuple(ints)
-
-
-# -- joint spectral decomposition ------------------------------------------------
-
-
-def restrict_to_span(a: Mat, basis):
-    """Matrix of a on an invariant span, in the given basis coordinates."""
-    cols = []
-    for v in basis:
-        c = coords_in_basis(basis, a @ v)
-        if c is None:
-            raise InputError("matrix does not preserve the span")
-        cols.append(c)
-    return Mat.from_cols(cols)
-
-
-def simultaneous_eigenspace(mats):
-    """Joint generalized eigenspaces of a commuting family, with weights.
-
-    Returns a list of (weight tuple over GaussRat, basis list) whose spaces
-    sum to the full ambient space, or an Indeterminate when some
-    characteristic polynomial does not split over Q(i).  Generalized
-    eigenspaces of commuting matrices are invariant under the whole family,
-    which is what makes the refinement well defined.
-    """
-    mats = [m if isinstance(m, Mat) else Mat(m) for m in mats]
-    if not mats:
-        raise InputError("empty matrix family")
-    n = mats[0].nrows
-    pieces = [((), [tuple(Mat.identity(n).rows[i]) for i in range(n)])]
-    for a in mats:
-        refined = []
-        for weight, basis in pieces:
-            b = restrict_to_span(a, basis)
-            roots, leftover = gaussian_roots(char_poly(b))
-            if leftover:
-                return Indeterminate(
-                    "characteristic polynomial has a factor with no root in Q(i)")
-            covered = 0
-            for lam, mult in roots:
-                shifted = b - lam * Mat.identity(len(basis))
-                sub = kernel(mat_pow(shifted, mult))
-                if len(sub) != mult:
-                    raise InternalCheckError(
-                        "generalized eigenspace dimension mismatch")
-                covered += mult
-                lifted = []
-                for k in sub:
-                    v = [gauss(0)] * n
-                    for coeff, vec in zip(k, basis):
-                        if coeff:
-                            v = [x + coeff * y for x, y in zip(v, vec)]
-                    lifted.append(tuple(v))
-                refined.append((weight + (lam,), lifted))
-            if covered != len(basis):
-                raise InternalCheckError("eigenspaces do not fill the span")
-        pieces = refined
-    return pieces

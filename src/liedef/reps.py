@@ -545,17 +545,6 @@ def rep_kernel(rep: Representation):
     return kernel(Mat.from_cols([m.flatten() for m in rep.images]))
 
 
-def kernel_intersection_sum(r1: Representation,
-                            r2: Representation) -> Representation:
-    """Block sum whose kernel provably equals ker r1 intersect ker r2."""
-    total = direct_sum(r1, r2)
-    want = intersect_spans(rep_kernel(r1), rep_kernel(r2), r1.source.dim)
-    got = rep_kernel(total)
-    if span_basis(want) != span_basis(got):
-        raise InternalCheckError("sum kernel is not the intersection")
-    return total
-
-
 # -- finite central quotients ----------------------------------------------------
 
 @dataclass(frozen=True)

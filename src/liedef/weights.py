@@ -4,6 +4,8 @@ recursion.
 The recursion is the classical one: split off a codimension-one ideal
 containing the derived subalgebra, take its joint eigenspace, and extend the
 character by an eigenvalue of the leftover direction acting on that space.
+It is run flat: the chain of such ideals is built once per module and each
+peel of a common eigenvector walks it from its smallest ideal up.
 The invariance of the eigenspace under the whole algebra (the trace argument
 behind Lie's theorem, valid in characteristic zero) is not taken on faith: it
 is rechecked on every restriction, so misuse on a non-solvable action fails
@@ -21,8 +23,8 @@ from fractions import Fraction
 
 from .errors import Indeterminate, InputError, InternalCheckError
 from .lie import LieAlgebra
-from .linalg import (Mat, char_poly, coords_in_basis, inverse, is_zero_vec,
-                     kernel, reduce_against, span_basis)
+from .linalg import (Mat, char_poly, inverse, is_zero_vec, kernel,
+                     reduce_against, restrict_to_span, span_basis)
 from .poly import gaussian_roots
 from .scalars import gauss
 
@@ -76,18 +78,6 @@ def _complete_hyperplane(alg: LieAlgebra):
     return rows, z
 
 
-def _restrict(m: Mat, basis):
-    cols = []
-    for v in basis:
-        c = coords_in_basis(basis, m @ v)
-        if c is None:
-            raise InternalCheckError(
-                "joint eigenspace is not invariant; the action is not from a "
-                "solvable family")
-        cols.append(c)
-    return Mat.from_cols(cols)
-
-
 def _action_mat(mats, coeffs):
     out = None
     for c, m in zip(coeffs, mats):
@@ -117,61 +107,76 @@ def _pick_root(b: Mat, real_rational_only: bool):
     return "indeterminate", None
 
 
-def common_eigenspace(alg: LieAlgebra, mats, space, real_rational_only=False,
-                      lift=None):
+def _ideal_chain(alg: LieAlgebra):
+    """The chain of hyperplane ideals the eigenvector recursion walks.
+
+    alg = g_1 > g_2 > ... > g_n > 0 where g_{k+1} is a codim-1 ideal of g_k
+    containing [g_k, g_k] and z_k is the leftover direction, g_k = g_{k+1} +
+    span(z_k).  Returns (z_1..z_n in alg's coordinates, the inverse of the
+    matrix with columns z_1..z_n); a character is fixed by its values on the
+    z_k, and contracting those values against the inverse gives it on alg's
+    basis.
+    """
+    dirs = []
+    sub, lift = alg, Mat.identity(alg.dim)
+    while sub.dim:
+        hyp, z = _complete_hyperplane(sub)
+        dirs.append(lift @ z)
+        if not hyp:
+            break
+        sub, incl = sub.subalgebra(hyp)
+        lift = Mat.from_cols([lift @ row for row in incl])
+    return dirs, inverse(Mat.from_cols(dirs))
+
+
+def common_eigenspace(chain, mats, space, real_rational_only=False):
     """One joint character of the action and its full common eigenspace.
 
-    space is a basis of an invariant subspace of the module.  Returns a
+    chain is _ideal_chain of the acting algebra and mats its action, one
+    matrix per basis element; space is a basis of an invariant subspace of
+    the module.  Walking the chain from its smallest ideal up, each
+    direction z_k cuts the space down to one of its eigenspaces on the
+    common eigenspace of g_{k+1}, which g_k leaves invariant.  Returns a
     tagged tuple: ("ok", char_row, eigenspace_basis), ("nonreal", element,
-    eigenvalue) with the element in the top-level algebra's coordinates, or
+    eigenvalue) with the element in the algebra's coordinates, or
     ("indeterminate", reason, None).
     """
-    if lift is None:
-        lift = Mat.identity(alg.dim)
-    if alg.dim == 0:
-        return "ok", (), list(space)
+    dirs, inv_z = chain
     if not space:
         raise InternalCheckError("empty module in eigenvector recursion")
-    hyp, z = _complete_hyperplane(alg)
-    if hyp:
-        sub, incl = alg.subalgebra(hyp)
-        sub_mats = [_action_mat(mats, row) for row in incl]
-        sub_lift = Mat.from_cols([lift @ row for row in incl])
-        res = common_eigenspace(sub, sub_mats, space, real_rational_only,
-                                lift=sub_lift)
-        if res[0] != "ok":
-            return res
-        _, char0, w0 = res
-    else:
-        char0, w0 = (), list(space)
-    mz = _action_mat(mats, z)
-    b = _restrict(mz, w0)
-    status, lam = _pick_root(b, real_rational_only)
-    if status == "nonreal":
-        return "nonreal", lift @ z, lam
-    if status == "indeterminate":
-        return "indeterminate", (
-            "an eigenvalue of the action lies outside Q(i), or outside Q on "
-            "a direction that must stay rational"), None
-    shifted = b - lam * Mat.identity(len(w0))
-    eig_coords = kernel(shifted)
-    if not eig_coords:
-        raise InternalCheckError("chosen eigenvalue has no eigenvector")
-    eig = []
-    for k in eig_coords:
-        v = [gauss(0)] * len(space[0])
-        for coeff, vec in zip(k, w0):
-            if coeff:
-                v = [x + coeff * y for x, y in zip(v, vec)]
-        eig.append(tuple(v))
-    # character on this algebra's basis: coordinates in the (hyperplane, z)
-    # frame contract against the collected eigenvalues
-    t = Mat.from_cols(list(hyp) + [z])
-    inv_t = inverse(t)
-    aug = list(char0) + [lam]
-    char = tuple(sum((aug[k] * inv_t.rows[k][j] for k in range(alg.dim)),
-                     gauss(0)) for j in range(alg.dim))
-    return "ok", char, eig
+    w = list(space)
+    lams = []
+    for z in reversed(dirs):
+        try:
+            b = restrict_to_span(_action_mat(mats, z), w)
+        except InputError:
+            raise InternalCheckError(
+                "joint eigenspace is not invariant; the action is not from a "
+                "solvable family") from None
+        status, lam = _pick_root(b, real_rational_only)
+        if status == "nonreal":
+            return "nonreal", z, lam
+        if status == "indeterminate":
+            return "indeterminate", (
+                "an eigenvalue of the action lies outside Q(i), or outside Q "
+                "on a direction that must stay rational"), None
+        eig_coords = kernel(b - lam * Mat.identity(len(w)))
+        if not eig_coords:
+            raise InternalCheckError("chosen eigenvalue has no eigenvector")
+        eig = []
+        for k in eig_coords:
+            v = [gauss(0)] * len(space[0])
+            for coeff, vec in zip(k, w):
+                if coeff:
+                    v = [x + coeff * y for x, y in zip(v, vec)]
+            eig.append(tuple(v))
+        w = eig
+        lams.append(lam)
+    lams.reverse()
+    n = len(dirs)
+    char = tuple(sum((lams[k] * inv_z.rows[k][j] for k in range(n)),
+                     gauss(0)) for j in range(n))
+    return "ok", char, w
 
 
 def _peel_quotient(mats, w):
@@ -195,6 +200,35 @@ def _peel_quotient(mats, w):
     return out, t
 
 
+def _peel(alg: LieAlgebra, mats, real_rational_only):
+    """Peel common eigenvectors from the module until it is exhausted.
+
+    One chain of ideals serves every peel.  Returns ("ok", flag_vectors,
+    characters) with flag vectors in module coordinates (prefix spans give
+    an invariant flag) and one character per vector, or the first result of
+    common_eigenspace that is not "ok".
+    """
+    chain = _ideal_chain(alg)
+    cur = [m.map(gauss) for m in mats]
+    flag_vecs = []
+    chars = []
+    lift = Mat.identity(cur[0].nrows).map(gauss)
+    while cur[0].nrows > 0:
+        d = cur[0].nrows
+        space = [tuple(gauss(int(i == j)) for j in range(d)) for i in range(d)]
+        res = common_eigenspace(chain, cur, space, real_rational_only)
+        if res[0] != "ok":
+            return res
+        _, char, eig = res
+        w = eig[0]
+        flag_vecs.append(tuple(lift @ w))
+        chars.append(char)
+        cur, t = _peel_quotient(cur, w)
+        if t.ncols > 1:
+            lift = lift @ Mat.from_cols([t.col(j) for j in range(1, t.ncols)])
+    return "ok", flag_vecs, chars
+
+
 def module_weights(alg: LieAlgebra, mats):
     """Composition-series weight table of a solvable action, over Q(i).
 
@@ -211,19 +245,11 @@ def module_weights(alg: LieAlgebra, mats):
     if alg.dim == 0:
         entries = (WeightEntry((), dim0, True),) if dim0 else ()
         return WeightTable(0, dim0, entries)
-    cur = [m.map(gauss) for m in mats]
-    collected = []
-    while cur[0].nrows > 0:
-        d = cur[0].nrows
-        space = [tuple(gauss(int(i == j)) for j in range(d)) for i in range(d)]
-        res = common_eigenspace(alg, cur, space)
-        if res[0] == "indeterminate":
-            return Indeterminate(res[1])
-        if res[0] == "nonreal":
-            raise InternalCheckError("unrestricted recursion reported nonreal")
-        _, char, eig = res
-        collected.append(char)
-        cur, _ = _peel_quotient(cur, eig[0])
+    status, second, collected = _peel(alg, mats, False)
+    if status == "indeterminate":
+        return Indeterminate(second)
+    if status == "nonreal":
+        raise InternalCheckError("unrestricted recursion reported nonreal")
     derived = alg.bracket_span(alg.basis(), alg.basis())
     merged = {}
     for char in collected:
@@ -261,22 +287,4 @@ def real_flag(alg: LieAlgebra, mats):
     mats = [m if isinstance(m, Mat) else Mat(m) for m in mats]
     if not mats:
         return "ok", [], []
-    cur = [m.map(gauss) for m in mats]
-    dim0 = cur[0].nrows
-    flag_vecs = []
-    chars = []
-    lift = Mat.identity(dim0).map(gauss)
-    while cur[0].nrows > 0:
-        d = cur[0].nrows
-        space = [tuple(gauss(int(i == j)) for j in range(d)) for i in range(d)]
-        res = common_eigenspace(alg, cur, space, real_rational_only=True)
-        if res[0] != "ok":
-            return res
-        _, char, eig = res
-        w = eig[0]
-        flag_vecs.append(tuple(lift @ w))
-        chars.append(char)
-        cur, t = _peel_quotient(cur, w)
-        if t.ncols > 1:
-            lift = lift @ Mat.from_cols([t.col(j) for j in range(1, t.ncols)])
-    return "ok", flag_vecs, chars
+    return _peel(alg, mats, True)

@@ -14,6 +14,7 @@ from liedef.definability import (DEFINABLE, NOT_DEFINABLE, NOT_TBC,
 from liedef.errors import (InputError, InternalCheckError, NotSolvableError)
 from liedef.lie import LieAlgebra
 from liedef.linalg import Mat, char_poly, span_basis
+from liedef.weights import adjoint_weights
 
 
 def sqrt2_algebra():
@@ -101,6 +102,22 @@ def test_tbc_obstruction_on_oscillator(oscillator):
     # the two kernels genuinely miss gap dimensions
     assert len(span_basis(list(obs.treal) + list(obs.k_zero))) \
         == oscillator.dim - obs.gap
+
+
+def test_tbc_find_computes_adjoint_weights_once(e2, oscillator,
+                                                monkeypatch):
+    import liedef.definability as definability
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return adjoint_weights(g)
+
+    monkeypatch.setattr(definability, "adjoint_weights", counted)
+    for g in (e2, oscillator):
+        calls.clear()
+        tbc_find(g)
+        assert len(calls) == 1
 
 
 def test_tbc_unknown_outside_tower():

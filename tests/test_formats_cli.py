@@ -194,6 +194,21 @@ def test_cli_exit_code_two_is_honest_unknown(tmp_path, capsys):
     assert "indeterminate" in out
 
 
+def test_cli_internal_error_is_four_without_traceback(tmp_path, capsys):
+    # the root search for these weights needs the divisors of p * q, past
+    # the bound; that is neither an answer nor an input error
+    from liedef.lie import LieAlgebra
+    g = LieAlgebra.from_entries(3, {(2, 0): (1000000007, 0, 0),
+                                    (2, 1): (0, 998244353, 0)})
+    p = write(tmp_path, "large.json", g)
+    for kind in ("simply-connected", "abstract", "linear"):
+        assert main(["oracle", p, "--presentation", kind]) == 4
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert captured.err.startswith("internal error: ScalarTowerError")
+        assert captured.err.count("\n") == 1
+
+
 def test_cli_usage_errors_stay_off_two(capsys):
     assert main(["no-such-command"]) == 3
     capsys.readouterr()

@@ -10,8 +10,7 @@ from liedef.linalg import (Mat, block_diag, char_poly, clear_denominators,
                            intersect_spans, inverse, is_nilpotent_mat,
                            jordan_chevalley, kernel, kron, mat_pow,
                            minimal_poly, poly_at, rank, restrict_to_span,
-                           simultaneous_eigenspace, solve, span_basis,
-                           span_contains)
+                           solve, span_basis)
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -106,7 +105,7 @@ def test_span_basis_canonical(rows):
     basis = span_basis(rows)
     assert span_basis(basis) == basis
     for v in rows:
-        assert span_contains(basis, v)
+        assert coords_in_basis(basis, v) is not None
     for v in basis:
         c = coords_in_basis(basis, v)
         assert c is not None
@@ -133,6 +132,14 @@ def test_restrict_to_span():
     with pytest.raises(InputError):
         restrict_to_span(Mat([[0, -1, 0], [1, 0, 0], [0, 0, 0]]),
                          [(1, 0, 0)])
+    # a non-diagonal action on a 3-dim invariant span with a non-standard
+    # basis: the first three columns of p span it, c is the action there
+    p = Mat([[1, 0, 1, 0], [1, 1, 0, 0], [0, 1, 2, 0],
+             [0, 0, 1, 1]]).map(Fraction)
+    c = [[1, 2, 0], [0, 1, -1], [3, 0, 2]]
+    j = Mat([r + [x] for r, x in zip(c, (5, -2, 1))] + [[0, 0, 0, 4]])
+    a = p @ j @ inverse(p)
+    assert restrict_to_span(a, p.cols()[:3]) == Mat(c)
 
 
 @settings(max_examples=30)
@@ -177,12 +184,3 @@ def test_mat_pow():
     a = Mat([[1, 1], [0, 1]])
     assert mat_pow(a, 5) == Mat([[1, 5], [0, 1]])
     assert mat_pow(a, 0) == Mat.identity(2)
-
-
-def test_simultaneous_eigenspace():
-    a = Mat([[1, 0], [0, 2]])
-    b = Mat([[3, 0], [0, 3]])
-    spaces = simultaneous_eigenspace([a, b])
-    assert len(spaces) == 2
-    vals = sorted(tuple((c.re, c.im) for c in chars) for chars, _ in spaces)
-    assert vals == [((1, 0), (3, 0)), ((2, 0), (3, 0))]

@@ -4,12 +4,11 @@ from liedef.errors import (InputError, NotNilpotentError,
                            NotSupersolvableError, PreconditionError,
                            UnsupportedError)
 from liedef.lie import LieAlgebra
-from liedef.linalg import Mat, inverse, span_basis
+from liedef.linalg import Mat, intersect_spans, inverse, span_basis
 from liedef.reps import (ALL_FLAGS, FAITHFUL, HOMOMORPHISM, TRIANGULAR,
                          UNIPOTENT, GroupRepData, Representation, direct_sum,
-                         extend_rep, is_unipotent, kernel_intersection_sum,
-                         nilpotent_ado, quotient_rep, rep_kernel,
-                         supersolvable_triangular_rep, verify_rep)
+                         extend_rep, is_unipotent, nilpotent_ado, quotient_rep,
+                         rep_kernel, supersolvable_triangular_rep, verify_rep)
 
 
 def r1():
@@ -205,9 +204,11 @@ def test_direct_sum_and_kernel_intersection(h3):
     ado = nilpotent_ado(h3)
     adjoint = Representation(h3, 3,
                              tuple(h3.ad(h3.basis_vector(i)) for i in range(3)))
-    total = kernel_intersection_sum(ado, adjoint)
+    total = direct_sum(ado, adjoint)
     assert total.target_dim == 13
-    assert rep_kernel(total) == []
+    assert rep_kernel(adjoint) != []
+    assert rep_kernel(total) == intersect_spans(
+        rep_kernel(ado), rep_kernel(adjoint), 3) == []
     assert HOMOMORPHISM in verify_rep(total)
 
 

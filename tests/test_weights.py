@@ -1,6 +1,6 @@
 import pytest
 
-from liedef.errors import Indeterminate, InputError
+from liedef.errors import Indeterminate, InputError, InternalCheckError
 from liedef.lie import LieAlgebra
 from liedef.linalg import Mat, span_basis
 from liedef.scalars import GaussRat
@@ -77,6 +77,16 @@ def test_module_weights_rejects_nonsolvable(sl2):
     mats = [sl2.ad(sl2.basis_vector(i)) for i in range(3)]
     with pytest.raises(InputError):
         module_weights(sl2, mats)
+
+
+def test_module_weights_rejects_matrices_that_are_not_an_action(axb):
+    # [a, x] = x, but this a swaps the eigenlines of x, so the first joint
+    # eigenspace of the ideal span{x} is not invariant under a
+    a = Mat([[0, 1], [1, 0]])
+    x = Mat([[0, 0], [0, 1]])
+    with pytest.raises(InternalCheckError) as exc:
+        module_weights(axb, [a, x])
+    assert "not invariant" in str(exc.value)
 
 
 def test_weights_outside_the_tower_are_indeterminate():
