@@ -189,8 +189,18 @@ def block_diag(mats) -> Mat:
 # -- elimination ---------------------------------------------------------------
 
 
+def _field(x):
+    """x itself, or as a Fraction when it is a plain int, so that dividing
+    by it stays exact."""
+    return Fraction(x) if isinstance(x, int) else x
+
+
 def rref(m: Mat):
-    """Reduced row echelon form; returns (R, pivot column indices)."""
+    """Reduced row echelon form; returns (R, pivot column indices).
+
+    Sparse in the pivot row: only its nonzero entries are normalised, and
+    the other rows change only in those columns.
+    """
     rows = [list(r) for r in m.rows]
     nr, nc = len(rows), m.ncols
     pivots = []
@@ -200,12 +210,19 @@ def rref(m: Mat):
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
+        prow = rows[r]
+        # columns left of c are already zero in every row from r down
+        nz = [j for j in range(c, nc) if prow[j]]
+        inv = _field(prow[c])
+        if inv != 1:
+            for j in nz:
+                prow[j] = prow[j] / inv
         for i in range(nr):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            row = rows[i]
+            f = row[c]
+            if i != r and f:
+                for j in nz:
+                    row[j] = row[j] - f * prow[j]
         pivots.append(c)
         r += 1
         if r == nr:
@@ -272,7 +289,7 @@ def det(a: Mat):
             rows[c], rows[pr] = rows[pr], rows[c]
             sign = -sign
         out = out * rows[c][c]
-        inv = rows[c][c]
+        inv = _field(rows[c][c])
         for i in range(c + 1, n):
             if rows[i][c]:
                 f = rows[i][c] / inv
@@ -348,18 +365,62 @@ def intersect_spans(a, b, n: int):
 
 
 def char_poly(a: Mat) -> Poly:
-    """Characteristic polynomial det(xI - a), monic, by Faddeev-LeVerrier."""
+    """Characteristic polynomial det(xI - a), monic, in O(n^3).
+
+    Reduces a to upper Hessenberg form H by similarity (Gaussian elimination
+    below the subdiagonal, each row operation undone on the columns), then
+    runs the recurrence p_m = (x - h_mm) p_(m-1) - sum_(i<m) h_im
+    h_(i+1,i)...h_(m,m-1) p_(i-1) over the leading blocks (Cohen, A Course
+    in Computational Algebraic Number Theory, 2.2.9).
+    """
     if not a.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = a.nrows
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = Mat.zeros(n, n)
-    ident = Mat.identity(n)
-    for k in range(1, n + 1):
-        m = a @ m + coeffs[n - k + 1] * ident
-        coeffs[n - k] = -(a @ m).trace() / k
-    return Poly(coeffs)
+    h = [[_field(x) for x in r] for r in a.rows]
+    for m in range(1, n - 1):
+        i = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if i is None:
+            continue
+        if i != m:
+            h[i], h[m] = h[m], h[i]
+            for row in h:
+                row[i], row[m] = row[m], row[i]
+        rm = h[m]
+        piv = rm[m - 1]
+        nz = [k for k in range(m - 1, n) if rm[k]]
+        ops = []
+        for j in range(m + 1, n):
+            rj = h[j]
+            if rj[m - 1]:
+                u = rj[m - 1] / piv
+                for k in nz:
+                    rj[k] = rj[k] - u * rm[k]
+                ops.append((j, u))
+        # H <- L H L^-1: the row operations above, then their inverse on
+        # the columns
+        for row in h:
+            for j, u in ops:
+                if row[j]:
+                    row[m] = row[m] + u * row[j]
+    # polys[m] holds the coefficients of det(xI - H[:m, :m]), lowest first
+    polys = [[Fraction(1)]]
+    for m in range(n):
+        prev = polys[m]
+        nxt = [Fraction(0)] + prev
+        if h[m][m]:
+            for k, c in enumerate(prev):
+                nxt[k] = nxt[k] - h[m][m] * c
+        t = Fraction(1)
+        for i in range(m - 1, -1, -1):
+            t = t * h[i + 1][i]
+            if not t:
+                break
+            f = h[i][m] * t
+            if f:
+                for k, c in enumerate(polys[i]):
+                    nxt[k] = nxt[k] - f * c
+        polys.append(nxt)
+    return Poly(polys[n])
 
 
 def poly_at(p: Poly, a: Mat) -> Mat:

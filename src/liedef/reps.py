@@ -326,17 +326,24 @@ def supersolvable_triangular_rep(t: LieAlgebra) -> Representation:
 # -- extension from an ideal -----------------------------------------------------
 
 def _commutator_system(rho_images, d):
-    """Matrix of M -> ([M, R_a])_a over row-major flattened unknowns."""
-    rows = [[] for _ in range(len(rho_images) * d * d)]
-    for p in range(d):
-        for q in range(d):
-            e = Mat([[Fraction(int(r == p and cc == q)) for cc in range(d)]
-                     for r in range(d)])
-            col = []
-            for r_a in rho_images:
-                col.extend((e @ r_a - r_a @ e).flatten())
-            for rr, val in enumerate(col):
-                rows[rr].append(val)
+    """Matrix of M -> ([M, R_a])_a over row-major flattened unknowns.
+
+    Unknown p*d + q is the entry M[p][q]; row (a, r, c) is entry (r, c) of
+    [M, R_a], and [E_pq, R]_rc = delta_rp R[q][c] - R[r][p] delta_cq.
+    """
+    zero = Fraction(0)
+    rows = []
+    for r_a in rho_images:
+        rr = r_a.rows
+        for r in range(d):
+            for c in range(d):
+                row = [zero] * (d * d)
+                for q in range(d):
+                    row[r * d + q] = rr[q][c]
+                for p in range(d):
+                    if rr[r][p]:
+                        row[p * d + c] = row[p * d + c] - rr[r][p]
+                rows.append(row)
     return Mat(rows)
 
 

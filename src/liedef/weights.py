@@ -11,8 +11,11 @@ behind Lie's theorem, valid in characteristic zero) is not taken on faith: it
 is rechecked on every restriction, so misuse on a non-solvable action fails
 loudly instead of returning garbage.
 
-Everything runs over the fixed tower Q < Q(i).  When a needed eigenvalue
-lives outside it, the computation returns Indeterminate rather than guessing.
+Everything runs over the fixed tower Q < Q(i), real first: the peel runs
+over Q and lifts to Q(i) in place at the first nonreal eigenvalue it picks,
+so a module with real weights never pays for Gaussian arithmetic.  When a
+needed eigenvalue lives outside the tower, the computation returns
+Indeterminate rather than guessing.
 Characters are value rows against the acting algebra's basis: char[j] is the
 character evaluated on basis element j.
 """
@@ -26,7 +29,7 @@ from .lie import LieAlgebra
 from .linalg import (Mat, char_poly, inverse, is_zero_vec, kernel,
                      reduce_against, restrict_to_span, span_basis)
 from .poly import gaussian_roots
-from .scalars import gauss
+from .scalars import GaussRat, gauss
 
 
 @dataclass(frozen=True)
@@ -140,6 +143,10 @@ def common_eigenspace(chain, mats, space, real_rational_only=False):
     tagged tuple: ("ok", char_row, eigenspace_basis), ("nonreal", element,
     eigenvalue) with the element in the algebra's coordinates, or
     ("indeterminate", reason, None).
+
+    The space may be over Q or Q(i).  A nonreal eigenvalue lifts the
+    restricted matrix and the space to Q(i) where it appears, and the
+    eigenspace comes back over Q(i) from then on.
     """
     dirs, inv_z = chain
     if not space:
@@ -160,12 +167,18 @@ def common_eigenspace(chain, mats, space, real_rational_only=False):
             return "indeterminate", (
                 "an eigenvalue of the action lies outside Q(i), or outside Q "
                 "on a direction that must stay rational"), None
-        eig_coords = kernel(b - lam * Mat.identity(len(w)))
+        if lam.is_real():
+            mu = lam.re
+        else:
+            mu = lam
+            b = b.map(gauss)
+            w = [tuple(gauss(x) for x in v) for v in w]
+        eig_coords = kernel(b - mu * Mat.identity(len(w)))
         if not eig_coords:
             raise InternalCheckError("chosen eigenvalue has no eigenvector")
         eig = []
         for k in eig_coords:
-            v = [gauss(0)] * len(space[0])
+            v = [Fraction(0)] * len(space[0])
             for coeff, vec in zip(k, w):
                 if coeff:
                     v = [x + coeff * y for x, y in zip(v, vec)]
@@ -179,18 +192,21 @@ def common_eigenspace(chain, mats, space, real_rational_only=False):
     return "ok", char, w
 
 
-def _peel_quotient(mats, w):
+def _units(d, scalar):
+    return [tuple(scalar(int(i == j)) for j in range(d)) for i in range(d)]
+
+
+def _peel_quotient(mats, w, scalar):
     """Quotient the module by the invariant line spanned by w.
 
     Returns the induced matrices and the basis-change matrix T whose columns
-    are (w, completion); quotient coordinates are the completion columns.
+    are (w, completion); quotient coordinates are the completion columns,
+    unit vectors built with scalar (Fraction or gauss).
     """
-    d = len(w)
     rows = span_basis([w])
     pivot = next(j for j, c in enumerate(rows[0]) if c)
-    completion = [rows[0]] + [
-        tuple(gauss(int(i == j)) for j in range(d))
-        for i in range(d) if i != pivot]
+    units = _units(len(w), scalar)
+    completion = [rows[0]] + units[:pivot] + units[pivot + 1:]
     t = Mat.from_cols(completion)
     inv_t = inverse(t)
     out = []
@@ -203,27 +219,33 @@ def _peel_quotient(mats, w):
 def _peel(alg: LieAlgebra, mats, real_rational_only):
     """Peel common eigenvectors from the module until it is exhausted.
 
-    One chain of ideals serves every peel.  Returns ("ok", flag_vectors,
-    characters) with flag vectors in module coordinates (prefix spans give
-    an invariant flag) and one character per vector, or the first result of
-    common_eigenspace that is not "ok".
+    One chain of ideals serves every peel.  The module stays over Q until
+    an eigenvector comes back over Q(i); from that peel on the quotient
+    matrices and the lift to module coordinates are kept over Q(i).
+    Returns ("ok", flag_vectors, characters) with flag vectors in module
+    coordinates (prefix spans give an invariant flag) and one character per
+    vector, or the first result of common_eigenspace that is not "ok".
     """
     chain = _ideal_chain(alg)
-    cur = [m.map(gauss) for m in mats]
+    cur = list(mats)
+    scalar = Fraction
     flag_vecs = []
     chars = []
-    lift = Mat.identity(cur[0].nrows).map(gauss)
+    lift = Mat.identity(cur[0].nrows)
     while cur[0].nrows > 0:
-        d = cur[0].nrows
-        space = [tuple(gauss(int(i == j)) for j in range(d)) for i in range(d)]
-        res = common_eigenspace(chain, cur, space, real_rational_only)
+        res = common_eigenspace(chain, cur, _units(cur[0].nrows, scalar),
+                                real_rational_only)
         if res[0] != "ok":
             return res
         _, char, eig = res
         w = eig[0]
+        if scalar is Fraction and isinstance(w[0], GaussRat):
+            scalar = gauss
+            cur = [m.map(gauss) for m in cur]
+            lift = lift.map(gauss)
         flag_vecs.append(tuple(lift @ w))
         chars.append(char)
-        cur, t = _peel_quotient(cur, w)
+        cur, t = _peel_quotient(cur, w, scalar)
         if t.ncols > 1:
             lift = lift @ Mat.from_cols([t.col(j) for j in range(1, t.ncols)])
     return "ok", flag_vecs, chars

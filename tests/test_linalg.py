@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from liedef.linalg import (Mat, block_diag, char_poly, clear_denominators,
                            jordan_chevalley, kernel, kron, mat_pow,
                            minimal_poly, poly_at, rank, restrict_to_span,
                            solve, span_basis)
+from liedef.scalars import GaussRat
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -140,6 +142,88 @@ def test_restrict_to_span():
     j = Mat([r + [x] for r, x in zip(c, (5, -2, 1))] + [[0, 0, 0, 4]])
     a = p @ j @ inverse(p)
     assert restrict_to_span(a, p.cols()[:3]) == Mat(c)
+
+
+def test_int_matrices_stay_exact():
+    # Mat allows plain int entries; elimination must not divide them into
+    # floats
+    a = Mat([[1, 0, 1, 0], [1, 1, 0, 0], [0, 1, 2, 0], [0, 0, 1, 1]])
+    q = a.map(Fraction)
+    exact = (int, Fraction)
+    inv = inverse(a)
+    assert all(isinstance(x, exact) for x in inv.flatten())
+    assert inv == inverse(q) and a @ inv == Mat.identity(4)
+    d = det(a)
+    assert isinstance(d, exact) and d == 3
+    x = solve(a, (1, 0, 0, 0))
+    assert all(isinstance(c, exact) for c in x)
+    assert x == solve(q, (1, 0, 0, 0))
+    assert x[0] == Fraction(2, 3) and tuple(a @ x) == (1, 0, 0, 0)
+    assert kernel(a) == []
+    k = kernel(Mat(a.rows[:3]))
+    assert len(k) == 1 and all(isinstance(c, exact) for c in k[0])
+    assert k == kernel(Mat(q.rows[:3]))
+    # P J P^-1 built from ints: the first three columns of P span an
+    # invariant subspace on which the action is c
+    c = [[1, 2, 0], [0, 1, -1], [3, 0, 2]]
+    j = Mat([r + [y] for r, y in zip(c, (5, -2, 1))] + [[0, 0, 0, 4]])
+    m = a @ j @ inverse(a)
+    assert restrict_to_span(m, a.cols()[:3]) == Mat(c)
+
+
+def _random_square(rng, n, density, gaussian):
+    def entry():
+        if rng.random() > density:
+            return Fraction(0)
+        re = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        if gaussian:
+            return GaussRat(re, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        return re
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+def _char_poly_cases():
+    rng = random.Random(20260816)
+    cases = [Mat([])]
+    for gaussian in (False, True):
+        for n in range(1, 9):
+            for density in (0.25, 1.0):
+                for _ in range(3):
+                    cases.append(Mat(_random_square(rng, n, density,
+                                                    gaussian)))
+            half = Fraction(1, 2) if not gaussian else GaussRat(1, 2)
+            # derogatory: a scalar matrix and repeated Jordan blocks
+            cases.append(Mat.identity(n) * half)
+            jb = [[half if i == k else Fraction(int(k == i + 1))
+                   for k in range(2)] for i in range(2)]
+            cases.append(block_diag([Mat(jb)] * ((n + 1) // 2)))
+            # a zero subdiagonal entry splits the Hessenberg recurrence
+            rows = _random_square(rng, n, 1.0, gaussian)
+            for i in range(n):
+                for k in range(i - 1):
+                    rows[i][k] = Fraction(0)
+            if n > 2:
+                rows[n // 2][n // 2 - 1] = Fraction(0)
+            cases.append(Mat(rows))
+    return cases
+
+
+def test_char_poly_is_det_of_x_minus_a():
+    # det eliminates directly, so this does not share char_poly's method
+    for a in _char_poly_cases():
+        n = a.nrows
+        p = char_poly(a)
+        assert p.degree == n and p.lead == 1
+        assert all(isinstance(c, (Fraction, GaussRat)) for c in p.coeffs)
+        for t in range(n + 1):
+            x = Fraction(2 * t - n, 3)
+            assert p(x) == det(Mat.identity(n) * x - a)
+
+
+def test_char_poly_coefficients_are_fractions_over_q():
+    p = char_poly(Mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
+    assert p.coeffs == (0, 0, 0, 1)
+    assert all(type(c) is Fraction for c in p.coeffs)
 
 
 @settings(max_examples=30)

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from liedef.errors import (InputError, NotNilpotentError,
@@ -168,6 +171,32 @@ def test_extend_rep_from_translations(e2):
     # the restriction to the ideal is rho itself
     for j in range(2):
         assert ext.image_of(e2.basis_vector(j)) == rho.images[j]
+
+
+def test_commutator_system_matches_its_definition():
+    # oracle: column p*d + q holds ([E_pq, R_a])_a, flattened row-major
+    from liedef.reps import _commutator_system
+    rng = random.Random(7)
+
+    def entry():
+        if rng.random() < 0.4:
+            return Fraction(0)
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    for _ in range(40):
+        d = rng.randint(1, 4)
+        images = [Mat([[entry() for _ in range(d)] for _ in range(d)])
+                  for _ in range(rng.randint(1, 3))]
+        cols = []
+        for p in range(d):
+            for q in range(d):
+                e = Mat([[Fraction(int(r == p and c == q)) for c in range(d)]
+                         for r in range(d)])
+                col = []
+                for r_a in images:
+                    col.extend((e @ r_a - r_a @ e).flatten())
+                cols.append(col)
+        assert _commutator_system(images, d) == Mat.from_cols(cols)
 
 
 def test_extend_rep_requires_an_ideal(e2):

@@ -1,8 +1,10 @@
 import pytest
 
+from liedef import weights
 from liedef.errors import Indeterminate, InputError, InternalCheckError
 from liedef.lie import LieAlgebra
 from liedef.linalg import Mat, span_basis
+from liedef.reps import supersolvable_triangular_rep
 from liedef.scalars import GaussRat
 from liedef.weights import adjoint_weights, module_weights, real_flag
 
@@ -138,3 +140,49 @@ def test_real_flag_values_are_rational(axb):
     for row in chars:
         for c in row:
             assert getattr(c, "im", 0) == 0
+
+
+def _record_restrictions(monkeypatch):
+    """Wrap the peel's restriction routine; the returned list gets, per
+    call, whether its matrix or basis held a GaussRat."""
+    seen = []
+    inner = weights.restrict_to_span
+
+    def wrapped(a, basis):
+        entries = list(a.flatten()) + [x for v in basis for x in v]
+        seen.append(any(isinstance(x, GaussRat) for x in entries))
+        return inner(a, basis)
+
+    monkeypatch.setattr(weights, "restrict_to_span", wrapped)
+    return seen
+
+
+def test_real_modules_are_peeled_over_q(monkeypatch):
+    # h3 + aff(1): real_flag on the adjoint and on the extended module, and
+    # module_weights on the nilradical's module, all with real weights
+    seen = _record_restrictions(monkeypatch)
+    g = LieAlgebra.from_entries(5, {(0, 1): (0, 0, 1, 0, 0),
+                                    (3, 4): (0, 0, 0, 0, 1)})
+    status, _, _ = real_flag(g, [g.ad(g.basis_vector(i)) for i in range(5)])
+    assert status == "ok"
+    supersolvable_triangular_rep(g)
+    assert seen and not any(seen)
+
+
+def test_peel_lifts_to_q_i_at_the_first_nonreal_eigenvalue(monkeypatch):
+    # -1 sorts before -i and i, so the first peel is real; the second picks
+    # -i on the rational rotation block and lifts, the third runs over Q(i)
+    seen = _record_restrictions(monkeypatch)
+    g = LieAlgebra.from_entries(1, {})
+    table = module_weights(g, [Mat([[-1, 0, 0], [0, 0, -1], [0, 1, 0]])])
+    assert seen == [False, False, True]
+    assert [(e.values, e.multiplicity, e.real) for e in table.entries] == [
+        ((GaussRat(-1),), 1, True),
+        ((GaussRat(0, -1),), 1, False),
+        ((GaussRat(0, 1),), 1, False),
+    ]
+    assert repr(table) == (
+        "WeightTable(algebra_dim=1, module_dim=3, entries=("
+        "WeightEntry(values=(-1,), multiplicity=1, real=True), "
+        "WeightEntry(values=(-1*i,), multiplicity=1, real=False), "
+        "WeightEntry(values=(1*i,), multiplicity=1, real=False)))")
