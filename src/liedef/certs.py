@@ -25,7 +25,7 @@ from .errors import InputError
 from .formats import (algebra_hash, canonical_json, matrix_from_json,
                       matrix_to_json, vector_from_json, vector_to_json)
 from .lie import LieAlgebra
-from .linalg import Mat, char_poly, coords_in_basis, kernel, span_basis
+from .linalg import Mat, char_poly, coords_in_span, kernel, span_basis
 from .poly import squarefree_part, sturm_count_real_roots
 from .reps import ALL_FLAGS, Representation, verify_rep
 from .torus import TorusClosure, TorusWeights, parse_equation, vanishes_on_torus
@@ -227,10 +227,8 @@ def _check_flag(payload, alg: LieAlgebra) -> CertReport:
     if chars is not None and len(chars) != len(flag):
         return _fail("shape", "one character row per flag step required")
     for k in range(len(flag)):
-        prefix = flag[:k + 1]
-        for i in range(alg.dim):
-            br = alg.bracket(alg.basis_vector(i), flag[k])
-            coords = coords_in_basis(prefix, br)
+        brs = [alg.bracket(x, flag[k]) for x in alg.basis()]
+        for i, coords in enumerate(coords_in_span(flag[:k + 1], brs)):
             if coords is None:
                 return _fail("flag", "step %d is not invariant" % k)
             if chars is not None and coords[k] != chars[k][i]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .certs import (KIND_TBC, KIND_TORUS, emit_flag, emit_representation,
                     emit_tbc, emit_torus_equations, emit_verdict,
@@ -26,6 +25,7 @@ from .errors import (InputError, InternalCheckError, NotNilpotentError,
                      NotSolvableError, NotSupersolvableError,
                      PreconditionError, ScalarTowerError, UnsupportedError)
 from .formats import load_algebra_file, matrix_from_json
+from .linalg import lincomb
 from .reps import GroupRepData, nilpotent_ado, quotient_rep, extend_rep, \
     supersolvable_triangular_rep
 from .structure import commuting_levi, levi_subalgebra, nilradical, radical
@@ -135,18 +135,10 @@ def _cmd_commuting_levi(args):
             raise UnsupportedError(
                 "no torus part available: radical splitting is %s"
                 % tb.status)
-        k_rows = [_lift(v, incl, alg.dim) for v in tb.certificate.k_basis]
+        k_rows = [lincomb(v, incl, alg.dim) for v in tb.certificate.k_basis]
     _print_rows("torus part", k_rows)
     _print_rows("commuting levi", commuting_levi(alg, k_rows))
     return 0
-
-
-def _lift(coords, rows, dim):
-    out = [Fraction(0)] * dim
-    for c, row in zip(coords, rows):
-        for j, x in enumerate(row):
-            out[j] += c * x
-    return tuple(out)
 
 
 def _indices(text, dim):

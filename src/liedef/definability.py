@@ -13,9 +13,9 @@ from fractions import Fraction
 from .errors import (Indeterminate, InputError, InternalCheckError,
                      NotSolvableError)
 from .lie import LieAlgebra
-from .linalg import (Mat, char_poly, coords_in_basis, is_zero_vec,
-                     jordan_chevalley, kernel, reduce_against, solve,
-                     span_basis, vsub)
+from .linalg import (Mat, char_poly, coords_in_span, in_span, is_zero_vec,
+                     jordan_chevalley, kernel, lincomb, solve, span_basis,
+                     vsub)
 from .poly import (purely_imaginary_spectrum, squarefree_part,
                    sturm_count_real_roots)
 from .scalars import GaussRat
@@ -54,14 +54,6 @@ def _real_vec(v):
             out.append(x.re)
         else:
             out.append(Fraction(x))
-    return tuple(out)
-
-
-def _combine(coeffs, vectors, dim):
-    out = [Fraction(0)] * dim
-    for c, v in zip(coeffs, vectors):
-        if c:
-            out = [a + c * b for a, b in zip(out, v)]
     return tuple(out)
 
 
@@ -195,11 +187,9 @@ def _check_flag(g, flag):
     if len(span_basis(flag)) != g.dim or len(flag) != g.dim:
         raise InternalCheckError("flag does not span the algebra")
     for i in range(g.dim):
-        prefix = flag[:i + 1]
-        for j in range(g.dim):
-            br = g.bracket(g.basis_vector(j), flag[i])
-            if coords_in_basis(prefix, br) is None:
-                raise InternalCheckError("flag step is not an ideal")
+        brs = [g.bracket(x, flag[i]) for x in g.basis()]
+        if None in coords_in_span(flag[:i + 1], brs):
+            raise InternalCheckError("flag step is not an ideal")
 
 
 @dataclass(frozen=True)
@@ -266,24 +256,23 @@ def tbc_verify(r: LieAlgebra, cert: TbcCertificate) -> TbcReport:
         raise InputError("torus_evidence must match k_basis in length")
 
     t_span = span_basis(t)
-    pivots = [next(j for j, c in enumerate(row) if c) for row in t_span]
-    for i in range(r.dim):
-        for row in t_span:
-            br = r.bracket(r.basis_vector(i), row)
-            if not is_zero_vec(reduce_against(t_span, pivots, br)):
-                return _fail("t-ideal", "bracket leaves the t part")
+    if not all(in_span(t_span, r.bracket(x, row))
+               for x in r.basis() for row in t_span):
+        return _fail("t-ideal", "bracket leaves the t part")
 
     if len(flag) != len(t_span):
         return _fail("flag", "flag length differs from dim t")
     if len(span_basis(flag)) != len(flag):
         return _fail("flag", "flag vectors are dependent")
-    for v in flag:
-        if not is_zero_vec(reduce_against(t_span, pivots, v)):
-            return _fail("flag", "flag vector outside the t part")
-    for x in t_span:
-        for i, v in enumerate(flag):
-            if coords_in_basis(flag[:i + 1], r.bracket(x, v)) is None:
-                return _fail("flag", "step %d is not an ideal of t" % i)
+    if not all(in_span(t_span, v) for v in flag):
+        return _fail("flag", "flag vector outside the t part")
+    # report the first step that fails for the first x of t that fails
+    bad = []
+    for i, v in enumerate(flag):
+        coords = coords_in_span(flag[:i + 1], [r.bracket(x, v) for x in t_span])
+        bad += [(j, i) for j, c in enumerate(coords) if c is None]
+    if bad:
+        return _fail("flag", "step %d is not an ideal of t" % min(bad)[1])
 
     k_span = span_basis(k)
     if len(t_span) + len(k_span) != r.dim:
@@ -381,7 +370,7 @@ def tbc_find(r: LieAlgebra) -> TbcResult:
     if ss_t.status != SS_YES:
         raise InternalCheckError(
             "real-weight ideal failed its own supersolvability test")
-    flag = tuple(_combine(v, incl, r.dim) for v in ss_t.flag)
+    flag = tuple(lincomb(v, incl, r.dim) for v in ss_t.flag)
 
     k_cand = []
     for u in k_zero:
@@ -421,7 +410,7 @@ def _k_candidates(r, treal, k_cand):
         c = solve(a, nil.flatten())
         if c is None:
             return
-        corrected.append(vsub(u, _combine(c, treal, r.dim)))
+        corrected.append(vsub(u, lincomb(c, treal, r.dim)))
     if corrected != k_cand:
         yield corrected
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InputError, InternalCheckError
-from .linalg import (Mat, coords_in_basis, inverse, is_zero_vec, kernel, rank,
-                     reduce_against, span_basis, vadd)
+from .linalg import (Mat, coords_in_span, in_span, inverse, is_zero_vec,
+                     kernel, rank, span_basis, trace_product, vadd)
 
 
 def _unit(n: int, i: int):
@@ -162,12 +162,16 @@ class LieAlgebra:
         return kernel(Mat(rows))
 
     def killing(self, x, y):
-        return (self.ad(x) @ self.ad(y)).trace()
+        return trace_product(self.ad(x), self.ad(y))
 
     def killing_matrix(self) -> Mat:
-        ads = [self.ad(_unit(self.dim, i)) for i in range(self.dim)]
-        return Mat([[(ads[i] @ ads[j]).trace() for j in range(self.dim)]
-                    for i in range(self.dim)])
+        n = self.dim
+        ads = [self.ad(_unit(n, i)) for i in range(n)]
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = trace_product(ads[i], ads[j])
+        return Mat(rows)
 
     def is_abelian(self) -> bool:
         return all(is_zero_vec(self.table[i][j])
@@ -197,22 +201,12 @@ class LieAlgebra:
 
     def is_ideal(self, basis) -> bool:
         rows = span_basis(basis)
-        if not rows:
-            return True
-        pivots = [next(j for j, c in enumerate(r) if c) for r in rows]
-        for i in range(self.dim):
-            for b in rows:
-                if not is_zero_vec(reduce_against(
-                        rows, pivots, self.bracket(_unit(self.dim, i), b))):
-                    return False
-        return True
+        return all(in_span(rows, self.bracket(_unit(self.dim, i), b))
+                   for i in range(self.dim) for b in rows)
 
     def is_subalgebra(self, basis) -> bool:
         rows = span_basis(basis)
-        if not rows:
-            return True
-        pivots = [next(j for j, c in enumerate(r) if c) for r in rows]
-        return all(is_zero_vec(reduce_against(rows, pivots, self.bracket(a, b)))
+        return all(in_span(rows, self.bracket(a, b))
                    for a in rows for b in rows)
 
     def subalgebra_closure(self, vectors):
@@ -237,13 +231,11 @@ class LieAlgebra:
         if not self.is_subalgebra(rows):
             raise InputError("subspace is not closed under the bracket")
         k = len(rows)
-        table = [[None] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(k):
-                c = coords_in_basis(rows, self.bracket(rows[i], rows[j]))
-                if c is None:
-                    raise InternalCheckError("closed subspace failed to close")
-                table[i][j] = tuple(c)
+        coords = coords_in_span(rows, [self.bracket(a, b)
+                                       for a in rows for b in rows])
+        if None in coords:
+            raise InternalCheckError("closed subspace failed to close")
+        table = [coords[i * k:(i + 1) * k] for i in range(k)]
         return LieAlgebra(k, table), rows
 
     def quotient(self, ideal_basis):
@@ -297,12 +289,9 @@ def from_matrices(mats):
         rows = grown
     basis_mats = [Mat([r[i * n:(i + 1) * n] for i in range(n)]) for r in rows]
     k = len(rows)
-    table = [[None] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            br = (basis_mats[i] @ basis_mats[j] - basis_mats[j] @ basis_mats[i])
-            c = coords_in_basis(rows, br.flatten())
-            if c is None:
-                raise InternalCheckError("commutator left the closed span")
-            table[i][j] = tuple(c)
+    coords = coords_in_span(rows, [(a @ b - b @ a).flatten()
+                                   for a in basis_mats for b in basis_mats])
+    if None in coords:
+        raise InternalCheckError("commutator left the closed span")
+    table = [coords[i * k:(i + 1) * k] for i in range(k)]
     return LieAlgebra(k, table), basis_mats, len(rows) > start

@@ -9,7 +9,6 @@ they are returned.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 
 from .errors import InputError, InternalCheckError
 from .poly import Poly, poly_gcd, squarefree_part
@@ -150,6 +149,12 @@ class Mat:
 
 def _dot(u, v):
     return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
+
+
+def trace_product(a: Mat, b: Mat):
+    """tr(a @ b), in O(n^2) and without forming the product."""
+    return sum((x * y for ra, cb in zip(a.rows, zip(*b.rows))
+                for x, y in zip(ra, cb) if x and y), Fraction(0))
 
 
 def mat_pow(a: Mat, k: int) -> Mat:
@@ -309,39 +314,82 @@ def span_basis(vectors):
     return [tuple(R.rows[i]) for i in range(len(pivots))]
 
 
-def reduce_against(basis_rows, pivots, v):
-    """Residual of v after eliminating along rref rows; zero iff v in span."""
+def in_span(rows, v) -> bool:
+    """True iff v lies in the span of rref rows (as span_basis returns)."""
     v = list(v)
-    for row, p in zip(basis_rows, pivots):
-        if v[p]:
-            c = v[p] / row[p]
+    for row in rows:
+        p = next(j for j, c in enumerate(row) if c)
+        c = v[p]
+        if c:
             v = [a - c * b for a, b in zip(v, row)]
-    return tuple(v)
+    return is_zero_vec(v)
+
+
+def coords_in_span(basis, vectors):
+    """Coefficients of each vector in the given basis vectors, or None for a
+    vector outside their span.
+
+    One elimination of [basis | vectors] serves every vector.  Its rows with
+    a pivot among the vector columns mark vectors outside span(basis); a
+    vector inside has zeros in all of those rows, so its coefficients are
+    read off the basis pivot rows untouched.  Free basis columns get zero
+    coefficients, as in solve.
+    """
+    vectors = list(vectors)
+    if not basis:
+        return [() if is_zero_vec(v) else None for v in vectors]
+    if not vectors:
+        return []
+    d = len(basis)
+    R, pivots = rref(Mat.from_cols(list(basis) + vectors))
+    rb = sum(1 for pc in pivots if pc < d)
+    extra = R.rows[rb:len(pivots)]
+    out = []
+    for j in range(d, d + len(vectors)):
+        if any(row[j] for row in extra):
+            out.append(None)
+            continue
+        x = [Fraction(0)] * d
+        for i in range(rb):
+            x[pivots[i]] = R.rows[i][j]
+        out.append(tuple(x))
+    return out
 
 
 def restrict_to_span(a: Mat, basis):
-    """Matrix of a on an invariant span, in the given basis coordinates.
-
-    One elimination of [basis | a(basis)] solves for every column at once;
-    a pivot among the image columns means some image leaves the span.
-    """
-    d = len(basis)
-    if not d:
-        return Mat([])
-    R, pivots = rref(Mat.from_cols(list(basis) + [a @ v for v in basis]))
-    if pivots and pivots[-1] >= d:
+    """Matrix of a on an invariant span, in the given basis coordinates."""
+    cols = coords_in_span(basis, [a @ v for v in basis])
+    if None in cols:
         raise InputError("matrix does not preserve the span")
-    out = [[Fraction(0)] * d for _ in range(d)]
-    for i, pc in enumerate(pivots):
-        out[pc] = R.rows[i][d:]
-    return Mat(out)
+    return Mat.from_cols(cols)
 
 
 def coords_in_basis(basis, v):
     """Coefficients of v in the given (independent) vectors, or None."""
-    if not basis:
-        return () if is_zero_vec(v) else None
-    return solve(Mat.from_cols(basis), v)
+    return coords_in_span(basis, [v])[0]
+
+
+def lincomb(coeffs, vectors, dim: int):
+    """sum of c * v over the pairs, as a tuple of length dim."""
+    out = [Fraction(0)] * dim
+    for c, v in zip(coeffs, vectors):
+        if c:
+            out = [a + c * b for a, b in zip(out, v)]
+    return tuple(out)
+
+
+def mat_lincomb(coeffs, mats, n: int) -> Mat:
+    """sum of c * m over the pairs; the n x n zero matrix if every c is 0.
+
+    Starts from the first nonzero term, so no zero matrix is built, and
+    takes a matrix with coefficient 1 as it is.
+    """
+    out = None
+    for c, m in zip(coeffs, mats):
+        if c:
+            term = m if c == 1 else m * c
+            out = term if out is None else out + term
+    return Mat.zeros(n, n) if out is None else out
 
 
 def intersect_spans(a, b, n: int):
@@ -351,14 +399,8 @@ def intersect_spans(a, b, n: int):
     if not a or not b:
         return []
     cols = [list(v) for v in a] + [[-c for c in v] for v in b]
-    out = []
-    for k in kernel(Mat.from_cols(cols)):
-        v = [Fraction(0)] * n
-        for coeff, vec in zip(k[:len(a)], a):
-            if coeff:
-                v = [x + coeff * y for x, y in zip(v, vec)]
-        out.append(tuple(v))
-    return span_basis(out)
+    return span_basis([lincomb(k[:len(a)], a, n)
+                       for k in kernel(Mat.from_cols(cols))])
 
 
 # -- invariants of a single operator --------------------------------------------
@@ -608,17 +650,3 @@ def integer_left_kernel(m):
         if not is_zero_vec(tuple(_dot(b, c) for c in mm.cols())):
             raise InternalCheckError("left kernel row fails to annihilate")
     return [tuple(b) for b in basis]
-
-
-def clear_denominators(v):
-    """Scale a rational vector to a primitive integer vector."""
-    den = 1
-    for c in v:
-        den = lcm(den, Fraction(c).denominator)
-    ints = [int(Fraction(c) * den) for c in v]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    if g > 1:
-        ints = [c // g for c in ints]
-    return tuple(ints)

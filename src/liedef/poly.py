@@ -10,7 +10,7 @@ larger field is reported as a leftover degree, never approximated.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, lcm
 
 from .errors import ScalarTowerError
 from .scalars import GaussRat, gauss, is_rational_square
@@ -300,19 +300,18 @@ def _divisors(n: int):
     return sorted(divs)
 
 
-def _to_int_primitive(p: Poly):
-    """Scale a Fraction polynomial to a primitive integer coefficient list."""
-    from math import gcd, lcm
+def clear_denominators(v):
+    """Scale a rational vector to a primitive integer vector."""
     den = 1
-    for c in p.coeffs:
+    for c in v:
         den = lcm(den, Fraction(c).denominator)
-    ints = [int(Fraction(c) * den) for c in p.coeffs]
+    ints = [int(Fraction(c) * den) for c in v]
     g = 0
     for c in ints:
         g = gcd(g, c)
     if g > 1:
         ints = [c // g for c in ints]
-    return ints
+    return tuple(ints)
 
 
 def rational_roots(p: Poly):
@@ -329,7 +328,7 @@ def rational_roots(p: Poly):
         out.append((Fraction(0), m))
     if p.degree < 1:
         return out
-    ints = _to_int_primitive(p)
+    ints = clear_denominators(p.coeffs)
     for num in _divisors(ints[0]):
         for den in _divisors(ints[-1]):
             for cand in (Fraction(num, den), Fraction(-num, den)):
@@ -352,7 +351,7 @@ def _find_quadratic_factor(p: Poly):
     Assumes p has no rational roots (so p(0), p(1), p(-1) are nonzero).
     Complete by the Gauss-lemma divisor bounds on integer quadratic factors.
     """
-    ints = _to_int_primitive(p)
+    ints = clear_denominators(p.coeffs)
     h0, lc = ints[0], ints[-1]
     h1 = sum(ints)
     h_1 = sum(c if k % 2 == 0 else -c for k, c in enumerate(ints))

@@ -16,8 +16,8 @@ from .errors import (Indeterminate, InputError, InternalCheckError,
                      NotNilpotentError, NotSupersolvableError,
                      PreconditionError, UnsupportedError)
 from .lie import LieAlgebra
-from .linalg import (Mat, block_diag, coords_in_basis, intersect_spans,
-                     inverse, is_nilpotent_mat, kernel, kron,
+from .linalg import (Mat, block_diag, coords_in_span, intersect_spans,
+                     inverse, is_nilpotent_mat, kernel, kron, mat_lincomb,
                      restrict_to_span, solve, span_basis)
 from .structure import nilradical
 from .weights import module_weights, real_flag
@@ -53,11 +53,7 @@ class Representation:
 
     def image_of(self, x):
         """Image of an arbitrary element, by linearity."""
-        out = Mat.zeros(self.target_dim, self.target_dim)
-        for c, m in zip(x, self.images):
-            if c:
-                out = out + c * m
-        return out
+        return mat_lincomb(x, self.images, self.target_dim)
 
 
 def verify_rep(rep: Representation) -> frozenset:
@@ -81,8 +77,7 @@ def verify_rep(rep: Representation) -> frozenset:
     if hom:
         flags.add(HOMOMORPHISM)
 
-    if g.dim == 0 or not kernel(
-            Mat.from_cols([m.flatten() for m in rep.images])):
+    if not rep_kernel(rep):
         flags.add(FAITHFUL)
 
     conj = None
@@ -238,14 +233,8 @@ def nilpotent_ado(n: LieAlgebra) -> Representation:
                     col[pos] += coeff
             cols.append(tuple(col))
         gen_mats.append(Mat.from_cols(cols))
-    images = []
-    for j in range(n.dim):
-        img = Mat.zeros(d, d)
-        for i, beta in enumerate(tinv.col(j)):
-            if beta:
-                img = img + beta * gen_mats[i]
-        images.append(img)
-    return _certified(Representation(n, d, tuple(images)), ALL_FLAGS)
+    images = tuple(mat_lincomb(tinv.col(j), gen_mats, d) for j in range(n.dim))
+    return _certified(Representation(n, d, images), ALL_FLAGS)
 
 
 # -- supersolvable case ---------------------------------------------------------
@@ -353,11 +342,7 @@ def _closure_holds(g, basis_vectors, images):
     for i in range(len(basis_vectors)):
         for j in range(i + 1, len(basis_vectors)):
             br = g.bracket(basis_vectors[i], basis_vectors[j])
-            coords = tinv @ br
-            want = Mat.zeros(images[0].nrows, images[0].nrows)
-            for cc, m in zip(coords, images):
-                if cc:
-                    want = want + cc * m
+            want = mat_lincomb(tinv @ br, images, images[0].nrows)
             got = images[i] @ images[j] - images[j] @ images[i]
             if not (got - want).is_zero():
                 return False
@@ -382,7 +367,7 @@ def extend_rep(g: LieAlgebra, h_rows, rho: Representation) -> Representation:
     if rho.source != sub:
         raise InputError(
             "representation source does not match the materialized ideal")
-    if FAITHFUL not in verify_rep(rho):
+    if rep_kernel(rho):
         raise PreconditionError("the ideal module must be faithful")
     if len(h_span) == g.dim:
         # full span in rref coordinates is the standard basis
@@ -393,8 +378,7 @@ def extend_rep(g: LieAlgebra, h_rows, rho: Representation) -> Representation:
     if isinstance(table, Indeterminate):
         raise UnsupportedError(
             "cannot certify the weight precondition: " + str(table.reason))
-    for v in g.bracket_span(g.basis(), h_span):
-        coords = coords_in_basis(incl, v)
+    for coords in coords_in_span(incl, g.bracket_span(g.basis(), h_span)):
         if coords is None:
             raise InternalCheckError("[g, h] left the ideal")
         for e in table.entries:
@@ -426,20 +410,12 @@ def extend_rep(g: LieAlgebra, h_rows, rho: Representation) -> Representation:
     full = Mat.from_cols(incl + comp)
     tinv = inverse(full)
     all_images = rho_images + comp_images
-    images = []
-    for i in range(g.dim):
-        coords = tinv @ g.basis_vector(i)
-        m = Mat.zeros(d, d)
-        for cc, im in zip(coords, all_images):
-            if cc:
-                m = m + cc * im
-        images.append(m)
-    rep = Representation(g, d, tuple(images))
+    images = tuple(mat_lincomb(tinv @ x, all_images, d) for x in g.basis())
+    rep = Representation(g, d, images)
     flags = verify_rep(rep)
     if HOMOMORPHISM not in flags:
         raise InternalCheckError("closure held on a basis but not overall")
-    ker = kernel(Mat.from_cols([m.flatten() for m in images])) if g.dim else []
-    if intersect_spans(ker, h_span, g.dim):
+    if intersect_spans(rep_kernel(rep), h_span, g.dim):
         raise InternalCheckError("extension lost faithfulness on the ideal")
     return replace(rep, verified=flags)
 
@@ -451,16 +427,10 @@ def _solve_extension(g, incl, comp, rho_images):
     particular = []
     for c in comp:
         rhs = []
-        for y in incl:
-            br = g.bracket(c, y)
-            coords = coords_in_basis(incl, br)
+        for coords in coords_in_span(incl, [g.bracket(c, y) for y in incl]):
             if coords is None:
                 raise InternalCheckError("[g, h] left the ideal")
-            target = Mat.zeros(d, d)
-            for cc, m in zip(coords, rho_images):
-                if cc:
-                    target = target + cc * m
-            rhs.extend(target.flatten())
+            rhs.extend(mat_lincomb(coords, rho_images, d).flatten())
         sol = solve(a, tuple(rhs))
         if sol is None:
             return None
@@ -475,11 +445,7 @@ def _solve_extension(g, incl, comp, rho_images):
     params = [[Fraction(0)] * len(null) for _ in range(m)]
 
     def sigma(i):
-        out = particular[i]
-        for s, p in enumerate(params[i]):
-            if p:
-                out = out + p * null[s]
-        return out
+        return mat_lincomb([1] + params[i], [particular[i]] + null, d)
 
     for _ in range(4):
         if _closure_holds(g, basis_vectors,
@@ -494,19 +460,12 @@ def _solve_extension(g, incl, comp, rho_images):
             for j in range(m):
                 if j == i:
                     continue
-                br = g.bracket(comp[i], comp[j])
-                coords = tinv @ br
-                const = Mat.zeros(d, d)
-                for cc, mm in zip(coords[:len(incl)], rho_images):
-                    if cc:
-                        const = const + cc * mm
+                coords = list(tinv @ g.bracket(comp[i], comp[j]))
+                # the sigma_i term of [comp_i, comp_j] is unknown; the rest
+                # is constant
                 gamma_i = coords[len(incl) + i]
-                for k in range(m):
-                    if k == i:
-                        continue
-                    cc = coords[len(incl) + k]
-                    if cc:
-                        const = const + cc * cur[k]
+                coords[len(incl) + i] = 0
+                const = mat_lincomb(coords, rho_images + cur, d)
                 # unknowns: sigma_i = particular_i + sum p_s null_s
                 base = (particular[i] @ cur[j] - cur[j] @ particular[i]
                         - gamma_i * particular[i] - const)

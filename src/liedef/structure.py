@@ -13,8 +13,9 @@ from fractions import Fraction
 
 from .errors import InternalCheckError, PreconditionError
 from .lie import LieAlgebra
-from .linalg import (Mat, is_zero_vec, kernel, rank, reduce_against,
-                     solve, span_basis, vadd, jordan_chevalley, char_poly)
+from .linalg import (Mat, coords_in_span, in_span, is_zero_vec, kernel,
+                     lincomb, rank, solve, span_basis, trace_product, vadd,
+                     jordan_chevalley, char_poly)
 from .poly import purely_imaginary_spectrum
 
 
@@ -75,15 +76,12 @@ def nilradical(g: LieAlgebra):
     ads = [rs.ad(rs.basis_vector(i)) for i in range(rs.dim)]
     hull = _matrix_hull(ads)
     if hull:
-        cond = Mat([[ (ads[k] @ b).trace() for k in range(rs.dim)]
+        cond = Mat([[trace_product(ads[k], b) for k in range(rs.dim)]
                     for b in hull])
         coords = kernel(cond)
     else:
         coords = [rs.basis_vector(i) for i in range(rs.dim)]
-    nil = span_basis([
-        tuple(sum((c * x for c, x in zip(co, col)), Fraction(0))
-              for col in zip(*incl))
-        for co in coords])
+    nil = span_basis([lincomb(co, incl, g.dim) for co in coords])
     # verified: nilpotent ideal of g that swallows [g, r]
     if not g.is_ideal(nil):
         raise InternalCheckError("nilradical candidate is not an ideal")
@@ -91,19 +89,10 @@ def nilradical(g: LieAlgebra):
         sub, _ = g.subalgebra(nil)
         if not sub.is_nilpotent():
             raise InternalCheckError("nilradical candidate is not nilpotent")
-    pivots = [next(j for j, c in enumerate(r) if c) for r in nil]
     for v in g.bracket_span(g.basis(), rad):
-        if not is_zero_vec(reduce_against(nil, pivots, v)):
+        if not in_span(nil, v):
             raise InternalCheckError("nilradical misses part of [g, radical]")
     return nil
-
-
-def _lift_combination(coeffs, vectors, dim):
-    out = [Fraction(0)] * dim
-    for c, v in zip(coeffs, vectors):
-        if c:
-            out = [a + c * b for a, b in zip(out, v)]
-    return tuple(out)
 
 
 def _levi_abelian_radical(g: LieAlgebra, rad):
@@ -123,25 +112,20 @@ def _levi_abelian_radical(g: LieAlgebra, rad):
     for j in range(m):
         for k in range(j + 1, m):
             br = g.bracket(lift[j], lift[k])
-            target = _lift_combination(q.table[j][k], lift, n)
+            target = lincomb(q.table[j][k], lift, n)
             defect[(j, k)] = tuple(a - b for a, b in zip(br, target))
-    # unknowns h[j] in r, coordinates against the rad basis: m*p of them
-    rad_mat = Mat.from_cols(rad)
-
-    def r_coords(v):
-        c = solve(rad_mat, v)
-        if c is None:
-            raise InternalCheckError("cocycle left the radical")
-        return c
-
+    # unknowns h[j] in r, coordinates against the rad basis: m*p of them;
+    # acts[j] is ad(lift[j]) on r in those coordinates
+    coords = coords_in_span(rad, [g.ad(x) @ r_vec for x in lift
+                                  for r_vec in rad] + list(defect.values()))
+    if None in coords:
+        raise InternalCheckError("cocycle left the radical")
+    acts = [Mat.from_cols(coords[j * p:(j + 1) * p]) for j in range(m)]
     rows = []
     rhs = []
-    for (j, k), c_jk in defect.items():
-        adj = g.ad(lift[j])
-        adk = g.ad(lift[k])
+    for c_jk, (j, k) in zip(coords[m * p:], defect):
+        aj, ak = acts[j], acts[k]
         # p scalar equations, coefficients of each h[l]
-        aj = Mat([r_coords(adj @ r_vec) for r_vec in rad]).transpose()
-        ak = Mat([r_coords(adk @ r_vec) for r_vec in rad]).transpose()
         blocks = []
         for l in range(m):
             col_block = Mat.zeros(p, p)
@@ -156,7 +140,7 @@ def _levi_abelian_radical(g: LieAlgebra, rad):
         for rr in range(p):
             rows.append([blocks[l].rows[rr][cc]
                          for l in range(m) for cc in range(p)])
-        rhs.extend(-x for x in r_coords(c_jk))
+        rhs.extend(-x for x in c_jk)
     if rows:
         sol = solve(Mat(rows), tuple(rhs))
         if sol is None:
@@ -165,7 +149,7 @@ def _levi_abelian_radical(g: LieAlgebra, rad):
         sol = tuple(Fraction(0) for _ in range(m * p))
     levi = []
     for j in range(m):
-        h_j = _lift_combination(sol[j * p:(j + 1) * p], rad, n)
+        h_j = lincomb(sol[j * p:(j + 1) * p], rad, n)
         levi.append(vadd(lift[j], h_j))
     return span_basis(levi)
 
@@ -183,11 +167,11 @@ def levi_subalgebra(g: LieAlgebra) -> LeviDecomposition:
         # reduce along the derived series of the radical
         q, lift, _ = g.quotient(r2)
         inner = levi_subalgebra(q)
-        pre = [_lift_combination(w, lift, g.dim) for w in inner.levi]
+        pre = [lincomb(w, lift, g.dim) for w in inner.levi]
         sub_basis = span_basis(pre + list(r2))
         sub, incl = g.subalgebra(sub_basis)
         deeper = levi_subalgebra(sub)
-        levi = span_basis([_lift_combination(w, incl, g.dim)
+        levi = span_basis([lincomb(w, incl, g.dim)
                            for w in deeper.levi])
     else:
         levi = _levi_abelian_radical(g, rad)
@@ -244,9 +228,8 @@ def commuting_levi(g: LieAlgebra, k_rows):
     """
     k = span_basis(k_rows)
     rad = radical(g)
-    pivots = [next(j for j, c in enumerate(r) if c) for r in rad]
     for v in k:
-        if not is_zero_vec(reduce_against(rad, pivots, v)):
+        if not in_span(rad, v):
             raise PreconditionError("torus part must lie in the radical")
     if not is_torus_like(g, k):
         raise PreconditionError(
@@ -254,7 +237,7 @@ def commuting_levi(g: LieAlgebra, k_rows):
     z = span_basis(g.centralizer(k))
     sub, incl = g.subalgebra(z)
     inner = levi_subalgebra(sub)
-    levi = span_basis([_lift_combination(w, incl, g.dim)
+    levi = span_basis([lincomb(w, incl, g.dim)
                        for w in inner.levi])
     for x in levi:
         for v in k:

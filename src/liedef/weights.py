@@ -26,8 +26,8 @@ from fractions import Fraction
 
 from .errors import Indeterminate, InputError, InternalCheckError
 from .lie import LieAlgebra
-from .linalg import (Mat, char_poly, inverse, is_zero_vec, kernel,
-                     reduce_against, restrict_to_span, span_basis)
+from .linalg import (Mat, char_poly, in_span, inverse, kernel, lincomb,
+                     mat_lincomb, restrict_to_span, span_basis)
 from .poly import gaussian_roots
 from .scalars import GaussRat, gauss
 
@@ -66,31 +66,12 @@ def _complete_hyperplane(alg: LieAlgebra):
         if len(rows) == alg.dim - 1:
             break
         cand = alg.basis_vector(i)
-        pivots = [next(j for j, c in enumerate(r) if c) for r in rows]
-        if not is_zero_vec(reduce_against(rows, pivots, cand)):
+        if not in_span(rows, cand):
             rows = span_basis(rows + [cand])
-    pivots = [next(j for j, c in enumerate(r) if c) for r in rows]
-    z = None
-    for i in range(alg.dim):
-        cand = alg.basis_vector(i)
-        if not is_zero_vec(reduce_against(rows, pivots, cand)):
-            z = cand
-            break
+    z = next((v for v in alg.basis() if not in_span(rows, v)), None)
     if z is None:
         raise InternalCheckError("hyperplane completion failed")
     return rows, z
-
-
-def _action_mat(mats, coeffs):
-    out = None
-    for c, m in zip(coeffs, mats):
-        if not c:
-            continue
-        term = m * c
-        out = term if out is None else out + term
-    if out is None:
-        return mats[0] * Fraction(0)
-    return out
 
 
 def _pick_root(b: Mat, real_rational_only: bool):
@@ -155,7 +136,7 @@ def common_eigenspace(chain, mats, space, real_rational_only=False):
     lams = []
     for z in reversed(dirs):
         try:
-            b = restrict_to_span(_action_mat(mats, z), w)
+            b = restrict_to_span(mat_lincomb(z, mats, mats[0].nrows), w)
         except InputError:
             raise InternalCheckError(
                 "joint eigenspace is not invariant; the action is not from a "
@@ -176,14 +157,7 @@ def common_eigenspace(chain, mats, space, real_rational_only=False):
         eig_coords = kernel(b - mu * Mat.identity(len(w)))
         if not eig_coords:
             raise InternalCheckError("chosen eigenvalue has no eigenvector")
-        eig = []
-        for k in eig_coords:
-            v = [Fraction(0)] * len(space[0])
-            for coeff, vec in zip(k, w):
-                if coeff:
-                    v = [x + coeff * y for x, y in zip(v, vec)]
-            eig.append(tuple(v))
-        w = eig
+        w = [lincomb(k, w, len(space[0])) for k in eig_coords]
         lams.append(lam)
     lams.reverse()
     n = len(dirs)

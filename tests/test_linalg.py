@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liedef.errors import InputError
-from liedef.linalg import (Mat, block_diag, char_poly, clear_denominators,
-                           coords_in_basis, det, integer_left_kernel,
+from liedef.linalg import (Mat, block_diag, char_poly, coords_in_basis,
+                           coords_in_span, det, in_span, integer_left_kernel,
                            intersect_spans, inverse, is_nilpotent_mat,
-                           jordan_chevalley, kernel, kron, mat_pow,
-                           minimal_poly, poly_at, rank, restrict_to_span,
-                           solve, span_basis)
+                           jordan_chevalley, kernel, kron, mat_lincomb,
+                           mat_pow, minimal_poly, poly_at, rank,
+                           restrict_to_span, solve, span_basis,
+                           trace_product)
+from liedef.poly import clear_denominators
 from liedef.scalars import GaussRat
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -268,3 +270,86 @@ def test_mat_pow():
     a = Mat([[1, 1], [0, 1]])
     assert mat_pow(a, 5) == Mat([[1, 5], [0, 1]])
     assert mat_pow(a, 0) == Mat.identity(2)
+
+
+def _random_vec(rng, n, gaussian):
+    return tuple(_random_square(rng, n, 0.7, gaussian)[0])
+
+
+def _coords_by_solve(basis, v):
+    if not basis:
+        return () if all(not c for c in v) else None
+    return solve(Mat.from_cols(basis), v)
+
+
+def test_coords_in_span_matches_solve():
+    # the reference solves for one vector at a time
+    rng = random.Random(20260816)
+    checked = 0
+    for gaussian in (False, True):
+        for n in range(1, 6):
+            for _ in range(12):
+                basis = [_random_vec(rng, n, gaussian)
+                         for _ in range(rng.randint(0, n))]
+                if len(basis) > 1:
+                    # a dependent basis vector
+                    basis.append(tuple(a - 2 * b
+                                       for a, b in zip(basis[0], basis[1])))
+                rng.shuffle(basis)
+                inside = [tuple(sum((rng.randint(-2, 2) * b[i]
+                                     for b in basis), Fraction(0))
+                                for i in range(n)) for _ in range(3)]
+                vectors = [(Fraction(0),) * n] + inside
+                u = _random_vec(rng, n, gaussian)
+                if _coords_by_solve(basis, u) is None:
+                    # outside first, then a vector of span(basis + u) that
+                    # is not in span(basis)
+                    vectors = [u] + vectors + [
+                        tuple(a + b for a, b in zip(u, inside[0]))]
+                got = coords_in_span(basis, vectors)
+                want = [_coords_by_solve(basis, v) for v in vectors]
+                assert got == want
+                for g, w in zip(got, want):
+                    if w is not None:
+                        assert [type(x) for x in g] == [type(x) for x in w]
+                checked += sum(w is None for w in want)
+    assert checked > 50
+    q = Fraction
+    basis = [(q(1), q(0), q(0)), (q(2), q(0), q(0))]
+    assert coords_in_span(basis, [(0, 1, 0), (3, 0, 0), (0, 0, 0),
+                                  (1, 1, 0)]) == [None, (3, 0), (0, 0), None]
+    assert coords_in_span([], [(0, 0), (0, 1)]) == [(), None]
+    assert coords_in_span(basis, []) == []
+
+
+def test_trace_product_matches_trace_of_product():
+    rng = random.Random(20260816)
+    for gaussian in (False, True):
+        for n in range(7):
+            for density in (0.3, 1.0):
+                for _ in range(3):
+                    a = Mat(_random_square(rng, n, density, gaussian))
+                    b = Mat(_random_square(rng, n, density, gaussian))
+                    want = (a @ b).trace()
+                    got = trace_product(a, b)
+                    assert got == want and type(got) is type(want)
+
+
+def test_mat_lincomb():
+    a = Mat([[1, 2], [3, 4]])
+    b = Mat([[0, 1], [1, 0]])
+    assert mat_lincomb([0, Fraction(0)], [a, b], 2) == Mat.zeros(2, 2)
+    assert mat_lincomb([], [], 3) == Mat.zeros(3, 3)
+    assert mat_lincomb([Fraction(1, 2), 0, -1], [a, a, b], 2) == \
+        Mat([[Fraction(1, 2), 0], [Fraction(1, 2), 2]])
+
+
+def test_in_span():
+    assert in_span([], (0, 0, 0))
+    assert not in_span([], (0, 1, 0))
+    rows = span_basis([(1, 2, 3), (0, 1, 1)])
+    assert in_span(rows, (1, 3, 4))
+    assert not in_span(rows, (0, 0, 1))
+    g = span_basis([(GaussRat(1), GaussRat(0, 1))])
+    assert in_span(g, (GaussRat(0, 1), GaussRat(-1)))
+    assert not in_span(g, (GaussRat(1), GaussRat(1)))
