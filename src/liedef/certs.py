@@ -287,7 +287,7 @@ def _radical_rows(alg: LieAlgebra):
     if not derived:
         return [tuple(alg.basis_vector(i)) for i in range(alg.dim)]
     km = alg.killing_matrix()
-    rows = [tuple((km @ Mat.from_cols([d])).col(0)) for d in derived]
+    rows = [km @ d for d in derived]
     return span_basis(kernel(Mat(rows)))
 
 

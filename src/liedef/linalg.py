@@ -99,11 +99,19 @@ class Mat:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
+    # Sums skip an entry only where adding zero cannot change it: x + 0 is x
+    # in value, and in type only when 0 has the type of x (an int plus
+    # Fraction(0) is a Fraction, a Fraction plus GaussRat(0) a GaussRat).
+
     def __add__(self, other: "Mat") -> "Mat":
-        return Mat([vadd(a, b) for a, b in zip(self.rows, other.rows)])
+        return Mat([[x if not y and type(x) is type(y) else x + y
+                     for x, y in zip(a, b)]
+                    for a, b in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "Mat") -> "Mat":
-        return Mat([vsub(a, b) for a, b in zip(self.rows, other.rows)])
+        return Mat([[x if not y and type(x) is type(y) else x - y
+                     for x, y in zip(a, b)]
+                    for a, b in zip(self.rows, other.rows)])
 
     def __neg__(self) -> "Mat":
         return Mat([[-c for c in r] for r in self.rows])
@@ -117,8 +125,7 @@ class Mat:
         if isinstance(other, Mat):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch")
-            cols = other.cols()
-            return Mat([[_dot(r, c) for c in cols] for r in self.rows])
+            return Mat(_row_sparse_product(self.rows, other.rows, other.ncols))
         # matrix times column vector
         if self.ncols != len(other):
             raise ValueError("shape mismatch")
@@ -149,6 +156,25 @@ class Mat:
 
 def _dot(u, v):
     return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
+
+
+def _row_sparse_product(rows_a, rows_b, n):
+    """Rows of a @ b, touching only the nonzero entries of both.
+
+    Entry (i, j) is Fraction(0) plus a[i][k] * b[k][j] over the k where both
+    are nonzero, in increasing k: the additions _dot makes, so values and
+    entry types are those of the dense product.
+    """
+    nz_b = [[(j, y) for j, y in enumerate(r) if y] for r in rows_b]
+    out = []
+    for ra in rows_a:
+        acc = [Fraction(0)] * n
+        for x, nz in zip(ra, nz_b):
+            if x:
+                for j, y in nz:
+                    acc[j] = acc[j] + x * y
+        out.append(acc)
+    return out
 
 
 def trace_product(a: Mat, b: Mat):

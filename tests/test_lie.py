@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import pytest
 
 from liedef.errors import InputError
 from liedef.lie import LieAlgebra, from_matrices
-from liedef.linalg import Mat, span_basis
+from liedef.linalg import Mat, coords_in_span, span_basis
+from liedef.scalars import GaussRat
 
 
 def test_from_entries_rejects_bad_shapes():
@@ -115,3 +118,55 @@ def test_from_matrices_grows_to_closure():
     assert grew
     assert alg.dim == 3
     assert alg.is_semisimple()
+
+
+def test_is_solvable_is_computed_once(monkeypatch, axb, sl2):
+    calls = {"derived_series": 0, "killing_matrix": 0}
+    for name in calls:
+        original = getattr(LieAlgebra, name)
+
+        def counted(self, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self)
+        monkeypatch.setattr(LieAlgebra, name, counted)
+    for g, want in ((axb, True), (sl2, False)):
+        assert g.is_solvable() is want
+        first = dict(calls)
+        assert first["derived_series"] and first["killing_matrix"]
+        assert g.is_solvable() is want
+        assert calls == first
+
+
+def _general_subalgebra(g, basis):
+    """The closed-subspace route of LieAlgebra.subalgebra."""
+    rows = span_basis(basis)
+    assert g.is_subalgebra(rows)
+    k = len(rows)
+    coords = coords_in_span(rows, [g.bracket(a, b) for a in rows for b in rows])
+    return LieAlgebra(k, [coords[i * k:(i + 1) * k] for i in range(k)]), rows
+
+
+def _typed(table):
+    return [[[(type(c), c) for c in v] for v in row] for row in table]
+
+
+def test_subalgebra_of_the_whole_space_matches_the_general_route(sl2, e2):
+    # int entries, kept as given by the constructor
+    int_h3 = LieAlgebra(3, [[(0, 0, 0), (0, 0, 1), (0, 0, 0)],
+                            [(0, 0, -1), (0, 0, 0), (0, 0, 0)],
+                            [(0, 0, 0), (0, 0, 0), (0, 0, 0)]])
+    for g in (int_h3, sl2, e2):
+        n = g.dim
+        bases = (g.basis(),
+                 [tuple(int(i == j) for j in range(n)) for i in range(n)],
+                 [tuple(Fraction(i + j + 1) if j >= i else Fraction(0)
+                        for j in range(n)) for i in range(n)],
+                 [tuple(GaussRat(int(i == j), int(j == i + 1))
+                        for j in range(n)) for i in range(n)])
+        for basis in bases:
+            sub, rows = g.subalgebra(basis)
+            want, want_rows = _general_subalgebra(g, basis)
+            assert rows == want_rows
+            assert _typed(sub.table) == _typed(want.table)
+            assert sub.names == want.names == ("e0", "e1", "e2")
+            assert sub == g

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liedef.errors import InputError
-from liedef.linalg import (Mat, block_diag, char_poly, coords_in_basis,
+from liedef.linalg import (Mat, _dot, block_diag, char_poly, coords_in_basis,
                            coords_in_span, det, in_span, integer_left_kernel,
                            intersect_spans, inverse, is_nilpotent_mat,
                            jordan_chevalley, kernel, kron, mat_lincomb,
                            mat_pow, minimal_poly, poly_at, rank,
                            restrict_to_span, solve, span_basis,
-                           trace_product)
+                           trace_product, vadd, vsub)
 from liedef.poly import clear_denominators
 from liedef.scalars import GaussRat
 
@@ -32,6 +32,58 @@ def test_mat_equality_and_hash():
     assert a != Mat([[1, 2], [3, 5]])
     with pytest.raises(ValueError):
         Mat([[1, 2], [3]])
+    zero = Mat([[GaussRat(0), Fraction(0)], [0, GaussRat(0)]])
+    assert zero == Mat.zeros(2, 2) and hash(zero) == hash(Mat.zeros(2, 2))
+    assert zero != Mat([[GaussRat(0), Fraction(0)], [0, GaussRat(0, 1)]])
+
+
+def _typed(m: Mat):
+    return [[(type(c), c) for c in r] for r in m.rows]
+
+
+def _entry(rng, kind):
+    if kind == "mixed":
+        kind = rng.choice(("int", "frac", "gauss"))
+    if rng.random() < 0.6:
+        return {"int": 0, "frac": Fraction(0), "gauss": GaussRat(0)}[kind]
+    x = rng.randint(-3, 3)
+    if kind == "int":
+        return x
+    y = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return Fraction(x, rng.randint(1, 3)) if kind == "frac" else GaussRat(x, y)
+
+
+def _sparse_mat(rng, n, m, kind):
+    rows = [[_entry(rng, kind) for _ in range(m)] for _ in range(n)]
+    zero = {"int": 0, "frac": Fraction(0), "gauss": GaussRat(0)}
+    if n and m and rng.random() < 0.5:
+        i, j = rng.randrange(n), rng.randrange(m)
+        z = zero.get(kind, 0)
+        rows[i] = [z] * m
+        for r in rows:
+            r[j] = z
+    return Mat(rows)
+
+
+def test_mat_products_and_sums_match_dense_reference():
+    # the oracle is the dense product, one _dot per column, and the
+    # entrywise vadd / vsub sums
+    rng = random.Random(20260816)
+    shapes = [(0, 0, 0), (3, 0, 0)]
+    shapes += [(n, n, n) for n in range(1, 9)]
+    shapes += [(rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 8))
+               for _ in range(12)]
+    for n, m, p in shapes:
+        for kind in ("int", "frac", "gauss", "mixed"):
+            for _ in range(6):
+                a = _sparse_mat(rng, n, m, kind)
+                b = _sparse_mat(rng, m, p, rng.choice((kind, "mixed")))
+                a2 = _sparse_mat(rng, n, m, rng.choice((kind, "mixed")))
+                dense = Mat([[_dot(r, c) for c in b.cols()] for r in a.rows])
+                assert _typed(a @ b) == _typed(dense)
+                for got, op in ((a + a2, vadd), (a - a2, vsub)):
+                    want = Mat([op(x, y) for x, y in zip(a.rows, a2.rows)])
+                    assert _typed(got) == _typed(want)
 
 
 def test_upper_triangular_flags():
