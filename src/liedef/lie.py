@@ -3,9 +3,9 @@
 A LieAlgebra is a bracket table on a fixed basis.  Antisymmetry is enforced
 at construction; the Jacobi identity is a runtime validation that reports the
 first offending basis triple, so malformed input fails loudly instead of
-corrupting everything downstream.  Solvability is computed twice, once from
-the derived series and once from the trace-form criterion, and the two must
-agree; an algebra is never changed after construction, so it keeps the answer.
+corrupting everything downstream.  Solvability is always computed twice, once
+from the derived series and once from the trace-form criterion, and the two
+must agree.
 """
 from __future__ import annotations
 
@@ -23,11 +23,10 @@ def _unit(n: int, i: int):
 class LieAlgebra:
     """Structure-constant presentation of a Lie algebra on basis e_0..e_{n-1}."""
 
-    __slots__ = ("dim", "table", "names", "_solvable")
+    __slots__ = ("dim", "table", "names")
 
     def __init__(self, dim: int, table, names=None):
         self.dim = dim
-        self._solvable = None
         self.table = tuple(tuple(tuple(v) for v in row) for row in table)
         self.names = tuple(names) if names else tuple(f"e{i}" for i in range(dim))
         if len(self.names) != dim:
@@ -179,10 +178,6 @@ class LieAlgebra:
                    for i in range(self.dim) for j in range(self.dim))
 
     def is_solvable(self) -> bool:
-        """Solvability by the derived series, cross-checked against the
-        trace form on the first call and remembered after it."""
-        if self._solvable is not None:
-            return self._solvable
         by_series = not self.derived_series()[-1]
         derived = self.bracket_span(self.basis(), self.basis())
         killing = self.killing_matrix()
@@ -191,7 +186,6 @@ class LieAlgebra:
         if by_series != by_trace_form:
             raise InternalCheckError(
                 "solvability by derived series and by trace form disagree")
-        self._solvable = by_series
         return by_series
 
     def is_nilpotent(self) -> bool:

@@ -15,12 +15,18 @@ from .poly import Poly, poly_gcd, squarefree_part
 from .scalars import GaussRat
 
 
+# Sums skip an entry only where adding zero cannot change it: a + 0 is a in
+# value, and in type only when 0 has the type of a (an int plus Fraction(0)
+# is a Fraction, a Fraction plus GaussRat(0) a GaussRat).
+
 def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(a if not b and type(a) is type(b) else a + b
+                 for a, b in zip(u, v))
 
 
 def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(a if not b and type(a) is type(b) else a - b
+                 for a, b in zip(u, v))
 
 
 def is_zero_vec(v) -> bool:
@@ -99,19 +105,11 @@ class Mat:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    # Sums skip an entry only where adding zero cannot change it: x + 0 is x
-    # in value, and in type only when 0 has the type of x (an int plus
-    # Fraction(0) is a Fraction, a Fraction plus GaussRat(0) a GaussRat).
-
     def __add__(self, other: "Mat") -> "Mat":
-        return Mat([[x if not y and type(x) is type(y) else x + y
-                     for x, y in zip(a, b)]
-                    for a, b in zip(self.rows, other.rows)])
+        return Mat([vadd(a, b) for a, b in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "Mat") -> "Mat":
-        return Mat([[x if not y and type(x) is type(y) else x - y
-                     for x, y in zip(a, b)]
-                    for a, b in zip(self.rows, other.rows)])
+        return Mat([vsub(a, b) for a, b in zip(self.rows, other.rows)])
 
     def __neg__(self) -> "Mat":
         return Mat([[-c for c in r] for r in self.rows])

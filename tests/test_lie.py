@@ -120,23 +120,6 @@ def test_from_matrices_grows_to_closure():
     assert alg.is_semisimple()
 
 
-def test_is_solvable_is_computed_once(monkeypatch, axb, sl2):
-    calls = {"derived_series": 0, "killing_matrix": 0}
-    for name in calls:
-        original = getattr(LieAlgebra, name)
-
-        def counted(self, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(self)
-        monkeypatch.setattr(LieAlgebra, name, counted)
-    for g, want in ((axb, True), (sl2, False)):
-        assert g.is_solvable() is want
-        first = dict(calls)
-        assert first["derived_series"] and first["killing_matrix"]
-        assert g.is_solvable() is want
-        assert calls == first
-
-
 def _general_subalgebra(g, basis):
     """The closed-subspace route of LieAlgebra.subalgebra."""
     rows = span_basis(basis)

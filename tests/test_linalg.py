@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from liedef.linalg import (Mat, _dot, block_diag, char_poly, coords_in_basis,
                            jordan_chevalley, kernel, kron, mat_lincomb,
                            mat_pow, minimal_poly, poly_at, rank,
                            restrict_to_span, solve, span_basis,
-                           trace_product, vadd, vsub)
+                           trace_product)
 from liedef.poly import clear_denominators
 from liedef.scalars import GaussRat
 
@@ -66,8 +67,8 @@ def _sparse_mat(rng, n, m, kind):
 
 
 def test_mat_products_and_sums_match_dense_reference():
-    # the oracle is the dense product, one _dot per column, and the
-    # entrywise vadd / vsub sums
+    # the oracle is the dense product, one _dot per column, and sums that
+    # add every pair of entries
     rng = random.Random(20260816)
     shapes = [(0, 0, 0), (3, 0, 0)]
     shapes += [(n, n, n) for n in range(1, 9)]
@@ -81,8 +82,10 @@ def test_mat_products_and_sums_match_dense_reference():
                 a2 = _sparse_mat(rng, n, m, rng.choice((kind, "mixed")))
                 dense = Mat([[_dot(r, c) for c in b.cols()] for r in a.rows])
                 assert _typed(a @ b) == _typed(dense)
-                for got, op in ((a + a2, vadd), (a - a2, vsub)):
-                    want = Mat([op(x, y) for x, y in zip(a.rows, a2.rows)])
+                for got, op in ((a + a2, operator.add),
+                                (a - a2, operator.sub)):
+                    want = Mat([[op(x, y) for x, y in zip(r, r2)]
+                                for r, r2 in zip(a.rows, a2.rows)])
                     assert _typed(got) == _typed(want)
 
 
