@@ -17,7 +17,6 @@ from .errors import (  # noqa: F401
     PreconditionError,
     NotSupersolvableError,
     UnsupportedError,
-    ScalarTowerError,
     InternalCheckError,
     Indeterminate,
 )

@@ -2,10 +2,10 @@
 
 Exit codes follow the three-valued verdicts throughout: 0 for success or
 Definable, 1 for a certified negative answer, 2 for an honest Unknown, 3 for
-malformed input, 4 for an internal error (a computation that left the
-scalar tower or failed its own check), which is no answer at all.  Every
-positive answer can be exported as a certificate with --cert-out and
-re-checked later with verify-cert, which recomputes only the checking side.
+malformed input, 4 for an internal error (a computation that failed one of
+its own checks), which is no answer at all.  Every positive answer can be
+exported as a certificate with --cert-out and re-checked later with
+verify-cert, which recomputes only the checking side.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from .definability import (NOT_TBC, SS_NO, SS_YES, TBC,
                            definability_oracle, supersolvable_test, tbc_find)
 from .errors import (InputError, InternalCheckError, NotNilpotentError,
                      NotSolvableError, NotSupersolvableError,
-                     PreconditionError, ScalarTowerError, UnsupportedError)
+                     PreconditionError, UnsupportedError)
 from .formats import load_algebra_file, matrix_from_json
 from .linalg import lincomb
 from .reps import GroupRepData, nilpotent_ado, quotient_rep, extend_rep, \
@@ -491,7 +491,7 @@ def main(argv=None) -> int:
             PreconditionError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 3
-    except (ScalarTowerError, InternalCheckError) as e:
+    except InternalCheckError as e:
         print("internal error: %s: %s" % (type(e).__name__, e),
               file=sys.stderr)
         return 4

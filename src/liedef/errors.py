@@ -42,14 +42,6 @@ class UnsupportedError(LieDefError):
     """Honest refusal: the requested case is outside the implemented fragment."""
 
 
-class ScalarTowerError(LieDefError):
-    """Internal signal: a computation needs scalars outside Q(i).
-
-    Callers at API boundaries catch this and convert it to `Indeterminate`;
-    it must never escape to the user as a stack trace.
-    """
-
-
 class InternalCheckError(LieDefError):
     """A verified postcondition failed: an algorithm bug, never a user error."""
 

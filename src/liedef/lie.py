@@ -209,18 +209,6 @@ class LieAlgebra:
         return all(in_span(rows, self.bracket(a, b))
                    for a in rows for b in rows)
 
-    def subalgebra_closure(self, vectors):
-        """Smallest subalgebra containing the vectors, as an rref basis."""
-        rows = span_basis(vectors)
-        while True:
-            if not rows:
-                return rows
-            new = self.bracket_span(rows, rows)
-            grown = span_basis(rows + new)
-            if len(grown) == len(rows):
-                return grown
-            rows = grown
-
     def subalgebra(self, basis):
         """Materialize a closed subspace as its own algebra.
 

@@ -129,9 +129,6 @@ class Mat:
             raise ValueError("shape mismatch")
         return tuple(_dot(r, other) for r in self.rows)
 
-    def transpose(self) -> "Mat":
-        return Mat([self.col(j) for j in range(self.ncols)])
-
     def trace(self):
         return sum((self.rows[i][i] for i in range(self.nrows)), Fraction(0))
 

@@ -2,22 +2,20 @@
 
 Coefficients are stored lowest degree first and may be Fraction or GaussRat;
 all algorithms are exact.  Real-root counting uses Sturm sequences on the
-squarefree part.  Root extraction over the fixed tower Q < Q(i) is complete:
-rational roots come from the classical divisor bound, conjugate Gaussian pairs
-from enumerating integer quadratic factors, and anything that would need a
-larger field is reported as a leftover degree, never approximated.
+squarefree part.  Root extraction over the fixed tower Q < Q(i) is complete
+and has no size bound: the roots of the squarefree part are found modulo a
+small prime p = 1 (mod 4), lifted p-adically, read back into Q(i) by a 2-D
+lattice reduction, and accepted only after exact evaluation.  Anything that
+would need a larger field is reported as a leftover degree, never
+approximated.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
-from .errors import ScalarTowerError
-from .scalars import GaussRat, gauss, is_rational_square
-
-# Divisor enumeration refuses integers past this bound: the desk-scale root
-# search below would otherwise silently turn into a factoring project.
-_FACTOR_BOUND = 10**10
+from .errors import InternalCheckError
+from .scalars import GaussRat, gauss
 
 
 class Poly:
@@ -99,12 +97,6 @@ class Poly:
         return Poly([c * other for c in self.coeffs])
 
     __rmul__ = __mul__
-
-    def shift_up(self, k: int) -> "Poly":
-        """Multiply by x**k."""
-        if self.is_zero():
-            return self
-        return Poly([0] * k + list(self.coeffs))
 
     def divmod(self, other: "Poly"):
         if other.is_zero():
@@ -277,29 +269,6 @@ def purely_imaginary_spectrum(p: Poly) -> bool:
 # -- exact roots over Q and Q(i) --------------------------------------------------
 
 
-def _divisors(n: int):
-    n = abs(n)
-    if n == 0:
-        raise ValueError("divisors of zero")
-    if n > _FACTOR_BOUND:
-        raise ScalarTowerError(
-            f"root search needs the divisors of {n}, past the desk-scale bound")
-    divs = [1]
-    rest = n
-    factors = {}
-    d = 2
-    while d * d <= rest:
-        while rest % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            rest //= d
-        d += 1 if d == 2 else 2
-    if rest > 1:
-        factors[rest] = factors.get(rest, 0) + 1
-    for prime, mult in factors.items():
-        divs = [d * prime**k for d in divs for k in range(mult + 1)]
-    return sorted(divs)
-
-
 def clear_denominators(v):
     """Scale a rational vector to a primitive integer vector."""
     den = 1
@@ -314,97 +283,199 @@ def clear_denominators(v):
     return tuple(ints)
 
 
-def rational_roots(p: Poly):
-    """All rational roots of p with multiplicities, as [(Fraction, mult)]."""
-    p = p.to_fraction_coeffs()
-    if p.is_zero():
-        raise ValueError("roots of the zero polynomial")
-    out = []
-    m = 0
-    while p.coeffs and p.coeffs[0] == 0:
-        p = Poly(p.coeffs[1:])
-        m += 1
-    if m:
-        out.append((Fraction(0), m))
-    if p.degree < 1:
-        return out
-    ints = clear_denominators(p.coeffs)
-    for num in _divisors(ints[0]):
-        for den in _divisors(ints[-1]):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if p(cand) == 0:
-                    mult = 0
-                    lin = Poly([-cand, Fraction(1)])
-                    while True:
-                        q, r = p.divmod(lin)
-                        if not r.is_zero():
-                            break
-                        p = q
-                        mult += 1
-                    out.append((cand, mult))
+# Polynomials over Z/m below are lists of ints in [0, m), lowest degree first,
+# with no trailing zero; [] is the zero polynomial.
+
+
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _sub_mod(a, b, m):
+    out = list(a) + [0] * (len(b) - len(a))
+    for k, c in enumerate(b):
+        out[k] = (out[k] - c) % m
+    return _trim(out)
+
+
+def _divmod_mod(a, b, p):
+    """Quotient and remainder of a by b over F_p."""
+    rem, db = list(a), len(b) - 1
+    inv = pow(b[-1], -1, p)
+    quot = [0] * max(len(rem) - db, 0)
+    for k in range(len(rem) - 1 - db, -1, -1):
+        c = rem[k + db] * inv % p
+        quot[k] = c
+        if c:
+            for j, bj in enumerate(b):
+                rem[k + j] = (rem[k + j] - c * bj) % p
+    return quot, _trim(rem[:db])
+
+
+def _mulmod_mod(a, b, f, p):
+    """a * b reduced modulo f, over F_p."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _divmod_mod([c % p for c in out], f, p)[1]
+
+
+def _powmod_mod(a, e, f, p):
+    """a ** e reduced modulo f, over F_p."""
+    out = [1]
+    while e:
+        if e & 1:
+            out = _mulmod_mod(out, a, f, p)
+        a = _mulmod_mod(a, a, f, p)
+        e >>= 1
     return out
 
 
-def _find_quadratic_factor(p: Poly):
-    """A monic rational quadratic factor (u, v) of p, i.e. x^2+ux+v | p, or None.
+def _gcd_mod(a, b, p):
+    """Monic gcd over F_p (a nonzero)."""
+    while b:
+        a, b = b, _divmod_mod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
 
-    Assumes p has no rational roots (so p(0), p(1), p(-1) are nonzero).
-    Complete by the Gauss-lemma divisor bounds on integer quadratic factors.
+
+def _eval_mod(a, x, m):
+    out = 0
+    for c in reversed(a):
+        out = (out * x + c) % m
+    return out
+
+
+def _primes_1_mod_4():
+    p = 5
+    while True:
+        if all(p % d for d in range(3, isqrt(p) + 1, 2)):
+            yield p
+        p += 4
+
+
+def _sqrt_minus_one(p):
+    """A square root of -1 mod the prime p = 1 (mod 4)."""
+    c = 2
+    while pow(c, (p - 1) // 2, p) != p - 1:
+        c += 1
+    return pow(c, (p - 1) // 4, p)
+
+
+def _split_linear(h, p):
+    """The roots of a monic product h of distinct linear factors over F_p.
+
+    Cantor-Zassenhaus with the shifts delta = 0, 1, 2, ...: gcd(h, (x +
+    delta)^((p-1)/2) - 1) collects the roots r with r + delta a nonzero
+    square.  Any two distinct roots are told apart by some delta < p.
     """
-    ints = clear_denominators(p.coeffs)
-    h0, lc = ints[0], ints[-1]
-    h1 = sum(ints)
-    h_1 = sum(c if k % 2 == 0 else -c for k, c in enumerate(ints))
-    assert h0 != 0 and h1 != 0 and h_1 != 0
-    for c in _divisors(lc):
-        for e0 in _divisors(h0):
-            for e in (e0, -e0):
-                for t0 in _divisors(h1):
-                    for t in (t0, -t0):
-                        d = t - c - e
-                        gm1 = c - d + e
-                        if gm1 == 0 or h_1 % gm1 != 0:
-                            continue
-                        g = Poly([Fraction(e), Fraction(d), Fraction(c)])
-                        if (p % g).is_zero():
-                            return Fraction(d, c), Fraction(e, c)
-    return None
+    if len(h) <= 2:
+        return [-h[0] % p] if len(h) == 2 else []
+    for delta in range(p):
+        g = _powmod_mod([delta, 1], (p - 1) // 2, h, p)
+        g = _gcd_mod(h, _sub_mod(g, [1], p), p)
+        if 1 < len(g) < len(h):
+            return (_split_linear(g, p)
+                    + _split_linear(_divmod_mod(h, g, p)[0], p))
+    raise InternalCheckError("no shift mod %d splits the roots" % p)
 
 
-def _gaussian_roots_real(p: Poly):
-    """Roots in Q(i) of a real polynomial, with multiplicity, plus leftover degree."""
-    p = p.to_fraction_coeffs().monic()
-    roots = []
-    for r, mult in rational_roots(p):
-        roots.append((GaussRat(r), mult))
-        lin = Poly([-r, Fraction(1)])
-        for _ in range(mult):
-            p = p.divexact(lin)
-    leftover = Poly([Fraction(1)])
-    while p.degree >= 2:
-        fac = _find_quadratic_factor(p)
-        if fac is None:
+def _round_div(a, b):
+    """a / b rounded to the nearest integer (b != 0)."""
+    if b < 0:
+        a, b = -a, -b
+    return (2 * a + b) // (2 * b)
+
+
+def _reduced_basis(u, v):
+    """Lagrange-Gauss reduction of a basis of a lattice in Z^2."""
+    def dot(a, b):
+        return a[0] * b[0] + a[1] * b[1]
+    if dot(u, u) > dot(v, v):
+        u, v = v, u
+    while True:
+        q = _round_div(dot(u, v), dot(u, u))
+        v = (v[0] - q * u[0], v[1] - q * u[1])
+        if dot(v, v) >= dot(u, u):
+            return u, v
+        u, v = v, u
+
+
+def _modular_roots(g: Poly):
+    """Candidate roots in Q(i) of the squarefree g (degree >= 2).
+
+    With the denominators of g cleared into Z[i], lc * z lies in Z[i] for
+    every root z, and |lc * z| <= H = |lc| + max |a_j| (Cauchy).  The roots
+    are found mod a prime p = 1 (mod 4) with i mapped to a square root iota
+    of -1, lifted with iota to p^k > 8 H^2 by Newton steps, and read back as
+    the short A + B*i with A + B*iota = lc * r (mod p^k): the A + B*i with
+    A + B*iota = 0 form an ideal of Z[i] of norm p^k, a square lattice whose
+    reduced basis rounds exactly.  The caller accepts a candidate only after
+    exact evaluation.
+    """
+    parts = [(c.re, c.im) if isinstance(c, GaussRat) else (c, 0)
+             for c in g.coeffs]
+    flat = clear_denominators([x for pair in parts for x in pair])
+    ints = list(zip(flat[0::2], flat[1::2]))
+    for p in _primes_1_mod_4():
+        iota = _sqrt_minus_one(p)
+        f = [(a + b * iota) % p for a, b in ints]
+        if not f[-1]:
+            continue
+        inv = pow(f[-1], -1, p)
+        f = [c * inv % p for c in f]
+        df = _trim([k * c % p for k, c in enumerate(f)][1:])
+        if len(_gcd_mod(f, df, p)) == 1:
             break
-        u, v = fac
-        quad = Poly([v, u, Fraction(1)])
-        mult = 0
-        while True:
-            q, r = p.divmod(quad)
-            if not r.is_zero():
-                break
-            p = q
-            mult += 1
-        disc = u * u - 4 * v
-        s = is_rational_square(-disc)
-        if disc < 0 and s is not None:
-            a, b = -u / 2, s / 2
-            roots.append((GaussRat(a, b), mult))
-            roots.append((GaussRat(a, -b), mult))
-        else:
-            for _ in range(mult):
-                leftover = leftover * quad
-    leftover = leftover * p
-    return roots, max(leftover.degree, 0)
+    x = [0, 1]
+    found = _split_linear(
+        _gcd_mod(f, _sub_mod(_powmod_mod(x, p, f, p), x, p), p), p)
+
+    lc = ints[-1]
+    height = abs(lc[0]) + abs(lc[1]) + max(abs(a) + abs(b)
+                                           for a, b in ints[:-1])
+    mod = p
+    while mod <= 8 * height * height:
+        mod = mod * mod
+        iota = (iota - (iota * iota + 1) * pow(2 * iota, -1, mod)) % mod
+        f = [(a + b * iota) % mod for a, b in ints]
+        df = [k * c % mod for k, c in enumerate(f)][1:]
+        found = [(r - _eval_mod(f, r, mod)
+                  * pow(_eval_mod(df, r, mod), -1, mod)) % mod
+                 for r in found]
+
+    u, v = _reduced_basis((mod, 0), (-iota % mod, 1))
+    det = u[0] * v[1] - u[1] * v[0]
+    lead = GaussRat(*lc)
+    out = []
+    for r in found:
+        t = (lc[0] + lc[1] * iota) * r % mod
+        c1, c2 = _round_div(t * v[1], det), _round_div(-t * u[1], det)
+        w = (t - c1 * u[0] - c2 * v[0], -c1 * u[1] - c2 * v[1])
+        out.append(GaussRat(*w) / lead)
+    return out
+
+
+def _deflate(p: Poly, z):
+    """(multiplicity m of the root z of p, p / (x - z)^m).
+
+    Synthetic division: one multiply-add per coefficient and no divisions.
+    """
+    cs, mult = p.coeffs, 0
+    while len(cs) > 1:
+        q = [cs[-1]]
+        for c in reversed(cs[1:-1]):
+            q.append(c + z * q[-1])
+        if cs[0] + z * q[-1] != 0:
+            break
+        cs, mult = tuple(reversed(q)), mult + 1
+    return mult, Poly(cs)
 
 
 def gaussian_roots(p: Poly):
@@ -412,30 +483,34 @@ def gaussian_roots(p: Poly):
 
     Works for Fraction or GaussRat coefficients.  leftover == 0 means p splits
     into linear factors over Q(i); a positive leftover is the degree of the
-    certified Q(i)-rootless cofactor.
+    certified Q(i)-rootless cofactor.  Roots come sorted by (re, im).
     """
     if p.is_zero():
         raise ValueError("roots of the zero polynomial")
-    if p.is_real():
-        return _gaussian_roots_real(p)
-    norm = (p * p.conj()).to_fraction_coeffs()
-    candidates, _ = _gaussian_roots_real(norm)
-    seen = set()
-    roots = []
-    work = Poly([gauss(c) for c in p.coeffs])
-    for z, _ in candidates:
-        if z in seen:
-            continue
-        seen.add(z)
-        if work(z) == GaussRat(0):
-            lin = Poly([-z, GaussRat(1)])
-            mult = 0
-            while True:
-                q, r = work.divmod(lin)
-                if not r.is_zero():
-                    break
-                work = q
-                mult += 1
-            if mult:
-                roots.append((z, mult))
-    return roots, max(work.degree, 0)
+    f = (p.to_fraction_coeffs() if p.is_real()
+         else Poly([gauss(c) for c in p.coeffs]))
+    zeros = next(k for k, c in enumerate(f.coeffs) if c)
+    f = Poly(f.coeffs[zeros:])
+    g = squarefree_part(f)
+    if g.degree == 1:
+        candidates = [gauss(-g.coeffs[0])]
+    elif g.degree > 1:
+        candidates = _modular_roots(g)
+    else:
+        candidates = []
+    roots = [(GaussRat(0), zeros)] if zeros else []
+    # real roots first, so a real p deflates over Q as long as it can
+    for z in sorted(candidates, key=lambda z: not z.is_real()):
+        value = z.re if z.is_real() else z
+        if g(value) == 0:
+            mult, f = _deflate(f, value)
+            roots.append((z, mult))
+    roots.sort(key=lambda rm: (rm[0].re, rm[0].im))
+    return roots, p.degree - sum(m for _, m in roots)
+
+
+def rational_roots(p: Poly):
+    """All rational roots of the real polynomial p with multiplicities, as
+    [(Fraction, mult)]: the real roots gaussian_roots finds."""
+    roots, _ = gaussian_roots(p.to_fraction_coeffs())
+    return [(z.re, m) for z, m in roots if z.is_real()]

@@ -194,19 +194,35 @@ def test_cli_exit_code_two_is_honest_unknown(tmp_path, capsys):
     assert "indeterminate" in out
 
 
-def test_cli_internal_error_is_four_without_traceback(tmp_path, capsys):
-    # the root search for these weights needs the divisors of p * q, past
-    # the bound; that is neither an answer nor an input error
+def test_cli_large_coefficients_are_answered(tmp_path, capsys):
+    # ad(e2) has eigenvalues p = 1000000007 and q = 998244353: the roots of
+    # its characteristic polynomial are found at any coefficient size
     from liedef.lie import LieAlgebra
     g = LieAlgebra.from_entries(3, {(2, 0): (1000000007, 0, 0),
                                     (2, 1): (0, 998244353, 0)})
     p = write(tmp_path, "large.json", g)
     for kind in ("simply-connected", "abstract", "linear"):
-        assert main(["oracle", p, "--presentation", kind]) == 4
+        assert main(["oracle", p, "--presentation", kind]) == 0
         captured = capsys.readouterr()
-        assert "Traceback" not in captured.out + captured.err
-        assert captured.err.startswith("internal error: ScalarTowerError")
-        assert captured.err.count("\n") == 1
+        assert "verdict: Definable" in captured.out
+        assert captured.err == ""
+
+
+def test_cli_internal_error_is_four_without_traceback(tmp_path, e2, capsys,
+                                                      monkeypatch):
+    # a failed internal check is neither an answer nor an input error
+    from liedef.errors import InternalCheckError
+
+    def broken_oracle(presentation):
+        raise InternalCheckError("postcondition failed")
+
+    monkeypatch.setattr("liedef.cli.definability_oracle", broken_oracle)
+    p = write(tmp_path, "e2.json", e2)
+    assert main(["oracle", p]) == 4
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.err == ("internal error: InternalCheckError: "
+                            "postcondition failed\n")
 
 
 def test_cli_usage_errors_stay_off_two(capsys):

@@ -8,7 +8,7 @@ from liedef.poly import (Poly, all_roots_real, gaussian_roots, poly_gcd,
                          purely_imaginary_spectrum, rational_roots,
                          squarefree_part, sturm_count_in_interval,
                          sturm_count_real_roots)
-from liedef.scalars import GaussRat
+from liedef.scalars import GaussRat, gauss
 
 x = Poly((Fraction(0), Fraction(1)))
 
@@ -113,6 +113,98 @@ def test_gcd_divides(a, b):
     g = poly_gcd(p, q)
     assert p.divmod(g)[1].is_zero()
     assert q.divmod(g)[1].is_zero()
+
+
+# Exact roots of planted products.  Each factor comes with the roots it adds
+# and the degree it leaves over: x - r for r in Q or Q(i), (x - a)^2 + b^2 for
+# a conjugate pair, and (x - a)^2 -+ 2 b^2, which has no root in Q(i) since
+# neither sqrt(2) nor sqrt(-2) lies in Q(i).
+
+HEIGHT = 10**12
+big_rats = st.builds(Fraction, st.integers(-HEIGHT, HEIGHT),
+                     st.integers(1, 10**4))
+nonzero = st.integers(1, 10**6)
+
+
+def glin(z):
+    """x - z over Q(i)"""
+    return Poly((-z, GaussRat(1)))
+
+
+def _real_factors():
+    return st.one_of(
+        st.builds(lambda r: (lin(r), [GaussRat(r)], 0), big_rats),
+        st.builds(lambda a, b: (quad(a, b), [GaussRat(a, b), GaussRat(a, -b)],
+                                0), big_rats, nonzero),
+        st.builds(lambda a, b, sign: (lin(a) * lin(a)
+                                      + Poly((Fraction(sign * 2 * b * b),)), [], 2),
+                  st.integers(-10**6, 10**6), nonzero, st.sampled_from((1, -1))))
+
+
+@st.composite
+def planted(draw, gaussian):
+    factors = _real_factors()
+    if gaussian:
+        factors = st.one_of(factors, st.builds(
+            lambda z: (glin(z), [z], 0), st.builds(GaussRat, big_rats, big_rats)))
+    lead = draw(st.builds(Fraction, st.integers(1, 10**6), nonzero))
+    zeros = draw(st.integers(0, 2))
+    p = Poly((lead,)) * prod([x] * zeros)
+    expected, leftover = {}, 0
+    if zeros:
+        expected[GaussRat(0)] = zeros
+    for f, roots, left in draw(st.lists(factors, min_size=1, max_size=3)):
+        mult = draw(st.integers(1, 3))
+        p = p * prod([f] * mult)
+        leftover += left * mult
+        for z in roots:
+            expected[z] = expected.get(z, 0) + mult
+    return p, expected, leftover
+
+
+def _check_roots(p, expected, leftover):
+    roots, left = gaussian_roots(p)
+    assert dict(roots) == expected
+    assert left == leftover
+    assert [z for z, _ in roots] == sorted(expected, key=lambda z: (z.re, z.im))
+
+
+@settings(max_examples=80, deadline=None)
+@given(planted(gaussian=False))
+def test_gaussian_roots_of_planted_real_products(case):
+    p, expected, leftover = case
+    _check_roots(p, expected, leftover)
+    assert rational_roots(p) == sorted((z.re, m) for z, m in expected.items()
+                                       if z.is_real())
+
+
+@settings(max_examples=80, deadline=None)
+@given(planted(gaussian=True))
+def test_gaussian_roots_of_planted_gaussian_products(case):
+    p, expected, leftover = case
+    _check_roots(Poly([gauss(c) for c in p.coeffs]), expected, leftover)
+
+
+def test_gaussian_roots_skip_unlucky_primes():
+    # leading coefficient 25 after clearing denominators: 5 is skipped
+    p = lin(Fraction(1, 5)) * lin(Fraction(2, 5)) * quad(3, 4)
+    _check_roots(p, {GaussRat(Fraction(1, 5)): 1, GaussRat(Fraction(2, 5)): 1,
+                     GaussRat(3, 4): 1, GaussRat(3, -4): 1}, 0)
+    # 1 = 6 (mod 5) and 1 = 14 (mod 13): squarefree over Q, not mod 5 or 13
+    p = lin(1) * lin(6) * lin(14) * lin(14)
+    _check_roots(p, {GaussRat(1): 1, GaussRat(6): 1, GaussRat(14): 2}, 0)
+    # over Q(i): 2 + i = 2i mod (5, i - 2), and 2 + i = 2 + 14i (mod 13)
+    roots = [GaussRat(2, 1), GaussRat(2, 14), GaussRat(0, 2)]
+    p = prod(glin(z) for z in roots)
+    _check_roots(p, dict.fromkeys(roots, 1), 0)
+
+
+def test_rational_roots_are_fractions():
+    p = lin(Fraction(10**12 + 39, 7)) * lin(-3) * x * (x * x - Poly((Fraction(2),)))
+    roots = rational_roots(p)
+    assert roots == [(Fraction(-3), 1), (Fraction(0), 1),
+                     (Fraction(10**12 + 39, 7), 1)]
+    assert all(type(r) is Fraction for r, _ in roots)
 
 
 def test_rational_roots_with_multiplicity():
