@@ -20,7 +20,7 @@ from .poly import (purely_imaginary_spectrum, squarefree_part,
                    sturm_count_real_roots)
 from .scalars import GaussRat
 from .structure import radical
-from .weights import adjoint_weights, real_flag
+from .weights import adjoint_weights, weight_flag
 
 SS_YES = "yes"
 SS_NO = "no"
@@ -147,21 +147,18 @@ def _flag_result(g, screen):
     """Yes with a rational flag of ideals, or Indeterminate, for an algebra
     whose screen passed."""
     ads = [g.ad(g.basis_vector(i)) for i in range(g.dim)]
-    status, second, third = real_flag(g, ads)
-    if status == "nonreal":
-        raise InternalCheckError(
-            "flag recursion met a nonreal eigenvalue after the screen passed")
-    if status == "indeterminate":
+    peeled = weight_flag(g, ads)
+    if isinstance(peeled, Indeterminate):
         return SupersolvableResult(SS_INDETERMINATE, None, None, None,
-                                   screen, second)
+                                   screen, peeled.reason)
     flag = []
     chars = []
-    for v in second:
+    for v in peeled[0]:
         rv = _real_vec(v)
         if rv is None:
             raise InternalCheckError("flag vector has an imaginary component")
         flag.append(rv)
-    for c in third:
+    for c in peeled[1]:
         rc = _real_vec(c)
         if rc is None:
             raise InternalCheckError(
@@ -342,15 +339,16 @@ def tbc_find(r: LieAlgebra) -> TbcResult:
         if ss.status == SS_YES:
             cert = TbcCertificate(ss.flag, (), ss.flag, ())
             return TbcResult(TBC, _assert_verified(r, cert), None, None)
-
-    table = adjoint_weights(r)
+        # the flag's peel was this algebra's adjoint weight pass
+        table = Indeterminate(ss.reason)
+    else:
+        table = adjoint_weights(r)
     if isinstance(table, Indeterminate):
         return TbcResult(TBC_UNKNOWN, None, None,
                          "adjoint weights do not split over Q(i): "
                          + str(table.reason))
-    if bad is not None:
-        # cross-check: the screen's nonreal spectrum must show in the weights
-        _nonreal_weight_values(table)
+    # cross-check: the screen's nonreal spectrum must show in the weights
+    _nonreal_weight_values(table)
 
     im_rows = [tuple(v.im for v in e.values) for e in table.entries]
     re_rows = [tuple(v.re for v in e.values) for e in table.entries]

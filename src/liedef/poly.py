@@ -508,9 +508,3 @@ def gaussian_roots(p: Poly):
     roots.sort(key=lambda rm: (rm[0].re, rm[0].im))
     return roots, p.degree - sum(m for _, m in roots)
 
-
-def rational_roots(p: Poly):
-    """All rational roots of the real polynomial p with multiplicities, as
-    [(Fraction, mult)]: the real roots gaussian_roots finds."""
-    roots, _ = gaussian_roots(p.to_fraction_coeffs())
-    return [(z.re, m) for z, m in roots if z.is_real()]

@@ -19,8 +19,9 @@ from .lie import LieAlgebra
 from .linalg import (Mat, block_diag, coords_in_span, intersect_spans,
                      inverse, is_nilpotent_mat, kernel, kron, mat_lincomb,
                      restrict_to_span, solve, span_basis)
+from .scalars import GaussRat
 from .structure import nilradical
-from .weights import module_weights, real_flag
+from .weights import module_weights, weight_flag
 
 HOMOMORPHISM = "homomorphism"
 FAITHFUL = "faithful"
@@ -114,11 +115,6 @@ def _certified(rep: Representation, required) -> Representation:
             "construction failed its own verification: missing %s"
             % ", ".join(sorted(missing)))
     return replace(rep, verified=flags)
-
-
-def semisimplification(rep: Representation):
-    """Weight table of the composition factors of a solvable-source module."""
-    return module_weights(rep.source, list(rep.images))
 
 
 def is_unipotent(rep: Representation) -> bool:
@@ -304,11 +300,13 @@ def supersolvable_triangular_rep(t: LieAlgebra) -> Representation:
     sub, incl = t.subalgebra(nil)
     base = nilpotent_ado(sub)
     ext = extend_rep(t, nil, base)
-    status, flag_vecs, _ = real_flag(t, list(ext.images))
-    if status != "ok":
+    peeled = weight_flag(t, list(ext.images))
+    # the peel lifts to Q(i) only at a nonreal eigenvalue
+    if isinstance(peeled, Indeterminate) or any(
+            isinstance(x, GaussRat) for v in peeled[0] for x in v):
         raise UnsupportedError(
             "extended module has no rational triangular flag")
-    rep = replace(ext, flag=tuple(flag_vecs), verified=frozenset())
+    rep = replace(ext, flag=tuple(peeled[0]), verified=frozenset())
     return _certified(rep, ALL_FLAGS)
 
 

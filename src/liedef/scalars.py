@@ -8,12 +8,6 @@ written once and instantiated over either field.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
-
-Rat = Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def rat(x) -> Fraction:
@@ -31,17 +25,6 @@ def rat_str(x: Fraction) -> str:
     """Serialize a rational as "p/q" (or "p" when the denominator is 1)."""
     x = Fraction(x)
     return str(x)
-
-
-def is_rational_square(x: Fraction):
-    """Return sqrt(x) as a Fraction if x is a perfect rational square, else None."""
-    if x < 0:
-        return None
-    n, d = x.numerator, x.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
 
 
 class GaussRat:
@@ -164,25 +147,9 @@ class GaussRat:
         return f"{self.re}{sign}{abs(self.im)}*i"
 
 
-GI_ZERO = GaussRat(0)
-GI_ONE = GaussRat(1)
-GI_I = GaussRat(0, 1)
-
-
 def gauss(x) -> GaussRat:
     """Coerce int / Fraction / GaussRat to GaussRat."""
     if isinstance(x, GaussRat):
         return x
     return GaussRat(Fraction(x))
 
-
-def gauss_str(x: GaussRat) -> dict:
-    """Serialize a Gaussian rational as {"re": "p/q", "im": "p/q"}."""
-    x = gauss(x)
-    return {"re": rat_str(x.re), "im": rat_str(x.im)}
-
-
-def gauss_parse(d) -> GaussRat:
-    if isinstance(d, dict):
-        return GaussRat(rat(d.get("re", 0)), rat(d.get("im", 0)))
-    return gauss(rat(d))

@@ -11,11 +11,15 @@ behind Lie's theorem, valid in characteristic zero) is not taken on faith: it
 is rechecked on every restriction, so misuse on a non-solvable action fails
 loudly instead of returning garbage.
 
-Everything runs over the fixed tower Q < Q(i), real first: the peel runs
-over Q and lifts to Q(i) in place at the first nonreal eigenvalue it picks,
-so a module with real weights never pays for Gaussian arithmetic.  When a
-needed eigenvalue lives outside the tower, the computation returns
-Indeterminate rather than guessing.
+weight_flag is the one peel: it returns the flag of eigenvectors and the
+character of each step.  module_weights tabulates those characters, and a
+real flag of ideals is the adjoint weight_flag of an algebra whose weights
+are real.  Every eigenvalue is picked by one rule: the least real root when
+there is one, else the least root in Q(i).  Everything runs over the fixed
+tower Q < Q(i), real first: the peel runs over Q and lifts to Q(i) in place
+at the first nonreal eigenvalue it picks, so a module with real weights
+never pays for Gaussian arithmetic.  When a needed eigenvalue lives outside
+the tower, the computation returns Indeterminate rather than guessing.
 Characters are value rows against the acting algebra's basis: char[j] is the
 character evaluated on basis element j.
 """
@@ -74,21 +78,14 @@ def _complete_hyperplane(alg: LieAlgebra):
     return rows, z
 
 
-def _pick_root(b: Mat, real_rational_only: bool):
-    """(status, value) with status one of ok / nonreal / indeterminate."""
-    roots, _ = gaussian_roots(char_poly(b))
-    roots.sort(key=lambda rm: (rm[0].re, rm[0].im))
-    if real_rational_only:
-        for lam, _ in roots:
-            if lam.is_real():
-                return "ok", lam
-        for lam, _ in roots:
-            if not lam.is_real():
-                return "nonreal", lam
-        return "indeterminate", None
-    if roots:
-        return "ok", roots[0][0]
-    return "indeterminate", None
+def _pick_root(b: Mat):
+    """The least real eigenvalue of b, else its least one in Q(i), else None.
+
+    gaussian_roots sorts its roots by (re, im), so both are first matches.
+    """
+    roots = [lam for lam, _ in gaussian_roots(char_poly(b))[0]]
+    return next((lam for lam in roots if lam.is_real()),
+                roots[0] if roots else None)
 
 
 def _ideal_chain(alg: LieAlgebra):
@@ -113,17 +110,16 @@ def _ideal_chain(alg: LieAlgebra):
     return dirs, inverse(Mat.from_cols(dirs))
 
 
-def common_eigenspace(chain, mats, space, real_rational_only=False):
+def common_eigenspace(chain, mats, space):
     """One joint character of the action and its full common eigenspace.
 
     chain is _ideal_chain of the acting algebra and mats its action, one
     matrix per basis element; space is a basis of an invariant subspace of
     the module.  Walking the chain from its smallest ideal up, each
     direction z_k cuts the space down to one of its eigenspaces on the
-    common eigenspace of g_{k+1}, which g_k leaves invariant.  Returns a
-    tagged tuple: ("ok", char_row, eigenspace_basis), ("nonreal", element,
-    eigenvalue) with the element in the algebra's coordinates, or
-    ("indeterminate", reason, None).
+    common eigenspace of g_{k+1}, which g_k leaves invariant, picking its
+    eigenvalue by _pick_root.  Returns (char_row, eigenspace_basis), or an
+    Indeterminate when some restriction has no eigenvalue in Q(i).
 
     The space may be over Q or Q(i).  A nonreal eigenvalue lifts the
     restricted matrix and the space to Q(i) where it appears, and the
@@ -141,13 +137,11 @@ def common_eigenspace(chain, mats, space, real_rational_only=False):
             raise InternalCheckError(
                 "joint eigenspace is not invariant; the action is not from a "
                 "solvable family") from None
-        status, lam = _pick_root(b, real_rational_only)
-        if status == "nonreal":
-            return "nonreal", z, lam
-        if status == "indeterminate":
-            return "indeterminate", (
+        lam = _pick_root(b)
+        if lam is None:
+            return Indeterminate(
                 "an eigenvalue of the action lies outside Q(i), or outside Q "
-                "on a direction that must stay rational"), None
+                "on a direction that must stay rational")
         if lam.is_real():
             mu = lam.re
         else:
@@ -163,7 +157,7 @@ def common_eigenspace(chain, mats, space, real_rational_only=False):
     n = len(dirs)
     char = tuple(sum((lams[k] * inv_z.rows[k][j] for k in range(n)),
                      gauss(0)) for j in range(n))
-    return "ok", char, w
+    return char, w
 
 
 def _units(d, scalar):
@@ -190,16 +184,20 @@ def _peel_quotient(mats, w, scalar):
     return out, t
 
 
-def _peel(alg: LieAlgebra, mats, real_rational_only):
-    """Peel common eigenvectors from the module until it is exhausted.
+def weight_flag(alg: LieAlgebra, mats):
+    """A complete invariant flag of a solvable action, with its characters.
 
-    One chain of ideals serves every peel.  The module stays over Q until
-    an eigenvector comes back over Q(i); from that peel on the quotient
-    matrices and the lift to module coordinates are kept over Q(i).
-    Returns ("ok", flag_vectors, characters) with flag vectors in module
-    coordinates (prefix spans give an invariant flag) and one character per
-    vector, or the first result of common_eigenspace that is not "ok".
+    Peels common eigenvectors from the module until it is exhausted; one
+    chain of ideals serves every peel.  The module stays over Q until an
+    eigenvector comes back over Q(i); from that peel on the quotient
+    matrices and the lift to module coordinates are kept over Q(i), so the
+    flag holds GaussRat entries exactly when some weight is nonreal.
+    mats are Mat, one per basis element.  Returns (flag_vectors,
+    characters) with flag vectors in module coordinates (prefix spans give
+    an invariant flag) and one character per vector, or an Indeterminate.
     """
+    if not mats:
+        return [], []
     chain = _ideal_chain(alg)
     cur = list(mats)
     scalar = Fraction
@@ -207,11 +205,10 @@ def _peel(alg: LieAlgebra, mats, real_rational_only):
     chars = []
     lift = Mat.identity(cur[0].nrows)
     while cur[0].nrows > 0:
-        res = common_eigenspace(chain, cur, _units(cur[0].nrows, scalar),
-                                real_rational_only)
-        if res[0] != "ok":
+        res = common_eigenspace(chain, cur, _units(cur[0].nrows, scalar))
+        if isinstance(res, Indeterminate):
             return res
-        _, char, eig = res
+        char, eig = res
         w = eig[0]
         if scalar is Fraction and isinstance(w[0], GaussRat):
             scalar = gauss
@@ -222,15 +219,16 @@ def _peel(alg: LieAlgebra, mats, real_rational_only):
         cur, t = _peel_quotient(cur, w, scalar)
         if t.ncols > 1:
             lift = lift @ Mat.from_cols([t.col(j) for j in range(1, t.ncols)])
-    return "ok", flag_vecs, chars
+    return flag_vecs, chars
 
 
 def module_weights(alg: LieAlgebra, mats):
     """Composition-series weight table of a solvable action, over Q(i).
 
-    Returns a WeightTable or an Indeterminate.  Weights are checked to vanish
-    on the derived subalgebra and multiplicities to sum to the module
-    dimension.
+    Tabulates the characters of weight_flag; they do not depend on the order
+    of the peel.  Returns a WeightTable or an Indeterminate.  Weights are
+    checked to vanish on the derived subalgebra and multiplicities to sum to
+    the module dimension.
     """
     mats = [m if isinstance(m, Mat) else Mat(m) for m in mats]
     if len(mats) != alg.dim:
@@ -238,17 +236,12 @@ def module_weights(alg: LieAlgebra, mats):
     if not alg.is_solvable():
         raise InputError("weights are defined here for solvable actions only")
     dim0 = mats[0].nrows if mats else 0
-    if alg.dim == 0:
-        entries = (WeightEntry((), dim0, True),) if dim0 else ()
-        return WeightTable(0, dim0, entries)
-    status, second, collected = _peel(alg, mats, False)
-    if status == "indeterminate":
-        return Indeterminate(second)
-    if status == "nonreal":
-        raise InternalCheckError("unrestricted recursion reported nonreal")
+    peeled = weight_flag(alg, mats)
+    if isinstance(peeled, Indeterminate):
+        return peeled
     derived = alg.bracket_span(alg.basis(), alg.basis())
     merged = {}
-    for char in collected:
+    for char in peeled[1]:
         for dvec in derived:
             val = sum((c * x for c, x in zip(char, dvec)), gauss(0))
             if val:
@@ -270,17 +263,3 @@ def adjoint_weights(alg: LieAlgebra):
     """Weight table of the adjoint module of a solvable algebra."""
     return module_weights(alg, [alg.ad(alg.basis_vector(i))
                                 for i in range(alg.dim)])
-
-
-def real_flag(alg: LieAlgebra, mats):
-    """A complete flag of invariant subspaces with rational characters.
-
-    Peels rational common eigenvectors from the module until it is exhausted.
-    Returns ("ok", flag_vectors, step_characters) with flag vectors in module
-    coordinates (prefix spans give the flag), ("nonreal", element,
-    eigenvalue), or ("indeterminate", reason, None).
-    """
-    mats = [m if isinstance(m, Mat) else Mat(m) for m in mats]
-    if not mats:
-        return "ok", [], []
-    return _peel(alg, mats, True)

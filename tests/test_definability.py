@@ -120,6 +120,25 @@ def test_tbc_find_computes_adjoint_weights_once(e2, oscillator,
         assert len(calls) == 1
 
 
+def test_each_call_peels_its_algebra_once(axb, e2, oscillator, monkeypatch):
+    # the flag of a supersolvable algebra and the weight table of any other
+    # come from one adjoint peel; sqrt2 is peeled once although it ends Unknown
+    from liedef import weights
+    inner = weights._ideal_chain
+    seen = []
+
+    def counted(alg):
+        seen.append(alg)
+        return inner(alg)
+
+    monkeypatch.setattr(weights, "_ideal_chain", counted)
+    for g in (axb, e2, oscillator, sqrt2_algebra()):
+        for call in (tbc_find, supersolvable_test):
+            seen.clear()
+            call(g)
+            assert sum(alg is g for alg in seen) == 1, (call.__name__, g)
+
+
 def test_tbc_unknown_outside_tower():
     res = tbc_find(sqrt2_algebra())
     assert res.status == TBC_UNKNOWN

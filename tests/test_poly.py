@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liedef.poly import (Poly, all_roots_real, gaussian_roots, poly_gcd,
-                         purely_imaginary_spectrum, rational_roots,
-                         squarefree_part, sturm_count_in_interval,
-                         sturm_count_real_roots)
+                         purely_imaginary_spectrum, squarefree_part,
+                         sturm_count_in_interval, sturm_count_real_roots)
 from liedef.scalars import GaussRat, gauss
 
 x = Poly((Fraction(0), Fraction(1)))
@@ -174,8 +173,6 @@ def _check_roots(p, expected, leftover):
 def test_gaussian_roots_of_planted_real_products(case):
     p, expected, leftover = case
     _check_roots(p, expected, leftover)
-    assert rational_roots(p) == sorted((z.re, m) for z, m in expected.items()
-                                       if z.is_real())
 
 
 @settings(max_examples=80, deadline=None)
@@ -199,23 +196,10 @@ def test_gaussian_roots_skip_unlucky_primes():
     _check_roots(p, dict.fromkeys(roots, 1), 0)
 
 
-def test_rational_roots_are_fractions():
+def test_gaussian_roots_find_a_large_rational_root():
     p = lin(Fraction(10**12 + 39, 7)) * lin(-3) * x * (x * x - Poly((Fraction(2),)))
-    roots = rational_roots(p)
-    assert roots == [(Fraction(-3), 1), (Fraction(0), 1),
-                     (Fraction(10**12 + 39, 7), 1)]
-    assert all(type(r) is Fraction for r, _ in roots)
-
-
-def test_rational_roots_with_multiplicity():
-    p = lin(Fraction(2)) * lin(Fraction(-3, 2)) * x * x
-    roots = dict(rational_roots(p))
-    assert roots == {Fraction(0): 2, Fraction(2): 1, Fraction(-3, 2): 1}
-
-
-def test_rational_roots_skips_irrationals():
-    p = (x * x - Poly((Fraction(2),))) * lin(1)
-    assert dict(rational_roots(p)) == {Fraction(1): 1}
+    _check_roots(p, {GaussRat(-3): 1, GaussRat(0): 1,
+                     GaussRat(Fraction(10**12 + 39, 7)): 1}, 2)
 
 
 def test_gaussian_roots_split():

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from liedef.scalars import (GaussRat, gauss, gauss_parse, gauss_str,
-                            is_rational_square, rat, rat_str)
+from liedef.scalars import GaussRat, gauss, rat, rat_str
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 gaussians = st.builds(GaussRat, rationals, rationals)
@@ -54,31 +53,8 @@ def test_conj_norm(z):
     assert z.conj().conj() == z
 
 
-@given(gaussians)
-def test_gauss_json_round_trip(z):
-    assert gauss_parse(gauss_str(z)) == z
-
-
-def test_gauss_parse_rejects_junk():
-    with pytest.raises(ValueError):
-        gauss_parse({"re": "x"})
-    with pytest.raises(TypeError):
-        gauss_parse(0.25)
-
-
 def test_gauss_coercion_and_realness():
     assert gauss(Fraction(2)) == GaussRat(2)
     assert GaussRat(2, 0).is_real()
     assert not GaussRat(0, 1).is_real()
 
-
-@given(rationals)
-def test_rational_squares_recognized(q):
-    root = is_rational_square(q * q)
-    assert root is not None
-    assert root * root == q * q
-
-
-def test_non_squares_rejected():
-    for x in (Fraction(2), Fraction(3, 5), Fraction(-1), Fraction(-4)):
-        assert is_rational_square(x) is None

@@ -1,12 +1,16 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from liedef import weights
 from liedef.errors import Indeterminate, InputError, InternalCheckError
 from liedef.lie import LieAlgebra
-from liedef.linalg import Mat, span_basis
+from liedef.linalg import Mat, block_diag, det, inverse, span_basis
 from liedef.reps import supersolvable_triangular_rep
 from liedef.scalars import GaussRat
-from liedef.weights import adjoint_weights, module_weights, real_flag
+from liedef.weights import adjoint_weights, module_weights, weight_flag
 
 
 def vals(entry):
@@ -102,8 +106,7 @@ def test_weights_outside_the_tower_are_indeterminate():
 
 def test_real_flag_on_nilpotent_adjoint(h3):
     mats = [h3.ad(h3.basis_vector(i)) for i in range(3)]
-    status, flag, chars = real_flag(h3, mats)
-    assert status == "ok"
+    flag, chars = weight_flag(h3, mats)
     assert len(flag) == 3 and len(chars) == 3
     for row in chars:
         assert all(not v for v in row)
@@ -117,23 +120,28 @@ def test_real_flag_on_nilpotent_adjoint(h3):
 
 def test_real_flag_on_axb_adjoint(axb):
     mats = [axb.ad(axb.basis_vector(i)) for i in range(2)]
-    status, flag, chars = real_flag(axb, mats)
-    assert status == "ok"
+    flag, chars = weight_flag(axb, mats)
     assert flag[0] == (0, 1)
     assert chars[0] == (1, 0)
     assert chars[1] == (0, 0)
 
 
-def test_real_flag_reports_nonreal_obstruction(e2):
+def test_weight_flag_of_e2_lifts_to_q_i(e2):
     mats = [e2.ad(e2.basis_vector(i)) for i in range(3)]
-    status, element, eigenvalue = real_flag(e2, mats)
-    assert status == "nonreal"
-    assert eigenvalue.im != 0
+    flag, chars = weight_flag(e2, mats)
+    assert any(v.im for row in chars for v in row)
+    assert any(isinstance(c, GaussRat) and c.im for w in flag for c in w)
+    # the flag is invariant over Q(i): each image stays in its prefix span
+    for k, w in enumerate(flag):
+        before = list(flag[:k + 1])
+        for m in mats:
+            image = m.map(GaussRat) @ w
+            assert len(span_basis(before + [image])) == len(before)
 
 
 def test_real_flag_values_are_rational(axb):
     mats = [axb.ad(axb.basis_vector(i)) for i in range(2)]
-    _, flag, chars = real_flag(axb, mats)
+    flag, chars = weight_flag(axb, mats)
     for w in flag:
         for c in w:
             assert getattr(c, "im", 0) == 0
@@ -158,13 +166,13 @@ def _record_restrictions(monkeypatch):
 
 
 def test_real_modules_are_peeled_over_q(monkeypatch):
-    # h3 + aff(1): real_flag on the adjoint and on the extended module, and
+    # h3 + aff(1): weight_flag on the adjoint and on the extended module, and
     # module_weights on the nilradical's module, all with real weights
     seen = _record_restrictions(monkeypatch)
     g = LieAlgebra.from_entries(5, {(0, 1): (0, 0, 1, 0, 0),
                                     (3, 4): (0, 0, 0, 0, 1)})
-    status, _, _ = real_flag(g, [g.ad(g.basis_vector(i)) for i in range(5)])
-    assert status == "ok"
+    flag, _ = weight_flag(g, [g.ad(g.basis_vector(i)) for i in range(5)])
+    assert len(flag) == 5
     supersolvable_triangular_rep(g)
     assert seen and not any(seen)
 
@@ -186,3 +194,42 @@ def test_peel_lifts_to_q_i_at_the_first_nonreal_eigenvalue(monkeypatch):
         "WeightEntry(values=(-1,), multiplicity=1, real=True), "
         "WeightEntry(values=(-1*i,), multiplicity=1, real=False), "
         "WeightEntry(values=(1*i,), multiplicity=1, real=False)))")
+
+
+small = st.integers(-3, 3)
+ratios = st.builds(Fraction, small, st.integers(1, 3))
+
+
+@st.composite
+def block_actions(draw):
+    """Commuting block-diagonal matrices, one per basis element of an
+    abelian algebra: real 1x1 blocks, rational rotation blocks a + bJ and
+    2x2 Jordan blocks l + cN, each block shaped alike in every matrix."""
+    n_gens = draw(st.integers(1, 2))
+    kinds = draw(st.lists(st.sampled_from(("real", "rotation", "jordan")),
+                          min_size=1, max_size=3))
+    mats = []
+    for _ in range(n_gens):
+        blocks = []
+        for kind in kinds:
+            a, b = draw(small), draw(small)
+            if kind == "real":
+                blocks.append(Mat([[a]]))
+            elif kind == "rotation":
+                blocks.append(Mat([[a, -b], [b, a]]))
+            else:
+                blocks.append(Mat([[a, b], [0, a]]))
+        mats.append(block_diag(blocks))
+    return LieAlgebra.from_entries(n_gens, {}), mats
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_actions(), st.data())
+def test_module_weights_do_not_depend_on_the_basis(case, data):
+    alg, mats = case
+    n = mats[0].nrows
+    p = Mat([[data.draw(ratios) for _ in range(n)] for _ in range(n)])
+    assume(det(p) != 0)
+    p_inv = inverse(p)
+    table = module_weights(alg, mats)
+    assert module_weights(alg, [p_inv @ m @ p for m in mats]) == table
