@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .definability import (DEFINABLE, NOT_DEFINABLE, PRESENTATION_KINDS,
                            RULE_FINITE_CENTER, RULE_LINEAR, RULE_OPEN,
                            RULE_SIMPLY_CONNECTED, RULE_SOLVABLE, UNKNOWN,
-                           DefinabilityVerdict, GroupPresentation,
+                           CertReport, DefinabilityVerdict, GroupPresentation,
                            NonRealWitness, TbcCertificate, TbcObstruction,
                            tbc_verify)
 from .errors import InputError
@@ -46,17 +45,6 @@ RULES = (RULE_SIMPLY_CONNECTED, RULE_SOLVABLE, RULE_LINEAR,
          RULE_FINITE_CENTER, RULE_OPEN)
 
 
-@dataclass(frozen=True)
-class CertReport:
-    """Checker verdict; clause names the first failing check."""
-    ok: bool
-    clause: str | None = None
-    detail: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def weights_hash(rows) -> str:
     text = canonical_json({"weights": [list(r) for r in rows]})
     return hashlib.sha256(text.encode()).hexdigest()
@@ -69,14 +57,17 @@ def _wrap(kind: str, subject_sha256: str, payload: dict) -> dict:
 
 # ---------------------------------------------------------------- emitters
 
-def emit_tbc(alg: LieAlgebra, cert: TbcCertificate, matrices=None) -> dict:
-    payload = {
+def _tbc_payload(cert: TbcCertificate) -> dict:
+    return {
         "t_basis": [vector_to_json(v) for v in cert.t_basis],
         "k_basis": [vector_to_json(v) for v in cert.k_basis],
         "flag": [vector_to_json(v) for v in cert.flag],
         "torus_evidence": [vector_to_json(c) for c in cert.torus_evidence],
     }
-    return _wrap(KIND_TBC, algebra_hash(alg, matrices), payload)
+
+
+def emit_tbc(alg: LieAlgebra, cert: TbcCertificate, matrices=None) -> dict:
+    return _wrap(KIND_TBC, algebra_hash(alg, matrices), _tbc_payload(cert))
 
 
 def emit_flag(alg: LieAlgebra, flag, step_characters=None,
@@ -129,15 +120,6 @@ def _witness_payload(alg: LieAlgebra, verdict: DefinabilityVerdict):
 
 def emit_verdict(p: GroupPresentation, verdict: DefinabilityVerdict) -> dict:
     g = p.algebra
-    cert = None
-    if verdict.certificate is not None:
-        c = verdict.certificate
-        cert = {
-            "t_basis": [vector_to_json(v) for v in c.t_basis],
-            "k_basis": [vector_to_json(v) for v in c.k_basis],
-            "flag": [vector_to_json(v) for v in c.flag],
-            "torus_evidence": [vector_to_json(x) for x in c.torus_evidence],
-        }
     witness = None
     if verdict.counter_witness is not None:
         witness = _witness_payload(g, verdict)
@@ -149,7 +131,8 @@ def emit_verdict(p: GroupPresentation, verdict: DefinabilityVerdict) -> dict:
         "notes": list(verdict.presentation_notes),
         "radical": (None if verdict.radical_basis is None else
                     [vector_to_json(v) for v in verdict.radical_basis]),
-        "certificate": cert,
+        "certificate": (None if verdict.certificate is None else
+                        _tbc_payload(verdict.certificate)),
         "counter_witness": witness,
         "explanation": verdict.explanation,
     }
@@ -202,13 +185,9 @@ def _decode_tbc(payload, dim) -> TbcCertificate:
 
 def _check_tbc(payload, alg: LieAlgebra) -> CertReport:
     try:
-        cert = _decode_tbc(payload, alg.dim)
-        report = tbc_verify(alg, cert)
+        return tbc_verify(alg, _decode_tbc(payload, alg.dim))
     except InputError as e:
         return _fail("shape", str(e))
-    if report.ok:
-        return CertReport(True)
-    return _fail(report.clause, report.detail or "")
 
 
 def _check_flag(payload, alg: LieAlgebra) -> CertReport:

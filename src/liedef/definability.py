@@ -13,9 +13,9 @@ from fractions import Fraction
 from .errors import (Indeterminate, InputError, InternalCheckError,
                      NotSolvableError)
 from .lie import LieAlgebra
-from .linalg import (Mat, char_poly, coords_in_span, in_span, is_zero_vec,
-                     jordan_chevalley, kernel, lincomb, solve, span_basis,
-                     vsub)
+from .linalg import (Mat, char_poly, coords_in_span, in_span,
+                     is_semisimple_mat, is_zero_vec, jordan_chevalley, kernel,
+                     lincomb, solve, span_basis, vsub)
 from .poly import (purely_imaginary_spectrum, squarefree_part,
                    sturm_count_real_roots)
 from .scalars import GaussRat
@@ -214,7 +214,8 @@ class TbcObstruction:
 
 
 @dataclass(frozen=True)
-class TbcReport:
+class CertReport:
+    """Checker verdict; clause names the first failing check."""
     ok: bool
     clause: str | None = None
     detail: str | None = None
@@ -232,10 +233,10 @@ class TbcResult:
 
 
 def _fail(clause, detail):
-    return TbcReport(False, clause, detail)
+    return CertReport(False, clause, detail)
 
 
-def tbc_verify(r: LieAlgebra, cert: TbcCertificate) -> TbcReport:
+def tbc_verify(r: LieAlgebra, cert: TbcCertificate) -> CertReport:
     """Re-check every clause of a splitting certificate from scratch.
 
     Nothing from the finder is trusted: ideal-ness, the flag chain, the
@@ -288,12 +289,11 @@ def tbc_verify(r: LieAlgebra, cert: TbcCertificate) -> TbcReport:
         if cert.torus_evidence:
             if tuple(cert.torus_evidence[j]) != tuple(cp.coeffs):
                 return _fail("torus", "evidence disagrees with ad(k[%d])" % j)
-        _, nil = jordan_chevalley(ad)
-        if not nil.is_zero():
+        if not is_semisimple_mat(ad):
             return _fail("torus", "ad(k[%d]) is not semisimple" % j)
         if not purely_imaginary_spectrum(cp):
             return _fail("torus", "ad(k[%d]) has a non-imaginary eigenvalue" % j)
-    return TbcReport(True)
+    return CertReport(True)
 
 
 def _cert_vectors(vectors, dim, what):
@@ -547,12 +547,7 @@ def _presentation_notes(p):
     notes = []
     if not all(m.is_upper_triangular() for m in mats):
         notes.append("the matrices as given are not upper triangular")
-    compact = True
-    for m in mats:
-        _, nil = jordan_chevalley(m)
-        if not nil.is_zero() or not purely_imaginary_spectrum(char_poly(m)):
-            compact = False
-            break
-    if not compact:
+    if not all(is_semisimple_mat(m) and purely_imaginary_spectrum(char_poly(m))
+               for m in mats):
         notes.append("the matrices as given are not of compact type")
     return tuple(notes)

@@ -178,8 +178,10 @@ class LieAlgebra:
                    for i in range(self.dim) for j in range(self.dim))
 
     def is_solvable(self) -> bool:
-        by_series = not self.derived_series()[-1]
-        derived = self.bracket_span(self.basis(), self.basis())
+        series = self.derived_series()
+        by_series = not series[-1]
+        # [g, g] is series[1], or series[0] when g is perfect (or zero)
+        derived = series[1] if len(series) > 1 else series[0]
         killing = self.killing_matrix()
         by_trace_form = all(
             is_zero_vec(killing @ d) for d in derived)

@@ -4,7 +4,10 @@ Everything downstream (brackets, flags, certificates, representations) runs on
 this layer, so the expensive invariants are checked where they are cheap to
 state: Smith forms are verified against their unimodular transforms on every
 call, and Jordan decompositions are verified semisimple-plus-nilpotent before
-they are returned.
+they are returned.  Yes/no questions about one matrix are asked directly:
+is_nilpotent_mat takes a power, and is_semisimple_mat evaluates the
+squarefree part of the characteristic polynomial, without building a
+Jordan decomposition.
 """
 from __future__ import annotations
 
@@ -545,6 +548,16 @@ def jordan_chevalley(a: Mat):
 
 def is_nilpotent_mat(a: Mat) -> bool:
     return mat_pow(a, a.nrows).is_zero()
+
+
+def is_semisimple_mat(a: Mat) -> bool:
+    """True iff a is diagonalizable over the algebraic closure.
+
+    That holds exactly when the minimal polynomial is squarefree, i.e. when
+    the squarefree part of the characteristic polynomial annihilates a; no
+    Jordan decomposition is built.
+    """
+    return poly_at(squarefree_part(char_poly(a)), a).is_zero()
 
 
 # -- integer lattices ----------------------------------------------------------

@@ -203,19 +203,25 @@ def _variations_at_inf(chain, positive: bool) -> int:
 
 
 def sturm_count_real_roots(p: Poly) -> int:
-    """Number of distinct real roots of p (coefficients must be real)."""
+    """Number of distinct real roots of p (coefficients must be real).
+
+    Counted on the Sturm chain of p itself, repeated roots or not: every
+    term is a multiple of gcd(p, p'), so at +-infinity its sign variations
+    are those of the chain of the squarefree part.
+    """
     p = p.to_fraction_coeffs()
     if p.is_zero():
         raise ValueError("root counting on the zero polynomial")
-    q = squarefree_part(p)
-    if q.degree <= 0:
-        return 0
-    chain = _sturm_chain(q)
+    chain = _sturm_chain(p)
     return _variations_at_inf(chain, False) - _variations_at_inf(chain, True)
 
 
 def sturm_count_in_interval(p: Poly, a: Fraction, b=None) -> int:
-    """Distinct real roots of p in (a, b]; b=None means (a, +infinity)."""
+    """Distinct real roots of p in (a, b]; b=None means (a, +infinity).
+
+    The chain is taken of the squarefree part, since a finite endpoint may
+    be a repeated root of p.
+    """
     p = p.to_fraction_coeffs()
     q = squarefree_part(p)
     if q.degree <= 0:

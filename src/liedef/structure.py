@@ -13,9 +13,9 @@ from fractions import Fraction
 
 from .errors import InternalCheckError, PreconditionError
 from .lie import LieAlgebra
-from .linalg import (Mat, coords_in_span, in_span, is_zero_vec, kernel,
-                     lincomb, rank, solve, span_basis, trace_product, vadd,
-                     jordan_chevalley, char_poly)
+from .linalg import (Mat, char_poly, coords_in_span, in_span,
+                     is_semisimple_mat, is_zero_vec, kernel, lincomb, rank,
+                     solve, span_basis, trace_product, vadd)
 from .poly import purely_imaginary_spectrum
 
 
@@ -208,14 +208,9 @@ def is_torus_like(g: LieAlgebra, vectors) -> bool:
         for b in rows:
             if not is_zero_vec(g.bracket(a, b)):
                 return False
-    for v in rows:
-        ad = g.ad(v)
-        _, nil = jordan_chevalley(ad)
-        if not nil.is_zero():
-            return False
-        if not purely_imaginary_spectrum(char_poly(ad)):
-            return False
-    return True
+    return all(is_semisimple_mat(ad)
+               and purely_imaginary_spectrum(char_poly(ad))
+               for ad in map(g.ad, rows))
 
 
 def commuting_levi(g: LieAlgebra, k_rows):

@@ -228,13 +228,13 @@ def module_weights(alg: LieAlgebra, mats):
     Tabulates the characters of weight_flag; they do not depend on the order
     of the peel.  Returns a WeightTable or an Indeterminate.  Weights are
     checked to vanish on the derived subalgebra and multiplicities to sum to
-    the module dimension.
+    the module dimension.  A non-solvable algebra raises InputError: every
+    ideal of the chain contains the perfect term of its derived series, so
+    the chain stops there before any peel.
     """
     mats = [m if isinstance(m, Mat) else Mat(m) for m in mats]
     if len(mats) != alg.dim:
         raise InputError("one action matrix per basis element is required")
-    if not alg.is_solvable():
-        raise InputError("weights are defined here for solvable actions only")
     dim0 = mats[0].nrows if mats else 0
     peeled = weight_flag(alg, mats)
     if isinstance(peeled, Indeterminate):

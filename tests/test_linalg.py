@@ -10,8 +10,8 @@ from liedef.errors import InputError
 from liedef.linalg import (Mat, _dot, block_diag, char_poly, coords_in_basis,
                            coords_in_span, det, in_span, integer_left_kernel,
                            intersect_spans, inverse, is_nilpotent_mat,
-                           jordan_chevalley, kernel, kron, mat_lincomb,
-                           mat_pow, minimal_poly, poly_at, rank,
+                           is_semisimple_mat, jordan_chevalley, kernel, kron,
+                           mat_lincomb, mat_pow, minimal_poly, poly_at, rank,
                            restrict_to_span, solve, span_basis,
                            trace_product)
 from liedef.poly import clear_denominators
@@ -143,6 +143,18 @@ def test_jordan_chevalley_properties(a):
     mp = minimal_poly(s)
     from liedef.poly import squarefree_part
     assert squarefree_part(mp).degree == mp.degree
+
+
+@settings(max_examples=30)
+@given(mats(3))
+def test_is_semisimple_mat_agrees_with_jordan_chevalley(a):
+    assert is_semisimple_mat(a) == jordan_chevalley(a)[1].is_zero()
+
+
+def test_is_semisimple_mat_examples():
+    assert not is_semisimple_mat(Mat([[1, 1], [0, 1]]))
+    assert is_semisimple_mat(Mat([[0, -1], [1, 0]]))
+    assert is_semisimple_mat(Mat([[1, 0, 0], [0, 1, 0], [0, 0, 2]]))
 
 
 def test_solve_and_inverse():

@@ -53,14 +53,16 @@ def test_degree_of_product(a, b):
 @settings(max_examples=60)
 @given(st.lists(st.integers(-5, 5), min_size=0, max_size=3, unique=True),
        st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 3)),
-                min_size=0, max_size=2))
-def test_sturm_count_by_construction(real_roots, complex_pairs):
-    # polynomial built from known roots: the count is known in advance
+                min_size=0, max_size=2),
+       st.lists(st.integers(1, 3), min_size=5, max_size=5))
+def test_sturm_count_by_construction(real_roots, complex_pairs, powers):
+    # polynomial built from known roots, each factor raised to a planted
+    # power: the number of distinct real roots is known in advance
     factors = [lin(r) for r in real_roots]
     factors += [quad(a, b) for a, b in complex_pairs]
     if not factors:
         return
-    p = prod(factors)
+    p = prod(f for f, k in zip(factors, powers) for _ in range(k))
     assert sturm_count_real_roots(p) == len(real_roots)
     assert all_roots_real(p) == (not complex_pairs)
 

@@ -221,6 +221,28 @@ def test_extend_rep_weight_precondition(axb):
         extend_rep(axb, [axb.basis_vector(1)], rho)
 
 
+def test_extend_rep_decides_weights_outside_q_i(r2):
+    # rho(e0) has eigenvalues +-sqrt(2); [g, h] = 0, so nothing must vanish
+    sub, _ = r2.subalgebra([r2.basis_vector(0)])
+    rho = Representation(sub, 2, (Mat([[0, 2], [1, 0]]),))
+    ext = extend_rep(r2, [r2.basis_vector(0)], rho)
+    assert HOMOMORPHISM in ext.verified
+    assert ext.image_of(r2.basis_vector(0)) == rho.images[0]
+
+
+def test_extend_rep_rejects_weights_outside_q_i():
+    # [a, x] = y, [a, y] = 2x; on h = span(x, y) the weights take the values
+    # +-sqrt(2) at x and 1 at y, and [g, h] = h
+    g = LieAlgebra.from_entries(3, {(2, 0): (0, 1, 0), (2, 1): (2, 0, 0)},
+                                names=("x", "y", "a"))
+    h = [g.basis_vector(0), g.basis_vector(1)]
+    sub, _ = g.subalgebra(h)
+    rho = Representation(sub, 2, (Mat([[0, 2], [1, 0]]), Mat.identity(2)))
+    with pytest.raises(PreconditionError,
+                       match="module weights do not vanish on"):
+        extend_rep(g, h, rho)
+
+
 def test_extend_rep_full_ideal_is_identity(h3):
     rho = nilpotent_ado(h3)
     ext = extend_rep(h3, h3.basis(), rho)

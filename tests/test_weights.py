@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from liedef import weights
+from liedef.corpus import corpus_entry
 from liedef.errors import Indeterminate, InputError, InternalCheckError
 from liedef.lie import LieAlgebra
 from liedef.linalg import Mat, block_diag, det, inverse, span_basis
@@ -80,9 +81,14 @@ def test_module_weights_requires_one_matrix_per_basis_element(r2):
 
 
 def test_module_weights_rejects_nonsolvable(sl2):
-    mats = [sl2.ad(sl2.basis_vector(i)) for i in range(3)]
-    with pytest.raises(InputError):
-        module_weights(sl2, mats)
+    # gl2 and sl2 x| R^2 are not perfect: the ideal chain takes a level or
+    # more before it reaches the perfect term and stops there
+    algebras = [sl2] + [corpus_entry(name).algebra
+                        for name in ("gl2", "sl2-semidirect-r2")]
+    for alg in algebras:
+        mats = [alg.ad(alg.basis_vector(i)) for i in range(alg.dim)]
+        with pytest.raises(InputError, match="acting algebra is not solvable"):
+            module_weights(alg, mats)
 
 
 def test_module_weights_rejects_matrices_that_are_not_an_action(axb):
