@@ -262,7 +262,7 @@ def _expected_rule(alg: LieAlgebra, kind: str, finite_center_levi: bool):
 
 def _radical_rows(alg: LieAlgebra):
     """Killing-orthogonal of the derived subalgebra, as echelon rows."""
-    derived = alg.bracket_span(alg.basis(), alg.basis())
+    derived = alg.derived_algebra()
     if not derived:
         return [tuple(alg.basis_vector(i)) for i in range(alg.dim)]
     km = alg.killing_matrix()

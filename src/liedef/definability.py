@@ -289,7 +289,7 @@ def tbc_verify(r: LieAlgebra, cert: TbcCertificate) -> CertReport:
         if cert.torus_evidence:
             if tuple(cert.torus_evidence[j]) != tuple(cp.coeffs):
                 return _fail("torus", "evidence disagrees with ad(k[%d])" % j)
-        if not is_semisimple_mat(ad):
+        if not is_semisimple_mat(ad, cp):
             return _fail("torus", "ad(k[%d]) is not semisimple" % j)
         if not purely_imaginary_spectrum(cp):
             return _fail("torus", "ad(k[%d]) has a non-imaginary eigenvalue" % j)
@@ -547,7 +547,7 @@ def _presentation_notes(p):
     notes = []
     if not all(m.is_upper_triangular() for m in mats):
         notes.append("the matrices as given are not upper triangular")
-    if not all(is_semisimple_mat(m) and purely_imaginary_spectrum(char_poly(m))
-               for m in mats):
+    if not all(is_semisimple_mat(m, cp) and purely_imaginary_spectrum(cp)
+               for m, cp in zip(mats, map(char_poly, mats))):
         notes.append("the matrices as given are not of compact type")
     return tuple(notes)

@@ -6,24 +6,42 @@ first offending basis triple, so malformed input fails loudly instead of
 corrupting everything downstream.  Solvability is always computed twice, once
 from the derived series and once from the trace-form criterion, and the two
 must agree.
+
+Besides the public table, an algebra keeps one private index, _terms:
+_terms[i][j] lists the pairs (k, c_ij^k) with c_ij^k nonzero, in increasing
+k.  It is built in the constructor from the table alone.  bracket, ad and
+the centralizer walk it, and the Killing form reads ad(e_i) off the table,
+so no unit vector is bracketed.  Nothing else is remembered between calls:
+every series, radical and Killing form is recomputed each time it is asked
+for.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import InputError, InternalCheckError
 from .linalg import (Mat, coords_in_span, in_span, inverse, is_zero_vec,
                      kernel, rank, span_basis, trace_product, vadd)
 
+# shared entries of unit vectors and of zero accumulators (Fractions are
+# immutable, so sharing one object is safe)
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 
 def _unit(n: int, i: int):
-    return tuple(Fraction(int(j == i)) for j in range(n))
+    return tuple(_ONE if j == i else _ZERO for j in range(n))
+
+
+def _nonzero(v):
+    return tuple((k, c) for k, c in enumerate(v) if c)
 
 
 class LieAlgebra:
     """Structure-constant presentation of a Lie algebra on basis e_0..e_{n-1}."""
 
-    __slots__ = ("dim", "table", "names")
+    __slots__ = ("dim", "table", "names", "_terms")
 
     def __init__(self, dim: int, table, names=None):
         self.dim = dim
@@ -33,13 +51,28 @@ class LieAlgebra:
             raise InputError("basis name count does not match the dimension")
         if len(self.table) != dim or any(len(r) != dim for r in self.table):
             raise InputError("bracket table shape does not match the dimension")
+        self._terms = self._index_terms()
+
+    def _index_terms(self):
+        """Nonzero structure constants of each (i, j), checked antisymmetric.
+
+        Each pair i <= j is checked once.  A value of the wrong length at
+        (j, i) fails the comparison at (i, j), so the first error named is
+        the one a scan of every (i, j) in order would meet first.
+        """
+        dim, table = self.dim, self.table
+        terms = [[None] * dim for _ in range(dim)]
         for i in range(dim):
-            for j in range(dim):
-                if len(self.table[i][j]) != dim:
+            for j in range(i, dim):
+                v, w = table[i][j], table[j][i]
+                if len(v) != dim:
                     raise InputError("bracket value has the wrong length")
-                if self.table[i][j] != tuple(-c for c in self.table[j][i]):
+                up, down = _nonzero(v), _nonzero(w)
+                if len(w) != dim or up != tuple((k, -c) for k, c in down):
                     raise InputError(
                         f"bracket table is not antisymmetric at ({i}, {j})")
+                terms[i][j], terms[j][i] = up, down
+        return tuple(tuple(row) for row in terms)
 
     @staticmethod
     def from_entries(dim: int, entries, names=None) -> "LieAlgebra":
@@ -83,24 +116,31 @@ class LieAlgebra:
         return [_unit(self.dim, i) for i in range(self.dim)]
 
     def bracket(self, x, y):
-        out = [Fraction(0)] * self.dim
-        for i, xi in enumerate(x):
+        """[x, y]: each k gets x_i y_j c_ij^k added in increasing (i, j)."""
+        out = [_ZERO] * self.dim
+        ys = _nonzero(y)
+        for xi, row in zip(x, self._terms):
             if not xi:
                 continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                t = self.table[i][j]
-                c = xi * yj
-                for k, tk in enumerate(t):
-                    if tk:
+            for j, yj in ys:
+                terms = row[j]
+                if terms:
+                    c = xi * yj
+                    for k, tk in terms:
                         out[k] = out[k] + c * tk
         return tuple(out)
 
     def ad(self, x) -> Mat:
-        """Matrix of y -> [x, y] on the defining basis."""
-        cols = [self.bracket(x, _unit(self.dim, j)) for j in range(self.dim)]
-        return Mat.from_cols(cols)
+        """Matrix of y -> [x, y] on the defining basis: entry (k, j) is the
+        sum of x_i c_ij^k in increasing i."""
+        rows = [[_ZERO] * self.dim for _ in range(self.dim)]
+        for xi, row in zip(x, self._terms):
+            if not xi:
+                continue
+            for j, terms in enumerate(row):
+                for k, tk in terms:
+                    rows[k][j] = rows[k][j] + xi * tk
+        return Mat(rows)
 
     def validate(self):
         """All Jacobi failures as (i, j, k, residual); empty means valid."""
@@ -129,10 +169,20 @@ class LieAlgebra:
         vecs = [self.bracket(a, b) for a in a_basis for b in b_basis]
         return span_basis(vecs)
 
+    def _pair_span(self, vectors):
+        """span of [a, b] over unordered pairs a, b of the vectors; by
+        antisymmetry that is the span over all ordered pairs."""
+        return span_basis([self.bracket(a, b)
+                           for a, b in combinations(vectors, 2)])
+
+    def derived_algebra(self):
+        """[g, g] as rref rows: the span of [e_i, e_j] for i < j."""
+        return self._pair_span(self.basis())
+
     def derived_series(self):
         series = [span_basis(self.basis())]
         while series[-1]:
-            nxt = self.bracket_span(series[-1], series[-1])
+            nxt = self._pair_span(series[-1])
             if len(nxt) == len(series[-1]):
                 break
             series.append(nxt)
@@ -152,11 +202,8 @@ class LieAlgebra:
 
     def centralizer(self, vectors):
         """Basis of {x : [x, v] = 0 for all listed v}."""
-        rows = []
-        for v in vectors:
-            cols = [self.bracket(_unit(self.dim, i), v) for i in range(self.dim)]
-            m = Mat.from_cols(cols)
-            rows.extend(m.rows)
+        # [x, v] = -ad(v) x, so x is in the kernel of every ad(v) stacked
+        rows = [r for v in vectors for r in self.ad(v).rows]
         if not rows:
             return span_basis(self.basis())
         return kernel(Mat(rows))
@@ -166,7 +213,8 @@ class LieAlgebra:
 
     def killing_matrix(self) -> Mat:
         n = self.dim
-        ads = [self.ad(_unit(n, i)) for i in range(n)]
+        # column j of ad(e_i) is [e_i, e_j], the table entry itself
+        ads = [Mat.from_cols(row) for row in self.table]
         rows = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):

@@ -550,14 +550,15 @@ def is_nilpotent_mat(a: Mat) -> bool:
     return mat_pow(a, a.nrows).is_zero()
 
 
-def is_semisimple_mat(a: Mat) -> bool:
-    """True iff a is diagonalizable over the algebraic closure.
+def is_semisimple_mat(a: Mat, cp: Poly) -> bool:
+    """True iff a is diagonalizable over the algebraic closure; cp is
+    char_poly(a), which every caller also needs for the spectrum.
 
     That holds exactly when the minimal polynomial is squarefree, i.e. when
     the squarefree part of the characteristic polynomial annihilates a; no
     Jordan decomposition is built.
     """
-    return poly_at(squarefree_part(char_poly(a)), a).is_zero()
+    return poly_at(squarefree_part(cp), a).is_zero()
 
 
 # -- integer lattices ----------------------------------------------------------

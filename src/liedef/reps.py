@@ -269,7 +269,7 @@ def supersolvable_triangular_rep(t: LieAlgebra) -> Representation:
         return _certified(Representation(t, 1, ()), ALL_FLAGS)
 
     center = t.center()
-    derived = t.bracket_span(t.basis(), t.basis())
+    derived = t.derived_algebra()
     ads = [t.ad(t.basis_vector(i)) for i in range(t.dim)]
 
     if not center:

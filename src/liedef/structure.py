@@ -27,7 +27,7 @@ class LeviDecomposition:
 
 def radical(g: LieAlgebra):
     """Maximal solvable ideal, as the trace-form orthogonal of [g,g]."""
-    derived = g.bracket_span(g.basis(), g.basis())
+    derived = g.derived_algebra()
     if not derived:
         return span_basis(g.basis())
     killing = g.killing_matrix()
@@ -208,9 +208,11 @@ def is_torus_like(g: LieAlgebra, vectors) -> bool:
         for b in rows:
             if not is_zero_vec(g.bracket(a, b)):
                 return False
-    return all(is_semisimple_mat(ad)
-               and purely_imaginary_spectrum(char_poly(ad))
-               for ad in map(g.ad, rows))
+    for ad in map(g.ad, rows):
+        cp = char_poly(ad)
+        if not (is_semisimple_mat(ad, cp) and purely_imaginary_spectrum(cp)):
+            return False
+    return True
 
 
 def commuting_levi(g: LieAlgebra, k_rows):

@@ -62,7 +62,7 @@ class WeightTable:
 def _complete_hyperplane(alg: LieAlgebra):
     """A codim-1 ideal containing [g,g] (as rref rows), plus a leftover basis
     direction.  Any hyperplane above the derived subalgebra is an ideal."""
-    derived = alg.bracket_span(alg.basis(), alg.basis())
+    derived = alg.derived_algebra()
     if len(derived) >= alg.dim:
         raise InputError("acting algebra is not solvable")
     rows = list(derived)
@@ -239,7 +239,7 @@ def module_weights(alg: LieAlgebra, mats):
     peeled = weight_flag(alg, mats)
     if isinstance(peeled, Indeterminate):
         return peeled
-    derived = alg.bracket_span(alg.basis(), alg.basis())
+    derived = alg.derived_algebra()
     merged = {}
     for char in peeled[1]:
         for dvec in derived:

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from liedef.errors import InputError
 from liedef.lie import LieAlgebra, from_matrices
-from liedef.linalg import Mat, coords_in_span, span_basis
+from liedef.linalg import Mat, coords_in_span, kernel, span_basis
 from liedef.scalars import GaussRat
 
 
@@ -17,6 +19,62 @@ def test_from_entries_rejects_bad_shapes():
         LieAlgebra.from_entries(2, {(0, 1): (0, 1), (1, 0): (0, 1)})
     with pytest.raises(InputError):
         LieAlgebra.from_entries(2, {(0, 5): (0, 1)})
+
+
+def _h3_table():
+    zero = (0, 0, 0)
+    return [[zero, (0, 0, 1), zero],
+            [(0, 0, -1), zero, zero],
+            [zero, zero, zero]]
+
+
+def _raises(table, message):
+    with pytest.raises(InputError) as err:
+        LieAlgebra(3, table)
+    assert str(err.value) == message
+
+
+def test_constructor_names_the_first_non_antisymmetric_pair():
+    table = _h3_table()
+    table[1][2] = (1, 0, 0)
+    _raises(table, "bracket table is not antisymmetric at (1, 2)")
+    table[0][2] = (0, 1, 0)
+    _raises(table, "bracket table is not antisymmetric at (0, 2)")
+    # the pair is named by its upper entry whichever side is wrong
+    table = _h3_table()
+    table[2][0] = (0, 0, 5)
+    _raises(table, "bracket table is not antisymmetric at (0, 2)")
+    table = _h3_table()
+    table[1][0] = (0, 0, 1)
+    _raises(table, "bracket table is not antisymmetric at (0, 1)")
+
+
+def test_constructor_rejects_a_nonzero_self_bracket():
+    table = _h3_table()
+    table[2][2] = (0, 0, Fraction(1, 2))
+    _raises(table, "bracket table is not antisymmetric at (2, 2)")
+
+
+def test_constructor_rejects_a_value_of_the_wrong_length():
+    table = _h3_table()
+    table[0][2] = (0, 0)
+    _raises(table, "bracket value has the wrong length")
+    # a short value below the diagonal breaks its pair first
+    table = _h3_table()
+    table[2][1] = (0, 0, 0, 0)
+    _raises(table, "bracket table is not antisymmetric at (1, 2)")
+    table = _h3_table()
+    table[0][0] = ()
+    _raises(table, "bracket value has the wrong length")
+
+
+def test_constructor_keeps_the_table_as_given():
+    table = _h3_table()
+    table[1][2] = (Fraction(1, 3), 0, 0)
+    table[2][1] = (Fraction(-1, 3), 0, 0)
+    g = LieAlgebra(3, [list(row) for row in table])
+    assert g.table == tuple(tuple(row) for row in table)
+    assert _typed(g.table) == _typed(table)
 
 
 def test_antisymmetry_is_implied(h3):
@@ -153,3 +211,129 @@ def test_subalgebra_of_the_whole_space_matches_the_general_route(sl2, e2):
             assert _typed(sub.table) == _typed(want.table)
             assert sub.names == want.names == ("e0", "e1", "e2")
             assert sub == g
+
+
+# -- structure constants against dense formulas ----------------------------------
+#
+# Each reference below reads the table alone and sums every product of
+# nonzero factors over all indices, in the order the definition writes them;
+# values and entry types must match the Lie layer's.
+
+def _ref_bracket(table, x, y):
+    n = len(table)
+    return tuple(sum((x[i] * y[j] * table[i][j][k]
+                      for i in range(n) for j in range(n)
+                      if x[i] and y[j] and table[i][j][k]), Fraction(0))
+                 for k in range(n))
+
+
+def _ref_ad(table, x):
+    n = len(table)
+    return Mat([[sum((x[i] * table[i][j][k] for i in range(n)
+                      if x[i] and table[i][j][k]), Fraction(0))
+                 for j in range(n)] for k in range(n)])
+
+
+def _ref_killing(table):
+    # tr(ad e_i ad e_j) = sum over l, k of c_ik^l c_jl^k
+    n = len(table)
+    return Mat([[sum((table[i][k][l] * table[j][l][k]
+                      for l in range(n) for k in range(n)
+                      if table[i][k][l] and table[j][l][k]), Fraction(0))
+                 for j in range(n)] for i in range(n)])
+
+
+def _units(n):
+    return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+
+
+def _ref_span_of_brackets(table, a_basis, b_basis):
+    return span_basis([_ref_bracket(table, a, b)
+                       for a in a_basis for b in b_basis])
+
+
+def _ref_derived_series(table):
+    series = [span_basis(_units(len(table)))]
+    while series[-1]:
+        nxt = _ref_span_of_brackets(table, series[-1], series[-1])
+        if len(nxt) == len(series[-1]):
+            break
+        series.append(nxt)
+    return series
+
+
+def _ref_centralizer(table, vectors):
+    n = len(table)
+    rows = [[_ref_bracket(table, e, v)[k] for e in _units(n)]
+            for v in vectors for k in range(n)]
+    return kernel(Mat(rows)) if rows else span_basis(_units(n))
+
+
+def _typed_vec(v):
+    return [(type(c), c) for c in v]
+
+
+def _typed_rows(rows):
+    return [_typed_vec(r) for r in rows]
+
+
+_small = st.integers(-3, 3)
+_fraction = st.builds(Fraction, _small, st.integers(1, 3))
+
+
+@st.composite
+def _algebras(draw):
+    """An antisymmetric table, with Fraction entries or with plain ints
+    kept as given; the Jacobi identity is not needed by these formulas."""
+    n = draw(st.integers(1, 5))
+    ints = draw(st.booleans())
+    entry = _small if ints else st.one_of(st.just(Fraction(0)), _fraction)
+    zero = 0 if ints else Fraction(0)
+    table = [[(zero,) * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                v = tuple(draw(entry) for _ in range(n))
+                table[i][j] = v
+                table[j][i] = tuple(-c for c in v)
+    return LieAlgebra(n, table)
+
+
+def _vectors(n):
+    scalar = st.one_of(st.just(0), _small, _fraction,
+                       st.builds(GaussRat, _small, _small))
+    return st.lists(scalar, min_size=n, max_size=n).map(tuple)
+
+
+@seed(20261018)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_structure_constants_match_dense_formulas(data):
+    g = data.draw(_algebras())
+    n, t = g.dim, g.table
+    x, y = data.draw(_vectors(n)), data.draw(_vectors(n))
+    assert _typed_vec(g.bracket(x, y)) == _typed_vec(_ref_bracket(t, x, y))
+    assert _typed_rows(g.ad(x).rows) == _typed_rows(_ref_ad(t, x).rows)
+    assert (_typed_rows(g.killing_matrix().rows)
+            == _typed_rows(_ref_killing(t).rows))
+    units = _units(n)
+    assert (_typed_rows(g.derived_algebra())
+            == _typed_rows(_ref_span_of_brackets(t, units, units)))
+    assert ([_typed_rows(s) for s in g.derived_series()]
+            == [_typed_rows(s) for s in _ref_derived_series(t)])
+    for vectors in ([], [x], [x, y], g.basis()):
+        assert (_typed_rows(g.centralizer(vectors))
+                == _typed_rows(_ref_centralizer(t, vectors)))
+
+
+# -- nothing is remembered between calls -----------------------------------------
+
+def test_an_algebra_keeps_only_its_table_and_its_index(sl2, e2, h3):
+    assert set(LieAlgebra.__slots__) == {"dim", "table", "names", "_terms"}
+    for g in (sl2, e2, h3):
+        before = tuple(getattr(g, name) for name in LieAlgebra.__slots__)
+        first = (g.is_solvable(), g.killing_matrix(), g.derived_algebra())
+        second = (g.is_solvable(), g.killing_matrix(), g.derived_algebra())
+        assert first == second
+        after = tuple(getattr(g, name) for name in LieAlgebra.__slots__)
+        assert all(a is b for a, b in zip(before, after))

@@ -148,13 +148,16 @@ def test_jordan_chevalley_properties(a):
 @settings(max_examples=30)
 @given(mats(3))
 def test_is_semisimple_mat_agrees_with_jordan_chevalley(a):
-    assert is_semisimple_mat(a) == jordan_chevalley(a)[1].is_zero()
+    assert is_semisimple_mat(a, char_poly(a)) == jordan_chevalley(a)[1].is_zero()
 
 
 def test_is_semisimple_mat_examples():
-    assert not is_semisimple_mat(Mat([[1, 1], [0, 1]]))
-    assert is_semisimple_mat(Mat([[0, -1], [1, 0]]))
-    assert is_semisimple_mat(Mat([[1, 0, 0], [0, 1, 0], [0, 0, 2]]))
+    jordan = Mat([[1, 1], [0, 1]])
+    rotation = Mat([[0, -1], [1, 0]])
+    repeated = Mat([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
+    assert not is_semisimple_mat(jordan, char_poly(jordan))
+    assert is_semisimple_mat(rotation, char_poly(rotation))
+    assert is_semisimple_mat(repeated, char_poly(repeated))
 
 
 def test_solve_and_inverse():
