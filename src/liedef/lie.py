@@ -263,21 +263,21 @@ class LieAlgebra:
         """Materialize a closed subspace as its own algebra.
 
         Returns (algebra, inclusion) where inclusion lists the chosen basis
-        vectors of the parent; coordinates are taken in that list.  A basis
-        of the whole space has the standard rref rows, so its brackets are
-        already coordinates in them.
+        vectors of the parent; coordinates are taken in that list.  Each
+        pair is bracketed once: a bracket without coordinates in the rows
+        means the subspace is not closed.  A basis of the whole space has
+        the standard rref rows, so its brackets are already coordinates in
+        them.
         """
         rows = span_basis(basis)
         if len(rows) == self.dim:
             return LieAlgebra(self.dim, [[self.bracket(a, b) for b in rows]
                                          for a in rows]), rows
-        if not self.is_subalgebra(rows):
-            raise InputError("subspace is not closed under the bracket")
         k = len(rows)
         coords = coords_in_span(rows, [self.bracket(a, b)
                                        for a in rows for b in rows])
         if None in coords:
-            raise InternalCheckError("closed subspace failed to close")
+            raise InputError("subspace is not closed under the bracket")
         table = [coords[i * k:(i + 1) * k] for i in range(k)]
         return LieAlgebra(k, table), rows
 

@@ -3,11 +3,17 @@
 Rationals are `fractions.Fraction` (already normalized, positive denominator).
 Gaussian rationals a + b*i get a small immutable class that interoperates with
 Fraction and int in mixed arithmetic, so matrices and polynomials can be
-written once and instantiated over either field.
+written once and instantiated over either field.  Both parts are always
+Fraction; a part that already is one is kept as it is.  A real operand (int
+or Fraction) is not promoted to a GaussRat: +, -, * and / act on the parts
+with it directly, so a Gaussian times a rational costs two rational
+products.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+
+_REAL = (int, Fraction)
 
 
 def rat(x) -> Fraction:
@@ -33,8 +39,10 @@ class GaussRat:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re",
+                           re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im",
+                           im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
@@ -42,7 +50,7 @@ class GaussRat:
     # -- structure ---------------------------------------------------------
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self.im
 
     def conj(self) -> "GaussRat":
         return GaussRat(self.re, -self.im)
@@ -52,19 +60,12 @@ class GaussRat:
 
     # -- arithmetic ---------------------------------------------------------
 
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, GaussRat):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return GaussRat(x)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussRat(self.re + o.re, self.im + o.im)
+        if isinstance(other, GaussRat):
+            return GaussRat(self.re + other.re, self.im + other.im)
+        if isinstance(other, _REAL):
+            return GaussRat(self.re + other, self.im)
+        return NotImplemented
 
     __radd__ = __add__
 
@@ -72,42 +73,48 @@ class GaussRat:
         return GaussRat(-self.re, -self.im)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussRat(self.re - o.re, self.im - o.im)
+        if isinstance(other, GaussRat):
+            return GaussRat(self.re - other.re, self.im - other.im)
+        if isinstance(other, _REAL):
+            return GaussRat(self.re - other, self.im)
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussRat(o.re - self.re, o.im - self.im)
+        if isinstance(other, _REAL):
+            return GaussRat(other - self.re, -self.im)
+        return NotImplemented
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussRat(self.re * o.re - self.im * o.im,
-                        self.re * o.im + self.im * o.re)
+        if isinstance(other, GaussRat):
+            return GaussRat(self.re * other.re - self.im * other.im,
+                            self.re * other.im + self.im * other.re)
+        if isinstance(other, _REAL):
+            return GaussRat(self.re * other, self.im * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n2 = o.norm2()
-        if n2 == 0:
-            raise ZeroDivisionError("division by zero GaussRat")
-        c = o.conj()
-        num = self * c
-        return GaussRat(num.re / n2, num.im / n2)
+        if isinstance(other, GaussRat):
+            n2 = other.norm2()
+            if n2 == 0:
+                raise ZeroDivisionError("division by zero GaussRat")
+            re, im = other.re, other.im
+            return GaussRat((self.re * re + self.im * im) / n2,
+                            (self.im * re - self.re * im) / n2)
+        if isinstance(other, _REAL):
+            if other == 0:
+                raise ZeroDivisionError("division by zero GaussRat")
+            return GaussRat(self.re / other, self.im / other)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
+        if isinstance(other, _REAL):
+            n2 = self.norm2()
+            if n2 == 0:
+                raise ZeroDivisionError("division by zero GaussRat")
+            return GaussRat(other * self.re / n2, -other * self.im / n2)
+        return NotImplemented
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -124,19 +131,20 @@ class GaussRat:
     # -- comparisons ---------------------------------------------------------
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if isinstance(other, GaussRat):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, _REAL):
+            return not self.im and self.re == other
+        return NotImplemented
 
     def __hash__(self):
         # real values must hash like the Fraction they equal
-        if self.im == 0:
+        if not self.im:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self.re or self.im)
 
     def __repr__(self):
         if self.im == 0:
@@ -149,7 +157,5 @@ class GaussRat:
 
 def gauss(x) -> GaussRat:
     """Coerce int / Fraction / GaussRat to GaussRat."""
-    if isinstance(x, GaussRat):
-        return x
-    return GaussRat(Fraction(x))
+    return x if isinstance(x, GaussRat) else GaussRat(x)
 

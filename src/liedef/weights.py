@@ -5,20 +5,26 @@ The recursion is the classical one: split off a codimension-one ideal
 containing the derived subalgebra, take its joint eigenspace, and extend the
 character by an eigenvalue of the leftover direction acting on that space.
 It is run flat: the chain of such ideals is built once per module and each
-peel of a common eigenvector walks it from its smallest ideal up.
-The invariance of the eigenspace under the whole algebra (the trace argument
-behind Lie's theorem, valid in characteristic zero) is not taken on faith: it
-is rechecked on every restriction, so misuse on a non-solvable action fails
-loudly instead of returning garbage.
+peel of a common eigenvector walks it from its smallest ideal up.  The first
+level of that walk acts on the whole module, so it reads the action as it
+is; every later level restricts the action to the eigenspace found so far.
+The invariance of that eigenspace under the whole algebra (the trace
+argument behind Lie's theorem, valid in characteristic zero) is not taken on
+faith: it is rechecked on every restriction, so misuse on a non-solvable
+action fails loudly instead of returning garbage.  Each peel quotients the
+module by its eigenvector in closed form (m[j][l] - w_j m[p][l] once w_p is
+scaled to 1), without building or inverting a change of basis.
 
 weight_flag is the one peel: it returns the flag of eigenvectors and the
 character of each step.  module_weights tabulates those characters, and a
 real flag of ideals is the adjoint weight_flag of an algebra whose weights
 are real.  Every eigenvalue is picked by one rule: the least real root when
-there is one, else the least root in Q(i).  Everything runs over the fixed
+there is one, else the least root in Q(i); a 1x1 matrix is read as its own
+eigenvalue, with no characteristic polynomial.  Everything runs over the fixed
 tower Q < Q(i), real first: the peel runs over Q and lifts to Q(i) in place
 at the first nonreal eigenvalue it picks, so a module with real weights
-never pays for Gaussian arithmetic.  When a needed eigenvalue lives outside
+never pays for Gaussian arithmetic (a character whose eigenvalues are all
+real is contracted over Q as well).  When a needed eigenvalue lives outside
 the tower, the computation returns Indeterminate rather than guessing.
 Characters are value rows against the acting algebra's basis: char[j] is the
 character evaluated on basis element j.
@@ -81,8 +87,11 @@ def _complete_hyperplane(alg: LieAlgebra):
 def _pick_root(b: Mat):
     """The least real eigenvalue of b, else its least one in Q(i), else None.
 
-    gaussian_roots sorts its roots by (re, im), so both are first matches.
+    A 1x1 matrix is its own eigenvalue.  gaussian_roots sorts its roots by
+    (re, im), so both are first matches.
     """
+    if b.nrows == 1:
+        return gauss(b.rows[0][0])
     roots = [lam for lam, _ in gaussian_roots(char_poly(b))[0]]
     return next((lam for lam in roots if lam.is_real()),
                 roots[0] if roots else None)
@@ -110,33 +119,39 @@ def _ideal_chain(alg: LieAlgebra):
     return dirs, inverse(Mat.from_cols(dirs))
 
 
-def common_eigenspace(chain, mats, space):
+def common_eigenspace(chain, mats, scalar):
     """One joint character of the action and its full common eigenspace.
 
-    chain is _ideal_chain of the acting algebra and mats its action, one
-    matrix per basis element; space is a basis of an invariant subspace of
-    the module.  Walking the chain from its smallest ideal up, each
-    direction z_k cuts the space down to one of its eigenspaces on the
-    common eigenspace of g_{k+1}, which g_k leaves invariant, picking its
-    eigenvalue by _pick_root.  Returns (char_row, eigenspace_basis), or an
+    chain is _ideal_chain of the acting algebra and mats its action on the
+    whole module, one matrix per basis element, over the field of scalar
+    (Fraction for Q, gauss for Q(i)).  Walking the chain from its smallest
+    ideal up, each direction z_k cuts the space down to one of its
+    eigenspaces on the common eigenspace of g_{k+1}, which g_k leaves
+    invariant, picking its eigenvalue by _pick_root.  At the first level
+    that space is the whole module, so the action of z_n is read as it is;
+    every later level restricts the action to the space found so far, which
+    checks its invariance.  Returns (char_row, eigenspace_basis), or an
     Indeterminate when some restriction has no eigenvalue in Q(i).
 
-    The space may be over Q or Q(i).  A nonreal eigenvalue lifts the
-    restricted matrix and the space to Q(i) where it appears, and the
-    eigenspace comes back over Q(i) from then on.
+    A nonreal eigenvalue over Q lifts the matrix and the space to Q(i) where
+    it appears, and the eigenspace comes back over Q(i) from then on, every
+    entry a GaussRat.
     """
     dirs, inv_z = chain
-    if not space:
+    n = mats[0].nrows
+    if not n:
         raise InternalCheckError("empty module in eigenvector recursion")
-    w = list(space)
+    w = None
     lams = []
     for z in reversed(dirs):
-        try:
-            b = restrict_to_span(mat_lincomb(z, mats, mats[0].nrows), w)
-        except InputError:
-            raise InternalCheckError(
-                "joint eigenspace is not invariant; the action is not from a "
-                "solvable family") from None
+        b = mat_lincomb(z, mats, n)
+        if w is not None:
+            try:
+                b = restrict_to_span(b, w)
+            except InputError:
+                raise InternalCheckError(
+                    "joint eigenspace is not invariant; the action is not "
+                    "from a solvable family") from None
         lam = _pick_root(b)
         if lam is None:
             return Indeterminate(
@@ -146,42 +161,54 @@ def common_eigenspace(chain, mats, space):
             mu = lam.re
         else:
             mu = lam
+            scalar = gauss
             b = b.map(gauss)
-            w = [tuple(gauss(x) for x in v) for v in w]
-        eig_coords = kernel(b - mu * Mat.identity(len(w)))
+            if w is not None:
+                w = [tuple(gauss(x) for x in v) for v in w]
+        eig_coords = kernel(b - mu * Mat.identity(b.nrows))
         if not eig_coords:
             raise InternalCheckError("chosen eigenvalue has no eigenvector")
-        w = [lincomb(k, w, len(space[0])) for k in eig_coords]
+        if w is not None:
+            w = [lincomb(k, w, n) for k in eig_coords]
+        elif scalar is gauss:
+            w = [tuple(gauss(x) for x in k) for k in eig_coords]
+        else:
+            w = eig_coords
         lams.append(lam)
     lams.reverse()
-    n = len(dirs)
-    char = tuple(sum((lams[k] * inv_z.rows[k][j] for k in range(n)),
-                     gauss(0)) for j in range(n))
+    if all(lam.is_real() for lam in lams):
+        # the same values as over Q(i), without Gaussian products
+        lams = [lam.re for lam in lams]
+    char = tuple(gauss(sum((lam * r[j] for lam, r in zip(lams, inv_z.rows)
+                            if r[j]), Fraction(0)))
+                 for j in range(len(dirs)))
     return char, w
 
 
-def _units(d, scalar):
-    return [tuple(scalar(int(i == j)) for j in range(d)) for i in range(d)]
-
-
-def _peel_quotient(mats, w, scalar):
+def _peel_quotient(mats, w):
     """Quotient the module by the invariant line spanned by w.
 
-    Returns the induced matrices and the basis-change matrix T whose columns
-    are (w, completion); quotient coordinates are the completion columns,
-    unit vectors built with scalar (Fraction or gauss).
+    Scaled so that its first nonzero entry w_p is 1, w completes to the
+    basis (w, e_j for j != p), whose inverse sends x to (x_p, x_j - w_j
+    x_p).  The induced matrix of m is therefore m[j][l] - w_j m[p][l] for
+    j, l != p, in the coordinates e_j, j != p: no inverse and no product.
+    An entry the line does not change (w_j or m[p][l] is 0) keeps its type.
+    Returns the induced matrices and p.
     """
-    rows = span_basis([w])
-    pivot = next(j for j, c in enumerate(rows[0]) if c)
-    units = _units(len(w), scalar)
-    completion = [rows[0]] + units[:pivot] + units[pivot + 1:]
-    t = Mat.from_cols(completion)
-    inv_t = inverse(t)
+    p = next(j for j, c in enumerate(w) if c)
+    wp = w[p]
+    scaled = [(j, c / wp) for j, c in enumerate(w) if c and j != p]
     out = []
     for m in mats:
-        conj = inv_t @ m @ t
-        out.append(Mat([r[1:] for r in conj.rows[1:]]))
-    return out, t
+        rows = [list(r) for r in m.rows]
+        nz_p = [(l, y) for l, y in enumerate(rows[p]) if y and l != p]
+        for j, c in scaled:
+            row = rows[j]
+            for l, y in nz_p:
+                row[l] = row[l] - c * y
+        del rows[p]
+        out.append(Mat([r[:p] + r[p + 1:] for r in rows]))
+    return out, p
 
 
 def weight_flag(alg: LieAlgebra, mats):
@@ -205,7 +232,7 @@ def weight_flag(alg: LieAlgebra, mats):
     chars = []
     lift = Mat.identity(cur[0].nrows)
     while cur[0].nrows > 0:
-        res = common_eigenspace(chain, cur, _units(cur[0].nrows, scalar))
+        res = common_eigenspace(chain, cur, scalar)
         if isinstance(res, Indeterminate):
             return res
         char, eig = res
@@ -216,9 +243,8 @@ def weight_flag(alg: LieAlgebra, mats):
             lift = lift.map(gauss)
         flag_vecs.append(tuple(lift @ w))
         chars.append(char)
-        cur, t = _peel_quotient(cur, w, scalar)
-        if t.ncols > 1:
-            lift = lift @ Mat.from_cols([t.col(j) for j in range(1, t.ncols)])
+        cur, p = _peel_quotient(cur, w)
+        lift = Mat([r[:p] + r[p + 1:] for r in lift.rows])
     return flag_vecs, chars
 
 

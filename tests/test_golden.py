@@ -10,6 +10,12 @@ in flag_tbc_digests.json (the result status where there is no
 certificate).  A change that alters these bytes on purpose says why in
 CHANGES.md and rewrites the three files with
 `PYTHONPATH=src python tests/test_golden.py`.
+
+JSON cannot tell an int, a Fraction and a real GaussRat apart, so the
+weight peel under those certificates is pinned on its own: WEIGHT_FLAG_DIGESTS
+holds the SHA-256 of a typed dump of weight_flag on a few adjoint actions and
+one module, every entry written with its type (and a GaussRat with the types
+of its parts).
 """
 import hashlib
 import json
@@ -19,13 +25,27 @@ from liedef.certs import emit_flag, emit_representation, emit_tbc, emit_verdict
 from liedef.corpus import corpus
 from liedef.definability import (GroupPresentation, definability_oracle,
                                  supersolvable_test, tbc_find)
+from liedef.errors import Indeterminate
 from liedef.lie import LieAlgebra
+from liedef.linalg import Mat
 from liedef.reps import supersolvable_triangular_rep
+from liedef.scalars import GaussRat
+from liedef.weights import weight_flag
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DIGESTS = os.path.join(HERE, "verdict_digests.json")
 REP_DIGESTS = os.path.join(HERE, "representation_digests.json")
 FLAG_TBC_DIGESTS = os.path.join(HERE, "flag_tbc_digests.json")
+WEIGHT_FLAG_DIGESTS = {
+    "axb": "aa1a27fb6eb29583273554d85fa7af7d01689c4bfacd3e98e2a6cf7cf2bb8b7d",
+    "e2": "cdfda5c615bbac2a6a06c793a6917815e772cd7eafb168d8bcd5de64e9f5461f",
+    "h3+aff":
+        "3ae41ed890a0857149abf9b5234f1baca7d7409e019fb4eae034d0c0e7a28530",
+    "rotation-module":
+        "e38609b77fa6305dbee1bcf48db0ead3849578f5fef3026b07489d18d6b174a6",
+    "sqrt2":
+        "6627c5d1d48d90a9da24b5de87d253945c1db28d8b52105f62e4d1bdcfc7a2b3",
+}
 PRESENTATIONS = (("simply-connected", False), ("linear", False),
                  ("abstract", False), ("abstract", True))
 
@@ -89,6 +109,47 @@ def flag_tbc_digests():
     return out
 
 
+def _typed(x):
+    if isinstance(x, GaussRat):
+        return ["GaussRat", repr(x), type(x.re).__name__, type(x.im).__name__]
+    return [type(x).__name__, repr(x)]
+
+
+def weight_flag_inputs():
+    """(name, algebra, action) for every pinned weight_flag call: the adjoints
+    of a x b, e(2), h3 + aff(1) and an algebra whose weights are +-sqrt(2),
+    and one 3-dimensional module of the line with a real and two nonreal
+    weights."""
+    algebras = [
+        ("axb", LieAlgebra.from_entries(2, {(0, 1): (0, 1)})),
+        ("e2", LieAlgebra.from_entries(3, {(0, 2): (0, -1, 0),
+                                           (1, 2): (1, 0, 0)})),
+        ("h3+aff", LieAlgebra.from_entries(
+            5, {(0, 1): (0, 0, 1, 0, 0), (3, 4): (0, 0, 0, 0, 1)})),
+        ("sqrt2", LieAlgebra.from_entries(
+            3, {(2, 0): (0, 1, 0), (2, 1): (2, 0, 0)})),
+    ]
+    out = [(name, g, [g.ad(g.basis_vector(i)) for i in range(g.dim)])
+           for name, g in algebras]
+    out.append(("rotation-module", LieAlgebra.from_entries(1, {}),
+                [Mat([[-1, 0, 0], [0, 0, -1], [0, 1, 0]])]))
+    return out
+
+
+def weight_flag_digests():
+    out = {}
+    for name, g, mats in weight_flag_inputs():
+        res = weight_flag(g, mats)
+        if isinstance(res, Indeterminate):
+            dump = ["Indeterminate", res.reason]
+        else:
+            flag, chars = res
+            dump = [[[_typed(c) for c in v] for v in flag],
+                    [[_typed(c) for c in row] for row in chars]]
+        out[name] = _digest(dump)
+    return out
+
+
 def _assert_digests(path, got):
     with open(path) as f:
         want = json.load(f)
@@ -107,6 +168,10 @@ def test_representation_certificate_bytes_are_unchanged():
 
 def test_flag_and_tbc_certificate_bytes_are_unchanged():
     _assert_digests(FLAG_TBC_DIGESTS, flag_tbc_digests())
+
+
+def test_typed_weight_flag_outputs_are_unchanged():
+    assert weight_flag_digests() == WEIGHT_FLAG_DIGESTS
 
 
 if __name__ == "__main__":

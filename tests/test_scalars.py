@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from liedef.scalars import GaussRat, gauss, rat, rat_str
@@ -58,3 +58,70 @@ def test_gauss_coercion_and_realness():
     assert GaussRat(2, 0).is_real()
     assert not GaussRat(0, 1).is_real()
 
+
+
+# -- real operands act on the parts ------------------------------------------
+
+def _typed(z):
+    assert type(z) is GaussRat
+    return (type(z.re), z.re, type(z.im), z.im)
+
+
+def _promoted(y):
+    return y if isinstance(y, GaussRat) else GaussRat(Fraction(y), Fraction(0))
+
+
+def _ref(op, a, b):
+    """a op b after promoting both to GaussRat, written on the parts."""
+    a, b = _promoted(a), _promoted(b)
+    if op == "+":
+        re, im = a.re + b.re, a.im + b.im
+    elif op == "-":
+        re, im = a.re - b.re, a.im - b.im
+    elif op == "*":
+        re, im = a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re
+    else:
+        n2 = b.re * b.re + b.im * b.im
+        if n2 == 0:
+            raise ZeroDivisionError("division by zero GaussRat")
+        re = (a.re * b.re - a.im * -b.im) / n2
+        im = (a.re * -b.im + a.im * b.re) / n2
+    return (Fraction, re, Fraction, im)
+
+
+_OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+        "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+_parts = st.one_of(st.just(Fraction(0)), rationals)
+_operands = st.one_of(st.integers(-20, 20), _parts,
+                      st.builds(GaussRat, _parts, _parts))
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None)
+@given(st.builds(GaussRat, _parts, _parts), _operands)
+def test_mixed_arithmetic_matches_promoting_the_operand(x, y):
+    for op, fn in _OPS.items():
+        for a, b in ((x, y), (y, x)):
+            try:
+                want = _ref(op, a, b)
+            except ZeroDivisionError as exc:
+                want = ("ZeroDivisionError", str(exc))
+            try:
+                got = _typed(fn(a, b))
+            except ZeroDivisionError as exc:
+                got = ("ZeroDivisionError", str(exc))
+            assert got == want, (a, op, b)
+    assert (x == y) == (x == _promoted(y))
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+def test_parts_are_always_fractions():
+    f = Fraction(3, 4)
+    for z in (GaussRat(2), GaussRat("3/4"), GaussRat(f), GaussRat(-1, "1/2"),
+              GaussRat(f, 5), GaussRat()):
+        assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert GaussRat(f).re is f
+    assert GaussRat("3/4") == GaussRat(f) == f
+    assert GaussRat(0, 2).is_real() is False
+    assert GaussRat(2, 0).is_real() is True

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from liedef import weights
@@ -10,7 +10,7 @@ from liedef.errors import Indeterminate, InputError, InternalCheckError
 from liedef.lie import LieAlgebra
 from liedef.linalg import Mat, block_diag, det, inverse, span_basis
 from liedef.reps import supersolvable_triangular_rep
-from liedef.scalars import GaussRat
+from liedef.scalars import GaussRat, gauss
 from liedef.weights import adjoint_weights, module_weights, weight_flag
 
 
@@ -156,25 +156,25 @@ def test_real_flag_values_are_rational(axb):
             assert getattr(c, "im", 0) == 0
 
 
-def _record_restrictions(monkeypatch):
-    """Wrap the peel's restriction routine; the returned list gets, per
-    call, whether its matrix or basis held a GaussRat."""
+def _record_levels(monkeypatch):
+    """Wrap the peel's eigenvalue pick, which sees the matrix of every chain
+    level before any lift; the returned list gets, per call, whether that
+    matrix held a GaussRat."""
     seen = []
-    inner = weights.restrict_to_span
+    inner = weights._pick_root
 
-    def wrapped(a, basis):
-        entries = list(a.flatten()) + [x for v in basis for x in v]
-        seen.append(any(isinstance(x, GaussRat) for x in entries))
-        return inner(a, basis)
+    def wrapped(b):
+        seen.append(any(isinstance(x, GaussRat) for x in b.flatten()))
+        return inner(b)
 
-    monkeypatch.setattr(weights, "restrict_to_span", wrapped)
+    monkeypatch.setattr(weights, "_pick_root", wrapped)
     return seen
 
 
 def test_real_modules_are_peeled_over_q(monkeypatch):
     # h3 + aff(1): weight_flag on the adjoint and on the extended module, and
     # module_weights on the nilradical's module, all with real weights
-    seen = _record_restrictions(monkeypatch)
+    seen = _record_levels(monkeypatch)
     g = LieAlgebra.from_entries(5, {(0, 1): (0, 0, 1, 0, 0),
                                     (3, 4): (0, 0, 0, 0, 1)})
     flag, _ = weight_flag(g, [g.ad(g.basis_vector(i)) for i in range(5)])
@@ -186,7 +186,7 @@ def test_real_modules_are_peeled_over_q(monkeypatch):
 def test_peel_lifts_to_q_i_at_the_first_nonreal_eigenvalue(monkeypatch):
     # -1 sorts before -i and i, so the first peel is real; the second picks
     # -i on the rational rotation block and lifts, the third runs over Q(i)
-    seen = _record_restrictions(monkeypatch)
+    seen = _record_levels(monkeypatch)
     g = LieAlgebra.from_entries(1, {})
     table = module_weights(g, [Mat([[-1, 0, 0], [0, 0, -1], [0, 1, 0]])])
     assert seen == [False, False, True]
@@ -239,3 +239,57 @@ def test_module_weights_do_not_depend_on_the_basis(case, data):
     p_inv = inverse(p)
     table = module_weights(alg, mats)
     assert module_weights(alg, [p_inv @ m @ p for m in mats]) == table
+
+
+@st.composite
+def planted_lines(draw):
+    """Matrices over Q or Q(i) sharing the invariant line w: P B P^-1 with
+    P's first column w and B's first column lambda * e_0.  Every entry has
+    the field's type, Fraction or GaussRat, as weight_flag keeps them."""
+    n = draw(st.integers(2, 4))
+    scalar = draw(st.sampled_from((Fraction, gauss)))
+    if scalar is Fraction:
+        entry = ratios
+    else:
+        entry = st.builds(GaussRat, small, small)
+    w = tuple(draw(st.lists(entry, min_size=n, max_size=n)))
+    assume(any(w))
+    p = Mat([[w[i]] + [draw(entry) for _ in range(n - 1)] for i in range(n)])
+    assume(det(p) != 0)
+    p_inv = inverse(p)
+    mats = []
+    for _ in range(draw(st.integers(1, 2))):
+        b = Mat([[draw(entry) if j or not i else 0 for j in range(n)]
+                 for i in range(n)])
+        mats.append((p @ b @ p_inv).map(scalar))
+    return scalar, mats, tuple(scalar(c) for c in w)
+
+
+def _dense_quotient(m, w, scalar):
+    """Lower-right block of inverse(T) @ m @ T, T = (w / w_p, e_j for j !=
+    p), every sum started from scalar(0)."""
+    n = len(w)
+    p = next(j for j, c in enumerate(w) if c)
+    u = [c / w[p] for c in w]
+    cols = [u] + [[scalar(int(i == j)) for i in range(n)]
+                  for j in range(n) if j != p]
+    t = Mat.from_cols(cols)
+    t_inv = inverse(t)
+    return [[sum((t_inv[j, a] * m[a, b] * t[b, l]
+                  for a in range(n) for b in range(n)), scalar(0))
+             for l in range(1, n)] for j in range(1, n)]
+
+
+@seed(20261019)
+@settings(max_examples=60, deadline=None)
+@given(planted_lines())
+def test_peel_quotient_matches_the_dense_conjugation(case):
+    scalar, mats, w = case
+    for m in mats:
+        assert len(span_basis([w, m @ w])) == 1
+    got, p = weights._peel_quotient(mats, w)
+    assert p == next(j for j, c in enumerate(w) if c)
+    for m, q in zip(mats, got):
+        assert ([[(type(x), x) for x in r] for r in q.rows]
+                == [[(type(x), x) for x in r]
+                    for r in _dense_quotient(m, w, scalar)])
