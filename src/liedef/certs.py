@@ -343,6 +343,8 @@ def _check_verdict(payload, alg: LieAlgebra) -> CertReport:
 
     cert_raw = payload.get("certificate")
     if cert_raw is not None:
+        if not isinstance(cert_raw, dict):
+            return _fail("shape", "certificate must be an object")
         try:
             cert = _decode_tbc(cert_raw, sub.dim)
             report = tbc_verify(sub, cert)
@@ -407,11 +409,12 @@ def verify_certificate(cert, algebra: LieAlgebra | None = None,
     """
     if not isinstance(cert, dict):
         return _fail("schema", "certificate must be a JSON object")
-    if cert.get("schema") != SCHEMA_VERSION:
-        return _fail("schema", "unsupported schema version %r"
-                     % (cert.get("schema"),))
+    schema = cert.get("schema")
+    # a version is an integer: true and 1.0 equal 1 in Python but are not it
+    if type(schema) is not int or schema != SCHEMA_VERSION:
+        return _fail("schema", "unsupported schema version %r" % (schema,))
     kind = cert.get("kind")
-    if kind not in KNOWN_KINDS:
+    if not isinstance(kind, str) or kind not in KNOWN_KINDS:
         return _fail("schema", "unknown certificate kind %r" % (kind,))
     payload = cert.get("payload")
     if not isinstance(payload, dict):

@@ -328,14 +328,30 @@ def _read_weights_file(path):
     return tuple(tuple(r) for r in rows)
 
 
+def _weights_subject(path):
+    return {"weights": _read_weights_file(path)}
+
+
+def _algebra_subject(path):
+    alg, mats, _ = _load(path)
+    return {"algebra": alg, "matrices": mats}
+
+
 def _cmd_verify_cert(args):
     cert = load_certificate(args.cert)
+    readers = [_algebra_subject, _weights_subject]
     if cert.get("kind") == KIND_TORUS:
-        rows = _read_weights_file(args.subject)
-        report = verify_certificate(cert, weights=rows)
-    else:
-        alg, mats, _ = _load(args.subject)
-        report = verify_certificate(cert, algebra=alg, matrices=mats)
+        readers.reverse()
+    try:
+        subject = readers[0](args.subject)
+    except InputError as first:
+        # a subject of the other kind is read, and the "subject" clause
+        # rejects the certificate; a file that is neither is bad input
+        try:
+            subject = readers[1](args.subject)
+        except InputError:
+            raise first
+    report = verify_certificate(cert, **subject)
     if report.ok:
         print("certificate verified: %s" % cert.get("kind"))
         return 0

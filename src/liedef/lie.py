@@ -250,9 +250,14 @@ class LieAlgebra:
         return len(self.lower_central_series()) - 1
 
     def is_ideal(self, basis) -> bool:
+        """True iff [e_i, b] stays in the span for every e_i and row b: one
+        elimination over all the brackets; the whole space is an ideal."""
         rows = span_basis(basis)
-        return all(in_span(rows, self.bracket(_unit(self.dim, i), b))
-                   for i in range(self.dim) for b in rows)
+        if len(rows) == self.dim:
+            return True
+        return None not in coords_in_span(
+            rows, [self.bracket(_unit(self.dim, i), b)
+                   for i in range(self.dim) for b in rows])
 
     def is_subalgebra(self, basis) -> bool:
         rows = span_basis(basis)

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over Fraction and GaussRat entries.
+"""Exact linear algebra over Fraction and GaussRat entries.
 
 Everything downstream (brackets, flags, certificates, representations) runs on
 this layer, so the expensive invariants are checked where they are cheap to
@@ -8,6 +8,11 @@ they are returned.  Yes/no questions about one matrix are asked directly:
 is_nilpotent_mat takes a power, and is_semisimple_mat evaluates the
 squarefree part of the characteristic polynomial, without building a
 Jordan decomposition.
+
+Matrices are dense.  The one exception is solve_sparse, which takes a large
+system that is mostly zero as {column: coefficient} rows and answers all of
+its right-hand sides and its null space in one elimination; rref, solve and
+kernel serve every small dense system.
 """
 from __future__ import annotations
 
@@ -289,6 +294,98 @@ def solve(a: Mat, b):
     for i, pc in enumerate(pivots):
         x[pc] = R.rows[i][nc]
     return tuple(x)
+
+
+def solve_sparse(rows, ncols: int, rhs):
+    """Every particular solution and the null space of one sparse system.
+
+    rows lists the equations as {column: coefficient} dicts that hold only
+    nonzero coefficients (an empty dict is a zero row); rhs lists the
+    right-hand sides, each with one entry per row.  Returns (solutions,
+    null): solutions[k] is what solve gives for the dense matrix of the
+    rows and rhs[k], None when that system is inconsistent, and null is
+    what kernel gives.
+
+    One Gauss-Jordan elimination serves all of them.  Each row is reduced
+    by the pivot rows kept so far, which are zero in every pivot column but
+    their own, and then pivots on its least column, which is cleared from
+    the earlier pivot rows.  So every pivot row leads with its pivot and the
+    rows kept are the reduced echelon form, which is unique: the values
+    agree with the dense rref whichever row supplies each pivot.  A row
+    that reduces to zero leaves a combination of right-hand sides that must
+    vanish; each one it leaves nonzero is inconsistent.  Free variables are
+    zero in the particular solutions, and an int pivot is divided through
+    _field, both as in solve.
+    """
+    n_rows = len(rows)
+    if any(len(b) != n_rows for b in rhs):
+        raise ValueError("shape mismatch")
+    pivots = {}          # pivot column -> [row with 1 there, rhs entries]
+    bad = set()
+    for eq, b in zip(rows, zip(*rhs) if rhs else [()] * n_rows):
+        row = dict(eq)
+        b = list(b)
+        for c in [c for c in row if c in pivots]:
+            f = row.pop(c)
+            prow, pb = pivots[c]
+            _sparse_axpy(row, f, prow, c)
+            for k, y in enumerate(pb):
+                if y:
+                    b[k] = b[k] - f * y
+        if not row:
+            bad.update(k for k, x in enumerate(b) if x)
+            continue
+        p = min(row)
+        inv = _field(row[p])
+        if inv != 1:
+            row = {j: v / inv for j, v in row.items()}
+            b = [x / inv if x else x for x in b]
+        for qrow, qb in pivots.values():
+            f = qrow.pop(p, None)
+            if f is not None:
+                _sparse_axpy(qrow, f, row, p)
+                for k, y in enumerate(b):
+                    if y:
+                        qb[k] = qb[k] - f * y
+        pivots[p] = [row, b]
+
+    zero = Fraction(0)
+    solutions = []
+    for k in range(len(rhs)):
+        if k in bad:
+            solutions.append(None)
+            continue
+        x = [zero] * ncols
+        for c, (_, b) in pivots.items():
+            x[c] = b[k]
+        solutions.append(tuple(x))
+    # the entries of a reduced pivot row off its pivot are all free columns
+    free = {c: i for i, c in
+            enumerate(c for c in range(ncols) if c not in pivots)}
+    null = [[zero] * ncols for _ in free]
+    for c, i in free.items():
+        null[i][c] = Fraction(1)
+    for c, (row, _) in pivots.items():
+        for j, v in row.items():
+            if j != c:
+                null[free[j]][c] = -v
+    return solutions, [tuple(v) for v in null]
+
+
+def _sparse_axpy(row, f, prow, skip):
+    """row -= f * prow over the columns of prow but skip, in place, keeping
+    only nonzero entries."""
+    for j, v in prow.items():
+        if j != skip:
+            x = row.get(j)
+            if x is None:
+                row[j] = -(f * v)
+            else:
+                x = x - f * v
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
 
 
 def inverse(a: Mat) -> Mat:

@@ -18,7 +18,7 @@ from .errors import (Indeterminate, InputError, InternalCheckError,
 from .lie import LieAlgebra
 from .linalg import (Mat, block_diag, coords_in_span, intersect_spans,
                      inverse, is_nilpotent_mat, kernel, kron, mat_lincomb,
-                     restrict_to_span, solve, span_basis)
+                     restrict_to_span, solve, solve_sparse, span_basis)
 from .scalars import GaussRat
 from .structure import nilradical
 from .weights import weight_flag
@@ -313,30 +313,38 @@ def supersolvable_triangular_rep(t: LieAlgebra) -> Representation:
 # -- extension from an ideal -----------------------------------------------------
 
 def _commutator_system(rho_images, d):
-    """Matrix of M -> ([M, R_a])_a over row-major flattened unknowns.
+    """Sparse rows of M -> ([M, R_a])_a over row-major flattened unknowns.
 
     Unknown p*d + q is the entry M[p][q]; row (a, r, c) is entry (r, c) of
-    [M, R_a], and [E_pq, R]_rc = delta_rp R[q][c] - R[r][p] delta_cq.
+    [M, R_a], and [E_pq, R]_rc = delta_rp R[q][c] - R[r][p] delta_cq.  Each
+    row is a {unknown: coefficient} dict with only nonzero coefficients, as
+    solve_sparse takes it; a zero row stays, as an empty dict, because its
+    right-hand side must vanish.
     """
-    zero = Fraction(0)
     rows = []
     for r_a in rho_images:
         rr = r_a.rows
+        by_col = [[(q, rr[q][c]) for q in range(d) if rr[q][c]]
+                  for c in range(d)]
+        by_row = [[(p, x) for p, x in enumerate(rr[r]) if x]
+                  for r in range(d)]
         for r in range(d):
             for c in range(d):
-                row = [zero] * (d * d)
-                for q in range(d):
-                    row[r * d + q] = rr[q][c]
-                for p in range(d):
-                    if rr[r][p]:
-                        row[p * d + c] = row[p * d + c] - rr[r][p]
+                row = {r * d + q: x for q, x in by_col[c]}
+                for p, x in by_row[r]:
+                    j = p * d + c
+                    v = row[j] - x if j in row else -x
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
                 rows.append(row)
-    return Mat(rows)
+    return rows
 
 
-def _closure_holds(g, basis_vectors, images):
-    full = Mat.from_cols(basis_vectors)
-    tinv = inverse(full)
+def _closure_holds(g, basis_vectors, images, tinv):
+    """Whether the images close under the bracket on the basis vectors;
+    tinv is the inverse of the matrix with those vectors as columns."""
     for i in range(len(basis_vectors)):
         for j in range(i + 1, len(basis_vectors)):
             br = g.bracket(basis_vectors[i], basis_vectors[j])
@@ -357,9 +365,11 @@ def extend_rep(g: LieAlgebra, h_rows, rho: Representation) -> Representation:
     leave Q(i) are decided too.
 
     Unknown images for a complement are pinned by the linear layer
-    [sigma(x), rho(y)] = rho([x, y]) (one particular solution plus commutant
-    freedom), then the commutant parameters are searched by coordinate
-    descent for bracket closure among the complement images.  One trivial
+    [sigma(x), rho(y)] = rho([x, y]): its commutator system, written as
+    sparse rows, is eliminated once for the particular solution of every
+    complement vector and the commutant freedom they share.  Then the
+    commutant parameters are searched by coordinate descent for bracket
+    closure among the complement images.  One trivial
     target block may be appended before giving up.  The result extends rho
     literally on the ideal and is faithful there; anything the solver cannot
     verify becomes UnsupportedError.
@@ -395,10 +405,12 @@ def extend_rep(g: LieAlgebra, h_rows, rho: Representation) -> Representation:
             rows.append(u)
             comp.append(u)
 
-    attempt = _solve_extension(g, incl, comp, list(rho.images))
+    # the basis change to incl + comp serves both attempts and the result
+    tinv = inverse(Mat.from_cols(incl + comp))
+    attempt = _solve_extension(g, incl, comp, list(rho.images), tinv)
     if attempt is None:
         enlarged = [block_diag([m, Mat.zeros(1, 1)]) for m in rho.images]
-        attempt = _solve_extension(g, incl, comp, enlarged)
+        attempt = _solve_extension(g, incl, comp, enlarged, tinv)
         if attempt is None:
             raise UnsupportedError(
                 "no closed extension found in the commutant search")
@@ -408,8 +420,6 @@ def extend_rep(g: LieAlgebra, h_rows, rho: Representation) -> Representation:
     comp_images = attempt
 
     d = rho_images[0].nrows if rho_images else comp_images[0].nrows
-    full = Mat.from_cols(incl + comp)
-    tinv = inverse(full)
     all_images = rho_images + comp_images
     images = tuple(mat_lincomb(tinv @ x, all_images, d) for x in g.basis())
     rep = Representation(g, d, images)
@@ -421,27 +431,34 @@ def extend_rep(g: LieAlgebra, h_rows, rho: Representation) -> Representation:
     return replace(rep, verified=flags)
 
 
-def _solve_extension(g, incl, comp, rho_images):
-    """Particular solutions plus commutant coordinate descent; None if stuck."""
+def _solve_extension(g, incl, comp, rho_images, tinv):
+    """Particular solutions plus commutant coordinate descent; None if stuck.
+
+    The linear layer [sigma(c), rho(y)] = rho([c, y]) over y in incl is one
+    sparse system for every complement vector c: the same commutator rows,
+    one right-hand side per c.  A single elimination (solve_sparse) gives
+    each particular solution and the commutant, the null space, together;
+    if any c has no solution the attempt is None.  tinv is the inverse of
+    the matrix with columns incl + comp.
+    """
     d = rho_images[0].nrows
-    a = _commutator_system(rho_images, d)
-    particular = []
-    for c in comp:
-        rhs = []
-        for coords in coords_in_span(incl, [g.bracket(c, y) for y in incl]):
-            if coords is None:
-                raise InternalCheckError("[g, h] left the ideal")
-            rhs.extend(mat_lincomb(coords, rho_images, d).flatten())
-        sol = solve(a, tuple(rhs))
-        if sol is None:
-            return None
-        particular.append(Mat([sol[r * d:(r + 1) * d] for r in range(d)]))
-    null = [Mat([v[r * d:(r + 1) * d] for r in range(d)])
-            for v in kernel(a)]
+    k = len(incl)
+    coords = coords_in_span(incl, [g.bracket(c, y) for c in comp for y in incl])
+    if None in coords:
+        raise InternalCheckError("[g, h] left the ideal")
+    rhs = []
+    for i in range(len(comp)):
+        flat = []
+        for co in coords[i * k:(i + 1) * k]:
+            flat.extend(mat_lincomb(co, rho_images, d).flatten())
+        rhs.append(flat)
+    sols, kern = solve_sparse(_commutator_system(rho_images, d), d * d, rhs)
+    if None in sols:
+        return None
+    particular = [_unflatten(v, d) for v in sols]
+    null = [_unflatten(v, d) for v in kern]
 
     basis_vectors = incl + comp
-    full = Mat.from_cols(basis_vectors)
-    tinv = inverse(full)
     m = len(comp)
     params = [[Fraction(0)] * len(null) for _ in range(m)]
 
@@ -450,7 +467,7 @@ def _solve_extension(g, incl, comp, rho_images):
 
     for _ in range(4):
         if _closure_holds(g, basis_vectors,
-                          rho_images + [sigma(i) for i in range(m)]):
+                          rho_images + [sigma(i) for i in range(m)], tinv):
             return [sigma(i) for i in range(m)]
         if not null:
             break
@@ -482,9 +499,14 @@ def _solve_extension(g, incl, comp, rho_images):
             if sol is not None:
                 params[i] = list(sol)
     if _closure_holds(g, basis_vectors,
-                      rho_images + [sigma(i) for i in range(m)]):
+                      rho_images + [sigma(i) for i in range(m)], tinv):
         return [sigma(i) for i in range(m)]
     return None
+
+
+def _unflatten(v, d):
+    """The d x d matrix whose row-major entries are v."""
+    return Mat([v[r * d:(r + 1) * d] for r in range(d)])
 
 
 # -- sums -----------------------------------------------------------------------

@@ -26,12 +26,22 @@ class LeviDecomposition:
 
 
 def radical(g: LieAlgebra):
-    """Maximal solvable ideal, as the trace-form orthogonal of [g,g]."""
+    """Maximal solvable ideal, as the trace-form orthogonal of [g,g].
+
+    When that orthogonal is all of g, Cartan's criterion makes g solvable
+    and its own radical: the derived series confirms it, and the ideal and
+    solvability checks of a proper candidate are skipped.
+    """
     derived = g.derived_algebra()
     if not derived:
         return span_basis(g.basis())
     killing = g.killing_matrix()
     rows = [killing @ d for d in derived]
+    if all(is_zero_vec(r) for r in rows):
+        if g.derived_series()[-1]:
+            raise InternalCheckError(
+                "solvability by derived series and by trace form disagree")
+        return span_basis(g.basis())
     rad = span_basis(kernel(Mat(rows)))
     if not g.is_ideal(rad):
         raise InternalCheckError("radical candidate is not an ideal")

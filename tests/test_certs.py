@@ -4,19 +4,28 @@ Each check here flips one field into something genuinely false and asserts
 the verifier names the clause.  Corruptions that happen to produce another
 true statement (a rescaled torus vector, an extra claim the images satisfy)
 are intentionally avoided; those belong to the acceptance fuzz instead.
+The edit fuzz at the end asks less of any edit, true or false: the checker
+and verify-cert must answer it with a report, never an exception.
 """
+import copy
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from liedef.certs import (CertReport, KIND_FLAG, KIND_REPRESENTATION,
                           KIND_TBC, KIND_TORUS, KIND_VERDICT, emit_flag,
                           emit_representation, emit_tbc, emit_torus_equations,
                           emit_verdict, load_certificate, save_certificate,
                           verify_certificate, weights_hash)
+from liedef.cli import main
 from liedef.definability import (GroupPresentation, definability_oracle,
                                  supersolvable_test, tbc_find)
 from liedef.errors import InputError
+from liedef.formats import algebra_from_dict
 from liedef.lie import LieAlgebra
 from liedef.reps import nilpotent_ado
 from liedef.torus import TorusWeights, torus_zariski_closure
@@ -258,3 +267,96 @@ def test_linear_presentation_with_matrices_binds_them(e2):
     # without the matrices the subject hash no longer matches
     rep = verify_certificate(cert, algebra=e2)
     assert not rep and rep.clause == "subject"
+
+
+def test_schema_version_must_be_the_integer_one(e2):
+    cert = emit_tbc(e2, tbc_find(e2).certificate)
+    for version in (True, 1.0, "1", 2, None):
+        cert["schema"] = version
+        rep = verify_certificate(cert, algebra=e2)
+        assert not rep and rep.clause == "schema"
+    cert["schema"] = 1
+    assert verify_certificate(cert, algebra=e2).ok
+
+
+def test_non_string_kind_and_non_object_verdict_certificate(e2):
+    cert = emit_tbc(e2, tbc_find(e2).certificate)
+    cert["kind"] = []
+    rep = verify_certificate(cert, algebra=e2)
+    assert not rep and rep.clause == "schema"
+    p, v = verdict_pair(e2, "linear")
+    cert = emit_verdict(p, v)
+    cert["payload"]["certificate"] = ""
+    rep = verify_certificate(cert, algebra=e2)
+    assert not rep and rep.clause == "shape"
+
+
+# ------------------------------------------------------------ edit fuzz
+
+POOL = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                    "data", "checker_pool.json")
+with open(POOL) as _fh:
+    CHECKER_POOL = json.load(_fh)
+JUNK = (None, "", "x", "1/0", 0, -1, 10 ** 30, 1.5, True, [], [[]], ["1"],
+        {}, {"a": 1})
+
+
+def _subject(item):
+    sub = item["subject"]
+    if "weights" in sub:
+        return {"weights": [tuple(r) for r in sub["weights"]]}, sub
+    alg, mats = algebra_from_dict(sub["algebra"])
+    return {"algebra": alg, "matrices": list(mats or ()) or None}, \
+        sub["algebra"]
+
+
+@st.composite
+def edited_certificates(draw):
+    """A pool item and its certificate under one to three edits, each at a
+    random JSON path: a junk value, a deletion, or a duplicate (a list
+    element repeated, or a value copied onto a sibling key)."""
+    item = draw(st.sampled_from(CHECKER_POOL))
+    cert = copy.deepcopy(item["cert"])
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key = None, None
+        node = cert
+        while isinstance(node, (dict, list)) and node \
+                and (key is None or draw(st.booleans())):
+            parent = node
+            key = draw(st.sampled_from(sorted(node, key=str))
+                       if isinstance(node, dict)
+                       else st.integers(0, len(node) - 1))
+            node = node[key]
+        if parent is None:
+            continue
+        op = draw(st.sampled_from(("junk", "delete", "duplicate")))
+        if op == "junk":
+            parent[key] = copy.deepcopy(draw(st.sampled_from(JUNK)))
+        elif op == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(node))
+        elif len(parent) > 1:
+            other = draw(st.sampled_from(sorted(
+                (k for k in parent if k != key), key=str)))
+            parent[other] = copy.deepcopy(node)
+    return item, cert
+
+
+@seed(20261018)
+@settings(max_examples=400, deadline=None, database=None)
+@given(edited_certificates())
+def test_every_edited_certificate_gets_a_report(pair):
+    item, cert = pair
+    subject, subject_json = _subject(item)
+    report = verify_certificate(cert, **subject)
+    assert isinstance(report, CertReport)
+    assert report.ok or (report.clause and report.detail)
+    with tempfile.TemporaryDirectory() as tmp:
+        subject_path = os.path.join(tmp, "subject.json")
+        cert_path = os.path.join(tmp, "cert.json")
+        with open(subject_path, "w") as fh:
+            json.dump(subject_json, fh)
+        save_certificate(cert_path, cert)
+        assert main(["verify-cert", subject_path, cert_path]) \
+            == (0 if report.ok else 1)

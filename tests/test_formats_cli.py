@@ -208,6 +208,34 @@ def test_cli_large_coefficients_are_answered(tmp_path, capsys):
         assert captured.err == ""
 
 
+def test_cli_extend_rep_from_the_nilradical(tmp_path, capsys):
+    # h3 + aff(1): its center lies in [g, g], so its modules come from
+    # extending one of the nilradical, which is spanned by basis vectors
+    from liedef.lie import LieAlgebra
+    from liedef.linalg import span_basis
+    from liedef.structure import nilradical
+    g = LieAlgebra.from_entries(
+        5, {(0, 1): (0, 0, 1, 0, 0), (3, 4): (0, 0, 0, 0, 1)})
+    nil = nilradical(g)
+    idx = [next(j for j, c in enumerate(v) if c) for v in nil]
+    assert span_basis([g.basis_vector(i) for i in idx]) == nil
+    p = write(tmp_path, "h3aff.json", g)
+    cert = str(tmp_path / "h3aff.rep.json")
+    assert main(["extend-rep", p, "--ideal", ",".join(map(str, idx)),
+                 "--cert-out", cert]) == 0
+    out = capsys.readouterr().out
+    assert "extended the ideal module to the whole algebra" in out
+    assert main(["verify-cert", p, cert]) == 0
+    assert "certificate verified: Representation" in capsys.readouterr().out
+    # span(e3) is a subalgebra but not an ideal; span(e0, e1) is not even
+    # closed: both are bad input (exit 3), reported without a traceback
+    for ideal in ("3", "0,1"):
+        assert main(["extend-rep", p, "--ideal", ideal]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.out + captured.err
+
+
 def test_cli_internal_error_is_four_without_traceback(tmp_path, e2, capsys,
                                                       monkeypatch):
     # a failed internal check is neither an answer nor an input error

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from liedef.errors import InputError
@@ -12,8 +12,8 @@ from liedef.linalg import (Mat, _dot, block_diag, char_poly, coords_in_basis,
                            intersect_spans, inverse, is_nilpotent_mat,
                            is_semisimple_mat, jordan_chevalley, kernel, kron,
                            mat_lincomb, mat_pow, minimal_poly, poly_at, rank,
-                           restrict_to_span, solve, span_basis,
-                           trace_product)
+                           restrict_to_span, solve, solve_sparse,
+                           span_basis, trace_product)
 from liedef.poly import clear_denominators
 from liedef.scalars import GaussRat
 
@@ -423,3 +423,60 @@ def test_in_span():
     g = span_basis([(GaussRat(1), GaussRat(0, 1))])
     assert in_span(g, (GaussRat(0, 1), GaussRat(-1)))
     assert not in_span(g, (GaussRat(1), GaussRat(1)))
+
+
+# ------------------------------------------------------------ sparse systems
+
+def _entries(kind):
+    if kind == "int":
+        return st.integers(-3, 3)
+    if kind == "Fraction":
+        return small
+    return st.builds(GaussRat, small, small)
+
+
+@st.composite
+def sparse_systems(draw):
+    """(dense rows, right-hand sides) of one scalar kind, mostly zero, with
+    zero rows, repeated rows and right-hand sides that may be inconsistent."""
+    kind = draw(st.sampled_from(("int", "Fraction", "GaussRat")))
+    entry = st.one_of(st.just(0), st.just(0), _entries(kind))
+    n_cols = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols),
+                         min_size=1, max_size=8))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.append([0] * n_cols)
+    for _ in range(draw(st.integers(0, 2))):
+        rows.append(list(draw(st.sampled_from(rows))))
+    rows = draw(st.permutations(rows))
+    rhs = draw(st.lists(st.lists(entry, min_size=len(rows),
+                                 max_size=len(rows)), max_size=4))
+    # a consistent right-hand side too: a combination of the columns
+    x = draw(st.lists(entry, min_size=n_cols, max_size=n_cols))
+    rhs.append([sum((a * b for a, b in zip(r, x)), Fraction(0))
+                for r in rows])
+    return rows, rhs
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None, database=None)
+@given(sparse_systems())
+def test_solve_sparse_matches_solve_and_kernel(system):
+    rows, rhs = system
+    dense = Mat(rows)
+    sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
+    solutions, null = solve_sparse(sparse, dense.ncols, rhs)
+    assert solutions == [solve(dense, tuple(b)) for b in rhs]
+    assert solutions[-1] is not None
+    assert null == kernel(dense)
+
+
+def test_solve_sparse_edge_cases():
+    # no right-hand side; only zero rows; one inconsistent zero row
+    assert solve_sparse([{0: 1}], 2, []) == ([], [(0, 1)])
+    assert solve_sparse([{}, {}], 2, [[0, 0]]) \
+        == ([(0, 0)], [(1, 0), (0, 1)])
+    assert solve_sparse([{}, {1: 2}], 2, [[1, 4], [0, 4]]) \
+        == ([None, (0, 2)], [(1, 0)])
+    with pytest.raises(ValueError):
+        solve_sparse([{0: 1}], 1, [[1, 2]])
