@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from fractions import Fraction
 
 from .errors import InputError
 from .lie import LieAlgebra
@@ -23,7 +22,7 @@ def scalar_to_json(x):
         if x.is_real():
             return rat_str(x.re)
         return {"re": rat_str(x.re), "im": rat_str(x.im)}
-    return rat_str(Fraction(x))
+    return rat_str(x)
 
 
 def scalar_from_json(v, where: str = "value"):
@@ -52,7 +51,12 @@ def vector_from_json(v, length: int | None = None, where: str = "vector"):
         raise InputError(f"{where}: expected a list")
     if length is not None and len(v) != length:
         raise InputError(f"{where}: expected length {length}, got {len(v)}")
-    return tuple(scalar_from_json(c, f"{where}[{k}]") for k, c in enumerate(v))
+    try:
+        return tuple(map(scalar_from_json, v))
+    except InputError:
+        # parse again for the message, which names the failing entry
+        return tuple(scalar_from_json(c, f"{where}[{k}]")
+                     for k, c in enumerate(v))
 
 
 def matrix_to_json(m: Mat):

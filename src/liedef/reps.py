@@ -61,48 +61,40 @@ def verify_rep(rep: Representation) -> frozenset:
     """The subset of {homomorphism, faithful, triangular, unipotent} that holds.
 
     Never raises on a false claim; constructions compare the result against
-    what they promised.  Triangular claims are judged after conjugating into
-    the flag basis; a flag that is not a basis simply grants nothing.
+    what they promised.  When the flag is a basis, each image is conjugated
+    into it once, and every check but faithfulness reads those matrices:
+    conjugation is an automorphism of gl(V), so the bracket relations hold
+    there exactly when they hold for the images, and the image of a
+    nilradical vector is the same linear combination of them.  A flag that
+    is not a basis grants neither triangular claim.
     """
     g = rep.source
-    flags = set()
-    hom = True
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            lhs = rep.images[i] @ rep.images[j] - rep.images[j] @ rep.images[i]
-            if lhs != rep.image_of(g.table[i][j]):
-                hom = False
-                break
-        if not hom:
-            break
-    if hom:
-        flags.add(HOMOMORPHISM)
-
-    if not rep_kernel(rep):
-        flags.add(FAITHFUL)
-
+    d = rep.target_dim
     conj = None
     if rep.flag is None:
-        conj = list(rep.images)
-    elif len(rep.flag) == rep.target_dim:
+        conj = rep.images
+    elif len(rep.flag) == d:
         try:
             p = Mat.from_cols(rep.flag)
             pinv = inverse(p)
             conj = [pinv @ m @ p for m in rep.images]
         except ValueError:
             conj = None
+    mats = rep.images if conj is None else conj
+    flags = set()
+    if all(mats[i] @ mats[j] - mats[j] @ mats[i]
+           == mat_lincomb(g.table[i][j], mats, d)
+           for i in range(g.dim) for j in range(i + 1, g.dim)):
+        flags.add(HOMOMORPHISM)
+
+    if not rep_kernel(rep):
+        flags.add(FAITHFUL)
+
     if conj is not None:
         if all(m.is_upper_triangular() for m in conj):
             flags.add(TRIANGULAR)
-        strict = True
-        for v in nilradical(g):
-            m = rep.image_of(v)
-            if rep.flag is not None:
-                m = pinv @ m @ p
-            if not m.is_upper_triangular(strict=True):
-                strict = False
-                break
-        if strict:
+        if all(mat_lincomb(v, conj, d).is_upper_triangular(strict=True)
+               for v in nilradical(g)):
             flags.add(UNIPOTENT)
     return frozenset(flags)
 

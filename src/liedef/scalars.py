@@ -23,14 +23,18 @@ def rat(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        # an optional "-" and ASCII digits, the usual JSON entry, is an int;
+        # anything else (space, "+", "/", ".", "_", other digits) goes
+        # through Fraction's own parser
+        if x.isascii() and (x[1:] if x[:1] == "-" else x).isdigit():
+            return Fraction(int(x))
         return Fraction(x.strip())
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
-def rat_str(x: Fraction) -> str:
+def rat_str(x) -> str:
     """Serialize a rational as "p/q" (or "p" when the denominator is 1)."""
-    x = Fraction(x)
-    return str(x)
+    return str(x if type(x) is Fraction else Fraction(x))
 
 
 class GaussRat:

@@ -5,9 +5,18 @@ its own output before returning: the radical must come back a solvable ideal,
 the nilradical a nilpotent ideal containing [g, r], the Levi part a semisimple
 complement.  A failure of any of these checks is an InternalCheckError, never
 a silently wrong subspace.
+
+The nilradical is found inside the radical r, which is g itself when g is
+solvable, and a nilpotent r is its own nilradical.  Otherwise it is the
+trace-form kernel on the associative hull of ad(r), and that hull is
+generated by ad(e_i) for e_i in a complement of [r, r] only.  When r = g the
+output is checked to contain [g, g] (so it is an ideal holding [g, r]) and
+to be nilpotent; when r is a proper ideal, to be an ideal of g, nilpotent,
+and to contain [g, r].
 """
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,55 +62,85 @@ def radical(g: LieAlgebra):
 
 
 def _matrix_hull(mats):
-    """Basis of the associative span generated by the matrices."""
-    flats = span_basis([m.flatten() for m in mats])
-    if not flats:
-        return []
-    n = mats[0].nrows
+    """Matrices spanning the associative algebra the matrices generate.
 
-    def unflatten(v):
-        return Mat([v[i * n:(i + 1) * n] for i in range(n)])
+    A word of length k + 1 is a word of length k times a generator, so each
+    round multiplies only the matrices the last round added, each by every
+    generator, and keeps a product when it leaves the span found so far.
+    The span is held as echelon rows with leading entry 1, sorted by pivot.
+    """
+    echelon = []
+    hull = []
 
-    while True:
-        cur = [unflatten(v) for v in flats]
-        prods = [(a @ b).flatten() for a in cur for b in cur]
-        grown = span_basis(flats + prods)
-        if len(grown) == len(flats):
-            return [unflatten(v) for v in grown]
-        flats = grown
+    def grows(m):
+        v = m.flatten()
+        for p, row in echelon:
+            c = v[p]
+            if c:
+                v = [a - c * b for a, b in zip(v, row)]
+        p = next((j for j, c in enumerate(v) if c), None)
+        if p is None:
+            return False
+        lead = v[p]
+        insort(echelon, (p, [c / lead for c in v]))
+        hull.append(m)
+        return True
+
+    frontier = [m for m in mats if grows(m)]
+    while frontier:
+        frontier = [prod for m in frontier for s in mats
+                    for prod in (m @ s,) if grows(prod)]
+    return hull
 
 
 def nilradical(g: LieAlgebra):
-    """Largest nilpotent ideal.
+    """Largest nilpotent ideal, as canonical rref rows.
 
-    Computed inside the radical r: the associative hull A of ad(r) in gl(r)
-    has Jacobson radical equal to the kernel of its trace form (characteristic
-    zero), and x lies in the nilradical exactly when ad(x) falls in that
-    kernel.  The output is then re-verified inside g.
+    Computed inside the radical r, which is g itself when g is solvable; a
+    nilpotent r is its own answer.  Otherwise the associative hull A of
+    ad(r) in gl(r) has Jacobson radical equal to the kernel of its trace
+    form (characteristic zero), and x lies in the nilradical exactly when
+    tr(ad(x) a) = 0 for every a in A.  The hull is generated by ad(e_i) for
+    the basis vectors e_i off the pivots of [r, r] only: they span a
+    complement of [r, r], and a word with a letter from ad([r, r]) is
+    strictly triangular in a basis that triangularizes ad(r) (Lie's
+    theorem), so it adds no trace condition.
+
+    The output is re-verified inside g.  When r = g it must contain [g, g],
+    which makes it an ideal holding [g, r], and be nilpotent.  When r is a
+    proper ideal it must be an ideal of g, be nilpotent and contain [g, r].
     """
     rad = radical(g)
     if not rad:
         return []
-    rs, incl = g.subalgebra(rad)
-    ads = [rs.ad(rs.basis_vector(i)) for i in range(rs.dim)]
-    hull = _matrix_hull(ads)
-    if hull:
-        cond = Mat([[trace_product(ads[k], b) for k in range(rs.dim)]
-                    for b in hull])
-        coords = kernel(cond)
+    if len(rad) == g.dim:
+        # rad is the standard basis, so g's own coordinates serve
+        rs, incl = g, rad
     else:
-        coords = [rs.basis_vector(i) for i in range(rs.dim)]
+        rs, incl = g.subalgebra(rad)
+    if rs.is_nilpotent():
+        return rad
+    derived = rs.derived_algebra()
+    pivots = {next(j for j, c in enumerate(v) if c) for v in derived}
+    ads = [rs.ad(rs.basis_vector(i)) for i in range(rs.dim)]
+    # not empty: were ad zero on a complement of [r, r], r would be abelian
+    hull = _matrix_hull([ads[i] for i in range(rs.dim) if i not in pivots])
+    coords = kernel(Mat([[trace_product(a, b) for a in ads] for b in hull]))
     nil = span_basis([lincomb(co, incl, g.dim) for co in coords])
-    # verified: nilpotent ideal of g that swallows [g, r]
-    if not g.is_ideal(nil):
-        raise InternalCheckError("nilradical candidate is not an ideal")
+    if rs is g:
+        # a subspace that holds [g, g] is an ideal, and [g, r] = [g, g]
+        if None in coords_in_span(nil, derived):
+            raise InternalCheckError("nilradical misses part of [g, radical]")
+    else:
+        if not g.is_ideal(nil):
+            raise InternalCheckError("nilradical candidate is not an ideal")
+        if None in coords_in_span(nil, [g.bracket(g.basis_vector(i), v)
+                                        for i in range(g.dim) for v in rad]):
+            raise InternalCheckError("nilradical misses part of [g, radical]")
     if nil:
         sub, _ = g.subalgebra(nil)
         if not sub.is_nilpotent():
             raise InternalCheckError("nilradical candidate is not nilpotent")
-    for v in g.bracket_span(g.basis(), rad):
-        if not in_span(nil, v):
-            raise InternalCheckError("nilradical misses part of [g, radical]")
     return nil
 
 

@@ -165,7 +165,7 @@ def common_eigenspace(chain, mats, scalar):
             b = b.map(gauss)
             if w is not None:
                 w = [tuple(gauss(x) for x in v) for v in w]
-        eig_coords = kernel(b - mu * Mat.identity(b.nrows))
+        eig_coords = kernel(_shift_diagonal(b, mu))
         if not eig_coords:
             raise InternalCheckError("chosen eigenvalue has no eigenvector")
         if w is not None:
@@ -183,6 +183,19 @@ def common_eigenspace(chain, mats, scalar):
                             if r[j]), Fraction(0)))
                  for j in range(len(dirs)))
     return char, w
+
+
+def _shift_diagonal(b, mu):
+    """b - mu * 1, with the entry types that subtracting mu times a Fraction
+    identity gives: an off-diagonal entry becomes a - 0 (an int a Fraction)
+    unless it already has the type of that zero."""
+    zero = mu * 0
+    rows = []
+    for i, row in enumerate(b.rows):
+        out = [a if type(a) is type(zero) else a - zero for a in row]
+        out[i] = row[i] - mu
+        rows.append(out)
+    return Mat(rows)
 
 
 def _peel_quotient(mats, w):

@@ -1,8 +1,10 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from liedef.corpus import corpus
 from liedef.errors import (InputError, NotNilpotentError,
                            NotSupersolvableError, PreconditionError,
                            UnsupportedError)
@@ -12,6 +14,7 @@ from liedef.reps import (ALL_FLAGS, FAITHFUL, HOMOMORPHISM, TRIANGULAR,
                          UNIPOTENT, GroupRepData, Representation, direct_sum,
                          extend_rep, is_unipotent, nilpotent_ado, quotient_rep,
                          rep_kernel, supersolvable_triangular_rep, verify_rep)
+from liedef.structure import nilradical
 
 
 def r1():
@@ -97,6 +100,108 @@ def test_verify_triangular_depends_on_flag(axb):
     assert TRIANGULAR in flags and UNIPOTENT in flags
 
 
+def _reference_flags(rep):
+    """verify_rep written out plainly: the bracket relations on the images
+    as given, and each claim about the flag judged on pinv @ image @ p."""
+    g = rep.source
+    flags = set()
+    if all(rep.images[i] @ rep.images[j] - rep.images[j] @ rep.images[i]
+           == rep.image_of(g.table[i][j])
+           for i in range(g.dim) for j in range(i + 1, g.dim)):
+        flags.add(HOMOMORPHISM)
+    if not rep_kernel(rep):
+        flags.add(FAITHFUL)
+    p = Mat.identity(rep.target_dim)
+    if rep.flag is not None:
+        if len(rep.flag) != rep.target_dim:
+            return frozenset(flags)
+        p = Mat.from_cols(rep.flag)
+    try:
+        pinv = inverse(p)
+    except ValueError:
+        return frozenset(flags)
+    if all((pinv @ m @ p).is_upper_triangular() for m in rep.images):
+        flags.add(TRIANGULAR)
+    if all((pinv @ rep.image_of(v) @ p).is_upper_triangular(strict=True)
+           for v in nilradical(g)):
+        flags.add(UNIPOTENT)
+    return frozenset(flags)
+
+
+def _sheared(g, rng):
+    """g in the basis of up to three elementary +-1 row operations."""
+    rows = [[Fraction(int(i == j)) for j in range(g.dim)]
+            for i in range(g.dim)]
+    for _ in range(rng.randint(0, 3)):
+        i, j = rng.randrange(g.dim), rng.randrange(g.dim)
+        if i != j:
+            c = rng.choice((-1, 1))
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    t = Mat(rows)
+    tinv = inverse(t)
+    cols = t.cols()
+    return LieAlgebra(g.dim, [[tinv @ g.bracket(cols[i], cols[j])
+                               for j in range(g.dim)] for i in range(g.dim)])
+
+
+def _module_algebras():
+    """The inputs of the modules benchmark workload: every supersolvable
+    corpus algebra as given and under four seeded shears, h3 x| D with
+    D = diag(a, -a, 0) for seven weights a, and h3 + aff(1)."""
+    rng = random.Random(20261020)
+    out = []
+    for e in corpus():
+        if e.known.get("supersolvable") and e.known_value("supersolvable"):
+            out.append(e.algebra)
+            out.extend(_sheared(e.algebra, rng) for _ in range(4))
+    for a in (1, 2, 3, Fraction(1, 2), Fraction(3, 2), -1, -2):
+        out.append(LieAlgebra.from_entries(
+            4, {(0, 1): (0, 0, 1, 0), (3, 0): (a, 0, 0, 0),
+                (3, 1): (0, -a, 0, 0)}))
+    out.append(LieAlgebra.from_entries(
+        5, {(0, 1): (0, 0, 1, 0, 0), (3, 4): (0, 0, 0, 0, 1)}))
+    return out
+
+
+def _corrupted(rep):
+    """rep with two images swapped, one scaled, the identity added to the
+    image of a central vector's pivot, the flag permuted, and a flag that
+    is not a basis."""
+    g, images = rep.source, list(rep.images)
+    flag = list(rep.flag or Mat.identity(rep.target_dim).cols())
+    out = []
+    if g.dim >= 2:
+        swapped = images[:]
+        swapped[0], swapped[1] = swapped[1], swapped[0]
+        out.append(replace(rep, images=tuple(swapped)))
+    k = next(i for i, m in enumerate(images) if not m.is_zero())
+    scaled = images[:]
+    scaled[k] = scaled[k] * Fraction(-2, 3)
+    out.append(replace(rep, images=tuple(scaled)))
+    for c in g.center()[:1]:
+        k = next(i for i, x in enumerate(c) if x)
+        shifted = images[:]
+        shifted[k] = shifted[k] + Mat.identity(rep.target_dim)
+        out.append(replace(rep, images=tuple(shifted)))
+    out.append(replace(rep, flag=tuple(reversed(flag))))
+    out.append(replace(rep, flag=tuple(flag[1:] + flag[:1])))
+    out.append(replace(rep, flag=tuple(flag[:-1] + flag[:1])))
+    out.append(replace(rep, flag=tuple(flag[:-1])))
+    return out
+
+
+def test_verify_rep_matches_the_reference_on_the_module_workload():
+    seen = set()
+    for g in _module_algebras():
+        rep = supersolvable_triangular_rep(g)
+        for r in [rep] + _corrupted(rep):
+            want = _reference_flags(r)
+            assert verify_rep(r) == want
+            seen.add(want)
+    # intact modules grant every flag, and each corruption loses some
+    assert ALL_FLAGS in seen and len(seen) > 4
+
+
 def test_representation_shape_errors(r2):
     with pytest.raises(InputError):
         Representation(r2, 2, (Mat.identity(2),))
@@ -138,7 +243,6 @@ def test_triangular_rep_center_meets_derived():
 
 
 def test_triangular_rep_unipotent_exactly_on_nilradical(axb):
-    from liedef.structure import nilradical
     rep = supersolvable_triangular_rep(axb)
     nil = nilradical(axb)
     assert span_basis(nil) == [(0, 1)]

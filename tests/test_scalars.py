@@ -125,3 +125,31 @@ def test_parts_are_always_fractions():
     assert GaussRat("3/4") == GaussRat(f) == f
     assert GaussRat(0, 2).is_real() is False
     assert GaussRat(2, 0).is_real() is True
+
+
+# every shape the integer shortcut of rat must tell apart: signs, digits
+# beyond ASCII, the separators Fraction accepts, and surrounding space
+_rat_alphabet = st.sampled_from(list("0123456789-+/._ eE\t\n")
+                                + ["٣", "²", "x"])
+
+
+@seed(20261020)
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(), st.text(_rat_alphabet, max_size=8),
+                 st.from_regex(r"-?[0-9]{1,30}", fullmatch=True)))
+def test_rat_matches_fraction_on_any_string(s):
+    try:
+        want = Fraction(s.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            rat(s)
+        return
+    got = rat(s)
+    assert type(got) is Fraction and got == want
+
+
+def test_rat_str_takes_fractions_ints_and_booleans():
+    f = Fraction(-3, 7)
+    assert rat_str(f) == "-3/7"
+    assert rat_str(4) == rat_str(Fraction(4)) == "4"
+    assert rat_str(True) == "1"

@@ -1,10 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from liedef.errors import PreconditionError
-from liedef.lie import LieAlgebra
-from liedef.linalg import span_basis
+from liedef.lie import LieAlgebra, from_matrices
+from liedef.linalg import (Mat, inverse, kernel, lincomb, span_basis,
+                           trace_product)
 from liedef.structure import (commuting_levi, is_torus_like, levi_subalgebra,
                               nilradical, radical)
 
@@ -131,3 +134,95 @@ def test_radical_entries_are_rational():
     g = sl2_semidirect_r2()
     for row in radical(g):
         assert all(isinstance(c, Fraction) for c in row)
+
+
+# -- nilradical against the dense route --------------------------------------
+
+def _dense_hull(mats):
+    """The associative span of the matrices, grown by all pairwise products
+    of the current basis until it stops growing."""
+    flats = span_basis([m.flatten() for m in mats])
+    if not flats:
+        return []
+    n = mats[0].nrows
+
+    def unflatten(v):
+        return Mat([v[i * n:(i + 1) * n] for i in range(n)])
+
+    while True:
+        cur = [unflatten(v) for v in flats]
+        grown = span_basis(flats + [(a @ b).flatten()
+                                    for a in cur for b in cur])
+        if len(grown) == len(flats):
+            return cur
+        flats = grown
+
+
+def _dense_nilradical(g):
+    """The trace-form kernel on the hull of every ad(x), x in the radical,
+    taken inside a materialized copy of the radical."""
+    rad = radical(g)
+    if not rad:
+        return []
+    rs, incl = g.subalgebra(rad)
+    ads = [rs.ad(rs.basis_vector(i)) for i in range(rs.dim)]
+    hull = _dense_hull(ads)
+    if hull:
+        coords = kernel(Mat([[trace_product(a, b) for a in ads]
+                             for b in hull]))
+    else:
+        coords = [rs.basis_vector(i) for i in range(rs.dim)]
+    return span_basis([lincomb(co, incl, g.dim) for co in coords])
+
+
+def _typed_rows(rows):
+    return [[(type(c).__name__, c) for c in row] for row in rows]
+
+
+_small_q = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _triangular_algebras(draw):
+    """The Lie algebra of random upper-triangular rational matrices, in a
+    random rational basis: unit lower times unit upper triangular, then a
+    diagonal scaling, so the change is always invertible."""
+    n = draw(st.integers(2, 3))
+    diagonal = draw(st.booleans())
+    mats = []
+    for _ in range(draw(st.integers(1, 3))):
+        mats.append(Mat([[draw(_small_q) if j > i or (j == i and diagonal)
+                          else Fraction(0) for j in range(n)]
+                         for i in range(n)]))
+    if all(m.is_zero() for m in mats):
+        mats[0] = Mat([[Fraction(int(j == i + 1)) for j in range(n)]
+                       for i in range(n)])
+    g, _, _ = from_matrices(mats)
+    k = g.dim
+    lower = Mat([[Fraction(1) if i == j else draw(_small_q) if i > j
+                  else Fraction(0) for j in range(k)] for i in range(k)])
+    upper = Mat([[Fraction(1) if i == j else draw(_small_q) if i < j
+                  else Fraction(0) for j in range(k)] for i in range(k)])
+    scale = Mat.diag([draw(st.sampled_from((1, -1, 2, Fraction(1, 3))))
+                      for _ in range(k)])
+    t = lower @ upper @ scale
+    tinv = inverse(t)
+    cols = t.cols()
+    return LieAlgebra(k, [[tinv @ g.bracket(cols[i], cols[j])
+                           for j in range(k)] for i in range(k)])
+
+
+@seed(20261020)
+@settings(max_examples=40, deadline=None)
+@given(_triangular_algebras())
+def test_nilradical_matches_the_dense_route(g):
+    assert _typed_rows(nilradical(g)) == _typed_rows(_dense_nilradical(g))
+
+
+def test_nilradical_matches_the_dense_route_beyond_solvable():
+    # gl2 and sl2 x| R^2 have an abelian radical; the radical e2 of
+    # so3 + e2 is a proper ideal that is not nilpotent
+    for g in (gl2(), sl2_semidirect_r2(), so3_plus_e2()):
+        assert _typed_rows(nilradical(g)) == _typed_rows(_dense_nilradical(g))
+    assert nilradical(so3_plus_e2()) == [(0, 0, 0, 1, 0, 0),
+                                         (0, 0, 0, 0, 1, 0)]

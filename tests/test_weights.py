@@ -8,7 +8,8 @@ from liedef import weights
 from liedef.corpus import corpus_entry
 from liedef.errors import Indeterminate, InputError, InternalCheckError
 from liedef.lie import LieAlgebra
-from liedef.linalg import Mat, block_diag, det, inverse, span_basis
+from liedef.linalg import (Mat, block_diag, det, inverse, kernel,
+                           span_basis)
 from liedef.reps import supersolvable_triangular_rep
 from liedef.scalars import GaussRat, gauss
 from liedef.weights import adjoint_weights, module_weights, weight_flag
@@ -293,3 +294,19 @@ def test_peel_quotient_matches_the_dense_conjugation(case):
         assert ([[(type(x), x) for x in r] for r in q.rows]
                 == [[(type(x), x) for x in r]
                     for r in _dense_quotient(m, w, scalar)])
+
+
+def test_common_eigenspace_shifts_like_subtracting_a_scaled_identity():
+    # b - mu * 1 with a Fraction identity turns every int entry into a
+    # Fraction; an int 1 pivot is not divided out, so an int left beside it
+    # would reach the eigenvectors
+    line = LieAlgebra.from_entries(1, {})
+    chain = weights._ideal_chain(line)
+    for b, mu in ((Mat([[2, 1, 7], [0, 2, 0], [0, 0, 2]]), Fraction(2)),
+                  (Mat([[0, 1, 3], [0, 0, Fraction(1, 2)], [0, 0, 0]]),
+                   Fraction(0))):
+        char, w = weights.common_eigenspace(chain, [b], Fraction)
+        assert char == (mu,)
+        want = kernel(b - mu * Mat.identity(3))
+        assert ([[(type(x), x) for x in v] for v in w]
+                == [[(type(x), x) for x in v] for v in want])
