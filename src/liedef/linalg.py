@@ -9,10 +9,18 @@ is_nilpotent_mat takes a power, and is_semisimple_mat evaluates the
 squarefree part of the characteristic polynomial, without building a
 Jordan decomposition.
 
-Matrices are dense.  The one exception is solve_sparse, which takes a large
-system that is mostly zero as {column: coefficient} rows and answers all of
-its right-hand sides and its null space in one elimination; rref, solve and
-kernel serve every small dense system.
+Matrices are dense, but every linear system goes through one sparse
+Gauss-Jordan elimination, _gauss_jordan, which takes each row as a
+{column: coefficient} dict of its nonzero entries and answers all of the
+right-hand sides and the null space at once.  solve_sparse hands it such
+rows directly; rank, kernel, solve, inverse, span_basis and coords_in_span
+hand it the nonzero entries of dense rows, and raise ValueError on a length
+that does not fit.  Answers are exact, and all-Fraction input gives
+all-Fraction answers.  Otherwise a zero coefficient of a reduced row, and so
+of a null vector or a span_basis row, is Fraction(0), and so is a free
+variable of a solution; every other entry, and every entry that comes from
+the right-hand sides (solutions, inverses), has the type that exact
+arithmetic on the inputs gives it, or its input type when none touched it.
 """
 from __future__ import annotations
 
@@ -229,101 +237,39 @@ def _field(x):
     return Fraction(x) if isinstance(x, int) else x
 
 
-def rref(m: Mat):
-    """Reduced row echelon form; returns (R, pivot column indices).
-
-    Sparse in the pivot row: only its nonzero entries are normalised, and
-    the other rows change only in those columns.
-    """
-    rows = [list(r) for r in m.rows]
-    nr, nc = len(rows), m.ncols
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        # columns left of c are already zero in every row from r down
-        nz = [j for j in range(c, nc) if prow[j]]
-        inv = _field(prow[c])
-        if inv != 1:
-            for j in nz:
-                prow[j] = prow[j] / inv
-        for i in range(nr):
-            row = rows[i]
-            f = row[c]
-            if i != r and f:
-                for j in nz:
-                    row[j] = row[j] - f * prow[j]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return Mat(rows), tuple(pivots)
+def _sparse_rows(rows):
+    """Each row as a {column: entry} dict of its nonzero entries."""
+    return [{j: x for j, x in enumerate(r) if x} for r in rows]
 
 
-def rank(m: Mat) -> int:
-    return len(rref(m)[1])
+def _gauss_jordan(rows, ncols, rhs):
+    """The reduced echelon form of a system in ncols unknowns, and its
+    inconsistent right-hand sides; rows and rhs are as solve_sparse takes
+    them, but the row dicts are reduced in place.
 
+    Returns (pivots, bad): pivots maps each pivot column c to [row, b],
+    where row holds 1 at c and otherwise only free columns, and b lists its
+    entry for each right-hand side; bad holds the indices of the
+    inconsistent right-hand sides.
 
-def kernel(m: Mat):
-    """Basis of the right null space, as a list of tuples."""
-    R, pivots = rref(m)
-    nc = m.ncols
-    free = [c for c in range(nc) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * nc
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -R.rows[i][fc]
-        basis.append(tuple(v))
-    return basis
-
-
-def solve(a: Mat, b):
-    """One solution x of a @ x = b, or None if inconsistent."""
-    aug = Mat([list(r) + [bv] for r, bv in zip(a.rows, b)])
-    R, pivots = rref(aug)
-    nc = a.ncols
-    if nc in pivots:
-        return None
-    x = [Fraction(0)] * nc
-    for i, pc in enumerate(pivots):
-        x[pc] = R.rows[i][nc]
-    return tuple(x)
-
-
-def solve_sparse(rows, ncols: int, rhs):
-    """Every particular solution and the null space of one sparse system.
-
-    rows lists the equations as {column: coefficient} dicts that hold only
-    nonzero coefficients (an empty dict is a zero row); rhs lists the
-    right-hand sides, each with one entry per row.  Returns (solutions,
-    null): solutions[k] is what solve gives for the dense matrix of the
-    rows and rhs[k], None when that system is inconsistent, and null is
-    what kernel gives.
-
-    One Gauss-Jordan elimination serves all of them.  Each row is reduced
-    by the pivot rows kept so far, which are zero in every pivot column but
-    their own, and then pivots on its least column, which is cleared from
-    the earlier pivot rows.  So every pivot row leads with its pivot and the
-    rows kept are the reduced echelon form, which is unique: the values
-    agree with the dense rref whichever row supplies each pivot.  A row
-    that reduces to zero leaves a combination of right-hand sides that must
-    vanish; each one it leaves nonzero is inconsistent.  Free variables are
-    zero in the particular solutions, and an int pivot is divided through
-    _field, both as in solve.
+    Each row is reduced by the pivot rows kept so far, which are zero in
+    every pivot column but their own, and then pivots on its least column,
+    which is cleared from the earlier pivot rows.  So every pivot row leads
+    with its pivot and the rows kept are the reduced echelon form, which is
+    unique whichever row supplies each pivot.  A row that reduces to zero
+    leaves a combination of right-hand sides that must vanish; each one it
+    leaves nonzero is inconsistent, so with no right-hand side the
+    elimination stops once every column has a pivot.  An int pivot is
+    divided through _field, so int entries never become floats.
     """
     n_rows = len(rows)
     if any(len(b) != n_rows for b in rhs):
         raise ValueError("shape mismatch")
     pivots = {}          # pivot column -> [row with 1 there, rhs entries]
     bad = set()
-    for eq, b in zip(rows, zip(*rhs) if rhs else [()] * n_rows):
-        row = dict(eq)
+    for row, b in zip(rows, zip(*rhs) if rhs else [()] * n_rows):
+        if not rhs and len(pivots) == ncols:
+            break
         b = list(b)
         for c in [c for c in row if c in pivots]:
             f = row.pop(c)
@@ -348,28 +294,7 @@ def solve_sparse(rows, ncols: int, rhs):
                     if y:
                         qb[k] = qb[k] - f * y
         pivots[p] = [row, b]
-
-    zero = Fraction(0)
-    solutions = []
-    for k in range(len(rhs)):
-        if k in bad:
-            solutions.append(None)
-            continue
-        x = [zero] * ncols
-        for c, (_, b) in pivots.items():
-            x[c] = b[k]
-        solutions.append(tuple(x))
-    # the entries of a reduced pivot row off its pivot are all free columns
-    free = {c: i for i, c in
-            enumerate(c for c in range(ncols) if c not in pivots)}
-    null = [[zero] * ncols for _ in free]
-    for c, i in free.items():
-        null[i][c] = Fraction(1)
-    for c, (row, _) in pivots.items():
-        for j, v in row.items():
-            if j != c:
-                null[free[j]][c] = -v
-    return solutions, [tuple(v) for v in null]
+    return pivots, bad
 
 
 def _sparse_axpy(row, f, prow, skip):
@@ -388,16 +313,86 @@ def _sparse_axpy(row, f, prow, skip):
                     del row[j]
 
 
+def _solutions(pivots, bad, ncols, n_rhs):
+    """One solution per right-hand side, free variables zero, or None for
+    an inconsistent one."""
+    zero = Fraction(0)
+    out = []
+    for k in range(n_rhs):
+        if k in bad:
+            out.append(None)
+            continue
+        x = [zero] * ncols
+        for c, (_, b) in pivots.items():
+            x[c] = b[k]
+        out.append(tuple(x))
+    return out
+
+
+def _null_space(pivots, ncols):
+    """One null vector per free column: 1 there, zero at the other free
+    columns."""
+    zero = Fraction(0)
+    # the entries of a reduced pivot row off its pivot are all free columns
+    free = {c: i for i, c in
+            enumerate(c for c in range(ncols) if c not in pivots)}
+    null = [[zero] * ncols for _ in free]
+    for c, i in free.items():
+        null[i][c] = Fraction(1)
+    for c, (row, _) in pivots.items():
+        for j, v in row.items():
+            if j != c:
+                null[free[j]][c] = -v
+    return [tuple(v) for v in null]
+
+
+def solve_sparse(rows, ncols: int, rhs):
+    """Every particular solution and the null space of one sparse system.
+
+    rows lists the equations as {column: coefficient} dicts that hold only
+    nonzero coefficients (an empty dict is a zero row); rhs lists the
+    right-hand sides, each with one entry per row.  Returns (solutions,
+    null): solutions[k] solves the system for rhs[k] with every free
+    variable zero, or is None when that system is inconsistent, and null
+    holds one vector per free column, 1 there and 0 at the other free
+    columns.  It is the one elimination that solve and kernel run too, so
+    on the nonzero entries of a dense matrix's rows it gives what they
+    give.  The 0s and 1s named here are Fraction(0) and Fraction(1).  A
+    null-vector entry at a pivot column is a reduced coefficient negated,
+    Fraction(0) when that is zero; a solution entry at a pivot column is a
+    reduced right-hand side entry, of the type its arithmetic gives.
+    """
+    pivots, bad = _gauss_jordan([dict(r) for r in rows], ncols, rhs)
+    return (_solutions(pivots, bad, ncols, len(rhs)),
+            _null_space(pivots, ncols))
+
+
+def rank(m: Mat) -> int:
+    return len(_gauss_jordan(_sparse_rows(m.rows), m.ncols, ())[0])
+
+
+def kernel(m: Mat):
+    """Basis of the right null space, as a list of tuples."""
+    return _null_space(_gauss_jordan(_sparse_rows(m.rows), m.ncols, ())[0],
+                       m.ncols)
+
+
+def solve(a: Mat, b):
+    """One solution x of a @ x = b, or None if inconsistent."""
+    pivots, bad = _gauss_jordan(_sparse_rows(a.rows), a.ncols, [b])
+    return _solutions(pivots, bad, a.ncols, 1)[0]
+
+
 def inverse(a: Mat) -> Mat:
     if not a.is_square():
         raise ValueError("inverse of a non-square matrix")
     n = a.nrows
-    aug = Mat([list(r) + [Fraction(int(i == j)) for j in range(n)]
-               for i, r in enumerate(a.rows)])
-    R, pivots = rref(aug)
-    if list(pivots) != list(range(n)):
+    # the right-hand sides are the columns of the identity, so the entries
+    # of pivot row c are row c of the inverse
+    pivots, _ = _gauss_jordan(_sparse_rows(a.rows), n, Mat.identity(n).rows)
+    if len(pivots) != n:
         raise ValueError("singular matrix")
-    return Mat([r[n:] for r in R.rows])
+    return Mat([pivots[c][1] for c in range(n)])
 
 
 def det(a: Mat):
@@ -428,11 +423,19 @@ def det(a: Mat):
 
 def span_basis(vectors):
     """Canonical (rref) basis of the span of the given row vectors."""
-    vectors = [v for v in vectors if not is_zero_vec(v)]
-    if not vectors:
-        return []
-    R, pivots = rref(Mat(vectors))
-    return [tuple(R.rows[i]) for i in range(len(pivots))]
+    vectors = list(vectors)
+    n = len(vectors[0]) if vectors else 0
+    if any(len(v) != n for v in vectors):
+        raise ValueError("ragged matrix")
+    pivots, _ = _gauss_jordan(_sparse_rows(vectors), n, ())
+    zero = Fraction(0)
+    out = []
+    for c in sorted(pivots):
+        v = [zero] * n
+        for j, x in pivots[c][0].items():
+            v[j] = x
+        out.append(tuple(v))
+    return out
 
 
 def in_span(rows, v) -> bool:
@@ -450,31 +453,17 @@ def coords_in_span(basis, vectors):
     """Coefficients of each vector in the given basis vectors, or None for a
     vector outside their span.
 
-    One elimination of [basis | vectors] serves every vector.  Its rows with
-    a pivot among the vector columns mark vectors outside span(basis); a
-    vector inside has zeros in all of those rows, so its coefficients are
-    read off the basis pivot rows untouched.  Free basis columns get zero
+    One elimination serves every vector: the basis vectors are the columns
+    and each vector is a right-hand side.  Free basis columns get zero
     coefficients, as in solve.
     """
-    vectors = list(vectors)
-    if not basis:
-        return [() if is_zero_vec(v) else None for v in vectors]
-    if not vectors:
-        return []
-    d = len(basis)
-    R, pivots = rref(Mat.from_cols(list(basis) + vectors))
-    rb = sum(1 for pc in pivots if pc < d)
-    extra = R.rows[rb:len(pivots)]
-    out = []
-    for j in range(d, d + len(vectors)):
-        if any(row[j] for row in extra):
-            out.append(None)
-            continue
-        x = [Fraction(0)] * d
-        for i in range(rb):
-            x[pivots[i]] = R.rows[i][j]
-        out.append(tuple(x))
-    return out
+    basis, vectors = list(basis), list(vectors)
+    n = len(basis[0]) if basis else len(vectors[0]) if vectors else 0
+    if any(len(v) != n for v in basis):
+        raise ValueError("shape mismatch")
+    rows = [{j: v[i] for j, v in enumerate(basis) if v[i]} for i in range(n)]
+    pivots, bad = _gauss_jordan(rows, len(basis), vectors)
+    return _solutions(pivots, bad, len(basis), len(vectors))
 
 
 def restrict_to_span(a: Mat, basis):
@@ -483,11 +472,6 @@ def restrict_to_span(a: Mat, basis):
     if None in cols:
         raise InputError("matrix does not preserve the span")
     return Mat.from_cols(cols)
-
-
-def coords_in_basis(basis, v):
-    """Coefficients of v in the given (independent) vectors, or None."""
-    return coords_in_span(basis, [v])[0]
 
 
 def lincomb(coeffs, vectors, dim: int):
@@ -602,7 +586,7 @@ def minimal_poly(a: Mat) -> Poly:
     cur = Mat.identity(n)
     for k in range(1, n + 1):
         cur = cur @ a
-        c = coords_in_basis(powers, cur.flatten())
+        c = coords_in_span(powers, [cur.flatten()])[0]
         if c is not None:
             return Poly(list(-x for x in c) + [Fraction(1)])
         powers.append(cur.flatten())

@@ -501,24 +501,6 @@ def _unflatten(v, d):
     return Mat([v[r * d:(r + 1) * d] for r in range(d)])
 
 
-# -- sums -----------------------------------------------------------------------
-
-def direct_sum(r1: Representation, r2: Representation) -> Representation:
-    if r1.source != r2.source:
-        raise InputError("direct sum needs a common source algebra")
-    images = tuple(block_diag([a, b]) for a, b in zip(r1.images, r2.images))
-    flag = None
-    if r1.flag is not None or r2.flag is not None:
-        f1 = r1.flag or tuple(Mat.identity(r1.target_dim).cols())
-        f2 = r2.flag or tuple(Mat.identity(r2.target_dim).cols())
-        pad1 = tuple(tuple(v) + (Fraction(0),) * r2.target_dim for v in f1)
-        pad2 = tuple((Fraction(0),) * r1.target_dim + tuple(v) for v in f2)
-        flag = pad1 + pad2
-    rep = Representation(r1.source, r1.target_dim + r2.target_dim, images,
-                         flag=flag)
-    return replace(rep, verified=verify_rep(rep))
-
-
 def rep_kernel(rep: Representation):
     """Basis of {x : image_of(x) = 0}."""
     if rep.source.dim == 0:

@@ -7,7 +7,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from liedef.errors import InputError
-from liedef.linalg import (Mat, _dot, block_diag, char_poly, coords_in_basis,
+from liedef.linalg import (Mat, _dot, _field, block_diag, char_poly,
                            coords_in_span, det, in_span, integer_left_kernel,
                            intersect_spans, inverse, is_nilpotent_mat,
                            is_semisimple_mat, jordan_chevalley, kernel, kron,
@@ -178,17 +178,14 @@ def test_solve_and_inverse():
 def test_span_basis_canonical(rows):
     basis = span_basis(rows)
     assert span_basis(basis) == basis
-    for v in rows:
-        assert coords_in_basis(basis, v) is not None
-    for v in basis:
-        c = coords_in_basis(basis, v)
-        assert c is not None
+    assert None not in coords_in_span(basis, rows)
+    assert None not in coords_in_span(basis, basis)
 
 
-def test_coords_in_basis_outside():
-    assert coords_in_basis([(1, 0, 0)], (0, 1, 0)) is None
-    assert coords_in_basis([(1, 0, 0), (0, 1, 0)], (2, 3, 0)) == \
-        (Fraction(2), Fraction(3))
+def test_coords_in_span_outside():
+    assert coords_in_span([(1, 0, 0)], [(0, 1, 0)]) == [None]
+    assert coords_in_span([(1, 0, 0), (0, 1, 0)], [(2, 3, 0)]) == \
+        [(Fraction(2), Fraction(3))]
 
 
 def test_intersect_spans():
@@ -342,6 +339,82 @@ def test_mat_pow():
     assert mat_pow(a, 0) == Mat.identity(2)
 
 
+# ------------------------------------------------ dense reference elimination
+# The dense Gauss-Jordan elimination of an earlier linalg, with its readers:
+# an independent reference for the sparse one that every reader now uses.
+
+def ref_rref(m: Mat):
+    """Reduced row echelon form; returns (R, pivot column indices)."""
+    rows = [list(r) for r in m.rows]
+    nr, nc = len(rows), m.ncols
+    pivots = []
+    r = 0
+    for c in range(nc):
+        pr = next((i for i in range(r, nr) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        nz = [j for j in range(c, nc) if prow[j]]
+        inv = _field(prow[c])
+        if inv != 1:
+            for j in nz:
+                prow[j] = prow[j] / inv
+        for i in range(nr):
+            row = rows[i]
+            f = row[c]
+            if i != r and f:
+                for j in nz:
+                    row[j] = row[j] - f * prow[j]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return Mat(rows), tuple(pivots)
+
+
+def ref_kernel(m: Mat):
+    R, pivots = ref_rref(m)
+    nc = m.ncols
+    basis = []
+    for fc in (c for c in range(nc) if c not in pivots):
+        v = [Fraction(0)] * nc
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -R.rows[i][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def ref_solve(a: Mat, b):
+    R, pivots = ref_rref(Mat([list(r) + [bv] for r, bv in zip(a.rows, b)]))
+    nc = a.ncols
+    if nc in pivots:
+        return None
+    x = [Fraction(0)] * nc
+    for i, pc in enumerate(pivots):
+        x[pc] = R.rows[i][nc]
+    return tuple(x)
+
+
+def ref_inverse(a: Mat) -> Mat:
+    n = a.nrows
+    R, pivots = ref_rref(Mat([list(r) + [Fraction(int(i == j))
+                                         for j in range(n)]
+                              for i, r in enumerate(a.rows)]))
+    if list(pivots) != list(range(n)):
+        raise ValueError("singular matrix")
+    return Mat([r[n:] for r in R.rows])
+
+
+def ref_span_basis(vectors):
+    vectors = [v for v in vectors if any(v)]
+    if not vectors:
+        return []
+    R, pivots = ref_rref(Mat(vectors))
+    return [tuple(R.rows[i]) for i in range(len(pivots))]
+
+
 def _random_vec(rng, n, gaussian):
     return tuple(_random_square(rng, n, 0.7, gaussian)[0])
 
@@ -349,7 +422,7 @@ def _random_vec(rng, n, gaussian):
 def _coords_by_solve(basis, v):
     if not basis:
         return () if all(not c for c in v) else None
-    return solve(Mat.from_cols(basis), v)
+    return ref_solve(Mat.from_cols(basis), v)
 
 
 def test_coords_in_span_matches_solve():
@@ -462,13 +535,14 @@ def sparse_systems(draw):
 @settings(max_examples=150, deadline=None, database=None)
 @given(sparse_systems())
 def test_solve_sparse_matches_solve_and_kernel(system):
+    # the reference is the dense elimination, not the readers built on it
     rows, rhs = system
     dense = Mat(rows)
     sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
     solutions, null = solve_sparse(sparse, dense.ncols, rhs)
-    assert solutions == [solve(dense, tuple(b)) for b in rhs]
+    assert solutions == [ref_solve(dense, tuple(b)) for b in rhs]
     assert solutions[-1] is not None
-    assert null == kernel(dense)
+    assert null == ref_kernel(dense)
 
 
 def test_solve_sparse_edge_cases():
@@ -480,3 +554,102 @@ def test_solve_sparse_edge_cases():
         == ([None, (0, 2)], [(1, 0)])
     with pytest.raises(ValueError):
         solve_sparse([{0: 1}], 1, [[1, 2]])
+
+
+_ZEROS = {"int": 0, "Fraction": Fraction(0), "GaussRat": GaussRat(0)}
+
+
+def _kind_entries(kind):
+    """Entries of one scalar kind, or of all of them, about half zero."""
+    if kind == "mixed":
+        return st.one_of(*(_kind_entries(k) for k in _ZEROS))
+    return st.one_of(st.just(_ZEROS[kind]), _entries(kind))
+
+
+@st.composite
+def matrices_of_every_kind(draw):
+    """(kind, matrix) with int, Fraction, GaussRat or mixed entries, and
+    zero rows, repeated rows and dependent columns."""
+    kind = draw(st.sampled_from(("int", "Fraction", "GaussRat", "mixed")))
+    entry = _kind_entries(kind)
+    n_cols = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols),
+                         min_size=1, max_size=5))
+    zero = _ZEROS[kind] if kind != "mixed" else \
+        draw(st.sampled_from(list(_ZEROS.values())))
+    for _ in range(draw(st.integers(0, 1))):
+        rows.append([zero] * n_cols)
+    for _ in range(draw(st.integers(0, 2))):
+        rows.append(list(draw(st.sampled_from(rows))))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(rows[0]) - 1))
+        j = draw(st.integers(0, len(rows[0]) - 1))
+        c = draw(entry)
+        for r in rows:
+            r.append(r[i] - c * r[j])
+    return kind, Mat(draw(st.permutations(rows)))
+
+
+def _typed_deep(x):
+    if isinstance(x, Mat):
+        x = x.rows
+    if isinstance(x, (list, tuple)):
+        return [_typed_deep(c) for c in x]
+    return (type(x), x)
+
+
+@seed(20261019)
+@settings(max_examples=150, deadline=None, database=None)
+@given(matrices_of_every_kind(), st.data())
+def test_readers_match_dense_reference(kind_and_matrix, data):
+    # every reader of the one elimination equals the dense reference in
+    # value, and in entry type too when every input entry is a Fraction
+    kind, m = kind_and_matrix
+    entry = _kind_entries(kind)
+
+    def agree(got, want):
+        assert got == want
+        if kind == "Fraction":
+            assert _typed_deep(got) == _typed_deep(want)
+
+    agree(rank(m), len(ref_rref(m)[1]))
+    agree(kernel(m), ref_kernel(m))
+    x = data.draw(st.lists(entry, min_size=m.ncols, max_size=m.ncols))
+    y = data.draw(st.lists(entry, min_size=m.nrows, max_size=m.nrows))
+    rhs = [m @ x, tuple(y), (_ZEROS.get(kind, 0),) * m.nrows]
+    for b in rhs:
+        agree(solve(m, b), ref_solve(m, b))
+    agree(coords_in_span(m.cols(), rhs),
+          [ref_solve(m, b) for b in rhs])
+    t = Mat.from_cols(m.rows)
+    vectors = list(m.rows) + [tuple(x)]
+    agree(coords_in_span(m.rows, vectors),
+          [ref_solve(t, v) for v in vectors])
+    agree(span_basis(m.rows), ref_span_basis(m.rows))
+    k = min(m.shape)
+    square = Mat([r[:k] for r in m.rows[:k]])
+    try:
+        want = ref_inverse(square)
+    except ValueError:
+        with pytest.raises(ValueError, match="singular"):
+            inverse(square)
+    else:
+        agree(inverse(square), want)
+
+
+def test_mismatched_lengths_raise():
+    # a row or a coordinate too few or too many is an error, never dropped
+    ident = Mat([[1, 0], [0, 1]])
+    for b in ((3,), (3, 0, 0)):
+        with pytest.raises(ValueError):
+            solve(ident, b)
+    for basis, vectors in (([(1, 0)], [(1, 0, 0)]),
+                           ([(1, 0)], [(1,)]),
+                           ([(1, 0), (1, 0, 0)], [(1, 0)]),
+                           ([], [(0, 0), (0,)])):
+        with pytest.raises(ValueError):
+            coords_in_span(basis, vectors)
+    with pytest.raises(ValueError, match="ragged matrix"):
+        span_basis([(1, 0), (1, 0, 0)])
+    with pytest.raises(ValueError):
+        restrict_to_span(Mat.identity(3), [(1, 0)])

@@ -9,10 +9,11 @@ from liedef.errors import (InputError, NotNilpotentError,
                            NotSupersolvableError, PreconditionError,
                            UnsupportedError)
 from liedef.lie import LieAlgebra
-from liedef.linalg import Mat, intersect_spans, inverse, span_basis
+from liedef.linalg import (Mat, block_diag, intersect_spans, inverse,
+                           span_basis)
 from liedef.reps import (ALL_FLAGS, FAITHFUL, HOMOMORPHISM, TRIANGULAR,
-                         UNIPOTENT, GroupRepData, Representation, direct_sum,
-                         extend_rep, is_unipotent, nilpotent_ado, quotient_rep,
+                         UNIPOTENT, GroupRepData, Representation, extend_rep,
+                         is_unipotent, nilpotent_ado, quotient_rep,
                          rep_kernel, supersolvable_triangular_rep, verify_rep)
 from liedef.structure import nilradical
 
@@ -364,18 +365,12 @@ def test_direct_sum_and_kernel_intersection(h3):
     ado = nilpotent_ado(h3)
     adjoint = Representation(h3, 3,
                              tuple(h3.ad(h3.basis_vector(i)) for i in range(3)))
-    total = direct_sum(ado, adjoint)
-    assert total.target_dim == 13
+    total = Representation(h3, 13, tuple(
+        block_diag([a, b]) for a, b in zip(ado.images, adjoint.images)))
     assert rep_kernel(adjoint) != []
     assert rep_kernel(total) == intersect_spans(
         rep_kernel(ado), rep_kernel(adjoint), 3) == []
     assert HOMOMORPHISM in verify_rep(total)
-
-
-def test_direct_sum_shapes(r2):
-    a = Representation(r2, 1, (Mat.zeros(1, 1), Mat.zeros(1, 1)))
-    b = Representation(r2, 2, (Mat.zeros(2, 2), Mat.zeros(2, 2)))
-    assert direct_sum(a, b).target_dim == 3
 
 
 # ---------------------------------------------------------- central quotients
