@@ -424,7 +424,9 @@ def det(a: Mat):
 def span_basis(vectors):
     """Canonical (rref) basis of the span of the given row vectors."""
     vectors = list(vectors)
-    n = len(vectors[0]) if vectors else 0
+    if not vectors:
+        return []
+    n = len(vectors[0])
     if any(len(v) != n for v in vectors):
         raise ValueError("ragged matrix")
     pivots, _ = _gauss_jordan(_sparse_rows(vectors), n, ())
@@ -467,19 +469,53 @@ def coords_in_span(basis, vectors):
 
 
 def restrict_to_span(a: Mat, basis):
-    """Matrix of a on an invariant span, in the given basis coordinates."""
-    cols = coords_in_span(basis, [a @ v for v in basis])
+    """Matrix of a on an invariant span, in the given basis coordinates.
+
+    The image a @ v of each basis vector is summed over the nonzero entries
+    of a's rows where v is nonzero too, in increasing column order from
+    Fraction(0), the additions a @ v makes; coords_in_span then solves for
+    every image at once, and an image outside the span raises InputError.
+    Values and entry types are those of coords_in_span on the dense images.
+    """
+    nz_rows = [[(j, x) for j, x in enumerate(r) if x] for r in a.rows]
+    images = []
+    for v in basis:
+        if len(v) != a.ncols:
+            raise ValueError("shape mismatch")
+        image = []
+        for nz in nz_rows:
+            acc = Fraction(0)
+            for j, x in nz:
+                y = v[j]
+                if y:
+                    acc = acc + x * y
+            image.append(acc)
+        images.append(image)
+    cols = coords_in_span(basis, images)
     if None in cols:
         raise InputError("matrix does not preserve the span")
     return Mat.from_cols(cols)
 
 
 def lincomb(coeffs, vectors, dim: int):
-    """sum of c * v over the pairs, as a tuple of length dim."""
-    out = [Fraction(0)] * dim
-    for c, v in zip(coeffs, vectors):
-        if c:
-            out = [a + c * b for a, b in zip(out, v)]
+    """sum of c * v over the pairs, as a tuple of length dim.
+
+    Only the nonzero c and, in each v, the nonzero entries are multiplied.
+    Entry j has the value and type of Fraction(0) + c_1 v_1[j] + ... over
+    the nonzero c: a GaussRat when one of those c or v[j], zero or not, is
+    a GaussRat, else a Fraction.  So the output starts from GaussRat(0) when
+    some coefficient is one, else from Fraction(0), and a GaussRat zero
+    entry promotes its entry without arithmetic.
+    """
+    terms = [(c, v) for c, v in zip(coeffs, vectors) if c]
+    gaussian = any(isinstance(c, GaussRat) for c, _ in terms)
+    out = [GaussRat(0) if gaussian else Fraction(0)] * dim
+    for c, v in terms:
+        for j, y in enumerate(v):
+            if y:
+                out[j] = out[j] + c * y
+            elif isinstance(y, GaussRat) and not isinstance(out[j], GaussRat):
+                out[j] = GaussRat(out[j])
     return tuple(out)
 
 

@@ -20,14 +20,29 @@ character of each step.  module_weights tabulates those characters, and a
 real flag of ideals is the adjoint weight_flag of an algebra whose weights
 are real.  Every eigenvalue is picked by one rule: the least real root when
 there is one, else the least root in Q(i); a 1x1 matrix is read as its own
-eigenvalue, with no characteristic polynomial.  Everything runs over the fixed
-tower Q < Q(i), real first: the peel runs over Q and lifts to Q(i) in place
-at the first nonreal eigenvalue it picks, so a module with real weights
-never pays for Gaussian arithmetic (a character whose eigenvalues are all
-real is contracted over Q as well).  When a needed eigenvalue lives outside
-the tower, the computation returns Indeterminate rather than guessing.
-Characters are value rows against the acting algebra's basis: char[j] is the
-character evaluated on basis element j.
+eigenvalue, with no characteristic polynomial.
+
+The roots are found once per chain direction z_k and weight_flag call: the
+spectrum of z_k on the whole module (its roots in Q(i), with multiplicity)
+is factored the first time a peel needs it and carried to the next peel,
+less one copy of the eigenvalue of z_k on the vector just peeled.  That is
+exact, since the peeled vector is a common eigenvector: the quotient's
+characteristic polynomial is the old one divided by (x - lambda_k).  A level
+tries the carried roots in the rule's order (real ones ascending, then the
+rest by (re, im)) and takes the first whose eigenspace in the level is not
+zero.  Every root of a restriction to an invariant subspace is a root of the
+whole action, so that is the root the rule picks from the restriction's own
+characteristic polynomial, and the eigenspace is the one the peel needs
+anyway.
+
+Everything runs over the fixed tower Q < Q(i), real first: the peel runs
+over Q and lifts to Q(i) in place at the first nonreal eigenvalue it picks,
+so a module with real weights never pays for Gaussian arithmetic (a
+character whose eigenvalues are all real is contracted over Q as well).
+When a needed eigenvalue lives outside the tower, the computation returns
+Indeterminate rather than guessing.  Characters are value rows against the
+acting algebra's basis: char[j] is the character evaluated on basis element
+j.
 """
 from __future__ import annotations
 
@@ -66,8 +81,9 @@ class WeightTable:
 
 
 def _complete_hyperplane(alg: LieAlgebra):
-    """A codim-1 ideal containing [g,g] (as rref rows), plus a leftover basis
-    direction.  Any hyperplane above the derived subalgebra is an ideal."""
+    """A codim-1 ideal containing [g,g] (as rref rows), a leftover basis
+    direction, and [g,g] itself.  Any hyperplane above the derived
+    subalgebra is an ideal."""
     derived = alg.derived_algebra()
     if len(derived) >= alg.dim:
         raise InputError("acting algebra is not solvable")
@@ -81,20 +97,49 @@ def _complete_hyperplane(alg: LieAlgebra):
     z = next((v for v in alg.basis() if not in_span(rows, v)), None)
     if z is None:
         raise InternalCheckError("hyperplane completion failed")
-    return rows, z
+    return rows, z, derived
 
 
-def _pick_root(b: Mat):
-    """The least real eigenvalue of b, else its least one in Q(i), else None.
+def _spectrum(b: Mat):
+    """The eigenvalues of b in Q(i) as [lam, multiplicity] pairs, in the
+    order the peel tries them: real ones ascending, then the rest by
+    (re, im)."""
+    roots = [[lam, mult] for lam, mult in gaussian_roots(char_poly(b))[0]]
+    # gaussian_roots sorts by (re, im), and the sort is stable
+    roots.sort(key=lambda root: not root[0].is_real())
+    return roots
 
-    A 1x1 matrix is its own eigenvalue.  gaussian_roots sorts its roots by
-    (re, im), so both are first matches.
+
+def _drop_root(spectrum, lam):
+    """Take one copy of lam out of a _spectrum list, in place."""
+    i = next((i for i, (mu, _) in enumerate(spectrum) if mu == lam), None)
+    if i is None:
+        raise InternalCheckError(
+            "a peeled eigenvalue is missing from the carried spectrum")
+    spectrum[i][1] -= 1
+    if not spectrum[i][1]:
+        del spectrum[i]
+
+
+def _level_eigenspace(b: Mat, candidates):
+    """The first candidate that is an eigenvalue of b, and its eigenspace.
+
+    b is one level's matrix, over Q or Q(i); a nonreal candidate is tried
+    on b lifted to Q(i).  Returns (lam, kernel of b - lam), or None when no
+    candidate is an eigenvalue of b.
     """
-    if b.nrows == 1:
-        return gauss(b.rows[0][0])
-    roots = [lam for lam, _ in gaussian_roots(char_poly(b))[0]]
-    return next((lam for lam in roots if lam.is_real()),
-                roots[0] if roots else None)
+    lifted = None
+    for lam in candidates:
+        if lam.is_real():
+            m, mu = b, lam.re
+        else:
+            if lifted is None:
+                lifted = b.map(gauss)
+            m, mu = lifted, lam
+        eig = kernel(_shift_diagonal(m, mu))
+        if eig:
+            return lam, eig
+    return None
 
 
 def _ideal_chain(alg: LieAlgebra):
@@ -103,23 +148,25 @@ def _ideal_chain(alg: LieAlgebra):
     alg = g_1 > g_2 > ... > g_n > 0 where g_{k+1} is a codim-1 ideal of g_k
     containing [g_k, g_k] and z_k is the leftover direction, g_k = g_{k+1} +
     span(z_k).  Returns (z_1..z_n in alg's coordinates, the inverse of the
-    matrix with columns z_1..z_n); a character is fixed by its values on the
-    z_k, and contracting those values against the inverse gives it on alg's
-    basis.
+    matrix with columns z_1..z_n, [alg, alg] as rref rows); a character is
+    fixed by its values on the z_k, and contracting those values against
+    the inverse gives it on alg's basis.
     """
-    dirs = []
+    dirs, derived = [], []
     sub, lift = alg, Mat.identity(alg.dim)
     while sub.dim:
-        hyp, z = _complete_hyperplane(sub)
+        hyp, z, d = _complete_hyperplane(sub)
+        if not dirs:
+            derived = d
         dirs.append(lift @ z)
         if not hyp:
             break
         sub, incl = sub.subalgebra(hyp)
         lift = Mat.from_cols([lift @ row for row in incl])
-    return dirs, inverse(Mat.from_cols(dirs))
+    return dirs, inverse(Mat.from_cols(dirs)), derived
 
 
-def common_eigenspace(chain, mats, scalar):
+def common_eigenspace(chain, mats, scalar, spectra):
     """One joint character of the action and its full common eigenspace.
 
     chain is _ideal_chain of the acting algebra and mats its action on the
@@ -127,62 +174,68 @@ def common_eigenspace(chain, mats, scalar):
     (Fraction for Q, gauss for Q(i)).  Walking the chain from its smallest
     ideal up, each direction z_k cuts the space down to one of its
     eigenspaces on the common eigenspace of g_{k+1}, which g_k leaves
-    invariant, picking its eigenvalue by _pick_root.  At the first level
-    that space is the whole module, so the action of z_n is read as it is;
-    every later level restricts the action to the space found so far, which
-    checks its invariance.  Returns (char_row, eigenspace_basis), or an
-    Indeterminate when some restriction has no eigenvalue in Q(i).
+    invariant.  At the first level that space is the whole module, so the
+    action of z_n is read as it is; every later level restricts the action
+    to the space found so far, which checks its invariance.
 
-    A nonreal eigenvalue over Q lifts the matrix and the space to Q(i) where
-    it appears, and the eigenspace comes back over Q(i) from then on, every
-    entry a GaussRat.
+    spectra[k] is the spectrum of z_k on the whole module (_spectrum), or
+    None until a level needs it: a 1x1 level is its own eigenvalue, and a
+    larger one is filled in here from the action of z_k and tries its
+    roots in order (_level_eigenspace).  Returns (char_row,
+    eigenspace_basis, lams) with lams[k] the eigenvalue of z_k, or an
+    Indeterminate when some level has no eigenvalue in Q(i).
+
+    A nonreal eigenvalue over Q lifts the space to Q(i) where it appears,
+    and the eigenspace comes back over Q(i) from then on, every entry a
+    GaussRat.
     """
-    dirs, inv_z = chain
+    dirs, inv_z, _ = chain
     n = mats[0].nrows
     if not n:
         raise InternalCheckError("empty module in eigenvector recursion")
     w = None
-    lams = []
-    for z in reversed(dirs):
-        b = mat_lincomb(z, mats, n)
+    lams = [None] * len(dirs)
+    for k in reversed(range(len(dirs))):
+        b = mat_lincomb(dirs[k], mats, n)
+        level = b
         if w is not None:
             try:
-                b = restrict_to_span(b, w)
+                level = restrict_to_span(b, w)
             except InputError:
                 raise InternalCheckError(
                     "joint eigenspace is not invariant; the action is not "
                     "from a solvable family") from None
-        lam = _pick_root(b)
-        if lam is None:
+        if level.nrows == 1:
+            candidates = (gauss(level.rows[0][0]),)
+        else:
+            if spectra[k] is None:
+                spectra[k] = _spectrum(b)
+            candidates = [lam for lam, _ in spectra[k]]
+        found = _level_eigenspace(level, candidates)
+        if found is None:
             return Indeterminate(
                 "an eigenvalue of the action lies outside Q(i), or outside Q "
                 "on a direction that must stay rational")
-        if lam.is_real():
-            mu = lam.re
-        else:
-            mu = lam
+        lam, eig_coords = found
+        if not lam.is_real():
             scalar = gauss
-            b = b.map(gauss)
             if w is not None:
                 w = [tuple(gauss(x) for x in v) for v in w]
-        eig_coords = kernel(_shift_diagonal(b, mu))
-        if not eig_coords:
-            raise InternalCheckError("chosen eigenvalue has no eigenvector")
         if w is not None:
-            w = [lincomb(k, w, n) for k in eig_coords]
+            w = [lincomb(c, w, n) for c in eig_coords]
         elif scalar is gauss:
-            w = [tuple(gauss(x) for x in k) for k in eig_coords]
+            w = [tuple(gauss(x) for x in c) for c in eig_coords]
         else:
             w = eig_coords
-        lams.append(lam)
-    lams.reverse()
+        lams[k] = lam
+    vals = lams
     if all(lam.is_real() for lam in lams):
         # the same values as over Q(i), without Gaussian products
-        lams = [lam.re for lam in lams]
-    char = tuple(gauss(sum((lam * r[j] for lam, r in zip(lams, inv_z.rows)
+        vals = [lam.re for lam in lams]
+    char = tuple(gauss(sum((lam * r[j] for lam, r in zip(vals, inv_z.rows)
                             if r[j]), Fraction(0)))
                  for j in range(len(dirs)))
-    return char, w
+    return char, w, lams
 
 
 def _shift_diagonal(b, mu):
@@ -228,7 +281,10 @@ def weight_flag(alg: LieAlgebra, mats):
     """A complete invariant flag of a solvable action, with its characters.
 
     Peels common eigenvectors from the module until it is exhausted; one
-    chain of ideals serves every peel.  The module stays over Q until an
+    chain of ideals serves every peel, and so does one spectrum per chain
+    direction, found when a peel first needs it and, after each peel, less
+    the eigenvalue of that direction on the peeled vector (see the module
+    docstring for why that is exact).  The module stays over Q until an
     eigenvector comes back over Q(i); from that peel on the quotient
     matrices and the lift to module coordinates are kept over Q(i), so the
     flag holds GaussRat entries exactly when some weight is nonreal.
@@ -238,17 +294,22 @@ def weight_flag(alg: LieAlgebra, mats):
     """
     if not mats:
         return [], []
-    chain = _ideal_chain(alg)
+    return _peel(_ideal_chain(alg), mats)
+
+
+def _peel(chain, mats):
+    """weight_flag on a nonempty list of action matrices, given the chain."""
     cur = list(mats)
     scalar = Fraction
     flag_vecs = []
     chars = []
+    spectra = [None] * len(chain[0])
     lift = Mat.identity(cur[0].nrows)
     while cur[0].nrows > 0:
-        res = common_eigenspace(chain, cur, scalar)
+        res = common_eigenspace(chain, cur, scalar, spectra)
         if isinstance(res, Indeterminate):
             return res
-        char, eig = res
+        char, eig, lams = res
         w = eig[0]
         if scalar is Fraction and isinstance(w[0], GaussRat):
             scalar = gauss
@@ -258,6 +319,9 @@ def weight_flag(alg: LieAlgebra, mats):
         chars.append(char)
         cur, p = _peel_quotient(cur, w)
         lift = Mat([r[:p] + r[p + 1:] for r in lift.rows])
+        for spectrum, lam in zip(spectra, lams):
+            if spectrum is not None:
+                _drop_root(spectrum, lam)
     return flag_vecs, chars
 
 
@@ -266,22 +330,23 @@ def module_weights(alg: LieAlgebra, mats):
 
     Tabulates the characters of weight_flag; they do not depend on the order
     of the peel.  Returns a WeightTable or an Indeterminate.  Weights are
-    checked to vanish on the derived subalgebra and multiplicities to sum to
-    the module dimension.  A non-solvable algebra raises InputError: every
-    ideal of the chain contains the perfect term of its derived series, so
-    the chain stops there before any peel.
+    checked to vanish on the derived subalgebra, whose rows the ideal chain
+    computes at its first level, and multiplicities to sum to the module
+    dimension.  A non-solvable algebra raises InputError: every ideal of the
+    chain contains the perfect term of its derived series, so the chain
+    stops there before any peel.
     """
     mats = [m if isinstance(m, Mat) else Mat(m) for m in mats]
     if len(mats) != alg.dim:
         raise InputError("one action matrix per basis element is required")
     dim0 = mats[0].nrows if mats else 0
-    peeled = weight_flag(alg, mats)
+    chain = _ideal_chain(alg)
+    peeled = _peel(chain, mats) if mats else ([], [])
     if isinstance(peeled, Indeterminate):
         return peeled
-    derived = alg.derived_algebra()
     merged = {}
     for char in peeled[1]:
-        for dvec in derived:
+        for dvec in chain[2]:
             val = sum((c * x for c, x in zip(char, dvec)), gauss(0))
             if val:
                 raise InternalCheckError(

@@ -11,9 +11,9 @@ from liedef.linalg import (Mat, _dot, _field, block_diag, char_poly,
                            coords_in_span, det, in_span, integer_left_kernel,
                            intersect_spans, inverse, is_nilpotent_mat,
                            is_semisimple_mat, jordan_chevalley, kernel, kron,
-                           mat_lincomb, mat_pow, minimal_poly, poly_at, rank,
-                           restrict_to_span, solve, solve_sparse,
-                           span_basis, trace_product)
+                           lincomb, mat_lincomb, mat_pow, minimal_poly,
+                           poly_at, rank, restrict_to_span, solve,
+                           solve_sparse, span_basis, trace_product)
 from liedef.poly import clear_denominators
 from liedef.scalars import GaussRat
 
@@ -415,6 +415,26 @@ def ref_span_basis(vectors):
     return [tuple(R.rows[i]) for i in range(len(pivots))]
 
 
+def ref_lincomb(coeffs, vectors, dim):
+    """sum of c * v over every entry of each v with c nonzero, from
+    Fraction(0)."""
+    out = [Fraction(0)] * dim
+    for c, v in zip(coeffs, vectors):
+        if c:
+            out = [a + c * b for a, b in zip(out, v)]
+    return tuple(out)
+
+
+def ref_restrict_to_span(a: Mat, basis):
+    """Coordinates of each dense image a @ v in the basis, one dense solve
+    per image."""
+    t = Mat.from_cols(basis)
+    cols = [ref_solve(t, a @ v) for v in basis]
+    if None in cols:
+        raise InputError("matrix does not preserve the span")
+    return Mat.from_cols(cols)
+
+
 def _random_vec(rng, n, gaussian):
     return tuple(_random_square(rng, n, 0.7, gaussian)[0])
 
@@ -653,3 +673,84 @@ def test_mismatched_lengths_raise():
         span_basis([(1, 0), (1, 0, 0)])
     with pytest.raises(ValueError):
         restrict_to_span(Mat.identity(3), [(1, 0)])
+
+
+# ------------------------------------------------ sparse lincomb, restriction
+
+def _any_type(draw, x):
+    """x as a Fraction, a GaussRat or, when it is an integer, an int."""
+    if isinstance(x, GaussRat) and x.im:
+        return x
+    v = Fraction(x.re if isinstance(x, GaussRat) else x)
+    return draw(st.sampled_from([v, GaussRat(v)]
+                                + ([int(v)] if v.denominator == 1 else [])))
+
+
+@st.composite
+def lincomb_cases(draw):
+    """(coeffs, vectors, dim) of one scalar kind or mixed, about half zero:
+    zero coefficients and, in mixed input, GaussRat zeros."""
+    entry = _kind_entries(draw(st.sampled_from(
+        ("int", "Fraction", "GaussRat", "mixed"))))
+    dim = draw(st.integers(0, 5))
+    vectors = draw(st.lists(st.tuples(*[entry] * dim), max_size=4))
+    coeffs = draw(st.lists(entry, min_size=len(vectors),
+                           max_size=len(vectors)))
+    return coeffs, vectors, dim
+
+
+@seed(20261021)
+@settings(max_examples=200, deadline=None, database=None)
+@given(lincomb_cases())
+def test_lincomb_matches_dense_reference(case):
+    coeffs, vectors, dim = case
+    assert (_typed_deep(lincomb(coeffs, vectors, dim))
+            == _typed_deep(ref_lincomb(coeffs, vectors, dim)))
+
+
+def test_lincomb_keeps_the_type_of_a_gaussian_zero():
+    q, g = Fraction, GaussRat
+    got = lincomb([q(2), 0, g(0)], [(g(0), 1, 0), (g(1), g(1), g(1)),
+                                    (g(5), 5, 5)], 3)
+    assert _typed_deep(got) == [(g, 0), (q, 2), (q, 0)]
+    assert (_typed_deep(lincomb([g(0, 1)], [(0, 1)], 2))
+            == [(g, 0), (g, g(0, 1))])
+
+
+@st.composite
+def invariant_spans(draw):
+    """(a, basis): a = P J P^-1 with P unit lower triangular and J zero
+    below its leading k x k block, so the first k columns of P span an
+    invariant space, sometimes spoilt by one changed entry of a.  Entries
+    are of one kind or mixed, and each entry of a and of the basis is
+    retyped at random to an int, Fraction or GaussRat of its value."""
+    entry = _kind_entries(draw(st.sampled_from(
+        ("int", "Fraction", "GaussRat", "mixed"))))
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, n))
+    p = Mat([[draw(entry) if i > j else int(i == j) for j in range(n)]
+             for i in range(n)])
+    j = Mat([[0 if i >= k > c else draw(entry) for c in range(n)]
+             for i in range(n)])
+    rows = [[_any_type(draw, x) for x in r]
+            for r in (p @ j @ inverse(p)).rows]
+    if draw(st.booleans()):
+        i, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][c] = rows[i][c] + 1
+    basis = [tuple(_any_type(draw, x) for x in col) for col in p.cols()[:k]]
+    return Mat(rows), basis
+
+
+@seed(20261021)
+@settings(max_examples=200, deadline=None, database=None)
+@given(invariant_spans())
+def test_restrict_to_span_matches_dense_reference(case):
+    a, basis = case
+    try:
+        want = ref_restrict_to_span(a, basis)
+    except InputError:
+        with pytest.raises(InputError, match="does not preserve"):
+            restrict_to_span(a, basis)
+    else:
+        assert (_typed_deep(restrict_to_span(a, basis))
+                == _typed_deep(want))

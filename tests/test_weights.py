@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+from collections import Counter
+
 import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
@@ -7,11 +9,13 @@ from hypothesis import strategies as st
 from liedef import weights
 from liedef.corpus import corpus_entry
 from liedef.errors import Indeterminate, InputError, InternalCheckError
-from liedef.lie import LieAlgebra
-from liedef.linalg import (Mat, block_diag, det, inverse, kernel,
-                           span_basis)
-from liedef.reps import supersolvable_triangular_rep
+from liedef.lie import LieAlgebra, from_matrices
+from liedef.linalg import (Mat, block_diag, char_poly, coords_in_span, det,
+                           inverse, kernel, mat_lincomb, span_basis)
+from liedef.poly import gaussian_roots
+from liedef.reps import extend_rep, nilpotent_ado, supersolvable_triangular_rep
 from liedef.scalars import GaussRat, gauss
+from liedef.structure import nilradical
 from liedef.weights import adjoint_weights, module_weights, weight_flag
 
 
@@ -158,17 +162,17 @@ def test_real_flag_values_are_rational(axb):
 
 
 def _record_levels(monkeypatch):
-    """Wrap the peel's eigenvalue pick, which sees the matrix of every chain
-    level before any lift; the returned list gets, per call, whether that
-    matrix held a GaussRat."""
+    """Wrap the peel's eigenvalue search, which sees the matrix of every
+    chain level before any lift; the returned list gets, per call, whether
+    that matrix held a GaussRat."""
     seen = []
-    inner = weights._pick_root
+    inner = weights._level_eigenspace
 
-    def wrapped(b):
+    def wrapped(b, candidates):
         seen.append(any(isinstance(x, GaussRat) for x in b.flatten()))
-        return inner(b)
+        return inner(b, candidates)
 
-    monkeypatch.setattr(weights, "_pick_root", wrapped)
+    monkeypatch.setattr(weights, "_level_eigenspace", wrapped)
     return seen
 
 
@@ -305,8 +309,251 @@ def test_common_eigenspace_shifts_like_subtracting_a_scaled_identity():
     for b, mu in ((Mat([[2, 1, 7], [0, 2, 0], [0, 0, 2]]), Fraction(2)),
                   (Mat([[0, 1, 3], [0, 0, Fraction(1, 2)], [0, 0, 0]]),
                    Fraction(0))):
-        char, w = weights.common_eigenspace(chain, [b], Fraction)
-        assert char == (mu,)
+        char, w, lams = weights.common_eigenspace(chain, [b], Fraction,
+                                                  [None])
+        assert char == (mu,) and lams == [mu]
         want = kernel(b - mu * Mat.identity(3))
         assert ([[(type(x), x) for x in v] for v in w]
                 == [[(type(x), x) for x in v] for v in want])
+
+
+# ------------------------------------------------------------ reference peel
+# The peel of an earlier weights module: every chain level picks its
+# eigenvalue from its own characteristic polynomial, restricts by dense
+# products and lifts by dense sums.  An independent reference for the peel
+# that carries each direction's spectrum across peels.
+
+REF_INDETERMINATE = ("an eigenvalue of the action lies outside Q(i), or "
+                     "outside Q on a direction that must stay rational")
+
+
+def _ref_pick_root(b):
+    if b.nrows == 1:
+        return gauss(b.rows[0][0])
+    roots = [lam for lam, _ in gaussian_roots(char_poly(b))[0]]
+    return next((lam for lam in roots if lam.is_real()),
+                roots[0] if roots else None)
+
+
+def _ref_lincomb(coeffs, vectors, dim):
+    out = [Fraction(0)] * dim
+    for c, v in zip(coeffs, vectors):
+        if c:
+            out = [a + c * b for a, b in zip(out, v)]
+    return tuple(out)
+
+
+def _ref_restrict(a, basis):
+    cols = coords_in_span(basis, [a @ v for v in basis])
+    assert None not in cols
+    return Mat.from_cols(cols)
+
+
+def _ref_common_eigenspace(chain, mats, scalar):
+    dirs, inv_z = chain[:2]
+    n = mats[0].nrows
+    w = None
+    lams = []
+    for z in reversed(dirs):
+        b = mat_lincomb(z, mats, n)
+        if w is not None:
+            b = _ref_restrict(b, w)
+        lam = _ref_pick_root(b)
+        if lam is None:
+            return None
+        if lam.is_real():
+            mu = lam.re
+        else:
+            mu = lam
+            scalar = gauss
+            b = b.map(gauss)
+            if w is not None:
+                w = [tuple(gauss(x) for x in v) for v in w]
+        eig = kernel(weights._shift_diagonal(b, mu))
+        assert eig
+        if w is not None:
+            w = [_ref_lincomb(k, w, n) for k in eig]
+        elif scalar is gauss:
+            w = [tuple(gauss(x) for x in k) for k in eig]
+        else:
+            w = eig
+        lams.append(lam)
+    lams.reverse()
+    if all(lam.is_real() for lam in lams):
+        lams = [lam.re for lam in lams]
+    return tuple(gauss(sum((lam * r[j] for lam, r in zip(lams, inv_z.rows)
+                            if r[j]), Fraction(0)))
+                 for j in range(len(dirs))), w
+
+
+def _ref_weight_flag(alg, mats):
+    """(flag, characters), or the Indeterminate reason."""
+    chain = weights._ideal_chain(alg)
+    cur = list(mats)
+    scalar = Fraction
+    flag, chars = [], []
+    lift = Mat.identity(cur[0].nrows)
+    while cur[0].nrows:
+        res = _ref_common_eigenspace(chain, cur, scalar)
+        if res is None:
+            return REF_INDETERMINATE
+        char, eig = res
+        w = eig[0]
+        if scalar is Fraction and isinstance(w[0], GaussRat):
+            scalar = gauss
+            cur = [m.map(gauss) for m in cur]
+            lift = lift.map(gauss)
+        flag.append(tuple(lift @ w))
+        chars.append(char)
+        cur, p = weights._peel_quotient(cur, w)
+        lift = Mat([r[:p] + r[p + 1:] for r in lift.rows])
+    return flag, chars
+
+
+def _typed(x):
+    if isinstance(x, GaussRat):
+        return ("GaussRat", x.re, x.im, type(x.re), type(x.im))
+    if isinstance(x, (list, tuple)):
+        return [_typed(c) for c in x]
+    return (type(x), x)
+
+
+def _assert_peel_matches_the_reference(alg, mats):
+    got = weight_flag(alg, mats)
+    want = _ref_weight_flag(alg, mats)
+    if isinstance(want, str):
+        assert isinstance(got, Indeterminate) and got.reason == want
+    else:
+        assert _typed(list(got)) == _typed(list(want))
+    return got
+
+
+def _adjoint(g):
+    return [g.ad(g.basis_vector(i)) for i in range(g.dim)]
+
+
+def _extended_module(t):
+    nil = nilradical(t)
+    sub, _ = t.subalgebra(nil)
+    return list(extend_rep(t, nil, nilpotent_ado(sub)).images)
+
+
+def _h3_plus_aff():
+    return LieAlgebra.from_entries(5, {(0, 1): (0, 0, 1, 0, 0),
+                                       (3, 4): (0, 0, 0, 0, 1)})
+
+
+def _h3_semidirect(a):
+    return LieAlgebra.from_entries(4, {(0, 1): (0, 0, 1, 0),
+                                       (3, 0): (a, 0, 0, 0),
+                                       (3, 1): (0, -a, 0, 0)})
+
+
+def test_peel_matches_the_reference_on_pinned_modules():
+    # +-sqrt(2) ends Indeterminate; the extended modules are the 10- to
+    # 15-dimensional ones supersolvable_triangular_rep peels
+    sqrt2 = LieAlgebra.from_entries(3, {(2, 0): (0, 1, 0),
+                                        (2, 1): (2, 0, 0)})
+    assert isinstance(
+        _assert_peel_matches_the_reference(sqrt2, _adjoint(sqrt2)),
+        Indeterminate)
+    for g in (_h3_plus_aff(), _h3_semidirect(1), _h3_semidirect(2)):
+        _assert_peel_matches_the_reference(g, _adjoint(g))
+        mats = _extended_module(g)
+        assert mats[0].nrows >= 10
+        _assert_peel_matches_the_reference(g, mats)
+
+
+def _unit_triangular(draw, n, entry):
+    """A random invertible rational matrix: unit lower times unit upper."""
+    lower = Mat([[1 if i == j else draw(entry) if i > j else 0
+                  for j in range(n)] for i in range(n)])
+    upper = Mat([[1 if i == j else draw(entry) if i < j else 0
+                  for j in range(n)] for i in range(n)])
+    return lower @ upper
+
+
+@st.composite
+def solvable_actions(draw):
+    """(g, action): g generated by random upper triangular rational
+    matrices, in a random rational basis, acting by its adjoint, or by its
+    adjoint plus a 2x2 block a(x) + b(x) J (J the rotation by a right
+    angle, a and b characters of g) in a random rational module basis, so
+    that a nonreal weight lifts the peel to Q(i)."""
+    n = draw(st.integers(2, 3))
+    entry = st.sampled_from((0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)))
+    gens = [Mat([[draw(entry) if j >= i else 0 for j in range(n)]
+                 for i in range(n)]) for _ in range(draw(st.integers(2, 3)))]
+    assume(any(not m.is_zero() for m in gens))
+    g0, _, _ = from_matrices(gens)
+    k = g0.dim
+    assume(k >= 2)
+    t = _unit_triangular(draw, k, small)
+    t_inv = inverse(t)
+    cols = t.cols()
+    g = LieAlgebra(k, [[t_inv @ g0.bracket(cols[i], cols[j])
+                        for j in range(k)] for i in range(k)])
+    mats = _adjoint(g)
+    if draw(st.booleans()):
+        derived = g.derived_algebra()
+        chars = kernel(Mat(derived)) if derived else \
+            [g.basis_vector(i) for i in range(k)]
+        re, im = ([sum((draw(small) * c[i] for c in chars), Fraction(0))
+                   for i in range(k)] for _ in range(2))
+        mats = [block_diag([m, Mat([[a, -b], [b, a]])])
+                for m, a, b in zip(mats, re, im)]
+        p = _unit_triangular(draw, k + 2, small)
+        p_inv = inverse(p)
+        mats = [p_inv @ m @ p for m in mats]
+    return g, mats
+
+
+@seed(20261021)
+@settings(max_examples=60, deadline=None, database=None)
+@given(solvable_actions())
+def test_peel_matches_the_reference_on_random_actions(case):
+    _assert_peel_matches_the_reference(*case)
+
+
+def test_each_direction_is_factored_at_most_once(monkeypatch):
+    # h3 + aff(1) has 5 chain directions; peeling level by level factors
+    # 19 characteristic polynomials on its adjoint and 68 on its extended
+    # module
+    g = _h3_plus_aff()
+    modules = (_adjoint(g), _extended_module(g))
+    calls = Counter()
+    for name in ("char_poly", "gaussian_roots"):
+        def counted(*args, _inner=getattr(weights, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(weights, name, counted)
+    for mats in modules:
+        calls.clear()
+        weight_flag(g, mats)
+        assert 0 < calls["char_poly"] <= 5
+        assert 0 < calls["gaussian_roots"] <= 5
+
+
+def test_carried_spectra_are_those_of_the_current_module(monkeypatch):
+    # a spectrum found at an earlier peel, less the eigenvalues peeled since,
+    # is the spectrum of its direction on the module left to peel
+    inner = weights.common_eigenspace
+    checked = []
+
+    def checking(chain, mats, scalar, spectra):
+        for z, spectrum in zip(chain[0], spectra):
+            if spectrum is not None:
+                b = mat_lincomb(z, mats, mats[0].nrows)
+                assert spectrum == weights._spectrum(b)
+                checked.append(sum(mult for _, mult in spectrum))
+        return inner(chain, mats, scalar, spectra)
+
+    monkeypatch.setattr(weights, "common_eigenspace", checking)
+    rotation = LieAlgebra.from_entries(1, {})
+    weight_flag(rotation, [Mat([[-1, 0, 0], [0, 0, -1], [0, 1, 0]])])
+    e2 = LieAlgebra.from_entries(3, {(0, 2): (0, -1, 0), (1, 2): (1, 0, 0)})
+    weight_flag(e2, _adjoint(e2))
+    for g in (_h3_plus_aff(), _h3_semidirect(2)):
+        weight_flag(g, _adjoint(g))
+        weight_flag(g, _extended_module(g))
+    assert len(checked) > 20 and max(checked) > 5
