@@ -164,7 +164,7 @@ def _flag_result(g, screen):
             raise InternalCheckError(
                 "step character has an imaginary component")
         chars.append(rc)
-    _check_flag(g, flag)
+    _check_flag(g, flag, chars)
     return SupersolvableResult(SS_YES, tuple(flag), tuple(chars), None,
                                screen, None)
 
@@ -179,14 +179,20 @@ def _nonreal_weight_values(table):
         "screen found a nonreal eigenvalue but every weight is real")
 
 
-def _check_flag(g, flag):
-    # prefix spans must be ideals; cheap postcondition of the recursion
+def _check_flag(g, flag, chars):
+    # prefix spans must be ideals, and e_j must act on flag[i] modulo the
+    # earlier steps by chars[i][j]: the coefficient of flag[i] in
+    # [e_j, flag[i]]; the nilradical is read off these characters
     if len(span_basis(flag)) != g.dim or len(flag) != g.dim:
         raise InternalCheckError("flag does not span the algebra")
     for i in range(g.dim):
         brs = [g.bracket(x, flag[i]) for x in g.basis()]
-        if None in coords_in_span(flag[:i + 1], brs):
+        coords = coords_in_span(flag[:i + 1], brs)
+        if None in coords:
             raise InternalCheckError("flag step is not an ideal")
+        if any(co[i] != chars[i][j] for j, co in enumerate(coords)):
+            raise InternalCheckError(
+                "step character disagrees with the flag")
 
 
 @dataclass(frozen=True)

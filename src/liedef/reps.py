@@ -1,10 +1,17 @@
 """Constructive representation theory for the definability pipeline.
 
-Everything a construction claims about itself is re-checked by verify_rep
-before the Representation leaves this module: homomorphism, faithfulness,
+Everything a construction claims about itself is re-checked before the
+Representation leaves this module: homomorphism, faithfulness,
 triangularity in the adapted flag, strict triangularity on the nilradical.
 Constructions that cannot reach a verified answer raise UnsupportedError
 rather than returning unchecked matrices.
+
+The homomorphism check sums one sparse residual per pair of basis elements.
+The nilradical the unipotent check needs is reached by two routes.  The
+finders hand the one they have already proved to _certified: the whole
+algebra for a nilpotent one, the common kernel of the adjoint step
+characters for a supersolvable one.  Public verify_rep, which the checker in
+certs.py calls, computes structure.nilradical itself.
 """
 from __future__ import annotations
 
@@ -61,12 +68,23 @@ def verify_rep(rep: Representation) -> frozenset:
     """The subset of {homomorphism, faithful, triangular, unipotent} that holds.
 
     Never raises on a false claim; constructions compare the result against
-    what they promised.  When the flag is a basis, each image is conjugated
-    into it once, and every check but faithfulness reads those matrices:
-    conjugation is an automorphism of gl(V), so the bracket relations hold
-    there exactly when they hold for the images, and the image of a
-    nilradical vector is the same linear combination of them.  A flag that
-    is not a basis grants neither triangular claim.
+    what they promised.  This is the checker's route: the unipotent claim is
+    judged on structure.nilradical(g), the associative-hull computation,
+    which shares no code with the finders' way of reaching the nilradical.
+    """
+    return _verify(rep, None)
+
+
+def _verify(rep: Representation, nil) -> frozenset:
+    """verify_rep, judging the unipotent claim on the rows nil, or on
+    structure.nilradical(g) when nil is None.
+
+    When the flag is a basis, each image is conjugated into it once, and
+    every check but faithfulness reads those matrices: conjugation is an
+    automorphism of gl(V), so the bracket relations hold there exactly when
+    they hold for the images, and the image of a nilradical vector is the
+    same linear combination of them.  A flag that is not a basis grants
+    neither triangular claim.
     """
     g = rep.source
     d = rep.target_dim
@@ -80,11 +98,8 @@ def verify_rep(rep: Representation) -> frozenset:
             conj = [pinv @ m @ p for m in rep.images]
         except ValueError:
             conj = None
-    mats = rep.images if conj is None else conj
     flags = set()
-    if all(mats[i] @ mats[j] - mats[j] @ mats[i]
-           == mat_lincomb(g.table[i][j], mats, d)
-           for i in range(g.dim) for j in range(i + 1, g.dim)):
+    if _is_homomorphism(g, rep.images if conj is None else conj, d):
         flags.add(HOMOMORPHISM)
 
     if not rep_kernel(rep):
@@ -93,14 +108,56 @@ def verify_rep(rep: Representation) -> frozenset:
     if conj is not None:
         if all(m.is_upper_triangular() for m in conj):
             flags.add(TRIANGULAR)
+        if nil is None:
+            nil = nilradical(g)
         if all(mat_lincomb(v, conj, d).is_upper_triangular(strict=True)
-               for v in nilradical(g)):
+               for v in nil):
             flags.add(UNIPOTENT)
     return frozenset(flags)
 
 
-def _certified(rep: Representation, required) -> Representation:
-    flags = verify_rep(rep)
+def _is_homomorphism(g: LieAlgebra, mats, d: int) -> bool:
+    """Whether M_i M_j - M_j M_i = sum_k c_ij^k M_k for every pair i < j.
+
+    The nonzero entries of each image's rows are listed once.  Row r of each
+    pair's residual is summed into a {column: value} dict over those entries
+    only, with c_ij^k read off the nonzero entries of g.table[i][j], and the
+    first row with a nonzero value answers False.
+    """
+    nz = [[[(c, x) for c, x in enumerate(row) if x] for row in m.rows]
+          for m in mats]
+    for i in range(g.dim):
+        a = nz[i]
+        for j in range(i + 1, g.dim):
+            b = nz[j]
+            terms = [(nz[k], c) for k, c in enumerate(g.table[i][j]) if c]
+            for r in range(d):
+                acc = {}
+                get = acc.get
+                for k, x in a[r]:
+                    for c, y in b[k]:
+                        acc[c] = get(c, 0) + x * y
+                for k, x in b[r]:
+                    for c, y in a[k]:
+                        acc[c] = get(c, 0) - x * y
+                for m, ck in terms:
+                    for c, y in m[r]:
+                        acc[c] = get(c, 0) - ck * y
+                if any(acc.values()):
+                    return False
+    return True
+
+
+def _certified(rep: Representation, required, nil) -> Representation:
+    """rep with the flags it verifies, or InternalCheckError when one of
+    required is missing.
+
+    This is the finders' route: nil is the nilradical the construction has
+    already proved (the whole algebra for a nilpotent one, the common kernel
+    of the adjoint step characters for a supersolvable one), so
+    structure.nilradical is not run again.
+    """
+    flags = _verify(rep, nil)
     missing = frozenset(required) - flags
     if missing:
         raise InternalCheckError(
@@ -196,8 +253,10 @@ def nilpotent_ado(n: LieAlgebra) -> Representation:
     if not n.is_nilpotent():
         raise NotNilpotentError(
             "the truncated enveloping module needs a nilpotent algebra")
+    # n is nilpotent, so it is its own nilradical
+    whole = n.basis()
     if n.dim == 0:
-        return _certified(Representation(n, 1, ()), ALL_FLAGS)
+        return _certified(Representation(n, 1, ()), ALL_FLAGS, whole)
     c = n.nilpotency_class()
     adapted, weights = _lcs_adapted(n)
     t = Mat.from_cols(adapted)
@@ -222,7 +281,7 @@ def nilpotent_ado(n: LieAlgebra) -> Representation:
             cols.append(tuple(col))
         gen_mats.append(Mat.from_cols(cols))
     images = tuple(mat_lincomb(tinv.col(j), gen_mats, d) for j in range(n.dim))
-    return _certified(Representation(n, d, images), ALL_FLAGS)
+    return _certified(Representation(n, d, images), ALL_FLAGS, whole)
 
 
 # -- supersolvable case ---------------------------------------------------------
@@ -249,6 +308,12 @@ def supersolvable_triangular_rep(t: LieAlgebra) -> Representation:
     characters of t/[t,t] does that; when the center meets [t,t] the algebra
     is handled through its nilpotent theory instead (directly when t itself
     is nilpotent, else by extending the nilradical module).
+
+    The nilradical comes from the step characters of supersolvable_test:
+    ad(x) is triangular in the flag basis with diagonal (chi_k(x)), so it is
+    nilpotent exactly when every chi_k(x) vanishes, and for solvable t the
+    ad-nilpotent elements are the nilradical.  Their common kernel, in rref
+    rows, is what structure.nilradical returns, without the associative hull.
     """
     ss = supersolvable_test(t)
     if ss.status == SS_NO:
@@ -258,7 +323,8 @@ def supersolvable_triangular_rep(t: LieAlgebra) -> Representation:
         raise UnsupportedError(
             "supersolvability is indeterminate over Q(i): " + str(ss.reason))
     if t.dim == 0:
-        return _certified(Representation(t, 1, ()), ALL_FLAGS)
+        return _certified(Representation(t, 1, ()), ALL_FLAGS, [])
+    nil = span_basis(kernel(Mat(ss.step_characters)))
 
     center = t.center()
     derived = t.derived_algebra()
@@ -266,7 +332,7 @@ def supersolvable_triangular_rep(t: LieAlgebra) -> Representation:
 
     if not center:
         rep = Representation(t, t.dim, tuple(ads), flag=ss.flag)
-        return _certified(rep, ALL_FLAGS)
+        return _certified(rep, ALL_FLAGS, nil)
 
     meets = bool(intersect_spans(center, derived, t.dim)) if derived else False
     if not meets:
@@ -276,19 +342,18 @@ def supersolvable_triangular_rep(t: LieAlgebra) -> Representation:
         size, blocks = _center_block(t, functionals)
         if t.is_abelian():
             rep = Representation(t, size, tuple(blocks))
-            return _certified(rep, ALL_FLAGS)
+            return _certified(rep, ALL_FLAGS, nil)
         images = tuple(block_diag([ads[i], blocks[i]]) for i in range(t.dim))
         total = t.dim + size
         flag = tuple(tuple(v) + (Fraction(0),) * size for v in ss.flag)
         flag += tuple(tuple(Fraction(int(kk == t.dim + j)) for kk in range(total))
                       for j in range(size))
         rep = Representation(t, total, images, flag=flag)
-        return _certified(rep, ALL_FLAGS)
+        return _certified(rep, ALL_FLAGS, nil)
 
-    if t.is_nilpotent():
+    if len(nil) == t.dim:
         return nilpotent_ado(t)
 
-    nil = nilradical(t)
     sub, incl = t.subalgebra(nil)
     base = nilpotent_ado(sub)
     ext = extend_rep(t, nil, base)
@@ -299,7 +364,7 @@ def supersolvable_triangular_rep(t: LieAlgebra) -> Representation:
         raise UnsupportedError(
             "extended module has no rational triangular flag")
     rep = replace(ext, flag=tuple(peeled[0]), verified=frozenset())
-    return _certified(rep, ALL_FLAGS)
+    return _certified(rep, ALL_FLAGS, nil)
 
 
 # -- extension from an ideal -----------------------------------------------------

@@ -41,16 +41,22 @@ def radical(g: LieAlgebra):
     and its own radical: the derived series confirms it, and the ideal and
     solvability checks of a proper candidate are skipped.
     """
+    return _radical(g)[0]
+
+
+def _radical(g: LieAlgebra):
+    """(radical(g), [g, g]), both as rref rows, so that nilradical does not
+    compute [g, g] a second time."""
     derived = g.derived_algebra()
     if not derived:
-        return span_basis(g.basis())
+        return span_basis(g.basis()), derived
     killing = g.killing_matrix()
     rows = [killing @ d for d in derived]
     if all(is_zero_vec(r) for r in rows):
         if g.derived_series()[-1]:
             raise InternalCheckError(
                 "solvability by derived series and by trace form disagree")
-        return span_basis(g.basis())
+        return span_basis(g.basis()), derived
     rad = span_basis(kernel(Mat(rows)))
     if not g.is_ideal(rad):
         raise InternalCheckError("radical candidate is not an ideal")
@@ -58,7 +64,7 @@ def radical(g: LieAlgebra):
         sub, _ = g.subalgebra(rad)
         if not sub.is_solvable():
             raise InternalCheckError("radical candidate is not solvable")
-    return rad
+    return rad, derived
 
 
 def _matrix_hull(mats):
@@ -110,7 +116,7 @@ def nilradical(g: LieAlgebra):
     which makes it an ideal holding [g, r], and be nilpotent.  When r is a
     proper ideal it must be an ideal of g, be nilpotent and contain [g, r].
     """
-    rad = radical(g)
+    rad, derived = _radical(g)
     if not rad:
         return []
     if len(rad) == g.dim:
@@ -120,7 +126,9 @@ def nilradical(g: LieAlgebra):
         rs, incl = g.subalgebra(rad)
     if rs.is_nilpotent():
         return rad
-    derived = rs.derived_algebra()
+    if rs is not g:
+        # when r = g, [r, r] is the [g, g] that _radical computed
+        derived = rs.derived_algebra()
     pivots = {next(j for j, c in enumerate(v) if c) for v in derived}
     ads = [rs.ad(rs.basis_vector(i)) for i in range(rs.dim)]
     # not empty: were ad zero on a complement of [r, r], r would be abelian

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from liedef import definability
 from liedef.definability import (DEFINABLE, NOT_DEFINABLE, NOT_TBC,
                                  RULE_FINITE_CENTER, RULE_LINEAR, RULE_OPEN,
                                  RULE_SIMPLY_CONNECTED, RULE_SOLVABLE,
@@ -65,6 +66,30 @@ def test_supersolvable_indeterminate():
 def test_supersolvable_rejects_nonsolvable(sl2):
     with pytest.raises(NotSolvableError):
         supersolvable_test(sl2)
+
+
+def test_supersolvable_checks_every_step_character(monkeypatch, axb):
+    # one wrong value anywhere in the step characters must be caught: the
+    # nilradical of the triangular modules is read off them
+    real = definability.weight_flag
+    # aff(1) + aff(1)
+    aff2 = LieAlgebra.from_entries(
+        4, {(0, 1): (0, 1, 0, 0), (2, 3): (0, 0, 0, 1)})
+    for alg in (axb, aff2):
+        flag, chars = real(alg, [alg.ad(x) for x in alg.basis()])
+        for i in range(alg.dim):
+            for j in range(alg.dim):
+                spoiled = [list(c) for c in chars]
+                spoiled[i][j] += 1
+
+                def wrong(g, mats, out=(flag, spoiled)):
+                    return out
+
+                monkeypatch.setattr(definability, "weight_flag", wrong)
+                with pytest.raises(InternalCheckError):
+                    supersolvable_test(alg)
+    monkeypatch.undo()
+    assert supersolvable_test(aff2).status == SS_YES
 
 
 # -------------------------------------------------------------------- tbc_find

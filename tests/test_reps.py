@@ -1,20 +1,30 @@
+import inspect
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from liedef import reps, structure
+from liedef.certs import emit_representation, verify_certificate
 from liedef.corpus import corpus
 from liedef.errors import (InputError, NotNilpotentError,
                            NotSupersolvableError, PreconditionError,
                            UnsupportedError)
-from liedef.lie import LieAlgebra
+from liedef.formats import (algebra_from_dict, matrix_from_json,
+                            vector_from_json)
+from liedef.lie import LieAlgebra, from_matrices
 from liedef.linalg import (Mat, block_diag, intersect_spans, inverse,
                            span_basis)
 from liedef.reps import (ALL_FLAGS, FAITHFUL, HOMOMORPHISM, TRIANGULAR,
                          UNIPOTENT, GroupRepData, Representation, extend_rep,
                          is_unipotent, nilpotent_ado, quotient_rep,
                          rep_kernel, supersolvable_triangular_rep, verify_rep)
+from liedef.scalars import GaussRat
 from liedef.structure import nilradical
 
 
@@ -145,22 +155,58 @@ def _sheared(g, rng):
                                for j in range(g.dim)] for i in range(g.dim)])
 
 
+def _supersolvable_corpus():
+    return [e.algebra for e in corpus()
+            if e.known.get("supersolvable") and e.known_value("supersolvable")]
+
+
+def _h3_by_d(a):
+    """h3 x| D with D = diag(a, -a, 0): its center meets [g, g]."""
+    return LieAlgebra.from_entries(
+        4, {(0, 1): (0, 0, 1, 0), (3, 0): (a, 0, 0, 0),
+            (3, 1): (0, -a, 0, 0)})
+
+
+def _h3_plus_aff():
+    return LieAlgebra.from_entries(
+        5, {(0, 1): (0, 0, 1, 0, 0), (3, 4): (0, 0, 0, 0, 1)})
+
+
 def _module_algebras():
     """The inputs of the modules benchmark workload: every supersolvable
     corpus algebra as given and under four seeded shears, h3 x| D with
     D = diag(a, -a, 0) for seven weights a, and h3 + aff(1)."""
     rng = random.Random(20261020)
     out = []
-    for e in corpus():
-        if e.known.get("supersolvable") and e.known_value("supersolvable"):
-            out.append(e.algebra)
-            out.extend(_sheared(e.algebra, rng) for _ in range(4))
+    for g in _supersolvable_corpus():
+        out.append(g)
+        out.extend(_sheared(g, rng) for _ in range(4))
     for a in (1, 2, 3, Fraction(1, 2), Fraction(3, 2), -1, -2):
-        out.append(LieAlgebra.from_entries(
-            4, {(0, 1): (0, 0, 1, 0), (3, 0): (a, 0, 0, 0),
-                (3, 1): (0, -a, 0, 0)}))
-    out.append(LieAlgebra.from_entries(
-        5, {(0, 1): (0, 0, 1, 0, 0), (3, 4): (0, 0, 0, 0, 1)}))
+        out.append(_h3_by_d(a))
+    out.append(_h3_plus_aff())
+    return out
+
+
+def _pool_representations():
+    """The Representation certificates committed in the checker benchmark's
+    pool, decoded as the checker decodes them."""
+    path = (Path(__file__).resolve().parents[1]
+            / "perfbench" / "data" / "checker_pool.json")
+    with open(path) as fh:
+        pool = json.load(fh)
+    out = []
+    for item in pool:
+        cert = item["cert"]
+        if cert["kind"] != "Representation":
+            continue
+        alg, _ = algebra_from_dict(item["subject"]["algebra"])
+        payload = cert["payload"]
+        images = tuple(matrix_from_json(m) for m in payload["images"])
+        flag = payload["flag"]
+        if flag is not None:
+            flag = tuple(tuple(vector_from_json(v)) for v in flag)
+        out.append(Representation(alg, payload["target_dim"], images,
+                                  flag=flag))
     return out
 
 
@@ -193,14 +239,105 @@ def _corrupted(rep):
 
 def test_verify_rep_matches_the_reference_on_the_module_workload():
     seen = set()
-    for g in _module_algebras():
-        rep = supersolvable_triangular_rep(g)
+    pool = _pool_representations()
+    assert pool
+    built = [supersolvable_triangular_rep(g) for g in _module_algebras()]
+    for rep in built + pool:
         for r in [rep] + _corrupted(rep):
             want = _reference_flags(r)
             assert verify_rep(r) == want
             seen.add(want)
     # intact modules grant every flag, and each corruption loses some
     assert ALL_FLAGS in seen and len(seen) > 4
+
+
+_ENTRIES = {
+    "int": st.integers(-2, 2),
+    "Fraction": st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    "GaussRat": st.builds(GaussRat, st.integers(-2, 2), st.integers(-1, 1)),
+}
+
+
+@st.composite
+def _matrix_modules(draw):
+    """The defining module of the Lie algebra that a few random matrices
+    generate, with int, Fraction or GaussRat entries, and in about half of
+    the draws one entry of one image changed."""
+    kind = draw(st.sampled_from(sorted(_ENTRIES)))
+    entry = _ENTRIES[kind]
+    n = draw(st.integers(2, 3))
+    gens = [Mat([[draw(entry) for _ in range(n)] for _ in range(n)])
+            for _ in range(draw(st.integers(1, 3)))]
+    if all(m.is_zero() for m in gens):
+        gens[0] = Mat([[int(j == i + 1) for j in range(n)] for i in range(n)])
+    g, images, _ = from_matrices(gens)
+    if kind == "int":
+        images = [m.map(lambda x: int(x) if x.denominator == 1 else x)
+                  for m in images]
+    if draw(st.booleans()):
+        k = draw(st.integers(0, g.dim - 1))
+        r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows = [list(row) for row in images[k].rows]
+        rows[r][c] += draw(entry.filter(bool))
+        images[k] = Mat(rows)
+    return Representation(g, n, tuple(images))
+
+
+def test_sparse_homomorphism_check_matches_the_dense_relation():
+    seen = set()
+
+    @seed(20261022)
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(_matrix_modules())
+    def check(rep):
+        g, m = rep.source, rep.images
+        want = all(m[i] @ m[j] - m[j] @ m[i] == rep.image_of(g.table[i][j])
+                   for i in range(g.dim) for j in range(i + 1, g.dim))
+        assert reps._is_homomorphism(g, m, rep.target_dim) == want
+        seen.add(want)
+
+    check()
+    assert seen == {True, False}
+
+
+def _record_nilradical_calls(monkeypatch):
+    """Route structure.nilradical through a recorder of each call's
+    innermost callers, by function name."""
+    calls = []
+    real = structure.nilradical
+
+    def recorded(g):
+        calls.append([f.function for f in inspect.stack(0)[1:4]])
+        return real(g)
+
+    monkeypatch.setattr(structure, "nilradical", recorded)
+    monkeypatch.setattr(reps, "nilradical", recorded)
+    return calls
+
+
+def test_the_finder_reuses_the_nilradical_it_has_proved(monkeypatch):
+    calls = _record_nilradical_calls(monkeypatch)
+    algebras = _supersolvable_corpus()
+    assert len(algebras) == 12
+    for g in algebras:
+        assert supersolvable_triangular_rep(g).verified == ALL_FLAGS
+    assert calls == []
+    # on the extension route only extend_rep's public verify_rep is left
+    for g in (_h3_by_d(1), _h3_plus_aff()):
+        calls.clear()
+        assert supersolvable_triangular_rep(g).verified == ALL_FLAGS
+        assert calls == [["_verify", "verify_rep", "extend_rep"]]
+
+
+def test_the_checker_computes_the_nilradical_itself(monkeypatch):
+    emitted = [(g, emit_representation(supersolvable_triangular_rep(g)))
+               for g in _supersolvable_corpus() + [_h3_by_d(2),
+                                                  _h3_plus_aff()]]
+    calls = _record_nilradical_calls(monkeypatch)
+    for g, cert in emitted:
+        calls.clear()
+        assert verify_certificate(cert, algebra=g).ok
+        assert len(calls) == 1
 
 
 def test_representation_shape_errors(r2):

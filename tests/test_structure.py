@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from liedef.definability import SS_YES, supersolvable_test
 from liedef.errors import PreconditionError
 from liedef.lie import LieAlgebra, from_matrices
 from liedef.linalg import (Mat, inverse, kernel, lincomb, span_basis,
@@ -217,6 +218,40 @@ def _triangular_algebras(draw):
 @given(_triangular_algebras())
 def test_nilradical_matches_the_dense_route(g):
     assert _typed_rows(nilradical(g)) == _typed_rows(_dense_nilradical(g))
+
+
+@seed(20261021)
+@settings(max_examples=40, deadline=None, database=None)
+@given(_triangular_algebras())
+def test_nilradical_is_the_kernel_of_the_step_characters(g):
+    # the route supersolvable_triangular_rep takes: for solvable g, nil(g)
+    # is where every adjoint step character vanishes
+    ss = supersolvable_test(g)
+    assert ss.status == SS_YES
+    chars_route = span_basis(kernel(Mat(ss.step_characters)))
+    assert _typed_rows(chars_route) == _typed_rows(nilradical(g))
+
+
+def test_nilradical_computes_the_derived_algebra_once(monkeypatch, axb, e2,
+                                                      oscillator):
+    calls = []
+    real = LieAlgebra.derived_algebra
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(LieAlgebra, "derived_algebra", counted)
+    # solvable, so [r, r] is the [g, g] radical computes; gl2's radical is
+    # abelian; so3 + e2 needs [g, g] and then [r, r] of its radical e2
+    for g, want in ((axb, 1), (e2, 1), (oscillator, 1), (gl2(), 1),
+                    (so3_plus_e2(), 2)):
+        calls.clear()
+        radical(g)
+        assert len(calls) == 1
+        calls.clear()
+        assert nilradical(g)
+        assert len(calls) == want
 
 
 def test_nilradical_matches_the_dense_route_beyond_solvable():
