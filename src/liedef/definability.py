@@ -20,7 +20,7 @@ from .poly import (purely_imaginary_spectrum, squarefree_part,
                    sturm_count_real_roots)
 from .scalars import GaussRat
 from .structure import radical
-from .weights import adjoint_weights, weight_flag
+from .weights import _weight_table, weight_flag
 
 SS_YES = "yes"
 SS_NO = "no"
@@ -58,24 +58,6 @@ def _real_vec(v):
 
 
 @dataclass(frozen=True)
-class ScreenEntry:
-    """Realness screen record for one basis element.
-
-    Root counts refer to the squarefree part of the characteristic polynomial
-    of ad(e_index), so real_distinct == distinct exactly when the spectrum is
-    real.
-    """
-    index: int
-    char_coeffs: tuple
-    real_distinct: int
-    distinct: int
-
-    @property
-    def all_real(self) -> bool:
-        return self.real_distinct == self.distinct
-
-
-@dataclass(frozen=True)
 class NonRealWitness:
     """Evidence that some adjoint eigenvalue has nonzero imaginary part.
 
@@ -97,7 +79,6 @@ class SupersolvableResult:
     flag: tuple | None
     step_characters: tuple | None
     witness: NonRealWitness | None
-    screen: tuple
     reason: str | None
 
     def __bool__(self) -> bool:
@@ -107,76 +88,60 @@ class SupersolvableResult:
 def supersolvable_test(g: LieAlgebra) -> SupersolvableResult:
     """Decide supersolvability of a solvable algebra, with a flag or witness.
 
-    The Sturm screen on the basis ad spectra is sound and complete for the
-    yes/no question: every weight value on e_i is an eigenvalue of ad(e_i),
-    so all weights are real exactly when every screen entry is.  Yes comes
-    with a complete flag of ideals with rational step characters; the only
+    One peel of the adjoint module decides (Lie's theorem).  A flag whose
+    step characters are all real is yes: _check_flag proves that ad is
+    triangular in it with the characters on the diagonal, so every adjoint
+    eigenvalue is real and no Sturm count is needed.  A nonreal character is
+    no, and only then are the spectra of ad(e_0), ad(e_1), ... screened, up
+    to the first nonreal one, which is the witness: every weight value on
+    e_i is an eigenvalue of ad(e_i).  A peel that leaves Q(i) is no when the
+    screen finds a nonreal spectrum and Indeterminate otherwise, so the only
     Indeterminate left is a flag whose real eigenvalues fall outside Q.
     """
     if not g.is_solvable():
         raise NotSolvableError(
             "supersolvability is only asked of solvable algebras")
-    screen, bad = _screen(g)
-    if bad is None:
-        return _flag_result(g, screen)
-    witness = NonRealWitness(
-        element=g.basis_vector(bad.index),
-        char_coeffs=bad.char_coeffs,
-        real_distinct=bad.real_distinct,
-        distinct=bad.distinct,
-        weight_values=_nonreal_weight_values(adjoint_weights(g)))
-    return SupersolvableResult(SS_NO, None, None, witness, screen, None)
+    return _adjoint_peel(g)[0]
 
 
-def _screen(g):
-    """The screen entries and the first one with nonreal spectrum, or None."""
-    screen = []
-    bad = None
-    for i in range(g.dim):
-        p = char_poly(g.ad(g.basis_vector(i)))
-        sf = squarefree_part(p)
-        entry = ScreenEntry(i, tuple(p.coeffs),
-                            sturm_count_real_roots(sf), sf.degree)
-        screen.append(entry)
-        if bad is None and not entry.all_real:
-            bad = entry
-    return tuple(screen), bad
+def _adjoint_peel(g):
+    """supersolvable_test of a solvable algebra, and its adjoint weights.
 
-
-def _flag_result(g, screen):
-    """Yes with a rational flag of ideals, or Indeterminate, for an algebra
-    whose screen passed."""
-    ads = [g.ad(g.basis_vector(i)) for i in range(g.dim)]
+    Returns (result, table): table is None on yes, the WeightTable of the
+    same peel when a weight is nonreal, and the peel's Indeterminate when the
+    weights do not split over Q(i).
+    """
+    ads = [g.ad(x) for x in g.basis()]
     peeled = weight_flag(g, ads)
     if isinstance(peeled, Indeterminate):
-        return SupersolvableResult(SS_INDETERMINATE, None, None, None,
-                                   screen, peeled.reason)
-    flag = []
-    chars = []
-    for v in peeled[0]:
-        rv = _real_vec(v)
-        if rv is None:
-            raise InternalCheckError("flag vector has an imaginary component")
-        flag.append(rv)
-    for c in peeled[1]:
-        rc = _real_vec(c)
-        if rc is None:
-            raise InternalCheckError(
-                "step character has an imaginary component")
-        chars.append(rc)
-    _check_flag(g, flag, chars)
-    return SupersolvableResult(SS_YES, tuple(flag), tuple(chars), None,
-                               screen, None)
-
-
-def _nonreal_weight_values(table):
+        table = peeled
+    else:
+        chars = [_real_vec(c) for c in peeled[1]]
+        if None not in chars:
+            flag = [_real_vec(v) for v in peeled[0]]
+            if None in flag:
+                raise InternalCheckError(
+                    "flag vector has an imaginary component")
+            _check_flag(g, flag, chars)
+            return SupersolvableResult(SS_YES, tuple(flag), tuple(chars),
+                                       None, None), None
+        table = _weight_table(g, g.derived_algebra(), peeled[1], g.dim)
+    for i, ad in enumerate(ads):
+        p = char_poly(ad)
+        sf = squarefree_part(p)
+        real = sturm_count_real_roots(sf)
+        if real < sf.degree:
+            values = None if isinstance(table, Indeterminate) else next(
+                e.values for e in table.entries if not e.real)
+            witness = NonRealWitness(g.basis_vector(i), tuple(p.coeffs),
+                                     real, sf.degree, values)
+            return SupersolvableResult(SS_NO, None, None, witness,
+                                       None), table
     if isinstance(table, Indeterminate):
-        return None
-    for e in table.entries:
-        if not e.real:
-            return e.values
+        return SupersolvableResult(SS_INDETERMINATE, None, None, None,
+                                   table.reason), table
     raise InternalCheckError(
-        "screen found a nonreal eigenvalue but every weight is real")
+        "a weight is nonreal but every ad(e_i) has real spectrum")
 
 
 def _check_flag(g, flag, chars):
@@ -260,8 +225,8 @@ def tbc_verify(r: LieAlgebra, cert: TbcCertificate) -> CertReport:
         raise InputError("torus_evidence must match k_basis in length")
 
     t_span = span_basis(t)
-    if not all(in_span(t_span, r.bracket(x, row))
-               for x in r.basis() for row in t_span):
+    brackets = [r.bracket(x, row) for x in r.basis() for row in t_span]
+    if None in coords_in_span(t_span, brackets):
         return _fail("t-ideal", "bracket leaves the t part")
 
     if len(flag) != len(t_span):
@@ -339,22 +304,14 @@ def tbc_find(r: LieAlgebra) -> TbcResult:
     """
     if not r.is_solvable():
         raise NotSolvableError("tbc splittings describe solvable algebras")
-    screen, bad = _screen(r)
-    if bad is None:
-        ss = _flag_result(r, screen)
-        if ss.status == SS_YES:
-            cert = TbcCertificate(ss.flag, (), ss.flag, ())
-            return TbcResult(TBC, _assert_verified(r, cert), None, None)
-        # the flag's peel was this algebra's adjoint weight pass
-        table = Indeterminate(ss.reason)
-    else:
-        table = adjoint_weights(r)
+    ss, table = _adjoint_peel(r)
+    if ss.status == SS_YES:
+        cert = TbcCertificate(ss.flag, (), ss.flag, ())
+        return TbcResult(TBC, _assert_verified(r, cert), None, None)
     if isinstance(table, Indeterminate):
         return TbcResult(TBC_UNKNOWN, None, None,
                          "adjoint weights do not split over Q(i): "
                          + str(table.reason))
-    # cross-check: the screen's nonreal spectrum must show in the weights
-    _nonreal_weight_values(table)
 
     im_rows = [tuple(v.im for v in e.values) for e in table.entries]
     re_rows = [tuple(v.re for v in e.values) for e in table.entries]
@@ -362,15 +319,15 @@ def tbc_find(r: LieAlgebra) -> TbcResult:
     k_zero = span_basis(kernel(Mat(re_rows)))
     total = span_basis(list(treal) + list(k_zero))
     if len(total) < r.dim:
-        wit = next(e for e in table.entries if not e.real)
-        obstruction = TbcObstruction(wit.values, tuple(treal), tuple(k_zero),
-                                     r.dim - len(total))
+        obstruction = TbcObstruction(ss.witness.weight_values, tuple(treal),
+                                     tuple(k_zero), r.dim - len(total))
         return TbcResult(NOT_TBC, None, obstruction, None)
 
     # t = the full real-weight ideal; its restricted weights are real and
-    # rational, so the flag construction cannot fail here
+    # rational, so the flag construction cannot fail here; an ideal of a
+    # solvable algebra is solvable, so sub needs no solvability test
     sub, incl = r.subalgebra(treal)
-    ss_t = supersolvable_test(sub)
+    ss_t = _adjoint_peel(sub)[0]
     if ss_t.status != SS_YES:
         raise InternalCheckError(
             "real-weight ideal failed its own supersolvability test")

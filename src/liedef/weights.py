@@ -16,11 +16,12 @@ module by its eigenvector in closed form (m[j][l] - w_j m[p][l] once w_p is
 scaled to 1), without building or inverting a change of basis.
 
 weight_flag is the one peel: it returns the flag of eigenvectors and the
-character of each step.  module_weights tabulates those characters, and a
-real flag of ideals is the adjoint weight_flag of an algebra whose weights
-are real.  Every eigenvalue is picked by one rule: the least real root when
-there is one, else the least root in Q(i); a 1x1 matrix is read as its own
-eigenvalue, with no characteristic polynomial.
+character of each step.  module_weights tabulates those characters
+(_weight_table, which supersolvable_test's adjoint peel also uses when a
+weight is nonreal), and a real flag of ideals is the adjoint weight_flag of
+an algebra whose weights are real.  Every eigenvalue is picked by one rule:
+the least real root when there is one, else the least root in Q(i); a 1x1
+matrix is read as its own eigenvalue, with no characteristic polynomial.
 
 The roots are found once per chain direction z_k and weight_flag call: the
 spectrum of z_k on the whole module (its roots in Q(i), with multiplicity)
@@ -339,14 +340,23 @@ def module_weights(alg: LieAlgebra, mats):
     mats = [m if isinstance(m, Mat) else Mat(m) for m in mats]
     if len(mats) != alg.dim:
         raise InputError("one action matrix per basis element is required")
-    dim0 = mats[0].nrows if mats else 0
     chain = _ideal_chain(alg)
     peeled = _peel(chain, mats) if mats else ([], [])
     if isinstance(peeled, Indeterminate):
         return peeled
+    return _weight_table(alg, chain[2], peeled[1],
+                         mats[0].nrows if mats else 0)
+
+
+def _weight_table(alg, derived, chars, module_dim):
+    """The WeightTable of a peel's characters, given [alg, alg] as rows.
+
+    Each character must vanish on the derived rows, and the multiplicities
+    must sum to module_dim; anything else raises InternalCheckError.
+    """
     merged = {}
-    for char in peeled[1]:
-        for dvec in chain[2]:
+    for char in chars:
+        for dvec in derived:
             val = sum((c * x for c, x in zip(char, dvec)), gauss(0))
             if val:
                 raise InternalCheckError(
@@ -357,10 +367,10 @@ def module_weights(alg: LieAlgebra, mats):
         for values, mult in sorted(
             merged.items(),
             key=lambda kv: tuple((v.re, v.im) for v in kv[0])))
-    if sum(e.multiplicity for e in entries) != dim0:
+    if sum(e.multiplicity for e in entries) != module_dim:
         raise InternalCheckError(
             "weight multiplicities do not sum to the module dimension")
-    return WeightTable(alg.dim, dim0, entries)
+    return WeightTable(alg.dim, module_dim, entries)
 
 
 def adjoint_weights(alg: LieAlgebra):

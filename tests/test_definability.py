@@ -15,7 +15,7 @@ from liedef.definability import (DEFINABLE, NOT_DEFINABLE, NOT_TBC,
 from liedef.errors import (InputError, InternalCheckError, NotSolvableError)
 from liedef.lie import LieAlgebra
 from liedef.linalg import Mat, char_poly, span_basis
-from liedef.weights import adjoint_weights
+from liedef.scalars import GaussRat
 
 
 def sqrt2_algebra():
@@ -129,20 +129,49 @@ def test_tbc_obstruction_on_oscillator(oscillator):
         == oscillator.dim - obs.gap
 
 
-def test_tbc_find_computes_adjoint_weights_once(e2, oscillator,
-                                                monkeypatch):
-    import liedef.definability as definability
+def test_only_a_no_answer_screens_the_spectra(axb, h3, e2, oscillator,
+                                              monkeypatch):
+    # a real flag is yes without any Sturm count; a nonreal weight screens
+    # ad(e_0), ad(e_1), ... up to the first nonreal spectrum, the witness
+    real = definability.sturm_count_real_roots
     calls = []
 
-    def counted(g):
-        calls.append(g)
-        return adjoint_weights(g)
+    def counted(p):
+        calls.append(p)
+        return real(p)
 
-    monkeypatch.setattr(definability, "adjoint_weights", counted)
-    for g in (e2, oscillator):
+    monkeypatch.setattr(definability, "sturm_count_real_roots", counted)
+    for g, expected in ((axb, 0), (h3, 0), (e2, 3), (oscillator, 3)):
+        calls.clear()
+        res = supersolvable_test(g)
+        assert len(calls) == expected, g
+        if expected:
+            assert res.witness.element.index(1) + 1 == expected
         calls.clear()
         tbc_find(g)
-        assert len(calls) == 1
+        assert len(calls) == expected, g
+
+
+def test_a_nonreal_character_needs_a_nonreal_spectrum(axb, monkeypatch):
+    # the peel's characters and the screen must agree: a nonreal value on
+    # a (it still vanishes on [axb, axb] = span{x}) while ad(a) and ad(x)
+    # have real spectra is an internal error, not a No
+    flag, chars = definability.weight_flag(axb, [axb.ad(x)
+                                                 for x in axb.basis()])
+    for i in range(axb.dim):
+        spoiled = list(chars)
+        spoiled[i] = (chars[i][0] + GaussRat(0, 1),) + chars[i][1:]
+
+        def wrong(g, mats, out=(flag, spoiled)):
+            return out
+
+        monkeypatch.setattr(definability, "weight_flag", wrong)
+        for call in (supersolvable_test, tbc_find):
+            with pytest.raises(InternalCheckError,
+                               match="every ad.e_i. has real spectrum"):
+                call(axb)
+    monkeypatch.undo()
+    assert supersolvable_test(axb).status == SS_YES
 
 
 def test_each_call_peels_its_algebra_once(axb, e2, oscillator, monkeypatch):

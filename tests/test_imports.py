@@ -1,5 +1,6 @@
 """Every module-level import in src/liedef is used by the module that makes it,
-and every public top-level name it defines is referenced somewhere.
+and every top-level name it defines, public or private, is referenced
+somewhere (dunder names such as __all__ are exempt).
 
 __init__.py is exempt from the import check (it re-exports the public API),
 and so is `from __future__ import annotations`.  A reference is a name read,
@@ -45,8 +46,9 @@ def test_the_check_sees_an_unused_import():
     assert _unused_imports(src) == [(2, "json"), (3, "isqrt")]
 
 
-def _public_names(tree):
-    """Public names a module binds at its top level, with their lines."""
+def _top_level_names(tree):
+    """Names a module binds at its top level, with their lines, apart from
+    dunder names."""
     bound = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -59,7 +61,7 @@ def _public_names(tree):
                     if isinstance(n, ast.Name):
                         bound[n.id] = node.lineno
     return {name: line for name, line in bound.items()
-            if not name.startswith("_")}
+            if not (name.startswith("__") and name.endswith("__"))}
 
 
 def _references(tree):
@@ -75,31 +77,35 @@ def _references(tree):
 
 
 def _unreferenced_names(modules, sources):
-    """(module, line, name) for each public top-level name of the modules
-    (file name -> source) that none of the sources references."""
+    """(module, line, name) for each top-level name of the modules (file
+    name -> source) that none of the sources references."""
     seen = set().union(*(_references(ast.parse(src)) for src in sources))
     return sorted((mod, line, name)
                   for mod, src in modules.items()
-                  for name, line in _public_names(ast.parse(src)).items()
+                  for name, line in _top_level_names(ast.parse(src)).items()
                   if name not in seen)
 
 
 def test_every_public_name_is_referenced():
+    # private top-level names are held to the same rule
     modules = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert modules
     sources = [p.read_text() for d in ("src", "tests", "perfbench")
                for p in (ROOT / d).rglob("*.py")]
     unused = ["%s:%d %s" % entry
               for entry in _unreferenced_names(modules, sources)]
-    assert not unused, "unreferenced public names: " + ", ".join(unused)
+    assert not unused, "unreferenced top-level names: " + ", ".join(unused)
 
 
 def test_the_check_sees_an_unreferenced_name():
     lib = ('"""dead() is named only in this docstring."""\n'
-           "LIMIT = 3\nDEAD = 4\n_PRIVATE = 5\n"
-           "def used(x):\n    return x + LIMIT\n"
+           "LIMIT = 3\nDEAD = 4\n_PRIVATE = 5\n__all__ = []\n"
+           "def used(x):\n    return _helper(x) + LIMIT\n"
            "def dead():\n    pass\n"
+           "def _helper(x):\n    return x\n"
+           "def _dead_helper():\n    pass\n"
            "class Thing:\n    pass\n")
     user = 'from lib import used\nimport lib\nlib.Thing(used(1), "DEAD")\n'
     assert _unreferenced_names({"lib.py": lib}, [lib, user]) == [
-        ("lib.py", 3, "DEAD"), ("lib.py", 7, "dead")]
+        ("lib.py", 3, "DEAD"), ("lib.py", 4, "_PRIVATE"),
+        ("lib.py", 8, "dead"), ("lib.py", 12, "_dead_helper")]
