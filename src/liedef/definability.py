@@ -125,7 +125,7 @@ def _adjoint_peel(g):
             _check_flag(g, flag, chars)
             return SupersolvableResult(SS_YES, tuple(flag), tuple(chars),
                                        None, None), None
-        table = _weight_table(g, g.derived_algebra(), peeled[1], g.dim)
+        table = _weight_table(g, peeled[1], g.dim)
     for i, ad in enumerate(ads):
         p = char_poly(ad)
         sf = squarefree_part(p)

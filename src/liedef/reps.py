@@ -327,13 +327,13 @@ def supersolvable_triangular_rep(t: LieAlgebra) -> Representation:
     nil = span_basis(kernel(Mat(ss.step_characters)))
 
     center = t.center()
-    derived = t.derived_algebra()
     ads = [t.ad(t.basis_vector(i)) for i in range(t.dim)]
 
     if not center:
         rep = Representation(t, t.dim, tuple(ads), flag=ss.flag)
         return _certified(rep, ALL_FLAGS, nil)
 
+    derived = t.derived_algebra()
     meets = bool(intersect_spans(center, derived, t.dim)) if derived else False
     if not meets:
         # characters of t/[t,t] separate the center
@@ -399,19 +399,6 @@ def _commutator_system(rho_images, d):
     return rows
 
 
-def _closure_holds(g, basis_vectors, images, tinv):
-    """Whether the images close under the bracket on the basis vectors;
-    tinv is the inverse of the matrix with those vectors as columns."""
-    for i in range(len(basis_vectors)):
-        for j in range(i + 1, len(basis_vectors)):
-            br = g.bracket(basis_vectors[i], basis_vectors[j])
-            want = mat_lincomb(tinv @ br, images, images[0].nrows)
-            got = images[i] @ images[j] - images[j] @ images[i]
-            if got != want:
-                return False
-    return True
-
-
 def extend_rep(g: LieAlgebra, h_rows, rho: Representation) -> Representation:
     """Extend a module of an ideal to the whole algebra, verified.
 
@@ -464,22 +451,14 @@ def extend_rep(g: LieAlgebra, h_rows, rho: Representation) -> Representation:
 
     # the basis change to incl + comp serves both attempts and the result
     tinv = inverse(Mat.from_cols(incl + comp))
-    attempt = _solve_extension(g, incl, comp, list(rho.images), tinv)
-    if attempt is None:
+    images = _solve_extension(g, incl, comp, list(rho.images), tinv)
+    if images is None:
         enlarged = [block_diag([m, Mat.zeros(1, 1)]) for m in rho.images]
-        attempt = _solve_extension(g, incl, comp, enlarged, tinv)
-        if attempt is None:
+        images = _solve_extension(g, incl, comp, enlarged, tinv)
+        if images is None:
             raise UnsupportedError(
                 "no closed extension found in the commutant search")
-        rho_images = enlarged
-    else:
-        rho_images = list(rho.images)
-    comp_images = attempt
-
-    d = rho_images[0].nrows if rho_images else comp_images[0].nrows
-    all_images = rho_images + comp_images
-    images = tuple(mat_lincomb(tinv @ x, all_images, d) for x in g.basis())
-    rep = Representation(g, d, images)
+    rep = Representation(g, images[0].nrows, tuple(images))
     flags = verify_rep(rep)
     if HOMOMORPHISM not in flags:
         raise InternalCheckError("closure held on a basis but not overall")
@@ -496,7 +475,9 @@ def _solve_extension(g, incl, comp, rho_images, tinv):
     one right-hand side per c.  A single elimination (solve_sparse) gives
     each particular solution and the commutant, the null space, together;
     if any c has no solution the attempt is None.  tinv is the inverse of
-    the matrix with columns incl + comp.
+    the matrix with columns incl + comp.  Returns the images of g's
+    standard basis, rho_images on incl and the sigma(c) on comp carried
+    through tinv, once _is_homomorphism accepts them, else None.
     """
     d = rho_images[0].nrows
     k = len(incl)
@@ -515,17 +496,23 @@ def _solve_extension(g, incl, comp, rho_images, tinv):
     particular = [_unflatten(v, d) for v in sols]
     null = [_unflatten(v, d) for v in kern]
 
-    basis_vectors = incl + comp
     m = len(comp)
     params = [[Fraction(0)] * len(null) for _ in range(m)]
 
     def sigma(i):
         return mat_lincomb([1] + params[i], [particular[i]] + null, d)
 
+    def closed_images():
+        # a linear map keeps the brackets on the basis incl + comp exactly
+        # when it keeps them on the standard one
+        found = rho_images + [sigma(i) for i in range(m)]
+        images = [mat_lincomb(tinv @ x, found, d) for x in g.basis()]
+        return images if _is_homomorphism(g, images, d) else None
+
     for _ in range(4):
-        if _closure_holds(g, basis_vectors,
-                          rho_images + [sigma(i) for i in range(m)], tinv):
-            return [sigma(i) for i in range(m)]
+        images = closed_images()
+        if images is not None:
+            return images
         if not null:
             break
         for i in range(m):
@@ -555,10 +542,7 @@ def _solve_extension(g, incl, comp, rho_images, tinv):
             sol = solve(Mat(rows), tuple(rhs))
             if sol is not None:
                 params[i] = list(sol)
-    if _closure_holds(g, basis_vectors,
-                      rho_images + [sigma(i) for i in range(m)], tinv):
-        return [sigma(i) for i in range(m)]
-    return None
+    return closed_images()
 
 
 def _unflatten(v, d):

@@ -4,10 +4,12 @@ recursion.
 The recursion is the classical one: split off a codimension-one ideal
 containing the derived subalgebra, take its joint eigenspace, and extend the
 character by an eigenvalue of the leftover direction acting on that space.
-It is run flat: the chain of such ideals is built once per module and each
-peel of a common eigenvector walks it from its smallest ideal up.  The first
-level of that walk acts on the whole module, so it reads the action as it
-is; every later level restricts the action to the eigenspace found so far.
+It is run flat: the chain of such ideals is built once per module, as rref
+rows in the acting algebra's own coordinates with no subalgebra built for
+any level, and each peel of a common eigenvector walks it from its smallest
+ideal up.  The first level of that walk acts on the whole module, so it
+reads the action as it is; every later level restricts the action to the
+eigenspace found so far.
 The invariance of that eigenspace under the whole algebra (the trace
 argument behind Lie's theorem, valid in characteristic zero) is not taken on
 faith: it is rechecked on every restriction, so misuse on a non-solvable
@@ -16,12 +18,13 @@ module by its eigenvector in closed form (m[j][l] - w_j m[p][l] once w_p is
 scaled to 1), without building or inverting a change of basis.
 
 weight_flag is the one peel: it returns the flag of eigenvectors and the
-character of each step.  module_weights tabulates those characters
-(_weight_table, which supersolvable_test's adjoint peel also uses when a
-weight is nonreal), and a real flag of ideals is the adjoint weight_flag of
-an algebra whose weights are real.  Every eigenvalue is picked by one rule:
-the least real root when there is one, else the least root in Q(i); a 1x1
-matrix is read as its own eigenvalue, with no characteristic polynomial.
+character of each step.  module_weights calls it and tabulates those
+characters (_weight_table, which checks them against [g, g] and which
+supersolvable_test's adjoint peel also uses when a weight is nonreal), and
+a real flag of ideals is the adjoint weight_flag of an algebra whose
+weights are real.  Every eigenvalue is picked by one rule: the least real
+root when there is one, else the least root in Q(i); a 1x1 matrix is read
+as its own eigenvalue, with no characteristic polynomial.
 
 The roots are found once per chain direction z_k and weight_flag call: the
 spectrum of z_k on the whole module (its roots in Q(i), with multiplicity)
@@ -81,26 +84,6 @@ class WeightTable:
         return all(all(not v for v in e.values) for e in self.entries)
 
 
-def _complete_hyperplane(alg: LieAlgebra):
-    """A codim-1 ideal containing [g,g] (as rref rows), a leftover basis
-    direction, and [g,g] itself.  Any hyperplane above the derived
-    subalgebra is an ideal."""
-    derived = alg.derived_algebra()
-    if len(derived) >= alg.dim:
-        raise InputError("acting algebra is not solvable")
-    rows = list(derived)
-    for i in range(alg.dim):
-        if len(rows) == alg.dim - 1:
-            break
-        cand = alg.basis_vector(i)
-        if not in_span(rows, cand):
-            rows = span_basis(rows + [cand])
-    z = next((v for v in alg.basis() if not in_span(rows, v)), None)
-    if z is None:
-        raise InternalCheckError("hyperplane completion failed")
-    return rows, z, derived
-
-
 def _spectrum(b: Mat):
     """The eigenvalues of b in Q(i) as [lam, multiplicity] pairs, in the
     order the peel tries them: real ones ascending, then the rest by
@@ -149,22 +132,36 @@ def _ideal_chain(alg: LieAlgebra):
     alg = g_1 > g_2 > ... > g_n > 0 where g_{k+1} is a codim-1 ideal of g_k
     containing [g_k, g_k] and z_k is the leftover direction, g_k = g_{k+1} +
     span(z_k).  Returns (z_1..z_n in alg's coordinates, the inverse of the
-    matrix with columns z_1..z_n, [alg, alg] as rref rows); a character is
-    fixed by its values on the z_k, and contracting those values against
-    the inverse gives it on alg's basis.
+    matrix with columns z_1..z_n); a character is fixed by its values on the
+    z_k, and contracting those values against the inverse gives it on alg's
+    basis.
+
+    Each g_k is kept as rref rows in alg's coordinates: g_{k+1} is
+    [g_k, g_k] (bracketing each pair of rows once, as derived_algebra does
+    the basis) completed greedily by g_k's rows, in order, to one row less,
+    and z_k is the first row of g_k outside it (any hyperplane above the
+    derived subalgebra is an ideal); a non-solvable algebra reaches
+    [g_k, g_k] = g_k and raises InputError.  This is the chain of
+    materializing each g_k as an algebra on its rows: coordinate i of a
+    vector of g_k is its entry at the pivot column of row i, so an rref
+    basis in g_k's coordinates lifts to the rref basis of the same span in
+    alg's, and every membership test, greedy step and choice of z_k
+    decides alike.
     """
-    dirs, derived = [], []
-    sub, lift = alg, Mat.identity(alg.dim)
-    while sub.dim:
-        hyp, z, d = _complete_hyperplane(sub)
-        if not dirs:
-            derived = d
-        dirs.append(lift @ z)
-        if not hyp:
-            break
-        sub, incl = sub.subalgebra(hyp)
-        lift = Mat.from_cols([lift @ row for row in incl])
-    return dirs, inverse(Mat.from_cols(dirs)), derived
+    rows = alg.basis()   # the standard basis is already rref
+    dirs = []
+    while rows:
+        hyp = alg._pair_span(rows)
+        if len(hyp) == len(rows):
+            raise InputError("acting algebra is not solvable")
+        for v in rows:
+            if len(hyp) == len(rows) - 1:
+                break
+            if not in_span(hyp, v):
+                hyp = span_basis(hyp + [v])
+        dirs.append(next(v for v in rows if not in_span(hyp, v)))
+        rows = hyp
+    return dirs, inverse(Mat.from_cols(dirs))
 
 
 def common_eigenspace(chain, mats, scalar, spectra):
@@ -190,7 +187,7 @@ def common_eigenspace(chain, mats, scalar, spectra):
     and the eigenspace comes back over Q(i) from then on, every entry a
     GaussRat.
     """
-    dirs, inv_z, _ = chain
+    dirs, inv_z = chain
     n = mats[0].nrows
     if not n:
         raise InternalCheckError("empty module in eigenvector recursion")
@@ -295,11 +292,7 @@ def weight_flag(alg: LieAlgebra, mats):
     """
     if not mats:
         return [], []
-    return _peel(_ideal_chain(alg), mats)
-
-
-def _peel(chain, mats):
-    """weight_flag on a nonempty list of action matrices, given the chain."""
+    chain = _ideal_chain(alg)
     cur = list(mats)
     scalar = Fraction
     flag_vecs = []
@@ -331,29 +324,27 @@ def module_weights(alg: LieAlgebra, mats):
 
     Tabulates the characters of weight_flag; they do not depend on the order
     of the peel.  Returns a WeightTable or an Indeterminate.  Weights are
-    checked to vanish on the derived subalgebra, whose rows the ideal chain
-    computes at its first level, and multiplicities to sum to the module
-    dimension.  A non-solvable algebra raises InputError: every ideal of the
-    chain contains the perfect term of its derived series, so the chain
-    stops there before any peel.
+    checked to vanish on the derived subalgebra and multiplicities to sum to
+    the module dimension.  A non-solvable algebra raises InputError: every
+    ideal of the chain contains the perfect term of its derived series, so
+    the chain stops there before any peel.
     """
     mats = [m if isinstance(m, Mat) else Mat(m) for m in mats]
     if len(mats) != alg.dim:
         raise InputError("one action matrix per basis element is required")
-    chain = _ideal_chain(alg)
-    peeled = _peel(chain, mats) if mats else ([], [])
+    peeled = weight_flag(alg, mats)
     if isinstance(peeled, Indeterminate):
         return peeled
-    return _weight_table(alg, chain[2], peeled[1],
-                         mats[0].nrows if mats else 0)
+    return _weight_table(alg, peeled[1], mats[0].nrows if mats else 0)
 
 
-def _weight_table(alg, derived, chars, module_dim):
-    """The WeightTable of a peel's characters, given [alg, alg] as rows.
+def _weight_table(alg, chars, module_dim):
+    """The WeightTable of a peel's characters.
 
-    Each character must vanish on the derived rows, and the multiplicities
-    must sum to module_dim; anything else raises InternalCheckError.
+    Each character must vanish on [alg, alg], and the multiplicities must
+    sum to module_dim; anything else raises InternalCheckError.
     """
+    derived = alg.derived_algebra()
     merged = {}
     for char in chars:
         for dvec in derived:

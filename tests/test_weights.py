@@ -7,16 +7,17 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from liedef import weights
-from liedef.corpus import corpus_entry
+from liedef.corpus import corpus, corpus_entry
 from liedef.errors import Indeterminate, InputError, InternalCheckError
 from liedef.lie import LieAlgebra, from_matrices
 from liedef.linalg import (Mat, block_diag, char_poly, coords_in_span, det,
-                           inverse, kernel, mat_lincomb, span_basis)
+                           in_span, inverse, kernel, mat_lincomb, span_basis)
 from liedef.poly import gaussian_roots
 from liedef.reps import extend_rep, nilpotent_ado, supersolvable_triangular_rep
 from liedef.scalars import GaussRat, gauss
 from liedef.structure import nilradical
 from liedef.weights import adjoint_weights, module_weights, weight_flag
+from test_golden import weight_flag_inputs
 
 
 def vals(entry):
@@ -94,6 +95,10 @@ def test_module_weights_rejects_nonsolvable(sl2):
         mats = [alg.ad(alg.basis_vector(i)) for i in range(alg.dim)]
         with pytest.raises(InputError, match="acting algebra is not solvable"):
             module_weights(alg, mats)
+    # the public peel meets the same check in the chain's level loop
+    ads = [sl2.ad(sl2.basis_vector(i)) for i in range(sl2.dim)]
+    with pytest.raises(InputError, match="acting algebra is not solvable"):
+        weight_flag(sl2, ads)
 
 
 def test_module_weights_rejects_matrices_that_are_not_an_action(axb):
@@ -317,6 +322,102 @@ def test_common_eigenspace_shifts_like_subtracting_a_scaled_identity():
                 == [[(type(x), x) for x in v] for v in want])
 
 
+# ----------------------------------------------------------- reference chain
+# The ideal chain of an earlier weights module: every level is materialized
+# as its own algebra on the rref rows of its hyperplane, completed in that
+# algebra's coordinates, and lifted back to the original ones through a
+# product of inclusions.  The chain fixes which flag and characters the peel
+# returns, and the golden digests do not pin it on their own.
+
+def _ref_hyperplane(alg):
+    derived = alg.derived_algebra()
+    if len(derived) >= alg.dim:
+        raise InputError("acting algebra is not solvable")
+    rows = list(derived)
+    for i in range(alg.dim):
+        if len(rows) == alg.dim - 1:
+            break
+        cand = alg.basis_vector(i)
+        if not in_span(rows, cand):
+            rows = span_basis(rows + [cand])
+    return rows, next(v for v in alg.basis() if not in_span(rows, v))
+
+
+def _ref_ideal_chain(alg):
+    dirs = []
+    sub, lift = alg, Mat.identity(alg.dim)
+    while sub.dim:
+        hyp, z = _ref_hyperplane(sub)
+        dirs.append(lift @ z)
+        if not hyp:
+            break
+        sub, incl = sub.subalgebra(hyp)
+        lift = Mat.from_cols([lift @ row for row in incl])
+    return dirs, inverse(Mat.from_cols(dirs))
+
+
+def _assert_chain_matches_the_reference(alg):
+    dirs, inv_z = weights._ideal_chain(alg)
+    want_dirs, want_inv = _ref_ideal_chain(alg)
+    assert _typed(list(dirs)) == _typed(list(want_dirs))
+    assert _typed(inv_z.rows) == _typed(want_inv.rows)
+
+
+def test_chain_matches_the_reference_on_pinned_and_corpus_algebras():
+    algebras = [g for _, g, _ in weight_flag_inputs()]
+    algebras += [e.algebra for e in corpus() if e.algebra.is_solvable()]
+    assert len(algebras) > 20
+    for g in algebras:
+        _assert_chain_matches_the_reference(g)
+
+
+@st.composite
+def solvable_algebras(draw):
+    """A solvable algebra in a random rational basis: generated by random
+    block upper triangular matrices whose diagonal blocks are scalars or
+    rotation-scaling blocks a + bJ, so that some weights are nonreal."""
+    sizes = draw(st.lists(st.sampled_from((1, 2)), min_size=1, max_size=3))
+    n = sum(sizes)
+    assume(2 <= n <= 4)
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    block = [i for i, size in enumerate(sizes) for _ in range(size)]
+    gens = []
+    for _ in range(draw(st.integers(2, 3))):
+        rows = [[draw(small) if block[j] > block[i] else 0 for j in range(n)]
+                for i in range(n)]
+        for start, size in zip(starts, sizes):
+            a = draw(small)
+            rows[start][start] = a
+            if size == 2:
+                b = draw(small)
+                rows[start][start + 1], rows[start + 1][start] = -b, b
+                rows[start + 1][start + 1] = a
+        gens.append(Mat(rows))
+    return _generated_in_random_basis(draw, gens)
+
+
+@seed(20261101)
+@settings(max_examples=60, deadline=None, database=None)
+@given(solvable_algebras())
+def test_chain_matches_the_reference_on_random_solvable_algebras(g):
+    assert g.is_solvable()
+    _assert_chain_matches_the_reference(g)
+
+
+def test_weight_flag_materializes_no_subalgebra(monkeypatch):
+    inner = LieAlgebra.subalgebra
+    calls = []
+
+    def counted(self, basis):
+        calls.append(self)
+        return inner(self, basis)
+
+    monkeypatch.setattr(LieAlgebra, "subalgebra", counted)
+    for _, g, mats in weight_flag_inputs():
+        weight_flag(g, mats)
+    assert calls == []
+
+
 # ------------------------------------------------------------ reference peel
 # The peel of an earlier weights module: every chain level picks its
 # eigenvalue from its own characteristic polynomial, restricts by dense
@@ -388,7 +489,7 @@ def _ref_common_eigenspace(chain, mats, scalar):
 
 def _ref_weight_flag(alg, mats):
     """(flag, characters), or the Indeterminate reason."""
-    chain = weights._ideal_chain(alg)
+    chain = _ref_ideal_chain(alg)
     cur = list(mats)
     scalar = Fraction
     flag, chars = [], []
@@ -473,6 +574,20 @@ def _unit_triangular(draw, n, entry):
     return lower @ upper
 
 
+def _generated_in_random_basis(draw, gens):
+    """The algebra the matrices gens generate, of dimension at least 2, in
+    a random rational basis."""
+    assume(any(not m.is_zero() for m in gens))
+    g0, _, _ = from_matrices(gens)
+    k = g0.dim
+    assume(k >= 2)
+    t = _unit_triangular(draw, k, small)
+    t_inv = inverse(t)
+    cols = t.cols()
+    return LieAlgebra(k, [[t_inv @ g0.bracket(cols[i], cols[j])
+                           for j in range(k)] for i in range(k)])
+
+
 @st.composite
 def solvable_actions(draw):
     """(g, action): g generated by random upper triangular rational
@@ -484,15 +599,8 @@ def solvable_actions(draw):
     entry = st.sampled_from((0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)))
     gens = [Mat([[draw(entry) if j >= i else 0 for j in range(n)]
                  for i in range(n)]) for _ in range(draw(st.integers(2, 3)))]
-    assume(any(not m.is_zero() for m in gens))
-    g0, _, _ = from_matrices(gens)
-    k = g0.dim
-    assume(k >= 2)
-    t = _unit_triangular(draw, k, small)
-    t_inv = inverse(t)
-    cols = t.cols()
-    g = LieAlgebra(k, [[t_inv @ g0.bracket(cols[i], cols[j])
-                        for j in range(k)] for i in range(k)])
+    g = _generated_in_random_basis(draw, gens)
+    k = g.dim
     mats = _adjoint(g)
     if draw(st.booleans()):
         derived = g.derived_algebra()
