@@ -19,8 +19,8 @@ from .definability import (DEFINABLE, NOT_DEFINABLE, PRESENTATION_KINDS,
                            RULE_SIMPLY_CONNECTED, RULE_SOLVABLE, UNKNOWN,
                            CertReport, DefinabilityVerdict, GroupPresentation,
                            NonRealWitness, TbcCertificate, TbcObstruction,
-                           tbc_verify)
-from .errors import InputError
+                           _tbc_verify, tbc_verify)
+from .errors import InputError, NotSolvableError
 from .formats import (algebra_hash, canonical_json, matrix_from_json,
                       matrix_to_json, vector_from_json, vector_to_json)
 from .lie import LieAlgebra
@@ -188,6 +188,8 @@ def _check_tbc(payload, alg: LieAlgebra) -> CertReport:
         return tbc_verify(alg, _decode_tbc(payload, alg.dim))
     except InputError as e:
         return _fail("shape", str(e))
+    except NotSolvableError as e:
+        return _fail("subject", str(e))
 
 
 def _check_flag(payload, alg: LieAlgebra) -> CertReport:
@@ -345,9 +347,15 @@ def _check_verdict(payload, alg: LieAlgebra) -> CertReport:
     if cert_raw is not None:
         if not isinstance(cert_raw, dict):
             return _fail("shape", "certificate must be an object")
+        if rule == RULE_OPEN:
+            return _fail("certificate", "the open regime carries no "
+                                        "certificate")
         try:
             cert = _decode_tbc(cert_raw, sub.dim)
-            report = tbc_verify(sub, cert)
+            # no radical leaves only the solvable rules, whose rule clause
+            # has just found alg solvable; a claimed radical is not proven so
+            report = (tbc_verify(sub, cert) if radical_raw is not None
+                      else _tbc_verify(sub, cert))
         except InputError as e:
             return _fail("shape", str(e))
         if not report.ok:

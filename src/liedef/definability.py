@@ -214,10 +214,17 @@ def tbc_verify(r: LieAlgebra, cert: TbcCertificate) -> CertReport:
     direct sum, abelianness of k, and semisimplicity with purely imaginary
     spectrum for each ad(k_basis[j]) are all recomputed.  Shape problems are
     typed errors; a well-formed but false certificate gets a report naming
-    the first failing clause.
+    the first failing clause.  Solvability of r is checked here, and the
+    private _tbc_verify runs every other clause: it takes solvability as
+    proven by its caller in the same call (the oracle's rules, tbc_find's
+    candidate loop, the checker's rule clause).
     """
     if not r.is_solvable():
         raise NotSolvableError("certificates describe solvable algebras")
+    return _tbc_verify(r, cert)
+
+
+def _tbc_verify(r, cert):
     t = _cert_vectors(cert.t_basis, r.dim, "t_basis")
     k = _cert_vectors(cert.k_basis, r.dim, "k_basis")
     flag = _cert_vectors(cert.flag, r.dim, "flag")
@@ -281,7 +288,7 @@ def _cert_vectors(vectors, dim, what):
 
 
 def _assert_verified(r, cert):
-    rep = tbc_verify(r, cert)
+    rep = _tbc_verify(r, cert)
     if not rep.ok:
         raise InternalCheckError(
             "finder emitted a certificate the verifier rejects (%s: %s)"
@@ -299,11 +306,17 @@ def tbc_find(r: LieAlgebra) -> TbcResult:
     When the sum spans, t is taken to be the full imaginary-part kernel and
     k is completed from the real-part kernel, once as found and once after
     subtracting inner corrections that cancel nilpotent parts.  Every
-    candidate passes through tbc_verify before being returned; anything
-    unverified is reported as Unknown, never as a guess.
+    candidate passes through tbc_verify's clauses before being returned;
+    anything unverified is reported as Unknown, never as a guess.
+    Solvability of r is checked here; the private _tbc_find takes it as
+    proven by its caller in the same call.
     """
     if not r.is_solvable():
         raise NotSolvableError("tbc splittings describe solvable algebras")
+    return _tbc_find(r)
+
+
+def _tbc_find(r):
     ss, table = _adjoint_peel(r)
     if ss.status == SS_YES:
         cert = TbcCertificate(ss.flag, (), ss.flag, ())
@@ -345,7 +358,7 @@ def tbc_find(r: LieAlgebra) -> TbcResult:
     for k_try in _k_candidates(r, treal, k_cand):
         evidence = tuple(tuple(char_poly(r.ad(u)).coeffs) for u in k_try)
         cert = TbcCertificate(flag, tuple(k_try), flag, evidence)
-        rep = tbc_verify(r, cert)
+        rep = _tbc_verify(r, cert)
         if rep.ok:
             return TbcResult(TBC, cert, None, None)
         last = rep
@@ -430,6 +443,7 @@ def definability_oracle(p: GroupPresentation) -> DefinabilityVerdict:
     if p.kind == "linear":
         return _radical_rule(p, g, RULE_LINEAR)
     if g.is_solvable():
+        # both rules take g's solvability as proven by this test
         if p.kind == "simply-connected":
             return _simply_connected_rule(g)
         return _solvable_rule(g)
@@ -442,7 +456,7 @@ def definability_oracle(p: GroupPresentation) -> DefinabilityVerdict:
 
 
 def _simply_connected_rule(g):
-    ss = supersolvable_test(g)
+    ss = _adjoint_peel(g)[0]
     if ss.status == SS_YES:
         cert = _assert_verified(
             g, TbcCertificate(ss.flag, (), ss.flag, ()))
@@ -458,7 +472,7 @@ def _simply_connected_rule(g):
 
 
 def _solvable_rule(g):
-    tb = tbc_find(g)
+    tb = _tbc_find(g)
     if tb.status == TBC:
         return DefinabilityVerdict(DEFINABLE, RULE_SOLVABLE,
                                    certificate=tb.certificate)
@@ -478,7 +492,8 @@ def _radical_rule(p, g, rule):
                                    radical_basis=(),
                                    presentation_notes=notes)
     sub, incl = g.subalgebra(rad)
-    tb = tbc_find(sub)
+    # radical() has proved rad solvable
+    tb = _tbc_find(sub)
     if tb.status == TBC:
         if notes:
             notes = notes + (

@@ -189,12 +189,13 @@ class LieAlgebra:
         return series
 
     def lower_central_series(self):
+        # the first step is [g, g], each pair bracketed once; a later step
+        # [g, g^k] needs every ordered pair
         series = [span_basis(self.basis())]
-        while series[-1]:
-            nxt = self.bracket_span(series[0], series[-1])
-            if len(nxt) == len(series[-1]):
-                break
+        nxt = self._pair_span(series[0])
+        while len(nxt) < len(series[-1]):
             series.append(nxt)
+            nxt = self.bracket_span(series[0], nxt)
         return series
 
     def center(self):

@@ -178,13 +178,12 @@ def is_unipotent(rep: Representation) -> bool:
 
 # -- nilpotent case: truncated enveloping module -------------------------------
 
-def _lcs_adapted(n: LieAlgebra):
-    """Basis adapted to the lower central series, with weights.
+def _lcs_adapted(series):
+    """Basis adapted to a lower central series, with weights.
 
     Vector v gets weight k when it spans the k-th term modulo the (k+1)-th.
     Returned in weight-ascending order.
     """
-    series = n.lower_central_series()
     adapted = []
     weights = []
     for k in range(1, len(series)):
@@ -194,7 +193,7 @@ def _lcs_adapted(n: LieAlgebra):
                 base.append(tuple(v))
                 adapted.append(tuple(v))
                 weights.append(k)
-    if len(adapted) != n.dim:
+    if len(adapted) != len(series[0]):
         raise InternalCheckError("adapted basis has the wrong size")
     return adapted, weights
 
@@ -250,15 +249,17 @@ def nilpotent_ado(n: LieAlgebra) -> Representation:
     every image strictly upper triangular, and the degree-one column shows
     faithfulness.
     """
-    if not n.is_nilpotent():
+    # one series decides nilpotency, gives the class and adapts the basis
+    series = n.lower_central_series()
+    if series[-1]:
         raise NotNilpotentError(
             "the truncated enveloping module needs a nilpotent algebra")
     # n is nilpotent, so it is its own nilradical
     whole = n.basis()
     if n.dim == 0:
         return _certified(Representation(n, 1, ()), ALL_FLAGS, whole)
-    c = n.nilpotency_class()
-    adapted, weights = _lcs_adapted(n)
+    c = len(series) - 1
+    adapted, weights = _lcs_adapted(series)
     t = Mat.from_cols(adapted)
     tinv = inverse(t)
     table = [[tuple(tinv @ n.bracket(adapted[i], adapted[j]))

@@ -10,7 +10,9 @@ and verify-cert must answer it with a report, never an exception.
 import copy
 import json
 import os
+import random
 import tempfile
+from collections import Counter
 
 import pytest
 from hypothesis import given, seed, settings
@@ -22,13 +24,17 @@ from liedef.certs import (CertReport, KIND_FLAG, KIND_REPRESENTATION,
                           emit_verdict, load_certificate, save_certificate,
                           verify_certificate, weights_hash)
 from liedef.cli import main
-from liedef.definability import (GroupPresentation, definability_oracle,
-                                 supersolvable_test, tbc_find)
+from liedef.corpus import corpus
+from liedef.definability import (GroupPresentation, TbcCertificate,
+                                 definability_oracle, supersolvable_test,
+                                 tbc_find)
 from liedef.errors import InputError
-from liedef.formats import algebra_from_dict
+from liedef.formats import algebra_from_dict, save_algebra_file
 from liedef.lie import LieAlgebra
 from liedef.reps import nilpotent_ado
 from liedef.torus import TorusWeights, torus_zariski_closure
+from test_acceptance import _random_solvable
+from test_golden import PRESENTATIONS
 
 
 def verdict_pair(alg, kind="abstract", **kw):
@@ -289,6 +295,65 @@ def test_non_string_kind_and_non_object_verdict_certificate(e2):
     cert["payload"]["certificate"] = ""
     rep = verify_certificate(cert, algebra=e2)
     assert not rep and rep.clause == "shape"
+
+
+def test_a_non_solvable_subject_gets_a_report(tmp_path, sl2, capsys):
+    tbc = emit_tbc(sl2, TbcCertificate(((1, 0, 0),), (), ((1, 0, 0),), ()))
+    rep = verify_certificate(tbc, algebra=sl2)
+    assert not rep and rep.clause == "subject"
+    assert rep.detail == "certificates describe solvable algebras"
+    # the open regime decides nothing, so a certificate on it is false
+    p, v = verdict_pair(sl2, "abstract")
+    verdict = emit_verdict(p, v)
+    verdict["payload"]["certificate"] = copy.deepcopy(tbc["payload"])
+    rep = verify_certificate(verdict, algebra=sl2)
+    assert not rep and rep.clause == "certificate"
+    subject = str(tmp_path / "sl2.json")
+    save_algebra_file(subject, sl2)
+    for k, cert in enumerate((tbc, verdict)):
+        path = str(tmp_path / ("bad%d.json" % k))
+        save_certificate(path, cert)
+        assert main(["verify-cert", subject, path]) == 1
+        assert "rejected at clause" in capsys.readouterr().out
+
+
+# ------------------------------------------------- solvability asked once
+
+def test_no_call_asks_solvability_of_one_table_twice(monkeypatch):
+    """The oracle hands proven solvability down to its rules, and the
+    checker from its rule clause to the certificate, so within one
+    definability_oracle or verify_certificate call no table is asked twice;
+    the checker still takes nothing from the oracle."""
+    asked = Counter()
+    solvable = LieAlgebra.is_solvable
+
+    def counted(self):
+        asked[repr(self.table)] += 1
+        return solvable(self)
+
+    monkeypatch.setattr(LieAlgebra, "is_solvable", counted)
+    rng = random.Random(20260816)
+    subjects = [(e.algebra, e.matrices) for e in corpus()]
+    subjects += [(_random_solvable(rng), ()) for _ in range(6)]
+    calls = 0
+    for alg, mats in subjects:
+        for kind, fcl in PRESENTATIONS:
+            p = GroupPresentation(alg, kind, matrices=mats,
+                                  finite_center_levi=fcl)
+            asked.clear()
+            v = definability_oracle(p)
+            assert all(n == 1 for n in asked.values()), (p, asked)
+            calls += sum(asked.values())
+            certs = [emit_verdict(p, v)]
+            if v.certificate is not None and v.radical_basis is None:
+                certs.append(emit_tbc(alg, v.certificate, mats or None))
+            for cert in certs:
+                asked.clear()
+                assert verify_certificate(cert, algebra=alg,
+                                          matrices=mats or None).ok
+                assert all(n == 1 for n in asked.values()), (cert, asked)
+                calls += sum(asked.values())
+    assert calls > len(subjects)
 
 
 # ------------------------------------------------------------ edit fuzz
