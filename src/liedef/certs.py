@@ -20,7 +20,7 @@ from .definability import (DEFINABLE, NOT_DEFINABLE, PRESENTATION_KINDS,
                            CertReport, DefinabilityVerdict, GroupPresentation,
                            NonRealWitness, TbcCertificate, TbcObstruction,
                            _tbc_verify, tbc_verify)
-from .errors import InputError, NotSolvableError
+from .errors import InputError, InternalCheckError, NotSolvableError
 from .formats import (algebra_hash, canonical_json, matrix_from_json,
                       matrix_to_json, vector_from_json, vector_to_json)
 from .lie import LieAlgebra
@@ -327,6 +327,7 @@ def _check_verdict(payload, alg: LieAlgebra) -> CertReport:
                      % rule)
 
     radical_raw = payload.get("radical")
+    whole = False
     if radical_raw is None:
         if rule not in (RULE_SIMPLY_CONNECTED, RULE_SOLVABLE, RULE_OPEN):
             return _fail("radical", "rule %r must identify the radical"
@@ -337,11 +338,15 @@ def _check_verdict(payload, alg: LieAlgebra) -> CertReport:
             claimed = _real_vectors(radical_raw, alg.dim, "radical")
         except InputError as e:
             return _fail("shape", str(e))
-        if list(span_basis(claimed)) != list(_radical_rows(alg)):
+        rows = _radical_rows(alg)
+        if list(span_basis(claimed)) != list(rows):
             return _fail("radical", "claimed radical is not the "
                                     "Killing-orthogonal of the derived "
                                     "subalgebra")
         sub, _ = alg.subalgebra(claimed)
+        # a radical that is all of alg has the Killing form vanish on
+        # [alg, alg]: Cartan's criterion makes alg solvable
+        whole = len(rows) == alg.dim
 
     cert_raw = payload.get("certificate")
     if cert_raw is not None:
@@ -352,10 +357,19 @@ def _check_verdict(payload, alg: LieAlgebra) -> CertReport:
                                         "certificate")
         try:
             cert = _decode_tbc(cert_raw, sub.dim)
-            # no radical leaves only the solvable rules, whose rule clause
-            # has just found alg solvable; a claimed radical is not proven so
-            report = (tbc_verify(sub, cert) if radical_raw is not None
-                      else _tbc_verify(sub, cert))
+            if radical_raw is not None and not whole:
+                # a proper radical is not proven solvable here
+                report = tbc_verify(sub, cert)
+            else:
+                # no radical leaves only the solvable rules, whose rule
+                # clause has just found alg solvable; a whole radical is
+                # solvable by the trace form, which the derived series
+                # confirms, as in structure._radical
+                if whole and alg.derived_series()[-1]:
+                    raise InternalCheckError(
+                        "solvability by derived series and by trace form "
+                        "disagree")
+                report = _tbc_verify(sub, cert)
         except InputError as e:
             return _fail("shape", str(e))
         if not report.ok:

@@ -19,8 +19,8 @@ from .linalg import (Mat, char_poly, coords_in_span, in_span,
 from .poly import (purely_imaginary_spectrum, squarefree_part,
                    sturm_count_real_roots)
 from .scalars import GaussRat
-from .structure import radical
-from .weights import _weight_table, weight_flag
+from .structure import _radical
+from .weights import _ideal_chain, _weight_flag, _weight_table
 
 SS_YES = "yes"
 SS_NO = "no"
@@ -92,56 +92,79 @@ def supersolvable_test(g: LieAlgebra) -> SupersolvableResult:
     step characters are all real is yes: _check_flag proves that ad is
     triangular in it with the characters on the diagonal, so every adjoint
     eigenvalue is real and no Sturm count is needed.  A nonreal character is
-    no, and only then are the spectra of ad(e_0), ad(e_1), ... screened, up
-    to the first nonreal one, which is the witness: every weight value on
-    e_i is an eigenvalue of ad(e_i).  A peel that leaves Q(i) is no when the
-    screen finds a nonreal spectrum and Indeterminate otherwise, so the only
-    Indeterminate left is a flag whose real eigenvalues fall outside Q.
+    no, and the witness is read off the same peel: ad(e_i) is triangular in
+    its flag with the value of each character on e_i on the diagonal, so
+    the first e_i at which some character is nonreal is the first basis
+    element whose ad has a nonreal spectrum.  Its characteristic polynomial
+    and one Sturm count confirm it.  A peel that leaves Q(i) has no
+    characters, so the spectra of ad(e_0), ad(e_1), ... are screened, up to
+    the first nonreal one: it is no when the screen finds one and
+    Indeterminate otherwise, so the only Indeterminate left is a flag whose
+    real eigenvalues fall outside Q.
     """
+    return _supersolvable(g)[0]
+
+
+def _supersolvable(g):
+    """supersolvable_test, and the ideal chain of g its peel walked, for a
+    caller that peels another module of g on the same chain."""
     if not g.is_solvable():
         raise NotSolvableError(
             "supersolvability is only asked of solvable algebras")
-    return _adjoint_peel(g)[0]
+    ss, _, chain = _adjoint_peel(g)
+    return ss, chain
 
 
 def _adjoint_peel(g):
-    """supersolvable_test of a solvable algebra, and its adjoint weights.
+    """supersolvable_test of a solvable algebra, its adjoint weights, and
+    the ideal chain of the peel.
 
-    Returns (result, table): table is None on yes, the WeightTable of the
-    same peel when a weight is nonreal, and the peel's Indeterminate when the
-    weights do not split over Q(i).
+    Returns (result, table, chain): table is None on yes, the WeightTable
+    of the same peel when a weight is nonreal, and the peel's Indeterminate
+    when the weights do not split over Q(i).
     """
     ads = [g.ad(x) for x in g.basis()]
-    peeled = weight_flag(g, ads)
+    chain = _ideal_chain(g)
+    peeled = _weight_flag(chain, ads)
     if isinstance(peeled, Indeterminate):
-        table = peeled
-    else:
-        chars = [_real_vec(c) for c in peeled[1]]
-        if None not in chars:
-            flag = [_real_vec(v) for v in peeled[0]]
-            if None in flag:
-                raise InternalCheckError(
-                    "flag vector has an imaginary component")
-            _check_flag(g, flag, chars)
-            return SupersolvableResult(SS_YES, tuple(flag), tuple(chars),
-                                       None, None), None
-        table = _weight_table(g, peeled[1], g.dim)
-    for i, ad in enumerate(ads):
-        p = char_poly(ad)
-        sf = squarefree_part(p)
-        real = sturm_count_real_roots(sf)
-        if real < sf.degree:
-            values = None if isinstance(table, Indeterminate) else next(
-                e.values for e in table.entries if not e.real)
-            witness = NonRealWitness(g.basis_vector(i), tuple(p.coeffs),
-                                     real, sf.degree, values)
-            return SupersolvableResult(SS_NO, None, None, witness,
-                                       None), table
-    if isinstance(table, Indeterminate):
+        for i, ad in enumerate(ads):
+            witness = _nonreal_witness(g, i, ad, None)
+            if witness is not None:
+                return SupersolvableResult(SS_NO, None, None, witness,
+                                           None), peeled, chain
         return SupersolvableResult(SS_INDETERMINATE, None, None, None,
-                                   table.reason), table
-    raise InternalCheckError(
-        "a weight is nonreal but every ad(e_i) has real spectrum")
+                                   peeled.reason), peeled, chain
+    chars = [_real_vec(c) for c in peeled[1]]
+    if None not in chars:
+        flag = [_real_vec(v) for v in peeled[0]]
+        if None in flag:
+            raise InternalCheckError("flag vector has an imaginary component")
+        _check_flag(g, flag, chars)
+        return SupersolvableResult(SS_YES, tuple(flag), tuple(chars),
+                                   None, None), None, chain
+    table = _weight_table(g, peeled[1], g.dim, chain[2])
+    i = next(i for i in range(g.dim)
+             if any(not c[i].is_real() for c in peeled[1]))
+    values = next(e.values for e in table.entries if not e.real)
+    witness = _nonreal_witness(g, i, ads[i], values)
+    if witness is None:
+        raise InternalCheckError(
+            "a weight is nonreal on e_%d but ad(e_%d) has real spectrum"
+            % (i, i))
+    return SupersolvableResult(SS_NO, None, None, witness, None), table, chain
+
+
+def _nonreal_witness(g, i, ad, values):
+    """The NonRealWitness of e_i when ad = ad(e_i) has a nonreal eigenvalue,
+    by one Sturm count of its squarefree characteristic polynomial; else
+    None."""
+    p = char_poly(ad)
+    sf = squarefree_part(p)
+    real = sturm_count_real_roots(sf)
+    if real >= sf.degree:
+        return None
+    return NonRealWitness(g.basis_vector(i), tuple(p.coeffs), real,
+                          sf.degree, values)
 
 
 def _check_flag(g, flag, chars):
@@ -317,7 +340,7 @@ def tbc_find(r: LieAlgebra) -> TbcResult:
 
 
 def _tbc_find(r):
-    ss, table = _adjoint_peel(r)
+    ss, table, _ = _adjoint_peel(r)
     if ss.status == SS_YES:
         cert = TbcCertificate(ss.flag, (), ss.flag, ())
         return TbcResult(TBC, _assert_verified(r, cert), None, None)
@@ -483,7 +506,7 @@ def _solvable_rule(g):
 
 
 def _radical_rule(p, g, rule):
-    rad = radical(g)
+    rad, _, built = _radical(g)
     notes = _presentation_notes(p)
     if not rad:
         # empty radical is vacuously triangular-by-compact
@@ -491,8 +514,9 @@ def _radical_rule(p, g, rule):
         return DefinabilityVerdict(DEFINABLE, rule, certificate=cert,
                                    radical_basis=(),
                                    presentation_notes=notes)
-    sub, incl = g.subalgebra(rad)
-    # radical() has proved rad solvable
+    # a proper radical comes with the subalgebra its solvability check built
+    sub, incl = g.subalgebra(rad) if built is None else built
+    # _radical has proved rad solvable
     tb = _tbc_find(sub)
     if tb.status == TBC:
         if notes:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .definability import SS_NO, SS_YES, supersolvable_test
+from .definability import SS_NO, SS_YES, _supersolvable
 from .errors import (Indeterminate, InputError, InternalCheckError,
                      NotNilpotentError, NotSupersolvableError,
                      PreconditionError, UnsupportedError)
@@ -28,7 +28,7 @@ from .linalg import (Mat, block_diag, coords_in_span, intersect_spans,
                      restrict_to_span, solve, solve_sparse, span_basis)
 from .scalars import GaussRat
 from .structure import nilradical
-from .weights import weight_flag
+from .weights import _weight_flag
 
 HOMOMORPHISM = "homomorphism"
 FAITHFUL = "faithful"
@@ -316,7 +316,7 @@ def supersolvable_triangular_rep(t: LieAlgebra) -> Representation:
     ad-nilpotent elements are the nilradical.  Their common kernel, in rref
     rows, is what structure.nilradical returns, without the associative hull.
     """
-    ss = supersolvable_test(t)
+    ss, chain = _supersolvable(t)
     if ss.status == SS_NO:
         raise NotSupersolvableError(
             "the algebra has a nonreal adjoint eigenvalue", ss.witness)
@@ -334,7 +334,7 @@ def supersolvable_triangular_rep(t: LieAlgebra) -> Representation:
         rep = Representation(t, t.dim, tuple(ads), flag=ss.flag)
         return _certified(rep, ALL_FLAGS, nil)
 
-    derived = t.derived_algebra()
+    derived = chain[2]   # [t, t]
     meets = bool(intersect_spans(center, derived, t.dim)) if derived else False
     if not meets:
         # characters of t/[t,t] separate the center
@@ -358,7 +358,8 @@ def supersolvable_triangular_rep(t: LieAlgebra) -> Representation:
     sub, incl = t.subalgebra(nil)
     base = nilpotent_ado(sub)
     ext = extend_rep(t, nil, base)
-    peeled = weight_flag(t, list(ext.images))
+    # the chain of t's adjoint peel serves the extended module too
+    peeled = _weight_flag(chain, list(ext.images))
     # the peel lifts to Q(i) only at a nonreal eigenvalue
     if isinstance(peeled, Indeterminate) or any(
             isinstance(x, GaussRat) for v in peeled[0] for x in v):

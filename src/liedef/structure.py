@@ -45,26 +45,29 @@ def radical(g: LieAlgebra):
 
 
 def _radical(g: LieAlgebra):
-    """(radical(g), [g, g]), both as rref rows, so that nilradical does not
-    compute [g, g] a second time."""
+    """(radical(g), [g, g], sub), the first two as rref rows, so that
+    nilradical does not compute [g, g] a second time.  sub is the
+    (subalgebra, inclusion) pair of a proper nonzero radical, which its
+    solvability check builds, and None otherwise."""
     derived = g.derived_algebra()
     if not derived:
-        return span_basis(g.basis()), derived
+        return span_basis(g.basis()), derived, None
     killing = g.killing_matrix()
     rows = [killing @ d for d in derived]
     if all(is_zero_vec(r) for r in rows):
         if g.derived_series()[-1]:
             raise InternalCheckError(
                 "solvability by derived series and by trace form disagree")
-        return span_basis(g.basis()), derived
+        return span_basis(g.basis()), derived, None
     rad = span_basis(kernel(Mat(rows)))
     if not g.is_ideal(rad):
         raise InternalCheckError("radical candidate is not an ideal")
+    sub = None
     if rad:
-        sub, _ = g.subalgebra(rad)
-        if not sub.is_solvable():
+        sub = g.subalgebra(rad)
+        if not sub[0].is_solvable():
             raise InternalCheckError("radical candidate is not solvable")
-    return rad, derived
+    return rad, derived, sub
 
 
 def _matrix_hull(mats):
@@ -116,14 +119,12 @@ def nilradical(g: LieAlgebra):
     which makes it an ideal holding [g, r], and be nilpotent.  When r is a
     proper ideal it must be an ideal of g, be nilpotent and contain [g, r].
     """
-    rad, derived = _radical(g)
+    rad, derived, sub = _radical(g)
     if not rad:
         return []
-    if len(rad) == g.dim:
-        # rad is the standard basis, so g's own coordinates serve
-        rs, incl = g, rad
-    else:
-        rs, incl = g.subalgebra(rad)
+    # rad is the standard basis when it is all of g, so g's own coordinates
+    # serve; a proper radical comes with the subalgebra _radical built
+    rs, incl = (g, rad) if sub is None else sub
     if rs.is_nilpotent():
         return rad
     if rs is not g:

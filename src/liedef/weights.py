@@ -17,14 +17,29 @@ action fails loudly instead of returning garbage.  Each peel quotients the
 module by its eigenvector in closed form (m[j][l] - w_j m[p][l] once w_p is
 scaled to 1), without building or inverting a change of basis.
 
+The module stays sparse from entry to exit.  The action of each chain
+direction z_k, B_k = sum_i z_k[i] M_i, is formed once per weight_flag call
+as {row: {column: entry}} dicts of its nonzero entries, keyed by module
+coordinate, and each peel quotients those in place (the quotient is linear,
+so it is the same as quotienting the basis actions and combining them).  A
+peel drops one coordinate, so the coordinates left are the lift back to the
+module, and a flag vector is read off the eigenvector's own entries.  A
+level's shifted rows go straight to the one sparse elimination of linalg;
+only a characteristic polynomial densifies its matrix.  Once the eigenspace
+found so far is one vector v, every later level is 1x1: its eigenvalue is
+(b v)_p / v_p at a nonzero entry p of v, and b v = lambda v is checked
+exactly in place of a restriction.
+
 weight_flag is the one peel: it returns the flag of eigenvectors and the
 character of each step.  module_weights calls it and tabulates those
-characters (_weight_table, which checks them against [g, g] and which
-supersolvable_test's adjoint peel also uses when a weight is nonreal), and
-a real flag of ideals is the adjoint weight_flag of an algebra whose
-weights are real.  Every eigenvalue is picked by one rule: the least real
-root when there is one, else the least root in Q(i); a 1x1 matrix is read
-as its own eigenvalue, with no characteristic polynomial.
+characters (_weight_table, which checks them against the [g, g] of the
+peel's chain and which supersolvable_test's adjoint peel also uses when a
+weight is nonreal), and a real flag of ideals is the adjoint weight_flag of
+an algebra whose weights are real.  _weight_flag runs the peel on a chain
+its caller has already built, so one chain serves every module of an
+algebra.  Every eigenvalue is picked by one rule: the least real root when
+there is one, else the least root in Q(i); a 1x1 level is read as its own
+eigenvalue, with no characteristic polynomial.
 
 The roots are found once per chain direction z_k and weight_flag call: the
 spectrum of z_k on the whole module (its roots in Q(i), with multiplicity)
@@ -43,10 +58,11 @@ Everything runs over the fixed tower Q < Q(i), real first: the peel runs
 over Q and lifts to Q(i) in place at the first nonreal eigenvalue it picks,
 so a module with real weights never pays for Gaussian arithmetic (a
 character whose eigenvalues are all real is contracted over Q as well).
-When a needed eigenvalue lives outside the tower, the computation returns
-Indeterminate rather than guessing.  Characters are value rows against the
-acting algebra's basis: char[j] is the character evaluated on basis element
-j.
+The flag holds GaussRat entries from that peel on, and Fraction entries
+before it.  When a needed eigenvalue lives outside the tower, the
+computation returns Indeterminate rather than guessing.  Characters are
+value rows against the acting algebra's basis: char[j] is the character
+evaluated on basis element j.
 """
 from __future__ import annotations
 
@@ -55,10 +71,13 @@ from fractions import Fraction
 
 from .errors import Indeterminate, InputError, InternalCheckError
 from .lie import LieAlgebra
-from .linalg import (Mat, char_poly, in_span, inverse, kernel, lincomb,
-                     mat_lincomb, restrict_to_span, span_basis)
+from .linalg import (Mat, _field, _gauss_jordan, _null_space, _solutions,
+                     _sparse_axpy, char_poly, in_span, inverse, span_basis)
 from .poly import gaussian_roots
-from .scalars import GaussRat, gauss
+from .scalars import gauss
+
+NOT_INVARIANT = ("joint eigenspace is not invariant; the action is not "
+                 "from a solvable family")
 
 
 @dataclass(frozen=True)
@@ -84,11 +103,13 @@ class WeightTable:
         return all(all(not v for v in e.values) for e in self.entries)
 
 
-def _spectrum(b: Mat):
-    """The eigenvalues of b in Q(i) as [lam, multiplicity] pairs, in the
-    order the peel tries them: real ones ascending, then the rest by
-    (re, im)."""
-    roots = [[lam, mult] for lam, mult in gaussian_roots(char_poly(b))[0]]
+def _spectrum(b):
+    """The eigenvalues of the action b in Q(i) as [lam, multiplicity]
+    pairs, in the order the peel tries them: real ones ascending, then the
+    rest by (re, im)."""
+    zero = Fraction(0)
+    dense = Mat([[row.get(j, zero) for j in b] for row in b.values()])
+    roots = [[lam, mult] for lam, mult in gaussian_roots(char_poly(dense))[0]]
     # gaussian_roots sorts by (re, im), and the sort is stable
     roots.sort(key=lambda root: not root[0].is_real())
     return roots
@@ -105,24 +126,30 @@ def _drop_root(spectrum, lam):
         del spectrum[i]
 
 
-def _level_eigenspace(b: Mat, candidates):
-    """The first candidate that is an eigenvalue of b, and its eigenspace.
+def _level_eigenspace(level, candidates):
+    """The first candidate that is an eigenvalue of a level, and its
+    eigenspace.
 
-    b is one level's matrix, over Q or Q(i); a nonreal candidate is tried
-    on b lifted to Q(i).  Returns (lam, kernel of b - lam), or None when no
-    candidate is an eigenvalue of b.
+    level is the level's matrix as one {column: entry} dict per row, over
+    Q or Q(i).  Each candidate's shifted rows, level - lam, go to one
+    elimination.  Returns (lam, null space of level - lam), or None when no
+    candidate is an eigenvalue of the level.
     """
-    lifted = None
+    d = len(level)
     for lam in candidates:
-        if lam.is_real():
-            m, mu = b, lam.re
-        else:
-            if lifted is None:
-                lifted = b.map(gauss)
-            m, mu = lifted, lam
-        eig = kernel(_shift_diagonal(m, mu))
-        if eig:
-            return lam, eig
+        mu = lam.re if lam.is_real() else lam
+        shifted = []
+        for i, row in enumerate(level):
+            row = dict(row)
+            x = row[i] - mu if i in row else -mu
+            if x:
+                row[i] = x
+            else:
+                row.pop(i, None)
+            shifted.append(row)
+        pivots, _ = _gauss_jordan(shifted, d, ())
+        if len(pivots) < d:
+            return lam, _null_space(pivots, d)
     return None
 
 
@@ -132,9 +159,10 @@ def _ideal_chain(alg: LieAlgebra):
     alg = g_1 > g_2 > ... > g_n > 0 where g_{k+1} is a codim-1 ideal of g_k
     containing [g_k, g_k] and z_k is the leftover direction, g_k = g_{k+1} +
     span(z_k).  Returns (z_1..z_n in alg's coordinates, the inverse of the
-    matrix with columns z_1..z_n); a character is fixed by its values on the
-    z_k, and contracting those values against the inverse gives it on alg's
-    basis.
+    matrix with columns z_1..z_n, [alg, alg]); a character is fixed by its
+    values on the z_k, and contracting those values against the inverse
+    gives it on alg's basis.  [alg, alg] is the first level's [g_1, g_1],
+    the rref rows derived_algebra returns.
 
     Each g_k is kept as rref rows in alg's coordinates: g_{k+1} is
     [g_k, g_k] (bracketing each pair of rows once, as derived_algebra does
@@ -149,9 +177,9 @@ def _ideal_chain(alg: LieAlgebra):
     decides alike.
     """
     rows = alg.basis()   # the standard basis is already rref
+    derived = hyp = alg._pair_span(rows)
     dirs = []
     while rows:
-        hyp = alg._pair_span(rows)
         if len(hyp) == len(rows):
             raise InputError("acting algebra is not solvable")
         for v in rows:
@@ -161,71 +189,115 @@ def _ideal_chain(alg: LieAlgebra):
                 hyp = span_basis(hyp + [v])
         dirs.append(next(v for v in rows if not in_span(hyp, v)))
         rows = hyp
-    return dirs, inverse(Mat.from_cols(dirs))
+        hyp = alg._pair_span(rows)
+    return dirs, inverse(Mat.from_cols(dirs)), derived
 
 
-def common_eigenspace(chain, mats, scalar, spectra):
+def _apply(b, v):
+    """b v for an action b and a vector v, both sparse, as a dict of the
+    nonzero entries."""
+    out = {}
+    for i, row in b.items():
+        acc = 0
+        for j, x in row.items():
+            y = v.get(j)
+            if y:
+                acc = acc + x * y
+        if acc:
+            out[i] = acc
+    return out
+
+
+def _line_eigenvalue(b, v):
+    """The eigenvalue of b on the line spanned by v, (b v)_p / v_p at the
+    first entry p of v, once b v = lam v is checked exactly."""
+    bv = _apply(b, v)
+    p = next(iter(v))
+    lam = bv.get(p, 0) / v[p]
+    if bv.keys() - v.keys() or any(bv.get(j, 0) != lam * y
+                                   for j, y in v.items()):
+        raise InternalCheckError(NOT_INVARIANT)
+    return lam
+
+
+def _restrict(b, w, coords):
+    """The matrix of b on the span of the vectors w, in their coordinates,
+    as one {column: entry} dict per row; w must be independent and b must
+    leave their span invariant, else InternalCheckError.  One elimination,
+    one equation per module coordinate, solves for every image b w_c."""
+    zero = Fraction(0)
+    eqs = [{t: v[i] for t, v in enumerate(w) if i in v} for i in coords]
+    images = [_apply(b, v) for v in w]
+    rhs = [[image.get(i, zero) for i in coords] for image in images]
+    pivots, bad = _gauss_jordan(eqs, len(w), rhs)
+    if bad:
+        raise InternalCheckError(NOT_INVARIANT)
+    cols = _solutions(pivots, bad, len(w), len(w))
+    return [{c: col[r] for c, col in enumerate(cols) if col[r]}
+            for r in range(len(w))]
+
+
+def _combine(coeffs, vectors):
+    """sum of c * v over the pairs, as a dict of the nonzero entries."""
+    out = {}
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for j, y in v.items():
+                x = out.get(j)
+                out[j] = c * y if x is None else x + c * y
+    return {j: x for j, x in out.items() if x}
+
+
+def common_eigenspace(chain, acts, spectra):
     """One joint character of the action and its full common eigenspace.
 
-    chain is _ideal_chain of the acting algebra and mats its action on the
-    whole module, one matrix per basis element, over the field of scalar
-    (Fraction for Q, gauss for Q(i)).  Walking the chain from its smallest
-    ideal up, each direction z_k cuts the space down to one of its
-    eigenspaces on the common eigenspace of g_{k+1}, which g_k leaves
+    chain is _ideal_chain of the acting algebra and acts[k] the action of
+    its direction z_k on the module, as {row: {column: entry}} dicts keyed
+    by the module's coordinates, over Q or Q(i).  Walking the chain from
+    its smallest ideal up, each direction z_k cuts the space down to one of
+    its eigenspaces on the common eigenspace of g_{k+1}, which g_k leaves
     invariant.  At the first level that space is the whole module, so the
     action of z_n is read as it is; every later level restricts the action
-    to the space found so far, which checks its invariance.
+    to the space found so far, which checks its invariance, and a level on
+    one vector reads its eigenvalue off that vector (_line_eigenvalue).
 
     spectra[k] is the spectrum of z_k on the whole module (_spectrum), or
     None until a level needs it: a 1x1 level is its own eigenvalue, and a
     larger one is filled in here from the action of z_k and tries its
-    roots in order (_level_eigenspace).  Returns (char_row,
-    eigenspace_basis, lams) with lams[k] the eigenvalue of z_k, or an
-    Indeterminate when some level has no eigenvalue in Q(i).
-
-    A nonreal eigenvalue over Q lifts the space to Q(i) where it appears,
-    and the eigenspace comes back over Q(i) from then on, every entry a
-    GaussRat.
+    roots in order (_level_eigenspace).  Returns (char_row, eigenspace,
+    lams), the eigenspace as {coordinate: entry} dicts of the nonzero
+    entries and lams[k] the eigenvalue of z_k, or an Indeterminate when some
+    level has no eigenvalue in Q(i).
     """
-    dirs, inv_z = chain
-    n = mats[0].nrows
-    if not n:
+    dirs, inv_z = chain[0], chain[1]
+    coords = list(acts[0])
+    if not coords:
         raise InternalCheckError("empty module in eigenvector recursion")
-    w = None
+    # the basis of the space found so far; one coordinate is a line
+    w = [{coords[0]: Fraction(1)}] if len(coords) == 1 else None
     lams = [None] * len(dirs)
     for k in reversed(range(len(dirs))):
-        b = mat_lincomb(dirs[k], mats, n)
-        level = b
-        if w is not None:
-            try:
-                level = restrict_to_span(b, w)
-            except InputError:
-                raise InternalCheckError(
-                    "joint eigenspace is not invariant; the action is not "
-                    "from a solvable family") from None
-        if level.nrows == 1:
-            candidates = (gauss(level.rows[0][0]),)
+        b = acts[k]
+        if w is not None and len(w) == 1:
+            lams[k] = gauss(_line_eigenvalue(b, w[0]))
+            continue
+        if w is None:
+            pos = {c: t for t, c in enumerate(coords)}
+            level = [{pos[j]: x for j, x in b[i].items()} for i in coords]
         else:
-            if spectra[k] is None:
-                spectra[k] = _spectrum(b)
-            candidates = [lam for lam, _ in spectra[k]]
-        found = _level_eigenspace(level, candidates)
+            level = _restrict(b, w, coords)
+        if spectra[k] is None:
+            spectra[k] = _spectrum(b)
+        found = _level_eigenspace(level, [lam for lam, _ in spectra[k]])
         if found is None:
             return Indeterminate(
                 "an eigenvalue of the action lies outside Q(i), or outside Q "
                 "on a direction that must stay rational")
-        lam, eig_coords = found
-        if not lam.is_real():
-            scalar = gauss
-            if w is not None:
-                w = [tuple(gauss(x) for x in v) for v in w]
-        if w is not None:
-            w = [lincomb(c, w, n) for c in eig_coords]
-        elif scalar is gauss:
-            w = [tuple(gauss(x) for x in c) for c in eig_coords]
+        lams[k], eig = found
+        if w is None:
+            w = [{coords[t]: x for t, x in enumerate(v) if x} for v in eig]
         else:
-            w = eig_coords
-        lams[k] = lam
+            w = [_combine(c, w) for c in eig]
     vals = lams
     if all(lam.is_real() for lam in lams):
         # the same values as over Q(i), without Gaussian products
@@ -236,43 +308,47 @@ def common_eigenspace(chain, mats, scalar, spectra):
     return char, w, lams
 
 
-def _shift_diagonal(b, mu):
-    """b - mu * 1, with the entry types that subtracting mu times a Fraction
-    identity gives: an off-diagonal entry becomes a - 0 (an int a Fraction)
-    unless it already has the type of that zero."""
-    zero = mu * 0
-    rows = []
-    for i, row in enumerate(b.rows):
-        out = [a if type(a) is type(zero) else a - zero for a in row]
-        out[i] = row[i] - mu
-        rows.append(out)
-    return Mat(rows)
-
-
-def _peel_quotient(mats, w):
-    """Quotient the module by the invariant line spanned by w.
+def _peel_quotient(acts, w):
+    """Quotient every action by the invariant line spanned by w, in place.
 
     Scaled so that its first nonzero entry w_p is 1, w completes to the
     basis (w, e_j for j != p), whose inverse sends x to (x_p, x_j - w_j
     x_p).  The induced matrix of m is therefore m[j][l] - w_j m[p][l] for
     j, l != p, in the coordinates e_j, j != p: no inverse and no product.
-    An entry the line does not change (w_j or m[p][l] is 0) keeps its type.
-    Returns the induced matrices and p.
+    Row p and column p are dropped, so the coordinates left keep their
+    names.  Returns p.
     """
-    p = next(j for j, c in enumerate(w) if c)
+    p = min(w)
     wp = w[p]
-    scaled = [(j, c / wp) for j, c in enumerate(w) if c and j != p]
-    out = []
-    for m in mats:
-        rows = [list(r) for r in m.rows]
-        nz_p = [(l, y) for l, y in enumerate(rows[p]) if y and l != p]
+    scaled = [(j, c / wp) for j, c in w.items() if j != p]
+    for act in acts:
+        prow = act.pop(p)
         for j, c in scaled:
-            row = rows[j]
-            for l, y in nz_p:
-                row[l] = row[l] - c * y
-        del rows[p]
-        out.append(Mat([r[:p] + r[p + 1:] for r in rows]))
-    return out, p
+            _sparse_axpy(act[j], c, prow, p)
+        for row in act.values():
+            row.pop(p, None)
+    return p
+
+
+def _direction_actions(dirs, mats):
+    """B_k = sum_i z_k[i] M_i for each chain direction z_k, as
+    {row: {column: entry}} dicts of the nonzero entries, an int entry of an
+    M_i read as a Fraction."""
+    basis = [[{j: _field(x) for j, x in enumerate(r) if x} for r in m.rows]
+             for m in mats]
+    n = mats[0].nrows
+    acts = []
+    for z in dirs:
+        act = {i: {} for i in range(n)}
+        for c, m in zip(z, basis):
+            if c:
+                for row, m_row in zip(act.values(), m):
+                    for j, x in m_row.items():
+                        y = row.get(j)
+                        row[j] = c * x if y is None else y + c * x
+        acts.append({i: {j: x for j, x in row.items() if x}
+                     for i, row in act.items()})
+    return acts
 
 
 def weight_flag(alg: LieAlgebra, mats):
@@ -282,37 +358,41 @@ def weight_flag(alg: LieAlgebra, mats):
     chain of ideals serves every peel, and so does one spectrum per chain
     direction, found when a peel first needs it and, after each peel, less
     the eigenvalue of that direction on the peeled vector (see the module
-    docstring for why that is exact).  The module stays over Q until an
-    eigenvector comes back over Q(i); from that peel on the quotient
-    matrices and the lift to module coordinates are kept over Q(i), so the
-    flag holds GaussRat entries exactly when some weight is nonreal.
-    mats are Mat, one per basis element.  Returns (flag_vectors,
+    docstring for why that is exact).  The module stays over Q until a peel
+    picks a nonreal eigenvalue; from that peel on the flag vectors are over
+    Q(i), so the flag holds GaussRat entries exactly when some weight is
+    nonreal.  mats are Mat, one per basis element.  Returns (flag_vectors,
     characters) with flag vectors in module coordinates (prefix spans give
     an invariant flag) and one character per vector, or an Indeterminate.
     """
     if not mats:
         return [], []
-    chain = _ideal_chain(alg)
-    cur = list(mats)
-    scalar = Fraction
+    return _weight_flag(_ideal_chain(alg), mats)
+
+
+def _weight_flag(chain, mats):
+    """weight_flag on the _ideal_chain of the acting algebra."""
+    if not mats:
+        return [], []
+    n = mats[0].nrows
+    acts = _direction_actions(chain[0], mats)
+    lifted = False
     flag_vecs = []
     chars = []
     spectra = [None] * len(chain[0])
-    lift = Mat.identity(cur[0].nrows)
-    while cur[0].nrows > 0:
-        res = common_eigenspace(chain, cur, scalar, spectra)
+    zero = Fraction(0)
+    for _ in range(n):
+        res = common_eigenspace(chain, acts, spectra)
         if isinstance(res, Indeterminate):
             return res
         char, eig, lams = res
         w = eig[0]
-        if scalar is Fraction and isinstance(w[0], GaussRat):
-            scalar = gauss
-            cur = [m.map(gauss) for m in cur]
-            lift = lift.map(gauss)
-        flag_vecs.append(tuple(lift @ w))
+        lifted = lifted or not all(lam.is_real() for lam in lams)
+        flag_vecs.append(tuple(
+            zero if j not in w else gauss(w[j]) if lifted else w[j]
+            for j in range(n)))
         chars.append(char)
-        cur, p = _peel_quotient(cur, w)
-        lift = Mat([r[:p] + r[p + 1:] for r in lift.rows])
+        _peel_quotient(acts, w)
         for spectrum, lam in zip(spectra, lams):
             if spectrum is not None:
                 _drop_root(spectrum, lam)
@@ -332,19 +412,21 @@ def module_weights(alg: LieAlgebra, mats):
     mats = [m if isinstance(m, Mat) else Mat(m) for m in mats]
     if len(mats) != alg.dim:
         raise InputError("one action matrix per basis element is required")
-    peeled = weight_flag(alg, mats)
+    chain = _ideal_chain(alg)
+    peeled = _weight_flag(chain, mats)
     if isinstance(peeled, Indeterminate):
         return peeled
-    return _weight_table(alg, peeled[1], mats[0].nrows if mats else 0)
+    return _weight_table(alg, peeled[1], mats[0].nrows if mats else 0,
+                         chain[2])
 
 
-def _weight_table(alg, chars, module_dim):
+def _weight_table(alg, chars, module_dim, derived):
     """The WeightTable of a peel's characters.
 
-    Each character must vanish on [alg, alg], and the multiplicities must
-    sum to module_dim; anything else raises InternalCheckError.
+    derived is [alg, alg], as the peel's chain holds it.  Each character
+    must vanish on it, and the multiplicities must sum to module_dim;
+    anything else raises InternalCheckError.
     """
-    derived = alg.derived_algebra()
     merged = {}
     for char in chars:
         for dvec in derived:

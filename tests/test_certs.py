@@ -356,6 +356,38 @@ def test_no_call_asks_solvability_of_one_table_twice(monkeypatch):
     assert calls > len(subjects)
 
 
+def test_a_whole_claimed_radical_builds_one_killing_matrix(monkeypatch):
+    """A claimed radical that is the whole algebra is one the Killing form
+    vanishes on [g, g] for, which proves it solvable (Cartan's criterion);
+    the derived series confirms it, so the certificate clause builds no
+    second Killing matrix."""
+    built = []
+    killing = LieAlgebra.killing_matrix
+
+    def counted(self):
+        built.append(self)
+        return killing(self)
+
+    monkeypatch.setattr(LieAlgebra, "killing_matrix", counted)
+    checked = 0
+    for entry in corpus():
+        g = entry.algebra
+        if not g.is_solvable():
+            continue
+        p = GroupPresentation(g, "linear", matrices=entry.matrices)
+        v = definability_oracle(p)
+        if v.certificate is None:
+            continue
+        cert = emit_verdict(p, v)
+        built.clear()
+        assert verify_certificate(cert, algebra=g,
+                                  matrices=entry.matrices or None).ok
+        # one for _radical_rows, none when [g, g] = 0
+        assert len(built) <= 1, entry.name
+        checked += 1
+    assert checked > 5
+
+
 # ------------------------------------------------------------ edit fuzz
 
 POOL = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, seed, settings
 
 from liedef import definability
 from liedef.definability import (DEFINABLE, NOT_DEFINABLE, NOT_TBC,
@@ -12,10 +13,14 @@ from liedef.definability import (DEFINABLE, NOT_DEFINABLE, NOT_TBC,
                                  TbcCertificate, TbcObstruction,
                                  definability_oracle, supersolvable_test,
                                  tbc_find, tbc_verify)
-from liedef.errors import (InputError, InternalCheckError, NotSolvableError)
+from liedef.errors import (Indeterminate, InputError, InternalCheckError,
+                           NotSolvableError)
 from liedef.lie import LieAlgebra
 from liedef.linalg import Mat, char_poly, span_basis
+from liedef.poly import squarefree_part, sturm_count_real_roots
 from liedef.scalars import GaussRat
+from liedef.weights import adjoint_weights, weight_flag
+from test_weights import solvable_algebras
 
 
 def sqrt2_algebra():
@@ -71,7 +76,7 @@ def test_supersolvable_rejects_nonsolvable(sl2):
 def test_supersolvable_checks_every_step_character(monkeypatch, axb):
     # one wrong value anywhere in the step characters must be caught: the
     # nilradical of the triangular modules is read off them
-    real = definability.weight_flag
+    real = weight_flag
     # aff(1) + aff(1)
     aff2 = LieAlgebra.from_entries(
         4, {(0, 1): (0, 1, 0, 0), (2, 3): (0, 0, 0, 1)})
@@ -82,10 +87,10 @@ def test_supersolvable_checks_every_step_character(monkeypatch, axb):
                 spoiled = [list(c) for c in chars]
                 spoiled[i][j] += 1
 
-                def wrong(g, mats, out=(flag, spoiled)):
+                def wrong(chain, mats, out=(flag, spoiled)):
                     return out
 
-                monkeypatch.setattr(definability, "weight_flag", wrong)
+                monkeypatch.setattr(definability, "_weight_flag", wrong)
                 with pytest.raises(InternalCheckError):
                     supersolvable_test(alg)
     monkeypatch.undo()
@@ -131,8 +136,9 @@ def test_tbc_obstruction_on_oscillator(oscillator):
 
 def test_only_a_no_answer_screens_the_spectra(axb, h3, e2, oscillator,
                                               monkeypatch):
-    # a real flag is yes without any Sturm count; a nonreal weight screens
-    # ad(e_0), ad(e_1), ... up to the first nonreal spectrum, the witness
+    # a real flag is yes without any Sturm count; a nonreal weight is no,
+    # and one Sturm count confirms the witness the peel's characters name:
+    # the first e_i with a nonreal value, here the third basis element
     real = definability.sturm_count_real_roots
     calls = []
 
@@ -141,34 +147,65 @@ def test_only_a_no_answer_screens_the_spectra(axb, h3, e2, oscillator,
         return real(p)
 
     monkeypatch.setattr(definability, "sturm_count_real_roots", counted)
-    for g, expected in ((axb, 0), (h3, 0), (e2, 3), (oscillator, 3)):
+    for g, witness in ((axb, None), (h3, None), (e2, 2), (oscillator, 2)):
+        expected = 0 if witness is None else 1
         calls.clear()
         res = supersolvable_test(g)
         assert len(calls) == expected, g
         if expected:
-            assert res.witness.element.index(1) + 1 == expected
+            assert res.witness.element.index(1) == witness
         calls.clear()
         tbc_find(g)
         assert len(calls) == expected, g
 
 
+def _ref_witness(g):
+    """The witness of the full screen an earlier supersolvable_test ran:
+    the first e_i whose ad has a squarefree characteristic polynomial with
+    fewer real roots than its degree, with the first nonreal entry of the
+    adjoint weight table, or None when every spectrum is real."""
+    table = adjoint_weights(g)
+    values = None if isinstance(table, Indeterminate) else next(
+        (e.values for e in table.entries if not e.real), None)
+    for i in range(g.dim):
+        p = char_poly(g.ad(g.basis_vector(i)))
+        sf = squarefree_part(p)
+        real = sturm_count_real_roots(sf)
+        if real < sf.degree:
+            return NonRealWitness(g.basis_vector(i), tuple(p.coeffs), real,
+                                  sf.degree, values)
+    return None
+
+
+@seed(20261019)
+@settings(max_examples=40, deadline=None, database=None)
+@given(solvable_algebras())
+def test_the_witness_is_the_one_a_full_screen_finds(g):
+    # the generators' rotation blocks make many adjoint weights nonreal; a
+    # yes has no witness and the screen finds none, and every counted
+    # example is a No
+    res = supersolvable_test(g)
+    assert res.witness == _ref_witness(g)
+    assume(res.status == SS_NO)
+
+
 def test_a_nonreal_character_needs_a_nonreal_spectrum(axb, monkeypatch):
-    # the peel's characters and the screen must agree: a nonreal value on
-    # a (it still vanishes on [axb, axb] = span{x}) while ad(a) and ad(x)
-    # have real spectra is an internal error, not a No
-    flag, chars = definability.weight_flag(axb, [axb.ad(x)
-                                                 for x in axb.basis()])
+    # the peel's characters and the Sturm count must agree: a nonreal value
+    # on a (it still vanishes on [axb, axb] = span{x}) while ad(a) has a
+    # real spectrum is an internal error, not a No
+    flag, chars = weight_flag(axb, [axb.ad(x) for x in axb.basis()])
     for i in range(axb.dim):
         spoiled = list(chars)
         spoiled[i] = (chars[i][0] + GaussRat(0, 1),) + chars[i][1:]
 
-        def wrong(g, mats, out=(flag, spoiled)):
+        def wrong(chain, mats, out=(flag, spoiled)):
             return out
 
-        monkeypatch.setattr(definability, "weight_flag", wrong)
+        monkeypatch.setattr(definability, "_weight_flag", wrong)
         for call in (supersolvable_test, tbc_find):
             with pytest.raises(InternalCheckError,
-                               match="every ad.e_i. has real spectrum"):
+                               match=r"nonreal on e_0 but ad\(e_0\) has real "
+                                     "spectrum"):
                 call(axb)
     monkeypatch.undo()
     assert supersolvable_test(axb).status == SS_YES
@@ -185,7 +222,9 @@ def test_each_call_peels_its_algebra_once(axb, e2, oscillator, monkeypatch):
         seen.append(alg)
         return inner(alg)
 
-    monkeypatch.setattr(weights, "_ideal_chain", counted)
+    # the adjoint peel builds the chain it walks through its own binding
+    for namespace in (weights, definability):
+        monkeypatch.setattr(namespace, "_ideal_chain", counted)
     for g in (axb, e2, oscillator, sqrt2_algebra()):
         for call in (tbc_find, supersolvable_test):
             seen.clear()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from liedef import weights
+from liedef import definability, weights
 from liedef.corpus import corpus, corpus_entry
 from liedef.errors import Indeterminate, InputError, InternalCheckError
 from liedef.lie import LieAlgebra, from_matrices
@@ -167,17 +167,18 @@ def test_real_flag_values_are_rational(axb):
 
 
 def _record_levels(monkeypatch):
-    """Wrap the peel's eigenvalue search, which sees the matrix of every
-    chain level before any lift; the returned list gets, per call, whether
-    that matrix held a GaussRat."""
+    """Wrap the peel's search for one common eigenvector, which sees the
+    action of every chain direction on the module left to peel; the
+    returned list gets, per call, whether those actions held a GaussRat."""
     seen = []
-    inner = weights._level_eigenspace
+    inner = weights.common_eigenspace
 
-    def wrapped(b, candidates):
-        seen.append(any(isinstance(x, GaussRat) for x in b.flatten()))
-        return inner(b, candidates)
+    def wrapped(chain, acts, spectra):
+        seen.append(any(isinstance(x, GaussRat) for act in acts
+                        for row in act.values() for x in row.values()))
+        return inner(chain, acts, spectra)
 
-    monkeypatch.setattr(weights, "_level_eigenspace", wrapped)
+    monkeypatch.setattr(weights, "common_eigenspace", wrapped)
     return seen
 
 
@@ -195,7 +196,8 @@ def test_real_modules_are_peeled_over_q(monkeypatch):
 
 def test_peel_lifts_to_q_i_at_the_first_nonreal_eigenvalue(monkeypatch):
     # -1 sorts before -i and i, so the first peel is real; the second picks
-    # -i on the rational rotation block and lifts, the third runs over Q(i)
+    # -i on the rational rotation block and lifts, so the quotient the third
+    # peels is over Q(i)
     seen = _record_levels(monkeypatch)
     g = LieAlgebra.from_entries(1, {})
     table = module_weights(g, [Mat([[-1, 0, 0], [0, 0, -1], [0, 1, 0]])])
@@ -294,32 +296,43 @@ def _dense_quotient(m, w, scalar):
 @settings(max_examples=60, deadline=None)
 @given(planted_lines())
 def test_peel_quotient_matches_the_dense_conjugation(case):
+    # the sparse quotient keeps the coordinates left, which are those of
+    # the dense one's rows and columns in order
     scalar, mats, w = case
     for m in mats:
         assert len(span_basis([w, m @ w])) == 1
-    got, p = weights._peel_quotient(mats, w)
+    acts = [{i: {j: x for j, x in enumerate(r) if x}
+             for i, r in enumerate(m.rows)} for m in mats]
+    p = weights._peel_quotient(acts, {j: c for j, c in enumerate(w) if c})
     assert p == next(j for j, c in enumerate(w) if c)
-    for m, q in zip(mats, got):
-        assert ([[(type(x), x) for x in r] for r in q.rows]
-                == [[(type(x), x) for x in r]
-                    for r in _dense_quotient(m, w, scalar)])
+    left = [j for j in range(len(w)) if j != p]
+    for m, act in zip(mats, acts):
+        assert list(act) == left
+        want = _dense_quotient(m, w, scalar)
+        assert ({(i, j): (type(x), x) for i, row in act.items()
+                 for j, x in row.items()}
+                == {(left[r], left[c]): (type(x), x)
+                    for r, row in enumerate(want)
+                    for c, x in enumerate(row) if x})
 
 
 def test_common_eigenspace_shifts_like_subtracting_a_scaled_identity():
     # b - mu * 1 with a Fraction identity turns every int entry into a
-    # Fraction; an int 1 pivot is not divided out, so an int left beside it
-    # would reach the eigenvectors
+    # Fraction, and so does forming the direction actions; an int 1 pivot
+    # is not divided out, so an int left beside it would reach the
+    # eigenvectors
     line = LieAlgebra.from_entries(1, {})
     chain = weights._ideal_chain(line)
     for b, mu in ((Mat([[2, 1, 7], [0, 2, 0], [0, 0, 2]]), Fraction(2)),
                   (Mat([[0, 1, 3], [0, 0, Fraction(1, 2)], [0, 0, 0]]),
                    Fraction(0))):
-        char, w, lams = weights.common_eigenspace(chain, [b], Fraction,
-                                                  [None])
+        acts = weights._direction_actions(chain[0], [b])
+        char, w, lams = weights.common_eigenspace(chain, acts, [None])
         assert char == (mu,) and lams == [mu]
         want = kernel(b - mu * Mat.identity(3))
-        assert ([[(type(x), x) for x in v] for v in w]
-                == [[(type(x), x) for x in v] for v in want])
+        assert ([{j: (type(x), x) for j, x in v.items()} for v in w]
+                == [{j: (type(x), x) for j, x in enumerate(v) if x}
+                    for v in want])
 
 
 # ----------------------------------------------------------- reference chain
@@ -357,10 +370,11 @@ def _ref_ideal_chain(alg):
 
 
 def _assert_chain_matches_the_reference(alg):
-    dirs, inv_z = weights._ideal_chain(alg)
+    dirs, inv_z, derived = weights._ideal_chain(alg)
     want_dirs, want_inv = _ref_ideal_chain(alg)
     assert _typed(list(dirs)) == _typed(list(want_dirs))
     assert _typed(inv_z.rows) == _typed(want_inv.rows)
+    assert _typed(derived) == _typed(alg.derived_algebra())
 
 
 def test_chain_matches_the_reference_on_pinned_and_corpus_algebras():
@@ -419,10 +433,12 @@ def test_weight_flag_materializes_no_subalgebra(monkeypatch):
 
 
 # ------------------------------------------------------------ reference peel
-# The peel of an earlier weights module: every chain level picks its
-# eigenvalue from its own characteristic polynomial, restricts by dense
-# products and lifts by dense sums.  An independent reference for the peel
-# that carries each direction's spectrum across peels.
+# The peel of an earlier weights module: every chain level combines the
+# dense basis actions, picks its eigenvalue from its own characteristic
+# polynomial, restricts by dense products, shifts the dense diagonal and
+# lifts by dense sums, and every peel quotients the dense basis actions and
+# lifts through a dense identity.  An independent reference for the sparse
+# peel that carries each direction's spectrum across peels.
 
 REF_INDETERMINATE = ("an eigenvalue of the action lies outside Q(i), or "
                      "outside Q on a direction that must stay rational")
@@ -442,6 +458,38 @@ def _ref_lincomb(coeffs, vectors, dim):
         if c:
             out = [a + c * b for a, b in zip(out, v)]
     return tuple(out)
+
+
+def _ref_shift_diagonal(b, mu):
+    """b - mu * 1, with the entry types that subtracting mu times a Fraction
+    identity gives: an off-diagonal entry becomes a - 0 (an int a Fraction)
+    unless it already has the type of that zero."""
+    zero = mu * 0
+    rows = []
+    for i, row in enumerate(b.rows):
+        out = [a if type(a) is type(zero) else a - zero for a in row]
+        out[i] = row[i] - mu
+        rows.append(out)
+    return Mat(rows)
+
+
+def _ref_peel_quotient(mats, w):
+    """The quotient by the line of w in the coordinates e_j, j != p, with p
+    the first nonzero entry of w: m[j][l] - (w_j / w_p) m[p][l]."""
+    p = next(j for j, c in enumerate(w) if c)
+    wp = w[p]
+    scaled = [(j, c / wp) for j, c in enumerate(w) if c and j != p]
+    out = []
+    for m in mats:
+        rows = [list(r) for r in m.rows]
+        nz_p = [(l, y) for l, y in enumerate(rows[p]) if y and l != p]
+        for j, c in scaled:
+            row = rows[j]
+            for l, y in nz_p:
+                row[l] = row[l] - c * y
+        del rows[p]
+        out.append(Mat([r[:p] + r[p + 1:] for r in rows]))
+    return out, p
 
 
 def _ref_restrict(a, basis):
@@ -470,7 +518,7 @@ def _ref_common_eigenspace(chain, mats, scalar):
             b = b.map(gauss)
             if w is not None:
                 w = [tuple(gauss(x) for x in v) for v in w]
-        eig = kernel(weights._shift_diagonal(b, mu))
+        eig = kernel(_ref_shift_diagonal(b, mu))
         assert eig
         if w is not None:
             w = [_ref_lincomb(k, w, n) for k in eig]
@@ -506,7 +554,7 @@ def _ref_weight_flag(alg, mats):
             lift = lift.map(gauss)
         flag.append(tuple(lift @ w))
         chars.append(char)
-        cur, p = weights._peel_quotient(cur, w)
+        cur, p = _ref_peel_quotient(cur, w)
         lift = Mat([r[:p] + r[p + 1:] for r in lift.rows])
     return flag, chars
 
@@ -642,19 +690,36 @@ def test_each_direction_is_factored_at_most_once(monkeypatch):
         assert 0 < calls["gaussian_roots"] <= 5
 
 
+def test_the_extension_route_walks_one_chain(monkeypatch):
+    # h3 + aff(1) has its center inside [g, g], so its extended module is
+    # peeled, on the chain of the adjoint peel that decided supersolvability
+    inner = weights._ideal_chain
+    seen = []
+
+    def counted(alg):
+        seen.append(alg)
+        return inner(alg)
+
+    for namespace in (weights, definability):
+        monkeypatch.setattr(namespace, "_ideal_chain", counted)
+    g = _h3_plus_aff()
+    rep = supersolvable_triangular_rep(g)
+    assert rep.target_dim >= 10
+    assert sum(alg is g for alg in seen) == 1
+
+
 def test_carried_spectra_are_those_of_the_current_module(monkeypatch):
     # a spectrum found at an earlier peel, less the eigenvalues peeled since,
     # is the spectrum of its direction on the module left to peel
     inner = weights.common_eigenspace
     checked = []
 
-    def checking(chain, mats, scalar, spectra):
-        for z, spectrum in zip(chain[0], spectra):
+    def checking(chain, acts, spectra):
+        for act, spectrum in zip(acts, spectra):
             if spectrum is not None:
-                b = mat_lincomb(z, mats, mats[0].nrows)
-                assert spectrum == weights._spectrum(b)
+                assert spectrum == weights._spectrum(act)
                 checked.append(sum(mult for _, mult in spectrum))
-        return inner(chain, mats, scalar, spectra)
+        return inner(chain, acts, spectra)
 
     monkeypatch.setattr(weights, "common_eigenspace", checking)
     rotation = LieAlgebra.from_entries(1, {})
