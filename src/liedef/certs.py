@@ -20,7 +20,7 @@ from .definability import (DEFINABLE, NOT_DEFINABLE, PRESENTATION_KINDS,
                            CertReport, DefinabilityVerdict, GroupPresentation,
                            NonRealWitness, TbcCertificate, TbcObstruction,
                            _tbc_verify, tbc_verify)
-from .errors import InputError, InternalCheckError, NotSolvableError
+from .errors import InputError, NotSolvableError
 from .formats import (algebra_hash, canonical_json, matrix_from_json,
                       matrix_to_json, vector_from_json, vector_to_json)
 from .lie import LieAlgebra
@@ -250,10 +250,10 @@ def _check_representation(payload, alg: LieAlgebra) -> CertReport:
     return CertReport(True)
 
 
-def _expected_rule(alg: LieAlgebra, kind: str, finite_center_levi: bool):
+def _expected_rule(kind: str, finite_center_levi: bool, solvable: bool):
     if kind == "linear":
         return RULE_LINEAR
-    if alg.is_solvable():
+    if solvable:
         if kind == "simply-connected":
             return RULE_SIMPLY_CONNECTED
         return RULE_SOLVABLE
@@ -262,14 +262,12 @@ def _expected_rule(alg: LieAlgebra, kind: str, finite_center_levi: bool):
     return RULE_OPEN
 
 
-def _radical_rows(alg: LieAlgebra):
-    """Killing-orthogonal of the derived subalgebra, as echelon rows."""
-    derived = alg.derived_algebra()
-    if not derived:
-        return [tuple(alg.basis_vector(i)) for i in range(alg.dim)]
-    km = alg.killing_matrix()
-    rows = [km @ d for d in derived]
-    return span_basis(kernel(Mat(rows)))
+def _radical_rows(alg: LieAlgebra, killing_rows):
+    """Killing-orthogonal of the derived subalgebra, as echelon rows, from
+    the Killing rows alg._trace_form returns."""
+    if not killing_rows:
+        return alg.basis()
+    return span_basis(kernel(Mat(killing_rows)))
 
 
 def _check_witness(payload_witness, alg: LieAlgebra) -> CertReport:
@@ -295,6 +293,10 @@ def _check_witness(payload_witness, alg: LieAlgebra) -> CertReport:
 
 
 def _check_verdict(payload, alg: LieAlgebra) -> CertReport:
+    """Replay a Verdict on alg; alg._trace_form runs at most once, and
+    not before the rule clause of a linear presentation, which is Theorem
+    3's whatever the algebra.  A solvable alg's certificate takes
+    _tbc_verify on alg itself, a proper radical's the public tbc_verify."""
     outcome = payload.get("outcome")
     rule = payload.get("rule")
     kind = payload.get("presentation")
@@ -322,31 +324,33 @@ def _check_verdict(payload, alg: LieAlgebra) -> CertReport:
     if outcome == UNKNOWN and not explanation:
         return _fail("outcome", "Unknown requires an explanation")
 
-    if rule != _expected_rule(alg, kind, fcl):
+    # Killing rows, empty exactly when alg is solvable
+    rows = None if kind == "linear" else alg._trace_form()[1]
+    if rule != _expected_rule(kind, fcl, not rows):
         return _fail("rule", "rule %r does not cover this presentation"
                      % rule)
 
+    # alg is proven solvable when no radical is claimed (the solvable rules
+    # alone reach a certificate then) or the claimed one is all of alg
+    sub = alg
     radical_raw = payload.get("radical")
-    whole = False
     if radical_raw is None:
         if rule not in (RULE_SIMPLY_CONNECTED, RULE_SOLVABLE, RULE_OPEN):
             return _fail("radical", "rule %r must identify the radical"
                          % rule)
-        sub = alg
     else:
         try:
             claimed = _real_vectors(radical_raw, alg.dim, "radical")
         except InputError as e:
             return _fail("shape", str(e))
-        rows = _radical_rows(alg)
-        if list(span_basis(claimed)) != list(rows):
+        if rows is None:
+            rows = alg._trace_form()[1]
+        if list(span_basis(claimed)) != list(_radical_rows(alg, rows)):
             return _fail("radical", "claimed radical is not the "
                                     "Killing-orthogonal of the derived "
                                     "subalgebra")
-        sub, _ = alg.subalgebra(claimed)
-        # a radical that is all of alg has the Killing form vanish on
-        # [alg, alg]: Cartan's criterion makes alg solvable
-        whole = len(rows) == alg.dim
+        if rows:
+            sub, _ = alg.subalgebra(claimed)
 
     cert_raw = payload.get("certificate")
     if cert_raw is not None:
@@ -357,19 +361,9 @@ def _check_verdict(payload, alg: LieAlgebra) -> CertReport:
                                         "certificate")
         try:
             cert = _decode_tbc(cert_raw, sub.dim)
-            if radical_raw is not None and not whole:
-                # a proper radical is not proven solvable here
-                report = tbc_verify(sub, cert)
-            else:
-                # no radical leaves only the solvable rules, whose rule
-                # clause has just found alg solvable; a whole radical is
-                # solvable by the trace form, which the derived series
-                # confirms, as in structure._radical
-                if whole and alg.derived_series()[-1]:
-                    raise InternalCheckError(
-                        "solvability by derived series and by trace form "
-                        "disagree")
-                report = _tbc_verify(sub, cert)
+            # a proper radical is not proven solvable here
+            verify = _tbc_verify if sub is alg else tbc_verify
+            report = verify(sub, cert)
         except InputError as e:
             return _fail("shape", str(e))
         if not report.ok:

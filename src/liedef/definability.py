@@ -240,7 +240,7 @@ def tbc_verify(r: LieAlgebra, cert: TbcCertificate) -> CertReport:
     the first failing clause.  Solvability of r is checked here, and the
     private _tbc_verify runs every other clause: it takes solvability as
     proven by its caller in the same call (the oracle's rules, tbc_find's
-    candidate loop, the checker's rule clause).
+    candidate loop, the checker's rule or radical clause).
     """
     if not r.is_solvable():
         raise NotSolvableError("certificates describe solvable algebras")
@@ -460,18 +460,22 @@ def definability_oracle(p: GroupPresentation) -> DefinabilityVerdict:
     in general go through tbc_find.  Linear presentations and abstract
     presentations with a finite-center Levi part reduce to tbc of the
     radical.  Everything else is honestly Unknown.
+
+    One trace-form test (LieAlgebra._trace_form) decides solvability, and
+    the radical rules find the radical from its [g, g] and Killing rows.
     """
     g = p.algebra
     g.require_valid()
+    form = g._trace_form()
     if p.kind == "linear":
-        return _radical_rule(p, g, RULE_LINEAR)
-    if g.is_solvable():
+        return _radical_rule(p, g, form, RULE_LINEAR)
+    if not form[1]:
         # both rules take g's solvability as proven by this test
         if p.kind == "simply-connected":
             return _simply_connected_rule(g)
         return _solvable_rule(g)
     if p.finite_center_levi:
-        return _radical_rule(p, g, RULE_FINITE_CENTER)
+        return _radical_rule(p, g, form, RULE_FINITE_CENTER)
     return DefinabilityVerdict(
         UNKNOWN, RULE_OPEN,
         explanation="no implemented criterion covers a non-solvable "
@@ -505,8 +509,8 @@ def _solvable_rule(g):
     return DefinabilityVerdict(UNKNOWN, RULE_SOLVABLE, explanation=tb.reason)
 
 
-def _radical_rule(p, g, rule):
-    rad, _, built = _radical(g)
+def _radical_rule(p, g, form, rule):
+    rad, _, sub = _radical(g, *form)
     notes = _presentation_notes(p)
     if not rad:
         # empty radical is vacuously triangular-by-compact
@@ -514,10 +518,9 @@ def _radical_rule(p, g, rule):
         return DefinabilityVerdict(DEFINABLE, rule, certificate=cert,
                                    radical_basis=(),
                                    presentation_notes=notes)
-    # a proper radical comes with the subalgebra its solvability check built
-    sub, incl = g.subalgebra(rad) if built is None else built
-    # _radical has proved rad solvable
-    tb = _tbc_find(sub)
+    # _radical has proved the radical r solvable
+    r, incl = sub
+    tb = _tbc_find(r)
     if tb.status == TBC:
         if notes:
             notes = notes + (

@@ -5,7 +5,8 @@ at construction; the Jacobi identity is a runtime validation that reports the
 first offending basis triple, so malformed input fails loudly instead of
 corrupting everything downstream.  Solvability is always computed twice, once
 from the derived series and once from the trace-form criterion, and the two
-must agree.
+must agree, in _trace_form, which also hands the radical its [g, g] and
+Killing rows.
 
 Besides the public table, an algebra keeps one private index, _terms:
 _terms[i][j] lists the pairs (k, c_ij^k) with c_ij^k nonzero, in increasing
@@ -180,7 +181,8 @@ class LieAlgebra:
         return self._pair_span(self.basis())
 
     def derived_series(self):
-        series = [span_basis(self.basis())]
+        # the standard basis is already rref
+        series = [self.basis()]
         while series[-1]:
             nxt = self._pair_span(series[-1])
             if len(nxt) == len(series[-1]):
@@ -227,17 +229,25 @@ class LieAlgebra:
                    for i in range(self.dim) for j in range(self.dim))
 
     def is_solvable(self) -> bool:
+        return not self._trace_form()[1]
+
+    def _trace_form(self):
+        """([g, g] as rref rows, the nonzero rows K d of the Killing matrix
+        at its rows d): Cartan's criterion makes rows empty exactly when g
+        is solvable, which the derived series must confirm.  The kernel of
+        rows is the radical."""
         series = self.derived_series()
-        by_series = not series[-1]
         # [g, g] is series[1], or series[0] when g is perfect (or zero)
         derived = series[1] if len(series) > 1 else series[0]
-        killing = self.killing_matrix()
-        by_trace_form = all(
-            is_zero_vec(killing @ d) for d in derived)
-        if by_series != by_trace_form:
+        rows = []
+        if derived:
+            killing = self.killing_matrix()
+            rows = [r for r in (killing @ d for d in derived)
+                    if not is_zero_vec(r)]
+        if bool(series[-1]) != bool(rows):
             raise InternalCheckError(
                 "solvability by derived series and by trace form disagree")
-        return by_series
+        return derived, rows
 
     def is_nilpotent(self) -> bool:
         return not self.lower_central_series()[-1]

@@ -37,37 +37,30 @@ class LeviDecomposition:
 def radical(g: LieAlgebra):
     """Maximal solvable ideal, as the trace-form orthogonal of [g,g].
 
-    When that orthogonal is all of g, Cartan's criterion makes g solvable
-    and its own radical: the derived series confirms it, and the ideal and
-    solvability checks of a proper candidate are skipped.
+    A solvable g, which g._trace_form finds, is its own radical, and the
+    ideal and solvability checks of a proper candidate are skipped.
     """
-    return _radical(g)[0]
+    return _radical(g, *g._trace_form())[0]
 
 
-def _radical(g: LieAlgebra):
-    """(radical(g), [g, g], sub), the first two as rref rows, so that
-    nilradical does not compute [g, g] a second time.  sub is the
-    (subalgebra, inclusion) pair of a proper nonzero radical, which its
-    solvability check builds, and None otherwise."""
-    derived = g.derived_algebra()
-    if not derived:
-        return span_basis(g.basis()), derived, None
-    killing = g.killing_matrix()
-    rows = [killing @ d for d in derived]
-    if all(is_zero_vec(r) for r in rows):
-        if g.derived_series()[-1]:
-            raise InternalCheckError(
-                "solvability by derived series and by trace form disagree")
-        return span_basis(g.basis()), derived, None
+def _radical(g: LieAlgebra, derived, rows):
+    """(r, [r, r], sub) for the radical r, from the caller's
+    g._trace_form() = (derived, rows); rref rows, [r, r] in the coordinates
+    of sub = (algebra on r, inclusion): g itself when g is solvable, the
+    subalgebra whose trace form proves r solvable, or None when r = 0."""
+    if not rows:
+        rad = g.basis()
+        return rad, derived, (g, rad)
     rad = span_basis(kernel(Mat(rows)))
     if not g.is_ideal(rad):
         raise InternalCheckError("radical candidate is not an ideal")
-    sub = None
-    if rad:
-        sub = g.subalgebra(rad)
-        if not sub[0].is_solvable():
-            raise InternalCheckError("radical candidate is not solvable")
-    return rad, derived, sub
+    if not rad:
+        return rad, [], None
+    sub = g.subalgebra(rad)
+    inner, inner_rows = sub[0]._trace_form()
+    if inner_rows:
+        raise InternalCheckError("radical candidate is not solvable")
+    return rad, inner, sub
 
 
 def _matrix_hull(mats):
@@ -119,17 +112,13 @@ def nilradical(g: LieAlgebra):
     which makes it an ideal holding [g, r], and be nilpotent.  When r is a
     proper ideal it must be an ideal of g, be nilpotent and contain [g, r].
     """
-    rad, derived, sub = _radical(g)
+    rad, derived, sub = _radical(g, *g._trace_form())
     if not rad:
         return []
-    # rad is the standard basis when it is all of g, so g's own coordinates
-    # serve; a proper radical comes with the subalgebra _radical built
-    rs, incl = (g, rad) if sub is None else sub
+    # derived is [r, r] in the coordinates of rs
+    rs, incl = sub
     if rs.is_nilpotent():
         return rad
-    if rs is not g:
-        # when r = g, [r, r] is the [g, g] that _radical computed
-        derived = rs.derived_algebra()
     pivots = {next(j for j, c in enumerate(v) if c) for v in derived}
     ads = [rs.ad(rs.basis_vector(i)) for i in range(rs.dim)]
     # not empty: were ad zero on a complement of [r, r], r would be abelian

@@ -25,9 +25,9 @@ from liedef.certs import (CertReport, KIND_FLAG, KIND_REPRESENTATION,
                           verify_certificate, weights_hash)
 from liedef.cli import main
 from liedef.corpus import corpus
-from liedef.definability import (GroupPresentation, TbcCertificate,
-                                 definability_oracle, supersolvable_test,
-                                 tbc_find)
+from liedef.definability import (RULE_FINITE_CENTER, GroupPresentation,
+                                 TbcCertificate, definability_oracle,
+                                 supersolvable_test, tbc_find)
 from liedef.errors import InputError
 from liedef.formats import algebra_from_dict, save_algebra_file
 from liedef.lie import LieAlgebra
@@ -321,17 +321,25 @@ def test_a_non_solvable_subject_gets_a_report(tmp_path, sl2, capsys):
 
 def test_no_call_asks_solvability_of_one_table_twice(monkeypatch):
     """The oracle hands proven solvability down to its rules, and the
-    checker from its rule clause to the certificate, so within one
-    definability_oracle or verify_certificate call no table is asked twice;
-    the checker still takes nothing from the oracle."""
+    checker from its rule clause to the certificate; the radical is read
+    off the same trace form.  So within one definability_oracle or
+    verify_certificate call no table has its trace form run twice (which
+    is_solvable runs too) or gets a second Killing matrix; the checker
+    still takes nothing from the oracle."""
     asked = Counter()
-    solvable = LieAlgebra.is_solvable
+    trace_form = LieAlgebra._trace_form
+    killing = LieAlgebra.killing_matrix
 
     def counted(self):
         asked[repr(self.table)] += 1
-        return solvable(self)
+        return trace_form(self)
 
-    monkeypatch.setattr(LieAlgebra, "is_solvable", counted)
+    def counted_killing(self):
+        asked["killing", repr(self.table)] += 1
+        return killing(self)
+
+    monkeypatch.setattr(LieAlgebra, "_trace_form", counted)
+    monkeypatch.setattr(LieAlgebra, "killing_matrix", counted_killing)
     rng = random.Random(20260816)
     subjects = [(e.algebra, e.matrices) for e in corpus()]
     subjects += [(_random_solvable(rng), ()) for _ in range(6)]
@@ -356,11 +364,36 @@ def test_no_call_asks_solvability_of_one_table_twice(monkeypatch):
     assert calls > len(subjects)
 
 
+def test_a_wrong_rule_on_a_linear_verdict_needs_no_algebra(monkeypatch):
+    """A linear presentation is always Theorem 3's, so its rule clause is
+    decided before the trace form runs."""
+    built = []
+    killing = LieAlgebra.killing_matrix
+
+    def counted(self):
+        built.append(self)
+        return killing(self)
+
+    monkeypatch.setattr(LieAlgebra, "killing_matrix", counted)
+    kinds = Counter()
+    for entry in corpus():
+        g, mats = entry.algebra, entry.matrices
+        p, v = verdict_pair(g, "linear", matrices=mats)
+        cert = emit_verdict(p, v)
+        cert["payload"]["rule"] = RULE_FINITE_CENTER
+        built.clear()
+        rep = verify_certificate(cert, algebra=g, matrices=mats or None)
+        assert not rep and rep.clause == "rule"
+        assert not built, entry.name
+        kinds[g.is_solvable()] += 1
+    assert kinds[True] >= 5 and kinds[False] >= 5
+
+
 def test_a_whole_claimed_radical_builds_one_killing_matrix(monkeypatch):
     """A claimed radical that is the whole algebra is one the Killing form
-    vanishes on [g, g] for, which proves it solvable (Cartan's criterion);
-    the derived series confirms it, so the certificate clause builds no
-    second Killing matrix."""
+    vanishes on [g, g] for, which proves it solvable (Cartan's criterion,
+    which the same trace form checks against the derived series), so the
+    certificate clause builds no second Killing matrix."""
     built = []
     killing = LieAlgebra.killing_matrix
 
@@ -382,7 +415,7 @@ def test_a_whole_claimed_radical_builds_one_killing_matrix(monkeypatch):
         built.clear()
         assert verify_certificate(cert, algebra=g,
                                   matrices=entry.matrices or None).ok
-        # one for _radical_rows, none when [g, g] = 0
+        # one for the trace form, none when [g, g] = 0
         assert len(built) <= 1, entry.name
         checked += 1
     assert checked > 5

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 
 from liedef import definability
+from liedef.certs import emit_tbc, emit_verdict, verify_certificate
 from liedef.definability import (DEFINABLE, NOT_DEFINABLE, NOT_TBC,
                                  RULE_FINITE_CENTER, RULE_LINEAR, RULE_OPEN,
                                  RULE_SIMPLY_CONNECTED, RULE_SOLVABLE,
@@ -19,6 +20,7 @@ from liedef.lie import LieAlgebra
 from liedef.linalg import Mat, char_poly, span_basis
 from liedef.poly import squarefree_part, sturm_count_real_roots
 from liedef.scalars import GaussRat
+from liedef.structure import radical
 from liedef.weights import adjoint_weights, weight_flag
 from test_weights import solvable_algebras
 
@@ -232,6 +234,39 @@ def test_each_call_peels_its_algebra_once(axb, e2, oscillator, monkeypatch):
             assert sum(alg is g for alg in seen) == 1, (call.__name__, g)
 
 
+def test_the_second_k_candidate_cancels_a_nilpotent_part(monkeypatch):
+    # (u, x, y, v, w, z): u rotates (x, y), and u and v both send w to z;
+    # the real-part kernel offers u, whose ad is not semisimple, and the
+    # Jordan-Chevalley correction of _k_candidates turns it into u - v
+    g = LieAlgebra.from_entries(6, {(0, 1): (0, 0, 1, 0, 0, 0),
+                                    (0, 2): (0, -1, 0, 0, 0, 0),
+                                    (0, 4): (0, 0, 0, 0, 0, 1),
+                                    (3, 4): (0, 0, 0, 0, 0, 1)})
+    tried = []
+    real = definability._k_candidates
+
+    def recorded(*args):
+        for candidate in real(*args):
+            tried.append(candidate)
+            yield candidate
+
+    monkeypatch.setattr(definability, "_k_candidates", recorded)
+    tb = tbc_find(g)
+    assert tb.status == TBC and len(tb.certificate.t_basis) == 5
+    assert tb.certificate.k_basis == ((1, 0, 0, -1, 0, 0),)
+    # the loop stops at the first candidate that verifies
+    assert tried == [[(1, 0, 0, 0, 0, 0)], [(1, 0, 0, -1, 0, 0)]]
+    assert verify_certificate(emit_tbc(g, tb.certificate), algebra=g)
+    for kind, outcome, rule in (
+            ("abstract", DEFINABLE, RULE_SOLVABLE),
+            ("simply-connected", NOT_DEFINABLE, RULE_SIMPLY_CONNECTED),
+            ("linear", DEFINABLE, RULE_LINEAR)):
+        p = GroupPresentation(g, kind)
+        v = definability_oracle(p)
+        assert (v.outcome, v.rule_used) == (outcome, rule)
+        assert verify_certificate(emit_verdict(p, v), algebra=g)
+
+
 def test_tbc_unknown_outside_tower():
     res = tbc_find(sqrt2_algebra())
     assert res.status == TBC_UNKNOWN
@@ -361,6 +396,22 @@ def test_oracle_linear_reduces_to_radical(e2, sl2):
     assert w.outcome == DEFINABLE and w.rule_used == RULE_LINEAR
     assert w.radical_basis == ()
     assert w.certificate.t_basis == () and w.certificate.k_basis == ()
+
+
+def test_the_radical_rule_cross_checks_a_non_solvable_algebra(sl2,
+                                                               monkeypatch):
+    """The radical is read off the trace form that also decides
+    solvability, so the derived series cross-checks it on a non-solvable
+    algebra too: here a series that ends in zero, as a solvable algebra's
+    does, against the nondegenerate Killing form of sl2."""
+    p = GroupPresentation(sl2, "linear")
+    cert = emit_verdict(p, definability_oracle(p))
+    monkeypatch.setattr(LieAlgebra, "derived_series",
+                        lambda self: [self.basis(), self.basis(), []])
+    for call in (lambda: definability_oracle(p), lambda: radical(sl2),
+                 lambda: verify_certificate(cert, algebra=sl2)):
+        with pytest.raises(InternalCheckError, match="disagree"):
+            call()
 
 
 def test_oracle_finite_center_levi(sl2):

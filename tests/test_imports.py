@@ -109,3 +109,46 @@ def test_the_check_sees_an_unreferenced_name():
     assert _unreferenced_names({"lib.py": lib}, [lib, user]) == [
         ("lib.py", 3, "DEAD"), ("lib.py", 4, "_PRIVATE"),
         ("lib.py", 8, "dead"), ("lib.py", 12, "_dead_helper")]
+
+
+# the finders' modules; the checker in certs.py may import from definability
+# its public names and the solvable-given _tbc_verify, and nothing else of
+# theirs, so that a certificate is never checked by the code that found it
+FINDERS = ("definability", "structure", "weights")
+CHECKER_MAY_IMPORT = frozenset(("_tbc_verify",))
+
+
+def _finder_imports(source):
+    """(line, name) for each import in the source that reaches into a
+    finder module beyond what the checker may take."""
+    bad = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            bad += [(node.lineno, a.name) for a in node.names
+                    if a.name.split(".")[-1] in FINDERS]
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")[-1]
+            for a in node.names:
+                if not module and a.name in FINDERS:
+                    # the module itself opens its private names
+                    bad.append((node.lineno, a.name))
+                elif module in FINDERS and (
+                        module != "definability"
+                        or (a.name.startswith("_")
+                            and a.name not in CHECKER_MAY_IMPORT)):
+                    bad.append((node.lineno, "%s.%s" % (module, a.name)))
+    return bad
+
+
+def test_the_checker_takes_no_finder_code():
+    assert not _finder_imports((SRC / "certs.py").read_text())
+
+
+def test_the_check_sees_a_finder_import():
+    src = ("from .definability import DEFINABLE, _tbc_verify, _tbc_find\n"
+           "from .structure import radical\n"
+           "from . import weights\n"
+           "import liedef.structure\n")
+    assert _finder_imports(src) == [
+        (1, "definability._tbc_find"), (2, "structure.radical"),
+        (3, "weights"), (4, "liedef.structure")]

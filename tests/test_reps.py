@@ -380,6 +380,30 @@ def test_triangular_rep_center_meets_derived():
     assert rep_kernel(rep) == []
 
 
+def test_triangular_rep_extends_along_two_complement_directions(
+        monkeypatch):
+    # (x, y, z, w, d1, d2): [x, y] = z, d1 acts as diag(1, -1, 0) on
+    # (x, y, z) and d2 scales w; the center {z} lies in the derived
+    # subalgebra, so the nilradical (x, y, z, w) is extended along two
+    # complement vectors whose images must close among themselves
+    g = LieAlgebra.from_entries(6, {(0, 1): (0, 0, 1, 0, 0, 0),
+                                    (4, 0): (1, 0, 0, 0, 0, 0),
+                                    (4, 1): (0, -1, 0, 0, 0, 0),
+                                    (5, 3): (0, 0, 0, 1, 0, 0)})
+    solved = []
+    real = reps._solve_extension
+
+    def recorded(g_, incl, comp, rho_images, tinv):
+        solved.append((len(incl), len(comp)))
+        return real(g_, incl, comp, rho_images, tinv)
+
+    monkeypatch.setattr(reps, "_solve_extension", recorded)
+    rep = supersolvable_triangular_rep(g)
+    assert solved == [(4, 2)]
+    assert rep.target_dim == 15 and rep.verified == ALL_FLAGS
+    assert verify_certificate(emit_representation(rep), algebra=g)
+
+
 def test_triangular_rep_unipotent_exactly_on_nilradical(axb):
     rep = supersolvable_triangular_rep(axb)
     nil = nilradical(axb)
