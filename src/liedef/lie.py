@@ -11,10 +11,14 @@ Killing rows.
 Besides the public table, an algebra keeps one private index, _terms:
 _terms[i][j] lists the pairs (k, c_ij^k) with c_ij^k nonzero, in increasing
 k.  It is built in the constructor from the table alone.  bracket, ad and
-the centralizer walk it, and the Killing form reads ad(e_i) off the table,
-so no unit vector is bracketed.  Nothing else is remembered between calls:
-every series, radical and Killing form is recomputed each time it is asked
-for.
+the centralizer walk it, and so does everything asked of the basis itself:
+the Jacobi check sums each residual off the structure constants, [g, g] (the
+first step of the derived and lower central series) is the span of the
+nonzero entries [e_i, e_j], and the Killing form K_ij = tr(ad e_i ad e_j) is
+the sum of c * d over the nonzero ad(e_i)[k][l] = c with ad(e_j)[l][k] = d
+nonzero.  No unit vector is bracketed and no dense ad matrix is built.
+Nothing else is remembered between calls: every series, radical and Killing
+form is recomputed each time it is asked for.
 """
 from __future__ import annotations
 
@@ -22,8 +26,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InputError, InternalCheckError
-from .linalg import (Mat, coords_in_span, in_span, inverse, is_zero_vec,
-                     kernel, rank, span_basis, trace_product, vadd)
+from .linalg import (Mat, _span_rows, coords_in_span, in_span, inverse,
+                     is_zero_vec, kernel, rank, span_basis, trace_product)
+from .scalars import _field
 
 # shared entries of unit vectors and of zero accumulators (Fractions are
 # immutable, so sharing one object is safe)
@@ -144,17 +149,22 @@ class LieAlgebra:
         return Mat(rows)
 
     def validate(self):
-        """All Jacobi failures as (i, j, k, residual); empty means valid."""
-        bad = []
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                for k in range(j + 1, self.dim):
-                    ei, ej, ek = (self.basis_vector(t) for t in (i, j, k))
-                    res = vadd(vadd(self.bracket(self.bracket(ei, ej), ek),
-                                    self.bracket(self.bracket(ej, ek), ei)),
-                               self.bracket(self.bracket(ek, ei), ej))
-                    if not is_zero_vec(res):
-                        bad.append((i, j, k, res))
+        """All Jacobi failures as (i, j, k, residual); empty means valid.
+
+        The residual [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
+        is summed off _terms: each c_ij^m contributes c_ij^m times the
+        table entry [e_m, e_k], and so on round the triple.
+        """
+        terms, bad = self._terms, []
+        for i, j, k in combinations(range(self.dim), 3):
+            res = {}
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for m, x in terms[a][b]:
+                    for p, y in terms[m][c]:
+                        res[p] = res.get(p, _ZERO) + x * y
+            if any(res.values()):
+                bad.append((i, j, k, tuple(res.get(p, _ZERO)
+                                           for p in range(self.dim))))
         return bad
 
     def require_valid(self):
@@ -177,24 +187,28 @@ class LieAlgebra:
                            for a, b in combinations(vectors, 2)])
 
     def derived_algebra(self):
-        """[g, g] as rref rows: the span of [e_i, e_j] for i < j."""
-        return self._pair_span(self.basis())
+        """[g, g] as rref rows: the span of the nonzero table entries
+        [e_i, e_j], i < j, read off _terms (an int constant as a
+        Fraction)."""
+        return _span_rows([{k: _field(c) for k, c in terms}
+                           for i, row in enumerate(self._terms)
+                           for terms in row[i + 1:] if terms], self.dim)
 
     def derived_series(self):
         # the standard basis is already rref
         series = [self.basis()]
-        while series[-1]:
-            nxt = self._pair_span(series[-1])
-            if len(nxt) == len(series[-1]):
-                break
+        nxt = self.derived_algebra()
+        while len(nxt) < len(series[-1]):
             series.append(nxt)
+            if not nxt:
+                break
+            nxt = self._pair_span(nxt)
         return series
 
     def lower_central_series(self):
-        # the first step is [g, g], each pair bracketed once; a later step
-        # [g, g^k] needs every ordered pair
+        # a later step [g, g^k] needs every ordered pair
         series = [span_basis(self.basis())]
-        nxt = self._pair_span(series[0])
+        nxt = self.derived_algebra()
         while len(nxt) < len(series[-1]):
             series.append(nxt)
             nxt = self.bracket_span(series[0], nxt)
@@ -215,13 +229,21 @@ class LieAlgebra:
         return trace_product(self.ad(x), self.ad(y))
 
     def killing_matrix(self) -> Mat:
+        """K_ij = tr(ad e_i ad e_j), summed over the nonzero entries
+        ad(e_i)[k][l] = c_il^k whose transposed entry ad(e_j)[l][k] is
+        nonzero too."""
         n = self.dim
-        # column j of ad(e_i) is [e_i, e_j], the table entry itself
-        ads = [Mat.from_cols(row) for row in self.table]
+        # ad(e_i) as {(row k, column l): c_il^k}
+        ads = [{(k, l): c for l, terms in enumerate(row) for k, c in terms}
+               for row in self._terms]
         rows = [[None] * n for _ in range(n)]
         for i in range(n):
+            a = ads[i]
             for j in range(i, n):
-                rows[i][j] = rows[j][i] = trace_product(ads[i], ads[j])
+                b = ads[j]
+                rows[i][j] = rows[j][i] = sum(
+                    (c * b[l, k] for (k, l), c in a.items() if (l, k) in b),
+                    _ZERO)
         return Mat(rows)
 
     def is_abelian(self) -> bool:

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .errors import InputError, InternalCheckError
 from .poly import Poly, poly_gcd, squarefree_part
-from .scalars import GaussRat
+from .scalars import GaussRat, _field
 
 
 # Sums skip an entry only where adding zero cannot change it: a + 0 is a in
@@ -231,12 +231,6 @@ def block_diag(mats) -> Mat:
 # -- elimination ---------------------------------------------------------------
 
 
-def _field(x):
-    """x itself, or as a Fraction when it is a plain int, so that dividing
-    by it stays exact."""
-    return Fraction(x) if isinstance(x, int) else x
-
-
 def _sparse_rows(rows):
     """Each row as a {column: entry} dict of its nonzero entries."""
     return [{j: x for j, x in enumerate(r) if x} for r in rows]
@@ -429,7 +423,13 @@ def span_basis(vectors):
     n = len(vectors[0])
     if any(len(v) != n for v in vectors):
         raise ValueError("ragged matrix")
-    pivots, _ = _gauss_jordan(_sparse_rows(vectors), n, ())
+    return _span_rows(_sparse_rows(vectors), n)
+
+
+def _span_rows(rows, n: int):
+    """span_basis of length-n vectors given as {column: entry} dicts of
+    their nonzero entries, which are reduced in place."""
+    pivots, _ = _gauss_jordan(rows, n, ())
     zero = Fraction(0)
     out = []
     for c in sorted(pivots):

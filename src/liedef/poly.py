@@ -1,13 +1,22 @@
 """Exact univariate polynomials with Sturm counting and Q(i) root extraction.
 
-Coefficients are stored lowest degree first and may be Fraction or GaussRat;
-all algorithms are exact.  Real-root counting uses Sturm sequences on the
-squarefree part.  Root extraction over the fixed tower Q < Q(i) is complete
-and has no size bound: the roots of the squarefree part are found modulo a
-small prime p = 1 (mod 4), lifted p-adically, read back into Q(i) by a 2-D
-lattice reduction, and accepted only after exact evaluation.  Anything that
-would need a larger field is reported as a leftover degree, never
-approximated.
+Coefficients are stored lowest degree first and may be int, Fraction or
+GaussRat; all algorithms are exact, and a division by an int coefficient
+goes through a Fraction, so no float ever appears.  The gcd, the squarefree
+part and the Sturm chain of a polynomial with rational coefficients are
+computed on primitive integer coefficient lists: each remainder is a
+sign-preserving pseudo-remainder (the dividend scaled by a power of the
+divisor's |leading coefficient|) divided by its positive content, so every
+term is a positive multiple of the one Euclid's algorithm over Q gives, and
+only a monic result is turned back into Fractions.  Over Q(i) the gcd and
+squarefree part run Euclid's algorithm on the GaussRat coefficients.
+
+Real-root counting uses Sturm sequences on the squarefree part.  Root
+extraction over the fixed tower Q < Q(i) is complete and has no size bound:
+the roots of the squarefree part are found modulo a small prime p = 1
+(mod 4), lifted p-adically, read back into Q(i) by a 2-D lattice reduction,
+and accepted only after exact evaluation.  Anything that would need a
+larger field is reported as a leftover degree, never approximated.
 """
 from __future__ import annotations
 
@@ -15,7 +24,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .errors import InternalCheckError
-from .scalars import GaussRat, gauss
+from .scalars import GaussRat, _field, gauss
 
 
 class Poly:
@@ -105,12 +114,12 @@ class Poly:
         dn, dd = len(rem) - 1, other.degree
         if dn < dd:
             return Poly([]), Poly(rem)
-        inv_lead = other.lead
+        lead = _field(other.lead)
         quot = [0] * (dn - dd + 1)
         for k in range(dn - dd, -1, -1):
             c = rem[dd + k]
             if c:
-                q = c / inv_lead
+                q = c / lead
                 quot[k] = q
                 for j, b in enumerate(other.coeffs):
                     rem[j + k] = rem[j + k] - q * b
@@ -131,7 +140,7 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        lead = self.lead
+        lead = _field(self.lead)
         return Poly([c / lead for c in self.coeffs])
 
     def conj(self) -> "Poly":
@@ -154,14 +163,123 @@ class Poly:
         return Poly(out)
 
 
+def _is_rational(p: Poly) -> bool:
+    return not any(isinstance(c, GaussRat) for c in p.coeffs)
+
+
+def _primitive(ints):
+    """An integer list divided by its positive content."""
+    g = gcd(*ints)
+    return [c // g for c in ints] if g > 1 else ints
+
+
+def _int_coeffs(coeffs):
+    """Rational (int or Fraction) coefficients as a primitive integer list:
+    their least positive multiple with integer entries, so every sign is
+    kept."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return _primitive([c.numerator * (den // c.denominator) for c in coeffs])
+
+
+def _real_ints(p: Poly):
+    """_int_coeffs of a polynomial with real coefficients (a GaussRat one
+    must have zero imaginary part, else ValueError)."""
+    cs = []
+    for c in p.coeffs:
+        if isinstance(c, GaussRat):
+            if not c.is_real():
+                raise ValueError("polynomial is not real")
+            c = c.re
+        cs.append(c)
+    return _int_coeffs(cs)
+
+
+def _derivative(ints):
+    return _primitive([k * c for k, c in enumerate(ints)][1:])
+
+
+def _prem(a, b):
+    """The remainder of a by b (integer lists, b nonzero) as a primitive
+    integer list of the same signs.
+
+    Each quotient term first scales the running remainder by |lc(b)|, so
+    the result is a positive multiple of the remainder over Q; dividing out
+    its positive content makes it the primitive one.
+    """
+    rem = list(a)
+    db = len(b) - 1
+    scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    for k in range(len(rem) - 1 - db, -1, -1):
+        c = rem.pop()
+        if c:
+            if scale != 1:
+                rem = [scale * x for x in rem]
+            c *= sign
+            for j in range(db):
+                rem[k + j] -= c * b[j]
+    while rem and not rem[-1]:
+        rem.pop()
+    return _primitive(rem)
+
+
+def _int_gcd(a, b):
+    """A primitive gcd of primitive integer lists (zero is [])."""
+    while b:
+        a, b = b, _prem(a, b)
+    return a
+
+
+def _int_quotient(a, b):
+    """a / b for integer lists when b is primitive and divides a over Q,
+    so that the quotient is integral (Gauss's lemma)."""
+    rem, db = list(a), len(b) - 1
+    quot = [0] * (len(rem) - db)
+    for k in range(len(quot) - 1, -1, -1):
+        q, r = divmod(rem[k + db], b[-1])
+        if r:
+            raise InternalCheckError("inexact integer polynomial division")
+        quot[k] = q
+        if q:
+            for j, y in enumerate(b):
+                rem[k + j] -= q * y
+    if any(rem):
+        raise InternalCheckError("inexact integer polynomial division")
+    return quot
+
+
+def _squarefree_ints(ints):
+    """The squarefree part of an integer list of degree >= 1, as an
+    integer list."""
+    return _int_quotient(ints, _int_gcd(ints, _derivative(ints)))
+
+
+def _monic(ints) -> Poly:
+    return Poly([Fraction(c, ints[-1]) for c in ints] if ints else [])
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm over a field."""
+    """Monic gcd.
+
+    With rational coefficients it is the last nonzero term of the primitive
+    integer remainder sequence (see the module docstring), made monic in
+    Fractions; over Q(i) it is Euclid's algorithm on the coefficients.
+    """
+    if _is_rational(a) and _is_rational(b):
+        return _monic(_int_gcd(_int_coeffs(a.coeffs), _int_coeffs(b.coeffs)))
     while not b.is_zero():
         a, b = b, a % b
     return a.monic() if not a.is_zero() else a
 
 
 def squarefree_part(p: Poly) -> Poly:
+    """p / gcd(p, p'), monic; zero stays zero.
+
+    With rational coefficients both the gcd and the exact division run on
+    primitive integer lists, and only the result becomes Fractions.
+    """
+    if _is_rational(p):
+        ints = _int_coeffs(p.coeffs)
+        return _monic(_squarefree_ints(ints) if len(ints) > 1 else ints)
     if p.degree <= 0:
         return p.monic() if not p.is_zero() else p
     g = poly_gcd(p, p.derivative())
@@ -169,16 +287,15 @@ def squarefree_part(p: Poly) -> Poly:
 
 
 # -- Sturm counting ------------------------------------------------------------
+# The Sturm chain of an integer list q is a list of integer lists, each a
+# positive multiple of the matching term of q's classical chain over Q, so
+# it has the same signs everywhere.
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _sturm_chain(q: Poly):
-    chain = [q, q.derivative()]
-    while not chain[-1].is_zero():
-        chain.append(-(chain[-2] % chain[-1]))
+def _sturm_chain(q):
+    chain = [q, _derivative(q)]
+    while chain[-1]:
+        chain.append([-c for c in _prem(chain[-2], chain[-1])])
     chain.pop()
     return chain
 
@@ -188,18 +305,34 @@ def _variations(signs) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _sign_at(f, x: Fraction) -> int:
+    """The sign of f(x): of den^deg(f) f(num / den), by Horner in
+    integers."""
+    num, den = x.numerator, x.denominator
+    out, scale = 0, 1
+    for c in reversed(f):
+        out = out * num + c * scale
+        scale *= den
+    return (out > 0) - (out < 0)
+
+
 def _variations_at(chain, x: Fraction) -> int:
-    return _variations([_sign(f(x)) for f in chain])
+    return _variations([_sign_at(f, x) for f in chain])
 
 
 def _variations_at_inf(chain, positive: bool) -> int:
     signs = []
     for f in chain:
-        s = _sign(f.lead)
-        if not positive and f.degree % 2 == 1:
+        s = 1 if f[-1] > 0 else -1
+        if not positive and len(f) % 2 == 0:
             s = -s
         signs.append(s)
     return _variations(signs)
+
+
+def _real_root_count(ints) -> int:
+    chain = _sturm_chain(ints)
+    return _variations_at_inf(chain, False) - _variations_at_inf(chain, True)
 
 
 def sturm_count_real_roots(p: Poly) -> int:
@@ -207,13 +340,13 @@ def sturm_count_real_roots(p: Poly) -> int:
 
     Counted on the Sturm chain of p itself, repeated roots or not: every
     term is a multiple of gcd(p, p'), so at +-infinity its sign variations
-    are those of the chain of the squarefree part.
+    are those of the chain of the squarefree part.  The chain is the
+    primitive integer remainder sequence of p and p' (module docstring).
     """
-    p = p.to_fraction_coeffs()
-    if p.is_zero():
+    ints = _real_ints(p)
+    if not ints:
         raise ValueError("root counting on the zero polynomial")
-    chain = _sturm_chain(p)
-    return _variations_at_inf(chain, False) - _variations_at_inf(chain, True)
+    return _real_root_count(ints)
 
 
 def sturm_count_in_interval(p: Poly, a: Fraction, b=None) -> int:
@@ -222,11 +355,10 @@ def sturm_count_in_interval(p: Poly, a: Fraction, b=None) -> int:
     The chain is taken of the squarefree part, since a finite endpoint may
     be a repeated root of p.
     """
-    p = p.to_fraction_coeffs()
-    q = squarefree_part(p)
-    if q.degree <= 0:
+    ints = _real_ints(p)
+    if len(ints) <= 1:
         return 0
-    chain = _sturm_chain(q)
+    chain = _sturm_chain(_squarefree_ints(ints))
     va = _variations_at(chain, Fraction(a))
     vb = _variations_at_inf(chain, True) if b is None else _variations_at(chain, Fraction(b))
     return va - vb
@@ -238,13 +370,13 @@ def all_roots_real(p: Poly) -> bool:
     Equivalent to: the squarefree part has as many distinct real roots
     as its degree.  Exact; multiple roots like (x-1)^2 are fine.
     """
-    p = p.to_fraction_coeffs()
-    if p.is_zero():
+    ints = _real_ints(p)
+    if not ints:
         raise ValueError("all_roots_real on the zero polynomial")
-    q = squarefree_part(p)
-    if q.degree <= 0:
+    if len(ints) == 1:
         return True
-    return sturm_count_real_roots(q) == q.degree
+    q = _squarefree_ints(ints)
+    return _real_root_count(q) == len(q) - 1
 
 
 def purely_imaginary_spectrum(p: Poly) -> bool:
@@ -253,23 +385,20 @@ def purely_imaginary_spectrum(p: Poly) -> bool:
     Writing p = x^m * r(x) with r(0) != 0, this holds iff r is even,
     r(x) = q(x^2), and q has only negative real roots.
     """
-    p = p.to_fraction_coeffs()
-    if p.is_zero():
+    cs = _real_ints(p)
+    if not cs:
         raise ValueError("spectrum test on the zero polynomial")
-    cs = list(p.coeffs)
-    m = 0
-    while cs and cs[0] == 0:
-        cs.pop(0)
-        m += 1
-    if not cs or len(cs) == 1:
+    cs = cs[next(m for m, c in enumerate(cs) if c):]
+    if len(cs) == 1:
         return True
-    if any(c != 0 for c in cs[1::2]):
+    if any(cs[1::2]):
         return False
-    q = Poly(cs[0::2])
-    if not all_roots_real(q):
-        return False
-    # q(0) != 0 since r(0) != 0; reject any root in (0, infinity) and 0 itself
-    return sturm_count_in_interval(q, Fraction(0)) == 0
+    # one chain of the squarefree part of q answers both: every root is
+    # real, and none lies in (0, infinity) (q(0) != 0 since r(0) != 0)
+    chain = _sturm_chain(_squarefree_ints(cs[0::2]))
+    top = _variations_at_inf(chain, True)
+    return (_variations_at_inf(chain, False) - top == len(chain[0]) - 1
+            and _variations_at(chain, Fraction(0)) == top)
 
 
 # -- exact roots over Q and Q(i) --------------------------------------------------
@@ -277,16 +406,7 @@ def purely_imaginary_spectrum(p: Poly) -> bool:
 
 def clear_denominators(v):
     """Scale a rational vector to a primitive integer vector."""
-    den = 1
-    for c in v:
-        den = lcm(den, Fraction(c).denominator)
-    ints = [int(Fraction(c) * den) for c in v]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    if g > 1:
-        ints = [c // g for c in ints]
-    return tuple(ints)
+    return tuple(_int_coeffs(list(v)))
 
 
 # Polynomials over Z/m below are lists of ints in [0, m), lowest degree first,

@@ -32,6 +32,12 @@ def rat(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
+def _field(x):
+    """x itself, or as a Fraction when it is a plain int, so that dividing
+    by it stays exact."""
+    return Fraction(x) if isinstance(x, int) else x
+
+
 def rat_str(x) -> str:
     """Serialize a rational as "p/q" (or "p" when the denominator is 1)."""
     return str(x if type(x) is Fraction else Fraction(x))

@@ -71,10 +71,10 @@ from fractions import Fraction
 
 from .errors import Indeterminate, InputError, InternalCheckError
 from .lie import LieAlgebra
-from .linalg import (Mat, _field, _gauss_jordan, _null_space, _solutions,
+from .linalg import (Mat, _gauss_jordan, _null_space, _solutions,
                      _sparse_axpy, char_poly, in_span, inverse, span_basis)
 from .poly import gaussian_roots
-from .scalars import gauss
+from .scalars import _field, gauss
 
 NOT_INVARIANT = ("joint eigenspace is not invariant; the action is not "
                  "from a solvable family")
@@ -165,8 +165,9 @@ def _ideal_chain(alg: LieAlgebra):
     the rref rows derived_algebra returns.
 
     Each g_k is kept as rref rows in alg's coordinates: g_{k+1} is
-    [g_k, g_k] (bracketing each pair of rows once, as derived_algebra does
-    the basis) completed greedily by g_k's rows, in order, to one row less,
+    [g_k, g_k] (read off the table for g_1 = alg, as derived_algebra does,
+    and by bracketing each pair of rows once below it) completed greedily
+    by g_k's rows, in order, to one row less,
     and z_k is the first row of g_k outside it (any hyperplane above the
     derived subalgebra is an ideal); a non-solvable algebra reaches
     [g_k, g_k] = g_k and raises InputError.  This is the chain of
@@ -177,7 +178,7 @@ def _ideal_chain(alg: LieAlgebra):
     decides alike.
     """
     rows = alg.basis()   # the standard basis is already rref
-    derived = hyp = alg._pair_span(rows)
+    derived = hyp = alg.derived_algebra()
     dirs = []
     while rows:
         if len(hyp) == len(rows):
@@ -428,10 +429,10 @@ def _weight_table(alg, chars, module_dim, derived):
     anything else raises InternalCheckError.
     """
     merged = {}
+    rows = [[(j, x) for j, x in enumerate(d) if x] for d in derived]
     for char in chars:
-        for dvec in derived:
-            val = sum((c * x for c, x in zip(char, dvec)), gauss(0))
-            if val:
+        for row in rows:
+            if sum((char[j] * x for j, x in row), gauss(0)):
                 raise InternalCheckError(
                     "weight does not vanish on the derived subalgebra")
         merged[char] = merged.get(char, 0) + 1

@@ -152,3 +152,48 @@ def test_the_check_sees_a_finder_import():
     assert _finder_imports(src) == [
         (1, "definability._tbc_find"), (2, "structure.radical"),
         (3, "weights"), (4, "liedef.structure")]
+
+
+# exact arithmetic only: no float literal, no float() and no math routine
+# that returns a float
+FLOAT_MATH = frozenset(("sqrt", "log", "exp"))
+
+
+def _float_uses(source):
+    """(line, what) for each float or complex literal, float() call and
+    math.sqrt, math.log or math.exp (by attribute or imported by name) in
+    the source."""
+    bad = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and \
+                isinstance(node.value, (float, complex)):
+            bad.append((node.lineno, repr(node.value)))
+        elif isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Name) and node.func.id == "float":
+            bad.append((node.lineno, "float()"))
+        elif isinstance(node, ast.Attribute) and node.attr in FLOAT_MATH \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == "math":
+            bad.append((node.lineno, "math." + node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            bad += [(node.lineno, "math." + a.name) for a in node.names
+                    if a.name in FLOAT_MATH]
+    return sorted(bad)
+
+
+def test_no_floats_in_the_library():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    bad = ["%s:%d %s" % (p.name, line, what)
+           for p in modules for line, what in _float_uses(p.read_text())]
+    assert not bad, "float arithmetic: " + ", ".join(bad)
+
+
+def test_the_check_sees_float_arithmetic():
+    src = ("import math\nfrom math import gcd, isqrt, log\n"
+           "def f(x):\n    return math.sqrt(x) + float(x) + 0.5 + 1e3\n"
+           "def g(x):\n    return math.exp(x) + gcd(x, isqrt(x)) + 2j\n"
+           "h = math.floor\n")
+    assert _float_uses(src) == [
+        (2, "math.log"), (4, "0.5"), (4, "1000.0"), (4, "float()"),
+        (4, "math.sqrt"), (6, "2j"), (6, "math.exp")]

@@ -1,12 +1,16 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from liedef.corpus import corpus
 from liedef.errors import InputError
 from liedef.lie import LieAlgebra, from_matrices
-from liedef.linalg import Mat, coords_in_span, kernel, span_basis
+from liedef.linalg import (Mat, coords_in_span, inverse, is_zero_vec, kernel,
+                           span_basis, trace_product, vadd)
 from liedef.scalars import GaussRat
 
 
@@ -337,3 +341,122 @@ def test_an_algebra_keeps_only_its_table_and_its_index(sl2, e2, h3):
         assert first == second
         after = tuple(getattr(g, name) for name in LieAlgebra.__slots__)
         assert all(a is b for a, b in zip(before, after))
+
+
+# -- the table reads against the unit-vector and dense routes --------------------
+#
+# Each reference brackets unit vectors or builds every ad(e_i) densely, as the
+# table reads replaced; values, entry types and the order of the Jacobi
+# failures must match.
+
+def _unit_validate(g):
+    units, bad = g.basis(), []
+    for i, j, k in combinations(range(g.dim), 3):
+        ei, ej, ek = units[i], units[j], units[k]
+        res = vadd(vadd(g.bracket(g.bracket(ei, ej), ek),
+                        g.bracket(g.bracket(ej, ek), ei)),
+                   g.bracket(g.bracket(ek, ei), ej))
+        if not is_zero_vec(res):
+            bad.append((i, j, k, res))
+    return bad
+
+
+def _dense_killing(g):
+    ads = [Mat.from_cols(row) for row in g.table]
+    return [[trace_product(a, b) for b in ads] for a in ads]
+
+
+def _unit_lower_central_series(g):
+    units = g.basis()
+    series = [span_basis(units)]
+    nxt = span_basis([g.bracket(a, b) for a, b in combinations(units, 2)])
+    while len(nxt) < len(series[-1]):
+        series.append(nxt)
+        nxt = span_basis([g.bracket(a, b) for a in series[0] for b in nxt])
+    return series
+
+
+def _seeded_solvable(rng):
+    """A criterion-8-shaped algebra: an abelian or Heisenberg ideal with
+    one or two commuting derivations by rotation-scaling blocks and real
+    scalings, in a sheared basis."""
+    values = [Fraction(p, q) for p in range(-2, 3) for q in (1, 2)]
+    m = rng.randint(2, 4)
+    ext = rng.randint(1, 2)
+    n = m + ext
+    entries = {}
+    if m >= 3 and rng.random() < 0.5:
+        entries[(0, 1)] = tuple(Fraction(int(t == 2)) for t in range(n))
+        m_blocks = [(0, 2)]
+    else:
+        m_blocks = [(i, 1) for i in range(m)]
+    for d in range(m, n):
+        a, b = rng.choice(values), rng.choice(values)
+        for pos, size in m_blocks:
+            if size == 2:
+                # [x, y] = z, so ad(d) acts on z by its trace 2a on (x, y)
+                images = {pos: {pos: a, pos + 1: b},
+                          pos + 1: {pos: -b, pos + 1: a}, 2: {2: 2 * a}}
+            else:
+                images = {pos: {pos: rng.choice(values)}}
+            for e, image in images.items():
+                entries[(d, e)] = tuple(image.get(t, Fraction(0))
+                                        for t in range(n))
+    g = LieAlgebra.from_entries(n, {k: v for k, v in entries.items()
+                                    if any(v)})
+    t = [list(r) for r in Mat.identity(n).rows]
+    for _ in range(3):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            t[i] = [x + rng.choice((-1, 1)) * y for x, y in zip(t[i], t[j])]
+    t = Mat(t)
+    tinv, cols = inverse(t), [t.col(i) for i in range(n)]
+    return LieAlgebra(n, [[tuple(tinv @ g.bracket(cols[i], cols[j]))
+                           for j in range(n)] for i in range(n)])
+
+
+def _perturbed(rng, g):
+    """g with one bracket [e_i, e_j] (and [e_j, e_i]) moved so that the
+    unit-vector route finds a Jacobi failure, or None after ten tries."""
+    for _ in range(10):
+        i, j = sorted(rng.sample(range(g.dim), 2))
+        table = [list(row) for row in g.table]
+        v = list(table[i][j])
+        v[rng.randrange(g.dim)] += Fraction(rng.randint(1, 5),
+                                            rng.randint(1, 3))
+        table[i][j], table[j][i] = tuple(v), tuple(-c for c in v)
+        out = LieAlgebra(g.dim, table)
+        if _unit_validate(out):
+            return out
+    return None
+
+
+def test_table_reads_match_the_unit_vector_routes():
+    rng = random.Random(20261019)
+    algebras = [e.algebra for e in corpus()]
+    algebras += [_seeded_solvable(rng) for _ in range(12)]
+    valid = len(algebras)
+    algebras += [h for h in (_perturbed(rng, g) for g in algebras[:valid]
+                             if g.dim >= 3) if h is not None]
+    failing = 0
+    for g in algebras:
+        assert _typed_rows(g.killing_matrix().rows) == _typed_rows(
+            _dense_killing(g))
+        units = g.basis()
+        assert _typed_rows(g.derived_algebra()) == _typed_rows(span_basis(
+            [g.bracket(a, b) for a, b in combinations(units, 2)]))
+        assert ([_typed_rows(s) for s in g.lower_central_series()]
+                == [_typed_rows(s) for s in _unit_lower_central_series(g)])
+        bad, want = g.validate(), _unit_validate(g)
+        assert [(i, j, k, _typed_vec(r)) for i, j, k, r in bad] == [
+            (i, j, k, _typed_vec(r)) for i, j, k, r in want]
+        if want:
+            failing += 1
+            with pytest.raises(InputError) as err:
+                g.require_valid()
+            assert str(err.value) == (
+                "Jacobi identity fails on basis triple (%d, %d, %d)"
+                % want[0][:3])
+        else:
+            g.require_valid()
+    assert valid >= 30 and failing == len(algebras) - valid >= 25

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -222,3 +223,125 @@ def test_gaussian_roots_leftover():
 def test_zero_polynomial_rejected():
     with pytest.raises(ValueError):
         sturm_count_real_roots(Poly(()))
+
+
+def _typed(p):
+    return [(type(c), c) for c in p.coeffs]
+
+
+def test_int_coefficients_give_exact_fractions():
+    p = Poly([1, 2, 1])
+    assert _typed(squarefree_part(p)) == [(Fraction, 1), (Fraction, 1)]
+    assert _typed(poly_gcd(p, Poly([2, 2]))) == [(Fraction, 1),
+                                                 (Fraction, 1)]
+    assert _typed(Poly([3, 6]).monic()) == [(Fraction, Fraction(1, 2)),
+                                            (Fraction, 1)]
+    quot, rem = Poly([1, 0, 1]).divmod(Poly([0, 2]))
+    assert quot.coeffs == (0, Fraction(1, 2)) and rem.coeffs == (1,)
+    assert not any(isinstance(c, float) for c in quot.coeffs + rem.coeffs)
+    assert _typed(squarefree_part(Poly([5]))) == [(Fraction, 1)]
+
+
+# -- the integer remainder sequences against Euclid over Q -----------------------
+#
+# The references run the classical algorithms on Fraction coefficients with
+# Poly's own field division, and the answers must match in value and type.
+
+def _ref_gcd(a, b):
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic() if not a.is_zero() else a
+
+
+def _ref_squarefree(p):
+    if p.degree <= 0:
+        return p.monic() if not p.is_zero() else p
+    return p.divexact(_ref_gcd(p, p.derivative())).monic()
+
+
+def _ref_chain(q):
+    chain = [q, q.derivative()]
+    while not chain[-1].is_zero():
+        chain.append(-(chain[-2] % chain[-1]))
+    chain.pop()
+    return chain
+
+
+def _ref_variations(signs):
+    signs = [s for s in signs if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _ref_at(chain, x):
+    if x is None:
+        return _ref_variations([(f.lead > 0) - (f.lead < 0) for f in chain])
+    return _ref_variations([(f(x) > 0) - (f(x) < 0) for f in chain])
+
+
+def _ref_count_real(p):
+    chain = _ref_chain(p)
+    neg = _ref_variations([((f.lead > 0) - (f.lead < 0))
+                           * (-1 if f.degree % 2 else 1) for f in chain])
+    return neg - _ref_at(chain, None)
+
+
+def _ref_count_in(p, a, b):
+    q = _ref_squarefree(p)
+    if q.degree <= 0:
+        return 0
+    chain = _ref_chain(q)
+    return _ref_at(chain, a) - _ref_at(chain, b)
+
+
+def _ref_imaginary(p):
+    cs = list(p.coeffs)
+    while not cs[0]:
+        cs.pop(0)
+    if len(cs) == 1:
+        return True
+    if any(cs[1::2]):
+        return False
+    q = _ref_squarefree(Poly(cs[0::2]))
+    return (_ref_count_real(q) == q.degree
+            and _ref_count_in(q, Fraction(0), None) == 0)
+
+
+def _random_poly(rng, max_degree=12):
+    """A product of random linear and quadratic factors, some repeated, with
+    coefficients p/q, |p|, q <= 100."""
+    def coeff():
+        return Fraction(rng.randint(-100, 100), rng.randint(1, 100))
+    p = Poly([coeff() or Fraction(1)])
+    target = rng.randint(0, max_degree)
+    while p.degree < target:
+        f = Poly([coeff() for _ in range(rng.randint(2, 3))])
+        if f.degree >= 1:
+            p = p * f
+            if rng.random() < 0.4:
+                p = p * f
+    return p
+
+
+def test_integer_remainder_sequences_match_euclid_over_q():
+    rng = random.Random(20261019)
+    for n in range(200):
+        p, q = _random_poly(rng), _random_poly(rng)
+        if n % 4 == 3:
+            # p(x^2) with a negative leading coefficient: remainders whose
+            # degree drops by 2 are scaled an odd number of times
+            p = Poly([c for a in (-_random_poly(rng, 6)).coeffs
+                      for c in (a, Fraction(0))])
+        if rng.random() < 0.5 and p.degree > 0:
+            q = q * p.derivative()
+        assert _typed(squarefree_part(p)) == _typed(_ref_squarefree(p))
+        assert _typed(poly_gcd(p, q)) == _typed(_ref_gcd(p, q))
+        assert _typed(poly_gcd(q, Poly([]))) == _typed(_ref_gcd(q, Poly([])))
+        assert sturm_count_real_roots(p) == _ref_count_real(p)
+        sf = _ref_squarefree(p)
+        assert all_roots_real(p) == (_ref_count_real(sf) == sf.degree)
+        assert purely_imaginary_spectrum(p) == _ref_imaginary(p)
+        a, b = sorted(Fraction(rng.randint(-300, 300), rng.randint(1, 30))
+                      for _ in range(2))
+        assert sturm_count_in_interval(p, a, b) == _ref_count_in(p, a, b)
+        assert sturm_count_in_interval(p, a) == _ref_count_in(p, a, None)
+    assert _typed(poly_gcd(Poly([]), Poly([]))) == []

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from liedef.definability import SS_YES, supersolvable_test
+from liedef.corpus import corpus
+from liedef.definability import (SS_YES, GroupPresentation,
+                                 definability_oracle, supersolvable_test)
 from liedef.errors import PreconditionError
 from liedef.lie import LieAlgebra, from_matrices
 from liedef.linalg import (Mat, inverse, kernel, lincomb, span_basis,
@@ -235,19 +237,26 @@ def test_nilradical_is_the_kernel_of_the_step_characters(g):
 
 def test_nilradical_computes_the_derived_algebra_once(monkeypatch, axb, e2,
                                                       oscillator):
-    """radical computes [g, g] of each table once, in its trace form: g's,
-    and a proper radical r's in the solvability check of r.  nilradical
-    takes [r, r] from there; its one repeat, on r's table, is the first
-    step of the lower central series that is_nilpotent runs."""
+    """radical reads [g, g] off the table of each table once, in its trace
+    form: g's, and a proper radical r's in the solvability check of r.
+    nilradical takes [r, r] from there; its one repeat, on r's table, is
+    the first step of the lower central series that is_nilpotent runs.  No
+    oracle call brackets the standard basis in pairs, not even the weight
+    peel's chain of ideals."""
     computed = Counter()
-    real = LieAlgebra._pair_span
+    read = LieAlgebra.derived_algebra
+    pair_span = LieAlgebra._pair_span
 
-    def counted(self, vectors):
-        if list(vectors) == self.basis():
-            computed[repr(self.table)] += 1
-        return real(self, vectors)
+    def counted(self):
+        computed[repr(self.table)] += 1
+        return read(self)
 
-    monkeypatch.setattr(LieAlgebra, "_pair_span", counted)
+    def pairs(self, vectors):
+        assert list(vectors) != self.basis(), "standard basis in pairs"
+        return pair_span(self, vectors)
+
+    monkeypatch.setattr(LieAlgebra, "derived_algebra", counted)
+    monkeypatch.setattr(LieAlgebra, "_pair_span", pairs)
     # solvable, so r = g; gl2's radical is abelian; so3 + e2 has the proper
     # radical e2
     for g in (axb, e2, oscillator, gl2(), so3_plus_e2()):
@@ -257,6 +266,18 @@ def test_nilradical_computes_the_derived_algebra_once(monkeypatch, axb, e2,
         computed.clear()
         assert nilradical(g)
         assert Counter(computed.values()) == {2: 1, 1: len(computed) - 1}
+    kinds = {"definable-simply-connected": ("simply-connected", False),
+             "definable-abstract": ("abstract", False),
+             "definable-linear": ("linear", False),
+             "definable-finite-center-levi": ("abstract", True)}
+    calls = 0
+    for entry in corpus():
+        for key, (kind, finite_center_levi) in kinds.items():
+            if key in entry.known:
+                definability_oracle(GroupPresentation(
+                    entry.algebra, kind, finite_center_levi=finite_center_levi))
+                calls += 1
+    assert calls >= 60
 
 
 def test_nilradical_matches_the_dense_route_beyond_solvable():
