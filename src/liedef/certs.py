@@ -193,6 +193,16 @@ def _check_tbc(payload, alg: LieAlgebra) -> CertReport:
 
 
 def _check_flag(payload, alg: LieAlgebra) -> CertReport:
+    """Replay a Flag certificate: each prefix span is an ideal, and basis
+    element i acts on step k, modulo the earlier steps, by the claimed
+    character chars[k][i].
+
+    An independent flag of length dim is a basis, so one elimination puts
+    every bracket [e_i, flag[k]] into coordinates of the whole flag: step k
+    is an ideal when every coordinate past k is zero, and coordinate k is
+    the character.  Steps, and basis elements within a step, are checked in
+    order, so the first failure is reported.
+    """
     try:
         flag = _real_vectors(payload.get("flag"), alg.dim, "flag")
         chars_raw = payload.get("step_characters")
@@ -207,12 +217,15 @@ def _check_flag(payload, alg: LieAlgebra) -> CertReport:
         return _fail("flag", "flag vectors are not independent")
     if chars is not None and len(chars) != len(flag):
         return _fail("shape", "one character row per flag step required")
-    for k in range(len(flag)):
-        brs = [alg.bracket(x, flag[k]) for x in alg.basis()]
-        for i, coords in enumerate(coords_in_span(flag[:k + 1], brs)):
-            if coords is None:
+    n = len(flag)
+    basis = alg.basis()
+    coords = coords_in_span(flag, [alg.bracket(x, v)
+                                   for v in flag for x in basis])
+    for k in range(n):
+        for i, co in enumerate(coords[k * n:(k + 1) * n]):
+            if any(co[k + 1:]):
                 return _fail("flag", "step %d is not invariant" % k)
-            if chars is not None and coords[k] != chars[k][i]:
+            if chars is not None and co[k] != chars[k][i]:
                 return _fail("characters",
                              "step %d acts with the wrong scalar under "
                              "basis element %d" % (k, i))

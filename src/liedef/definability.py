@@ -13,7 +13,7 @@ from fractions import Fraction
 from .errors import (Indeterminate, InputError, InternalCheckError,
                      NotSolvableError)
 from .lie import LieAlgebra
-from .linalg import (Mat, char_poly, coords_in_span, in_span,
+from .linalg import (Mat, char_poly, coords_in_span,
                      is_semisimple_mat, is_zero_vec, jordan_chevalley, kernel,
                      lincomb, solve, span_basis, vsub)
 from .poly import (purely_imaginary_spectrum, squarefree_part,
@@ -53,7 +53,7 @@ def _real_vec(v):
                 return None
             out.append(x.re)
         else:
-            out.append(Fraction(x))
+            out.append(x if type(x) is Fraction else Fraction(x))
     return tuple(out)
 
 
@@ -168,17 +168,26 @@ def _nonreal_witness(g, i, ad, values):
 
 
 def _check_flag(g, flag, chars):
-    # prefix spans must be ideals, and e_j must act on flag[i] modulo the
-    # earlier steps by chars[i][j]: the coefficient of flag[i] in
-    # [e_j, flag[i]]; the nilradical is read off these characters
-    if len(span_basis(flag)) != g.dim or len(flag) != g.dim:
+    """Raise InternalCheckError unless every prefix span of flag is an ideal
+    of g and e_j acts on flag[i] modulo the earlier steps by chars[i][j];
+    the nilradical is read off these characters.
+
+    A flag that spans g is a basis, so one elimination puts every bracket
+    [e_j, flag[i]] into coordinates of the whole flag: step i is an ideal
+    when every coordinate past i is zero, and coordinate i is chars[i][j].
+    Steps are checked in order, each for ideal-ness before its characters.
+    """
+    n = g.dim
+    if len(span_basis(flag)) != n or len(flag) != n:
         raise InternalCheckError("flag does not span the algebra")
-    for i in range(g.dim):
-        brs = [g.bracket(x, flag[i]) for x in g.basis()]
-        coords = coords_in_span(flag[:i + 1], brs)
-        if None in coords:
+    basis = g.basis()
+    coords = coords_in_span(flag, [g.bracket(x, v)
+                                   for v in flag for x in basis])
+    for i in range(n):
+        step = coords[i * n:(i + 1) * n]
+        if any(any(co[i + 1:]) for co in step):
             raise InternalCheckError("flag step is not an ideal")
-        if any(co[i] != chars[i][j] for j, co in enumerate(coords)):
+        if any(co[i] != chars[i][j] for j, co in enumerate(step)):
             raise InternalCheckError(
                 "step character disagrees with the flag")
 
@@ -248,6 +257,13 @@ def tbc_verify(r: LieAlgebra, cert: TbcCertificate) -> CertReport:
 
 
 def _tbc_verify(r, cert):
+    """tbc_verify of an r proven solvable.
+
+    The flag is checked as a basis of t, independent with t's rref basis,
+    and then its steps by one elimination: every [x, v] of x in t and v in
+    the flag has coordinates in the whole flag, since t is an ideal, and
+    step i is an ideal of t when those past i vanish.
+    """
     t = _cert_vectors(cert.t_basis, r.dim, "t_basis")
     k = _cert_vectors(cert.k_basis, r.dim, "k_basis")
     flag = _cert_vectors(cert.flag, r.dim, "flag")
@@ -255,21 +271,27 @@ def _tbc_verify(r, cert):
         raise InputError("torus_evidence must match k_basis in length")
 
     t_span = span_basis(t)
-    brackets = [r.bracket(x, row) for x in r.basis() for row in t_span]
-    if None in coords_in_span(t_span, brackets):
-        return _fail("t-ideal", "bracket leaves the t part")
+    # a t that spans r is an ideal
+    if len(t_span) < r.dim:
+        brackets = [r.bracket(x, row) for x in r.basis() for row in t_span]
+        if None in coords_in_span(t_span, brackets):
+            return _fail("t-ideal", "bracket leaves the t part")
 
     if len(flag) != len(t_span):
         return _fail("flag", "flag length differs from dim t")
-    if len(span_basis(flag)) != len(flag):
+    flag_span = span_basis(flag)
+    if len(flag_span) != len(flag):
         return _fail("flag", "flag vectors are dependent")
-    if not all(in_span(t_span, v) for v in flag):
+    # both are rref bases, which are equal exactly when the spans are
+    if flag_span != t_span:
         return _fail("flag", "flag vector outside the t part")
     # report the first step that fails for the first x of t that fails
-    bad = []
-    for i, v in enumerate(flag):
-        coords = coords_in_span(flag[:i + 1], [r.bracket(x, v) for x in t_span])
-        bad += [(j, i) for j, c in enumerate(coords) if c is None]
+    m = len(flag)
+    coords = coords_in_span(flag, [r.bracket(x, v)
+                                   for v in flag for x in t_span])
+    bad = [(j, i) for i in range(m)
+           for j, co in enumerate(coords[i * m:(i + 1) * m])
+           if any(co[i + 1:])]
     if bad:
         return _fail("flag", "step %d is not an ideal of t" % min(bad)[1])
 

@@ -159,7 +159,7 @@ class Poly:
                     raise ValueError("polynomial is not real")
                 out.append(c.re)
             else:
-                out.append(Fraction(c))
+                out.append(c if type(c) is Fraction else Fraction(c))
         return Poly(out)
 
 

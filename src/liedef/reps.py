@@ -23,9 +23,10 @@ from .errors import (Indeterminate, InputError, InternalCheckError,
                      NotNilpotentError, NotSupersolvableError,
                      PreconditionError, UnsupportedError)
 from .lie import LieAlgebra
-from .linalg import (Mat, block_diag, coords_in_span, intersect_spans,
-                     inverse, is_nilpotent_mat, kernel, kron, mat_lincomb,
-                     restrict_to_span, solve, solve_sparse, span_basis)
+from .linalg import (Mat, _gauss_jordan, block_diag, coords_in_span,
+                     intersect_spans, inverse, is_nilpotent_mat, kernel, kron,
+                     mat_lincomb, restrict_to_span, solve, solve_sparse,
+                     span_basis)
 from .scalars import GaussRat
 from .structure import nilradical
 from .weights import _weight_flag
@@ -84,7 +85,9 @@ def _verify(rep: Representation, nil) -> frozenset:
     automorphism of gl(V), so the bracket relations hold there exactly when
     they hold for the images, and the image of a nilradical vector is the
     same linear combination of them.  A flag that is not a basis grants
-    neither triangular claim.
+    neither triangular claim.  Faithfulness is one rank: the images are
+    independent exactly when rep_kernel(rep) is empty, and taking each
+    flattened image as one sparse row needs no d^2 x n column matrix.
     """
     g = rep.source
     d = rep.target_dim
@@ -102,7 +105,9 @@ def _verify(rep: Representation, nil) -> frozenset:
     if _is_homomorphism(g, rep.images if conj is None else conj, d):
         flags.add(HOMOMORPHISM)
 
-    if not rep_kernel(rep):
+    rows = [{r * d + c: x for r, row in enumerate(m.rows)
+             for c, x in enumerate(row) if x} for m in rep.images]
+    if len(_gauss_jordan(rows, d * d, ())[0]) == g.dim:
         flags.add(FAITHFUL)
 
     if conj is not None:
@@ -355,9 +360,8 @@ def supersolvable_triangular_rep(t: LieAlgebra) -> Representation:
     if len(nil) == t.dim:
         return nilpotent_ado(t)
 
-    sub, incl = t.subalgebra(nil)
-    base = nilpotent_ado(sub)
-    ext = extend_rep(t, nil, base)
+    base = nilpotent_ado(t.subalgebra(nil)[0])
+    ext = _extend(t, nil, base)
     # the chain of t's adjoint peel serves the extended module too
     peeled = _weight_flag(chain, list(ext.images))
     # the peel lifts to Q(i) only at a nonreal eigenvalue
@@ -365,8 +369,7 @@ def supersolvable_triangular_rep(t: LieAlgebra) -> Representation:
             isinstance(x, GaussRat) for v in peeled[0] for x in v):
         raise UnsupportedError(
             "extended module has no rational triangular flag")
-    rep = replace(ext, flag=tuple(peeled[0]), verified=frozenset())
-    return _certified(rep, ALL_FLAGS, nil)
+    return _certified(replace(ext, flag=tuple(peeled[0])), ALL_FLAGS, nil)
 
 
 # -- extension from an ideal -----------------------------------------------------
@@ -443,8 +446,28 @@ def extend_rep(g: LieAlgebra, h_rows, rho: Representation) -> Representation:
         if not is_nilpotent_mat(rho.image_of(coords)):
             raise PreconditionError("module weights do not vanish on [g, h]")
 
+    rep = _extend(g, h_span, rho)
+    flags = verify_rep(rep)
+    if HOMOMORPHISM not in flags:
+        raise InternalCheckError("closure held on a basis but not overall")
+    if intersect_spans(rep_kernel(rep), h_span, g.dim):
+        raise InternalCheckError("extension lost faithfulness on the ideal")
+    return replace(rep, verified=flags)
+
+
+def _extend(g, h_span, rho):
+    """extend_rep from the complement on, unverified: images that
+    _is_homomorphism has accepted, or UnsupportedError.
+
+    h_span is a proper ideal in rref rows, which g.subalgebra takes as the
+    basis of rho's source, and rho a faithful module whose weights vanish
+    on [g, h].  supersolvable_triangular_rep has proved all of that of the
+    nilradical and nilpotent_ado's module, and certifies every flag of the
+    result, so it calls this directly.
+    """
+    incl = list(h_span)
     comp = []
-    rows = list(h_span)
+    rows = list(incl)
     for i in range(g.dim):
         u = g.basis_vector(i)
         if len(span_basis(rows + [u])) > len(rows):
@@ -460,13 +483,7 @@ def extend_rep(g: LieAlgebra, h_rows, rho: Representation) -> Representation:
         if images is None:
             raise UnsupportedError(
                 "no closed extension found in the commutant search")
-    rep = Representation(g, images[0].nrows, tuple(images))
-    flags = verify_rep(rep)
-    if HOMOMORPHISM not in flags:
-        raise InternalCheckError("closure held on a basis but not overall")
-    if intersect_spans(rep_kernel(rep), h_span, g.dim):
-        raise InternalCheckError("extension lost faithfulness on the ideal")
-    return replace(rep, verified=flags)
+    return Representation(g, images[0].nrows, tuple(images))
 
 
 def _solve_extension(g, incl, comp, rho_images, tinv):

@@ -4,16 +4,18 @@ Rationals are `fractions.Fraction` (already normalized, positive denominator).
 Gaussian rationals a + b*i get a small immutable class that interoperates with
 Fraction and int in mixed arithmetic, so matrices and polynomials can be
 written once and instantiated over either field.  Both parts are always
-Fraction; a part that already is one is kept as it is.  A real operand (int
-or Fraction) is not promoted to a GaussRat: +, -, * and / act on the parts
-with it directly, so a Gaussian times a rational costs two rational
-products.
+Fraction; a part that already is one is kept as it is, and an int zero is
+one shared Fraction(0).  A real operand (int or Fraction) is not promoted
+to a GaussRat: +, -, * and / act on the parts with it directly, so a
+Gaussian times a rational costs two rational products.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 _REAL = (int, Fraction)
+
+_ZERO = Fraction(0)
 
 
 def rat(x) -> Fraction:
@@ -43,6 +45,12 @@ def rat_str(x) -> str:
     return str(x if type(x) is Fraction else Fraction(x))
 
 
+def _part(x) -> Fraction:
+    """A GaussRat part that is not a Fraction yet: an int zero, the default
+    imaginary part, is the shared _ZERO."""
+    return _ZERO if type(x) is int and not x else Fraction(x)
+
+
 class GaussRat:
     """A Gaussian rational re + im*i with exact Fraction parts."""
 
@@ -50,9 +58,9 @@ class GaussRat:
 
     def __init__(self, re=0, im=0):
         object.__setattr__(self, "re",
-                           re if type(re) is Fraction else Fraction(re))
+                           re if type(re) is Fraction else _part(re))
         object.__setattr__(self, "im",
-                           im if type(im) is Fraction else Fraction(im))
+                           im if type(im) is Fraction else _part(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")

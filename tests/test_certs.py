@@ -11,13 +11,16 @@ import copy
 import json
 import os
 import random
+import re
 import tempfile
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from liedef import certs, definability, linalg
 from liedef.certs import (CertReport, KIND_FLAG, KIND_REPRESENTATION,
                           KIND_TBC, KIND_TORUS, KIND_VERDICT, emit_flag,
                           emit_representation, emit_tbc, emit_torus_equations,
@@ -25,12 +28,16 @@ from liedef.certs import (CertReport, KIND_FLAG, KIND_REPRESENTATION,
                           verify_certificate, weights_hash)
 from liedef.cli import main
 from liedef.corpus import corpus
-from liedef.definability import (RULE_FINITE_CENTER, GroupPresentation,
-                                 TbcCertificate, definability_oracle,
-                                 supersolvable_test, tbc_find)
-from liedef.errors import InputError
+from liedef.definability import (RULE_FINITE_CENTER, SS_YES,
+                                 GroupPresentation, TbcCertificate,
+                                 definability_oracle, supersolvable_test,
+                                 tbc_find)
+from liedef.errors import InputError, InternalCheckError
 from liedef.formats import algebra_from_dict, save_algebra_file
 from liedef.lie import LieAlgebra
+from liedef.linalg import (char_poly, coords_in_span, in_span,
+                           is_semisimple_mat, is_zero_vec, span_basis)
+from liedef.poly import purely_imaginary_spectrum
 from liedef.reps import nilpotent_ado
 from liedef.torus import TorusWeights, torus_zariski_closure
 from test_acceptance import _random_solvable
@@ -490,3 +497,305 @@ def test_every_edited_certificate_gets_a_report(pair):
         save_certificate(cert_path, cert)
         assert main(["verify-cert", subject_path, cert_path]) \
             == (0 if report.ok else 1)
+
+
+# ------------------------------------------- flag clauses against the loops
+#
+# The three flag checks (the checker's Flag clause, _tbc_verify's flag
+# clauses, which the checker and the finder share, and the finder's own
+# _check_flag) put the brackets into coordinates of the whole flag at once.
+# The references below are the per-step loops they replaced, one
+# elimination per prefix, and must give the same first failure.
+
+def _ref_check_flag(payload, alg):
+    try:
+        flag = certs._real_vectors(payload.get("flag"), alg.dim, "flag")
+        chars_raw = payload.get("step_characters")
+        chars = (None if chars_raw is None else
+                 certs._real_vectors(chars_raw, alg.dim, "step_characters"))
+    except InputError as e:
+        return CertReport(False, "shape", str(e))
+    if len(flag) != alg.dim:
+        return CertReport(False, "flag", "flag length %d differs from dim %d"
+                          % (len(flag), alg.dim))
+    if len(span_basis(flag)) != len(flag):
+        return CertReport(False, "flag", "flag vectors are not independent")
+    if chars is not None and len(chars) != len(flag):
+        return CertReport(False, "shape",
+                          "one character row per flag step required")
+    for k in range(len(flag)):
+        brs = [alg.bracket(x, flag[k]) for x in alg.basis()]
+        for i, coords in enumerate(coords_in_span(flag[:k + 1], brs)):
+            if coords is None:
+                return CertReport(False, "flag", "step %d is not invariant"
+                                  % k)
+            if chars is not None and coords[k] != chars[k][i]:
+                return CertReport(False, "characters",
+                                  "step %d acts with the wrong scalar under "
+                                  "basis element %d" % (k, i))
+    return CertReport(True)
+
+
+def _ref_tbc_verify(r, cert):
+    t = definability._cert_vectors(cert.t_basis, r.dim, "t_basis")
+    k = definability._cert_vectors(cert.k_basis, r.dim, "k_basis")
+    flag = definability._cert_vectors(cert.flag, r.dim, "flag")
+    if cert.torus_evidence and len(cert.torus_evidence) != len(k):
+        raise InputError("torus_evidence must match k_basis in length")
+    t_span = span_basis(t)
+    brackets = [r.bracket(x, row) for x in r.basis() for row in t_span]
+    if None in coords_in_span(t_span, brackets):
+        return CertReport(False, "t-ideal", "bracket leaves the t part")
+    if len(flag) != len(t_span):
+        return CertReport(False, "flag", "flag length differs from dim t")
+    if len(span_basis(flag)) != len(flag):
+        return CertReport(False, "flag", "flag vectors are dependent")
+    if not all(in_span(t_span, v) for v in flag):
+        return CertReport(False, "flag", "flag vector outside the t part")
+    bad = []
+    for i, v in enumerate(flag):
+        coords = coords_in_span(flag[:i + 1],
+                                [r.bracket(x, v) for x in t_span])
+        bad += [(j, i) for j, c in enumerate(coords) if c is None]
+    if bad:
+        return CertReport(False, "flag", "step %d is not an ideal of t"
+                          % min(bad)[1])
+    k_span = span_basis(k)
+    if len(t_span) + len(k_span) != r.dim:
+        return CertReport(False, "direct-sum", "dimensions do not add up")
+    if len(span_basis(t_span + k_span)) != r.dim:
+        return CertReport(False, "direct-sum", "t and k overlap")
+    for a in k_span:
+        for b in k_span:
+            if not is_zero_vec(r.bracket(a, b)):
+                return CertReport(False, "k-abelian", "k is not abelian")
+    for j, x in enumerate(k):
+        ad = r.ad(x)
+        cp = char_poly(ad)
+        if cert.torus_evidence:
+            if tuple(cert.torus_evidence[j]) != tuple(cp.coeffs):
+                return CertReport(False, "torus",
+                                  "evidence disagrees with ad(k[%d])" % j)
+        if not is_semisimple_mat(ad, cp):
+            return CertReport(False, "torus",
+                              "ad(k[%d]) is not semisimple" % j)
+        if not purely_imaginary_spectrum(cp):
+            return CertReport(False, "torus",
+                              "ad(k[%d]) has a non-imaginary eigenvalue" % j)
+    return CertReport(True)
+
+
+def _ref_finder_check_flag(g, flag, chars):
+    if len(span_basis(flag)) != g.dim or len(flag) != g.dim:
+        raise InternalCheckError("flag does not span the algebra")
+    for i in range(g.dim):
+        brs = [g.bracket(x, flag[i]) for x in g.basis()]
+        coords = coords_in_span(flag[:i + 1], brs)
+        if None in coords:
+            raise InternalCheckError("flag step is not an ideal")
+        if any(co[i] != chars[i][j] for j, co in enumerate(coords)):
+            raise InternalCheckError(
+                "step character disagrees with the flag")
+
+
+def _flag_subjects():
+    """(algebra, matrices, certificate) for every Verdict of the corpus and
+    of 12 criterion-8-shaped algebras under each presentation, the TBC
+    certificate of each solvable verdict that has one, and the Flag
+    certificate of each supersolvable algebra."""
+    rng = random.Random(20261024)
+    subjects = [(e.algebra, e.matrices) for e in corpus()]
+    subjects += [(_random_solvable(rng), ()) for _ in range(12)]
+    out = {}
+    for alg, mats in subjects:
+        mats = mats or None
+        certs_of = []
+        for kind, fcl in PRESENTATIONS:
+            p = GroupPresentation(alg, kind, matrices=mats or (),
+                                  finite_center_levi=fcl)
+            v = definability_oracle(p)
+            certs_of.append(emit_verdict(p, v))
+            if v.certificate is not None and v.radical_basis is None:
+                certs_of.append(emit_tbc(alg, v.certificate, mats))
+        if alg.is_solvable():
+            ss = supersolvable_test(alg)
+            if ss.status == SS_YES:
+                certs_of.append(emit_flag(alg, ss.flag, ss.step_characters,
+                                          mats))
+        for cert in certs_of:
+            out[json.dumps(cert, sort_keys=True)] = (alg, mats, cert)
+    return list(out.values())
+
+
+def _vec(v):
+    return [Fraction(x) for x in v]
+
+
+def _json_vec(v):
+    return [str(x) for x in v]
+
+
+def _flag_edits(rng, payload):
+    """The payload of a Flag, TBC or Verdict certificate under each false
+    edit of its flag: dependent vectors, a vector outside t, two steps
+    swapped (with and without their characters), one entry perturbed, and
+    one step character changed."""
+    body = payload.get("certificate", payload)
+    if body is None:
+        return []
+    flag = body["flag"]
+    m = len(flag)
+    chars = body.get("step_characters")
+    edits = []
+
+    def edited(new_flag, new_chars=None):
+        out = copy.deepcopy(payload)
+        target = out.get("certificate", out)
+        target["flag"] = new_flag
+        if new_chars is not None:
+            target["step_characters"] = new_chars
+        edits.append(out)
+
+    if m >= 2:
+        a, b = rng.sample(range(m), 2)
+        edited([flag[b] if i == a else v for i, v in enumerate(flag)])
+        c = rng.randrange(m)
+        summed = _json_vec(x + y for x, y in zip(_vec(flag[b]),
+                                                  _vec(flag[c])))
+        edited([summed if i == a else v for i, v in enumerate(flag)])
+        k = rng.randrange(m - 1)
+        swapped = flag[:k] + [flag[k + 1], flag[k]] + flag[k + 2:]
+        edited(swapped)
+        if chars is not None:
+            edited(swapped, chars[:k] + [chars[k + 1], chars[k]]
+                   + chars[k + 2:])
+    if m >= 1:
+        k = rng.randrange(m)
+        for outside in body.get("k_basis", [])[:1]:
+            edited([outside if i == k else v for i, v in enumerate(flag)])
+            moved = _json_vec(x + y for x, y in zip(_vec(flag[k]),
+                                                     _vec(outside)))
+            edited([moved if i == k else v for i, v in enumerate(flag)])
+        for _ in range(2):
+            k, j = rng.randrange(m), rng.randrange(len(flag[0]))
+            vec = _vec(flag[k])
+            vec[j] += rng.choice((1, -1, Fraction(1, 2)))
+            edited([_json_vec(vec) if i == k else v
+                    for i, v in enumerate(flag)])
+        if chars is not None:
+            k, i = rng.randrange(m), rng.randrange(len(chars[0]))
+            row = _vec(chars[k])
+            row[i] += 1
+            edited(flag, [_json_vec(row) if s == k else r
+                          for s, r in enumerate(chars)])
+    return edits
+
+
+def _finder_outcome(check, alg, payload):
+    flag = [tuple(_vec(v)) for v in payload["flag"]]
+    chars = [tuple(_vec(c)) for c in payload["step_characters"]]
+    try:
+        check(alg, flag, chars)
+    except InternalCheckError as e:
+        return str(e)
+    return None
+
+
+def test_flag_clauses_report_what_the_per_step_loops_report(monkeypatch):
+    rng = random.Random(20261025)
+    cases = []
+    for alg, mats, cert in _flag_subjects():
+        cases.append((alg, mats, cert))
+        for payload in _flag_edits(rng, cert["payload"]):
+            cases.append((alg, mats, dict(cert, payload=payload)))
+
+    def reports():
+        out = []
+        for alg, mats, cert in cases:
+            r = verify_certificate(cert, algebra=alg, matrices=mats)
+            out.append((r.ok, r.clause, r.detail))
+        return out
+
+    got = reports()
+    with monkeypatch.context() as m:
+        m.setattr(certs, "_check_flag", _ref_check_flag)
+        m.setattr(certs, "_tbc_verify", _ref_tbc_verify)
+        m.setattr(definability, "_tbc_verify", _ref_tbc_verify)
+        want = reports()
+    assert got == want
+
+    # the finder's check raises on the same flags, with the same message
+    finder = set()
+    for alg, _, cert in cases:
+        payload = cert["payload"]
+        if cert["kind"] == KIND_FLAG and len(payload["flag"]) == alg.dim:
+            outcome = _finder_outcome(definability._check_flag, alg, payload)
+            assert outcome == _finder_outcome(_ref_finder_check_flag, alg,
+                                              payload)
+            finder.add(outcome)
+
+    # every flag clause is reached, on each certificate kind, and passed
+    reached = {(cert["kind"], clause, re.sub(r"\d+", "#", detail))
+               for (alg, _, cert), (ok, clause, detail) in zip(cases, want)
+               if not ok}
+    assert {(KIND_FLAG, "flag", "flag vectors are not independent"),
+            (KIND_FLAG, "flag", "step # is not invariant"),
+            (KIND_FLAG, "characters", "step # acts with the wrong scalar "
+                                      "under basis element #"),
+            (KIND_TBC, "flag", "flag vectors are dependent"),
+            (KIND_TBC, "flag", "flag vector outside the t part"),
+            (KIND_TBC, "flag", "step # is not an ideal of t"),
+            (KIND_VERDICT, "certificate", "flag: flag vectors are dependent"),
+            (KIND_VERDICT, "certificate",
+             "flag: flag vector outside the t part"),
+            (KIND_VERDICT, "certificate",
+             "flag: step # is not an ideal of t")} <= reached
+    assert (True, None, None) in want
+    assert finder == {None, "flag does not span the algebra",
+                      "flag step is not an ideal",
+                      "step character disagrees with the flag"}
+
+
+def test_each_flag_clause_is_one_elimination(monkeypatch, e2):
+    """The checker's Flag clause runs two eliminations whatever the
+    dimension n (independence, then the coordinates of every bracket; one
+    per prefix took n + 1), and _tbc_verify asks for coordinates in t only
+    when t is a proper subspace: a t that spans r is an ideal."""
+    eliminations = []
+    real = linalg._gauss_jordan
+
+    def counted(*args):
+        eliminations.append(1)
+        return real(*args)
+
+    asked = []
+
+    def recorded(basis, vectors):
+        asked.append([tuple(v) for v in basis])
+        return coords_in_span(basis, vectors)
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", counted)
+    monkeypatch.setattr(definability, "coords_in_span", recorded)
+    dims = []
+    for entry in corpus():
+        g = entry.algebra
+        if not g.is_solvable():
+            continue
+        ss = supersolvable_test(g)
+        if ss.status != SS_YES:
+            continue
+        payload = emit_flag(g, ss.flag, ss.step_characters)["payload"]
+        eliminations.clear()
+        assert certs._check_flag(payload, g).ok
+        assert len(eliminations) <= 2
+        asked.clear()
+        cert = TbcCertificate(ss.flag, (), ss.flag, ())
+        assert definability._tbc_verify(g, cert).ok
+        assert asked == [list(ss.flag)]
+        dims.append(g.dim)
+    assert max(dims) >= 3
+    cert = tbc_find(e2).certificate
+    assert len(span_basis(cert.t_basis)) < e2.dim
+    asked.clear()
+    assert definability._tbc_verify(e2, cert).ok
+    assert asked == [span_basis(cert.t_basis), list(cert.flag)]

@@ -300,6 +300,38 @@ def test_sparse_homomorphism_check_matches_the_dense_relation():
     assert seen == {True, False}
 
 
+def _faithfulness_cases():
+    """Representations of abelian algebras of dimension 0 to 4 on spaces of
+    dimension 1 to 3, with seeded small images; about half of them have an
+    image that is zero, a copy of another or a combination of two."""
+    rng = random.Random(20261023)
+    out = [Representation(LieAlgebra(0, []), 1, ())]
+    for _ in range(120):
+        n, d = rng.randint(0, 4), rng.randint(1, 3)
+        images = [Mat([[Fraction(rng.randint(-1, 1), rng.randint(1, 2))
+                        for _ in range(d)] for _ in range(d)])
+                  for _ in range(n)]
+        if n >= 2 and rng.random() < 0.5:
+            a, b = rng.sample(range(n), 2)
+            images[a] = rng.choice((Mat.zeros(d, d), images[b],
+                                    images[b] * rng.randint(-2, 2)
+                                    + images[(b + 1) % n]))
+        out.append(Representation(
+            LieAlgebra(n, [[(Fraction(0),) * n] * n for _ in range(n)]),
+            d, tuple(images)))
+    return out
+
+
+def test_faithfulness_is_an_empty_kernel():
+    seen = set()
+    for rep in _faithfulness_cases():
+        want = rep_kernel(rep) == []
+        assert (FAITHFUL in verify_rep(rep)) == want
+        seen.add((want, rep.target_dim == 1, rep.source.dim == 0))
+    assert {(True, False, False), (False, False, False), (True, True, False),
+            (False, True, False), (True, True, True)} <= seen
+
+
 def _record_nilradical_calls(monkeypatch):
     """Route structure.nilradical through a recorder of each call's
     innermost callers, by function name."""
@@ -322,11 +354,10 @@ def test_the_finder_reuses_the_nilradical_it_has_proved(monkeypatch):
     for g in algebras:
         assert supersolvable_triangular_rep(g).verified == ALL_FLAGS
     assert calls == []
-    # on the extension route only extend_rep's public verify_rep is left
+    # the extension route skips extend_rep's public verify_rep too
     for g in (_h3_by_d(1), _h3_plus_aff()):
-        calls.clear()
         assert supersolvable_triangular_rep(g).verified == ALL_FLAGS
-        assert calls == [["_verify", "verify_rep", "extend_rep"]]
+    assert calls == []
 
 
 def test_the_checker_computes_the_nilradical_itself(monkeypatch):

@@ -21,6 +21,16 @@ def test_rat_parsing():
         rat("not a number")
 
 
+def test_rat_of_a_short_string_is_what_fraction_parses():
+    # the digit strings an int reads, and the rest that Fraction's parser
+    # reads
+    texts = [str(k) for k in range(-10, 11)] + ["-0", "+1", " 1", "01",
+                                                "1/1"]
+    for text in texts:
+        got = rat(text)
+        assert type(got) is Fraction and got == Fraction(text), text
+
+
 def test_rat_str_round_trip():
     for x in (Fraction(0), Fraction(-3, 7), Fraction(22)):
         assert rat(rat_str(x)) == x
