@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .errors import InputError, InternalCheckError
 from .poly import Poly, poly_gcd, squarefree_part
-from .scalars import GaussRat, _field
+from .scalars import GaussRat, _field, gauss
 
 
 # Sums skip an entry only where adding zero cannot change it: a + 0 is a in
@@ -607,10 +607,19 @@ def char_poly(a: Mat) -> Poly:
 
 
 def poly_at(p: Poly, a: Mat) -> Mat:
-    out = Mat.zeros(a.nrows, a.nrows)
-    ident = Mat.identity(a.nrows)
+    """p(a) by Horner's rule, each coefficient added on the diagonal of
+    out @ a.  A Gaussian coefficient makes every entry Gaussian, as adding
+    it times the identity would."""
+    n = a.nrows
+    out = Mat.zeros(n, n)
     for c in reversed(p.coeffs):
-        out = out @ a + c * ident
+        rows = _row_sparse_product(out.rows, a.rows, n)
+        if isinstance(c, GaussRat):
+            rows = [[gauss(x) for x in r] for r in rows]
+        if c:
+            for i, r in enumerate(rows):
+                r[i] = r[i] + c
+        out = Mat(rows)
     return out
 
 

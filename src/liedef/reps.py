@@ -23,10 +23,10 @@ from .errors import (Indeterminate, InputError, InternalCheckError,
                      NotNilpotentError, NotSupersolvableError,
                      PreconditionError, UnsupportedError)
 from .lie import LieAlgebra
-from .linalg import (Mat, _gauss_jordan, block_diag, coords_in_span,
-                     intersect_spans, inverse, is_nilpotent_mat, kernel, kron,
-                     mat_lincomb, restrict_to_span, solve, solve_sparse,
-                     span_basis)
+from .linalg import (Mat, _gauss_jordan, _solutions, block_diag,
+                     coords_in_span, intersect_spans, inverse,
+                     is_nilpotent_mat, kernel, kron, mat_lincomb,
+                     restrict_to_span, span_basis)
 from .scalars import GaussRat
 from .structure import nilradical
 from .weights import _weight_flag
@@ -416,12 +416,10 @@ def extend_rep(g: LieAlgebra, h_rows, rho: Representation) -> Representation:
     Unknown images for a complement are pinned by the linear layer
     [sigma(x), rho(y)] = rho([x, y]): its commutator system, written as
     sparse rows, is eliminated once for the particular solution of every
-    complement vector and the commutant freedom they share.  Then the
-    commutant parameters are searched by coordinate descent for bracket
-    closure among the complement images.  One trivial
-    target block may be appended before giving up.  The result extends rho
-    literally on the ideal and is faithful there; anything the solver cannot
-    verify becomes UnsupportedError.
+    complement vector, with every free variable zero; the commutant is not
+    searched.  Those images must also close among themselves; when they do
+    not, or the layer has no solution, the result is UnsupportedError.  The
+    result extends rho literally on the ideal and is faithful there.
     """
     h_span = span_basis(h_rows)
     if not g.is_ideal(h_span):
@@ -474,29 +472,26 @@ def _extend(g, h_span, rho):
             rows.append(u)
             comp.append(u)
 
-    # the basis change to incl + comp serves both attempts and the result
     tinv = inverse(Mat.from_cols(incl + comp))
     images = _solve_extension(g, incl, comp, list(rho.images), tinv)
     if images is None:
-        enlarged = [block_diag([m, Mat.zeros(1, 1)]) for m in rho.images]
-        images = _solve_extension(g, incl, comp, enlarged, tinv)
-        if images is None:
-            raise UnsupportedError(
-                "no closed extension found in the commutant search")
+        raise UnsupportedError(
+            "the particular solutions of the extension do not close")
     return Representation(g, images[0].nrows, tuple(images))
 
 
 def _solve_extension(g, incl, comp, rho_images, tinv):
-    """Particular solutions plus commutant coordinate descent; None if stuck.
+    """The particular solutions of the linear layer, if they close; else
+    None.
 
     The linear layer [sigma(c), rho(y)] = rho([c, y]) over y in incl is one
     sparse system for every complement vector c: the same commutator rows,
-    one right-hand side per c.  A single elimination (solve_sparse) gives
-    each particular solution and the commutant, the null space, together;
-    if any c has no solution the attempt is None.  tinv is the inverse of
-    the matrix with columns incl + comp.  Returns the images of g's
-    standard basis, rho_images on incl and the sigma(c) on comp carried
-    through tinv, once _is_homomorphism accepts them, else None.
+    one right-hand side per c.  A single elimination gives the particular
+    solution of each, every free variable zero, or shows that some c has
+    none.  tinv is the inverse of the matrix with columns incl + comp.
+    Returns the images of g's standard basis, rho_images on incl and the
+    sigma(c) on comp carried through tinv, once _is_homomorphism accepts
+    them, else None.
     """
     d = rho_images[0].nrows
     k = len(incl)
@@ -509,59 +504,15 @@ def _solve_extension(g, incl, comp, rho_images, tinv):
         for co in coords[i * k:(i + 1) * k]:
             flat.extend(mat_lincomb(co, rho_images, d).flatten())
         rhs.append(flat)
-    sols, kern = solve_sparse(_commutator_system(rho_images, d), d * d, rhs)
-    if None in sols:
+    pivots, bad = _gauss_jordan(_commutator_system(rho_images, d), d * d, rhs)
+    if bad:
         return None
-    particular = [_unflatten(v, d) for v in sols]
-    null = [_unflatten(v, d) for v in kern]
-
-    m = len(comp)
-    params = [[Fraction(0)] * len(null) for _ in range(m)]
-
-    def sigma(i):
-        return mat_lincomb([1] + params[i], [particular[i]] + null, d)
-
-    def closed_images():
-        # a linear map keeps the brackets on the basis incl + comp exactly
-        # when it keeps them on the standard one
-        found = rho_images + [sigma(i) for i in range(m)]
-        images = [mat_lincomb(tinv @ x, found, d) for x in g.basis()]
-        return images if _is_homomorphism(g, images, d) else None
-
-    for _ in range(4):
-        images = closed_images()
-        if images is not None:
-            return images
-        if not null:
-            break
-        for i in range(m):
-            rows = []
-            rhs = []
-            cur = [sigma(k) for k in range(m)]
-            for j in range(m):
-                if j == i:
-                    continue
-                coords = list(tinv @ g.bracket(comp[i], comp[j]))
-                # the sigma_i term of [comp_i, comp_j] is unknown; the rest
-                # is constant
-                gamma_i = coords[len(incl) + i]
-                coords[len(incl) + i] = 0
-                const = mat_lincomb(coords, rho_images + cur, d)
-                # unknowns: sigma_i = particular_i + sum p_s null_s
-                base = (particular[i] @ cur[j] - cur[j] @ particular[i]
-                        - gamma_i * particular[i] - const)
-                cols = [(ns @ cur[j] - cur[j] @ ns - gamma_i * ns).flatten()
-                        for ns in null]
-                flat = base.flatten()
-                for rr in range(d * d):
-                    rows.append([col[rr] for col in cols])
-                    rhs.append(-flat[rr])
-            if not rows:
-                continue
-            sol = solve(Mat(rows), tuple(rhs))
-            if sol is not None:
-                params[i] = list(sol)
-    return closed_images()
+    found = rho_images + [_unflatten(v, d)
+                          for v in _solutions(pivots, bad, d * d, len(rhs))]
+    # a linear map keeps the brackets on the basis incl + comp exactly when
+    # it keeps them on the standard one
+    images = [mat_lincomb(tinv @ x, found, d) for x in g.basis()]
+    return images if _is_homomorphism(g, images, d) else None
 
 
 def _unflatten(v, d):

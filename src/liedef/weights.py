@@ -38,21 +38,30 @@ weight is nonreal), and a real flag of ideals is the adjoint weight_flag of
 an algebra whose weights are real.  _weight_flag runs the peel on a chain
 its caller has already built, so one chain serves every module of an
 algebra.  Every eigenvalue is picked by one rule: the least real root when
-there is one, else the least root in Q(i); a 1x1 level is read as its own
-eigenvalue, with no characteristic polynomial.
+there is one, else the least root in Q(i).
 
-The roots are found once per chain direction z_k and weight_flag call: the
-spectrum of z_k on the whole module (its roots in Q(i), with multiplicity)
-is factored the first time a peel needs it and carried to the next peel,
-less one copy of the eigenvalue of z_k on the vector just peeled.  That is
-exact, since the peeled vector is a common eigenvector: the quotient's
-characteristic polynomial is the old one divided by (x - lambda_k).  A level
-tries the carried roots in the rule's order (real ones ascending, then the
-rest by (re, im)) and takes the first whose eigenspace in the level is not
-zero.  Every root of a restriction to an invariant subspace is a root of the
-whole action, so that is the root the rule picks from the restriction's own
-characteristic polynomial, and the eigenspace is the one the peel needs
-anyway.
+Most levels are read off their entries, with no characteristic polynomial.
+A direction z_k that acts as zero on the module left to peel has eigenvalue
+0 on the whole space found so far, which it keeps; its quotients act as
+zero too, so it never needs a spectrum again.  A level that restricts to
+zero is read the same way.  A 1x1 level is its own eigenvalue.  A level
+that is upper or lower triangular in its own coordinates has its diagonal
+entries as eigenvalues, so the rule's pick is the least of them in the
+rule's order, and one elimination gives its eigenspace.
+
+Only the other levels factor.  Their roots are found once per chain
+direction z_k and weight_flag call: the spectrum of z_k on the module left
+to peel (its roots in Q(i), with multiplicity) is factored the first time
+such a level needs it and carried to the next peel, less one copy of the
+eigenvalue of z_k on the vector just peeled.  That is exact, since the
+peeled vector is a common eigenvector: the quotient's characteristic
+polynomial is the old one divided by (x - lambda_k).  Such a level tries the
+carried roots in the rule's order (real ones ascending, then the rest by
+(re, im)) and takes the first whose eigenspace in the level is not zero.
+Every root of a restriction to an invariant subspace is a root of the whole
+action, so that is the root the rule picks from the restriction's own
+characteristic polynomial (and the least diagonal entry of a triangular
+level), and the eigenspace is the one the peel needs anyway.
 
 Everything runs over the fixed tower Q < Q(i), real first: the peel runs
 over Q and lifts to Q(i) in place at the first nonreal eigenvalue it picks,
@@ -103,16 +112,27 @@ class WeightTable:
         return all(all(not v for v in e.values) for e in self.entries)
 
 
+def _rule_key(lam):
+    """The order the peel's rule tries eigenvalues in: real ones
+    ascending, then the rest by (re, im)."""
+    return not lam.is_real(), lam.re, lam.im
+
+
 def _spectrum(b):
     """The eigenvalues of the action b in Q(i) as [lam, multiplicity]
-    pairs, in the order the peel tries them: real ones ascending, then the
-    rest by (re, im)."""
+    pairs, in the rule's order (_rule_key)."""
     zero = Fraction(0)
     dense = Mat([[row.get(j, zero) for j in b] for row in b.values()])
     roots = [[lam, mult] for lam, mult in gaussian_roots(char_poly(dense))[0]]
-    # gaussian_roots sorts by (re, im), and the sort is stable
-    roots.sort(key=lambda root: not root[0].is_real())
+    roots.sort(key=lambda root: _rule_key(root[0]))
     return roots
+
+
+def _is_triangular(level):
+    """Whether a level, one {column: entry} dict per row, is upper or lower
+    triangular in its own coordinates."""
+    return (all(j >= i for i, row in enumerate(level) for j in row)
+            or all(j <= i for i, row in enumerate(level) for j in row))
 
 
 def _drop_root(spectrum, lam):
@@ -262,13 +282,17 @@ def common_eigenspace(chain, acts, spectra):
     to the space found so far, which checks its invariance, and a level on
     one vector reads its eigenvalue off that vector (_line_eigenvalue).
 
-    spectra[k] is the spectrum of z_k on the whole module (_spectrum), or
-    None until a level needs it: a 1x1 level is its own eigenvalue, and a
-    larger one is filled in here from the action of z_k and tries its
-    roots in order (_level_eigenspace).  Returns (char_row, eigenspace,
-    lams), the eigenspace as {coordinate: entry} dicts of the nonzero
-    entries and lams[k] the eigenvalue of z_k, or an Indeterminate when some
-    level has no eigenvalue in Q(i).
+    A direction that acts as zero on the module, or whose level is zero,
+    has eigenvalue 0 and keeps the space found so far, with no elimination;
+    when every direction does, that space is the whole module.  A
+    triangular level tries only its least diagonal entry in the rule's
+    order (_rule_key).  spectra[k] is the spectrum of z_k on the module
+    (_spectrum), or None until a level that is none of these needs it: it
+    is filled in here from the action of z_k, and the level tries its roots
+    in order (_level_eigenspace).  Returns (char_row, eigenspace, lams), the
+    eigenspace as {coordinate: entry} dicts of the nonzero entries and
+    lams[k] the eigenvalue of z_k, or an Indeterminate when some level has
+    no eigenvalue in Q(i).
     """
     dirs, inv_z = chain[0], chain[1]
     coords = list(acts[0])
@@ -279,6 +303,10 @@ def common_eigenspace(chain, acts, spectra):
     lams = [None] * len(dirs)
     for k in reversed(range(len(dirs))):
         b = acts[k]
+        if not any(b.values()):
+            # z_k acts as zero: every vector is an eigenvector for 0
+            lams[k] = gauss(0)
+            continue
         if w is not None and len(w) == 1:
             lams[k] = gauss(_line_eigenvalue(b, w[0]))
             continue
@@ -287,9 +315,18 @@ def common_eigenspace(chain, acts, spectra):
             level = [{pos[j]: x for j, x in b[i].items()} for i in coords]
         else:
             level = _restrict(b, w, coords)
-        if spectra[k] is None:
-            spectra[k] = _spectrum(b)
-        found = _level_eigenspace(level, [lam for lam, _ in spectra[k]])
+            if not any(level):
+                lams[k] = gauss(0)
+                continue
+        if _is_triangular(level):
+            candidates = [min((gauss(row.get(i, 0))
+                               for i, row in enumerate(level)),
+                              key=_rule_key)]
+        else:
+            if spectra[k] is None:
+                spectra[k] = _spectrum(b)
+            candidates = [lam for lam, _ in spectra[k]]
+        found = _level_eigenspace(level, candidates)
         if found is None:
             return Indeterminate(
                 "an eigenvalue of the action lies outside Q(i), or outside Q "
@@ -299,6 +336,8 @@ def common_eigenspace(chain, acts, spectra):
             w = [{coords[t]: x for t, x in enumerate(v) if x} for v in eig]
         else:
             w = [_combine(c, w) for c in eig]
+    if w is None:
+        w = [{c: Fraction(1)} for c in coords]
     vals = lams
     if all(lam.is_real() for lam in lams):
         # the same values as over Q(i), without Gaussian products
@@ -357,14 +396,15 @@ def weight_flag(alg: LieAlgebra, mats):
 
     Peels common eigenvectors from the module until it is exhausted; one
     chain of ideals serves every peel, and so does one spectrum per chain
-    direction, found when a peel first needs it and, after each peel, less
-    the eigenvalue of that direction on the peeled vector (see the module
-    docstring for why that is exact).  The module stays over Q until a peel
-    picks a nonreal eigenvalue; from that peel on the flag vectors are over
-    Q(i), so the flag holds GaussRat entries exactly when some weight is
-    nonreal.  mats are Mat, one per basis element.  Returns (flag_vectors,
-    characters) with flag vectors in module coordinates (prefix spans give
-    an invariant flag) and one character per vector, or an Indeterminate.
+    direction, found when a peel first factors a level of it and, after
+    each peel, less the eigenvalue of that direction on the peeled vector
+    (see the module docstring for why that is exact).  The module stays
+    over Q until a peel picks a nonreal eigenvalue; from that peel on the
+    flag vectors are over Q(i), so the flag holds GaussRat entries exactly
+    when some weight is nonreal.  mats are Mat, one per basis element.
+    Returns (flag_vectors, characters) with flag vectors in module
+    coordinates (prefix spans give an invariant flag) and one character
+    per vector, or an Indeterminate.
     """
     if not mats:
         return [], []

@@ -14,7 +14,7 @@ from liedef.linalg import (Mat, _dot, _field, block_diag, char_poly,
                            lincomb, mat_lincomb, mat_pow, minimal_poly,
                            poly_at, rank, restrict_to_span, solve,
                            solve_sparse, span_basis, trace_product)
-from liedef.poly import clear_denominators
+from liedef.poly import Poly, clear_denominators
 from liedef.scalars import GaussRat
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -115,6 +115,22 @@ def test_kernel_annihilates(a):
 @given(mats(3))
 def test_cayley_hamilton(a):
     assert poly_at(char_poly(a), a).is_zero()
+
+
+def test_poly_at_matches_horner_with_a_scaled_identity():
+    # the oracle adds c times the Fraction identity at every Horner step,
+    # so values and entry types must match it
+    rng = random.Random(20261020)
+    for n in range(1, 6):
+        for kind in ("int", "frac", "gauss", "mixed"):
+            for _ in range(8):
+                a = _sparse_mat(rng, n, n, kind)
+                p = Poly([_entry(rng, rng.choice((kind, "mixed")))
+                          for _ in range(rng.randint(0, 4))])
+                want = Mat.zeros(n, n)
+                for c in reversed(p.coeffs):
+                    want = want @ a + c * Mat.identity(n)
+                assert _typed(poly_at(p, a)) == _typed(want)
 
 
 @settings(max_examples=40)

@@ -671,10 +671,90 @@ def test_peel_matches_the_reference_on_random_actions(case):
     _assert_peel_matches_the_reference(*case)
 
 
+@st.composite
+def read_off_actions(draw):
+    """(g, action) with levels the peel reads off their entries: g is
+    generated by random upper triangular rational matrices, in the basis
+    from_matrices gives it, plus up to two central directions.  g acts by
+    those matrices (triangular levels) and by zero on the other blocks: a
+    zero block, and maybe a block on which only the central directions act
+    (else they act as zero), a + bJ on each 2x2 diagonal block (J the
+    rotation by a right angle) and s times the identity on the 2x2 block
+    above them when there are two, so that a peel lifted to Q(i) meets
+    triangular Gaussian levels.  The blocks come in a random order, and the
+    module coordinates may be reversed, so that upper triangular levels
+    become lower triangular ones."""
+    n = draw(st.integers(1, 3))
+    entry = st.sampled_from((0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)))
+    gens = [Mat([[draw(entry) if j >= i else 0 for j in range(n)]
+                 for i in range(n)]) for _ in range(draw(st.integers(1, 3)))]
+    assume(any(not m.is_zero() for m in gens))
+    g0, basis_mats, _ = from_matrices(gens)
+    k = g0.dim
+    c = draw(st.integers(0, 2))
+    pad = (0,) * c
+    g = LieAlgebra(k + c, [[tuple(g0.bracket(g0.basis_vector(i),
+                                              g0.basis_vector(j))) + pad
+                            if i < k and j < k else (0,) * (k + c)
+                            for j in range(k + c)] for i in range(k + c)])
+    blocks = [list(basis_mats) + [Mat.zeros(n, n)] * c]
+    zeros = draw(st.integers(0, 2))
+    if zeros:
+        blocks.append([Mat.zeros(zeros, zeros)] * (k + c))
+    if c and draw(st.booleans()):
+        size = draw(st.sampled_from((2, 4)))
+        rot = [[0, -1], [1, 0]]
+        block = [Mat.zeros(size, size)] * k
+        for _ in range(c):
+            a, b, s = draw(small), draw(small), draw(small)
+            block.append(Mat([[a * int(i == j)
+                               + (b * rot[i % 2][j % 2] if i // 2 == j // 2
+                                  else 0)
+                               + (s if j == i + 2 else 0)
+                               for j in range(size)] for i in range(size)]))
+        blocks.append(block)
+    blocks = draw(st.permutations(blocks))
+    mats = [block_diag([b[x] for b in blocks]) for x in range(k + c)]
+    if draw(st.booleans()):
+        mats = [Mat([r[::-1] for r in m.rows[::-1]]) for m in mats]
+    return g, mats
+
+
+@seed(20261020)
+@settings(max_examples=80, deadline=None, database=None)
+@given(read_off_actions())
+def test_peel_matches_the_reference_on_read_off_actions(case):
+    g, mats = case
+    _assert_peel_matches_the_reference(g, mats)
+    # the first common eigenspace in full; a peel keeps one vector of it
+    chain = weights._ideal_chain(g)
+    char, w, _ = weights.common_eigenspace(
+        chain, weights._direction_actions(chain[0], mats),
+        [None] * len(chain[0]))
+    want_char, want_w = _ref_common_eigenspace(_ref_ideal_chain(g), mats,
+                                               Fraction)
+    assert _typed(list(char)) == _typed(list(want_char))
+    n = mats[0].nrows
+    assert [tuple(v.get(j, 0) for j in range(n)) for v in w] == want_w
+
+
+def _sheared(mats):
+    """The module in the basis of the columns of a fixed unimodular matrix
+    (unit lower times unit upper, every entry off the diagonal 1), so that
+    its levels are not triangular."""
+    n = mats[0].nrows
+    p = (Mat([[int(i >= j) for j in range(n)] for i in range(n)])
+         @ Mat([[int(i <= j) for j in range(n)] for i in range(n)]))
+    p_inv = inverse(p)
+    return [p_inv @ m @ p for m in mats]
+
+
 def test_each_direction_is_factored_at_most_once(monkeypatch):
-    # h3 + aff(1) has 5 chain directions; peeling level by level factors
-    # 19 characteristic polynomials on its adjoint and 68 on its extended
-    # module
+    # h3 + aff(1) has 5 chain directions.  Peeling its adjoint meets 9
+    # levels of two or more vectors that are not zero, and peeling its
+    # extended module 45; in the standard basis each is triangular, so
+    # neither module factors a characteristic polynomial.  Sheared, a peel
+    # that factored each such level would factor 9 and 45
     g = _h3_plus_aff()
     modules = (_adjoint(g), _extended_module(g))
     calls = Counter()
@@ -686,6 +766,9 @@ def test_each_direction_is_factored_at_most_once(monkeypatch):
     for mats in modules:
         calls.clear()
         weight_flag(g, mats)
+        assert calls["char_poly"] == calls["gaussian_roots"] == 0
+        calls.clear()
+        weight_flag(g, _sheared(mats))
         assert 0 < calls["char_poly"] <= 5
         assert 0 < calls["gaussian_roots"] <= 5
 
@@ -727,6 +810,84 @@ def test_carried_spectra_are_those_of_the_current_module(monkeypatch):
     e2 = LieAlgebra.from_entries(3, {(0, 2): (0, -1, 0), (1, 2): (1, 0, 0)})
     weight_flag(e2, _adjoint(e2))
     for g in (_h3_plus_aff(), _h3_semidirect(2)):
-        weight_flag(g, _adjoint(g))
-        weight_flag(g, _extended_module(g))
+        for mats in (_adjoint(g), _extended_module(g)):
+            weight_flag(g, mats)
+            weight_flag(g, _sheared(mats))
     assert len(checked) > 20 and max(checked) > 5
+
+
+def test_zero_and_triangular_levels_are_read_off_their_entries(monkeypatch):
+    # a direction that acts as zero, or whose level is zero, costs no
+    # characteristic polynomial, restriction or elimination of its own; a
+    # triangular level, over Q or Q(i), costs one elimination
+    calls = Counter()
+    for name in ("char_poly", "_restrict", "_gauss_jordan"):
+        def counted(*args, _inner=getattr(weights, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(weights, name, counted)
+
+    def first_peel(g, mats):
+        chain = weights._ideal_chain(g)
+        acts = weights._direction_actions(chain[0], mats)
+        calls.clear()
+        _, w, lams = weights.common_eigenspace(chain, acts,
+                                               [None] * len(chain[0]))
+        return w, lams, dict(calls)
+
+    line = LieAlgebra.from_entries(1, {})
+    plane = LieAlgebra.from_entries(2, {})
+    zero = Mat.zeros(3, 3)
+    upper = Mat([[2, 1, 0], [0, -1, 3], [0, 0, 2]])
+    lower = Mat([list(c) for c in upper.cols()])
+    gaussian = Mat([[GaussRat(1, 1), 1], [0, GaussRat(1, -1)]])
+    one = Fraction(1)
+    assert first_peel(line, [zero]) == (
+        [{0: one}, {1: one}, {2: one}], [gauss(0)], {})
+    assert first_peel(line, [upper])[1:] == ([gauss(-1)],
+                                             {"_gauss_jordan": 1})
+    assert first_peel(line, [lower])[1:] == ([gauss(-1)],
+                                             {"_gauss_jordan": 1})
+    assert first_peel(line, [gaussian])[1:] == ([GaussRat(1, -1)],
+                                                {"_gauss_jordan": 1})
+    # the chain of the plane walks e_1 = z_0 after e_0 = z_1
+    assert first_peel(plane, [upper, zero])[1:] == ([gauss(0), gauss(-1)],
+                                                    {"_gauss_jordan": 1})
+    assert first_peel(plane, [zero, upper])[1:] == ([gauss(-1), gauss(0)],
+                                                    {"_gauss_jordan": 1})
+    # the second direction is zero on the eigenspace for 0 of the first:
+    # one elimination for that eigenspace and one for the restriction
+    d = Mat.diag([0, 0, 1])
+    assert first_peel(plane, [d, d]) == (
+        [{0: one}, {1: one}], [gauss(0), gauss(0)],
+        {"_gauss_jordan": 2, "_restrict": 1})
+
+
+def test_the_oracle_factors_few_spectra_on_the_corpus(monkeypatch):
+    # over the 68 pinned corpus presentations (matrices for the linear
+    # kind only), factoring every level of two or more vectors that is not
+    # a line took 139 spectra; zero and triangular levels need none
+    kinds = {"definable-simply-connected": ("simply-connected", False),
+             "definable-abstract": ("abstract", False),
+             "definable-linear": ("linear", False),
+             "definable-finite-center-levi": ("abstract", True)}
+    spectra = []
+    inner = weights._spectrum
+
+    def counted(b):
+        spectra.append(len(b))
+        return inner(b)
+
+    monkeypatch.setattr(weights, "_spectrum", counted)
+    presentations = 0
+    for entry in corpus():
+        for key, (kind, fcl) in kinds.items():
+            if key in entry.known:
+                mats = entry.matrices if kind == "linear" else ()
+                definability.definability_oracle(
+                    definability.GroupPresentation(
+                        entry.algebra, kind, finite_center_levi=fcl,
+                        matrices=mats))
+                presentations += 1
+    assert presentations == 68
+    assert 0 < len(spectra) <= 14
