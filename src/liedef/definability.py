@@ -13,7 +13,7 @@ from fractions import Fraction
 from .errors import (Indeterminate, InputError, InternalCheckError,
                      NotSolvableError)
 from .lie import LieAlgebra
-from .linalg import (Mat, char_poly, coords_in_span,
+from .linalg import (Mat, char_poly, coords_in_span, independent,
                      is_semisimple_mat, is_zero_vec, jordan_chevalley, kernel,
                      lincomb, solve, span_basis, vsub)
 from .poly import (purely_imaginary_spectrum, squarefree_part,
@@ -375,10 +375,12 @@ def _tbc_find(r):
     re_rows = [tuple(v.re for v in e.values) for e in table.entries]
     treal = span_basis(kernel(Mat(im_rows)))
     k_zero = span_basis(kernel(Mat(re_rows)))
-    total = span_basis(list(treal) + list(k_zero))
-    if len(total) < r.dim:
+    # the greedy completion of treal by k_zero spans treal + k_zero
+    k_cand = [k_zero[i] for i in independent(treal, k_zero)]
+    gap = r.dim - len(treal) - len(k_cand)
+    if gap:
         obstruction = TbcObstruction(ss.witness.weight_values, tuple(treal),
-                                     tuple(k_zero), r.dim - len(total))
+                                     tuple(k_zero), gap)
         return TbcResult(NOT_TBC, None, obstruction, None)
 
     # t = the full real-weight ideal; its restricted weights are real and
@@ -390,14 +392,6 @@ def _tbc_find(r):
         raise InternalCheckError(
             "real-weight ideal failed its own supersolvability test")
     flag = tuple(lincomb(v, incl, r.dim) for v in ss_t.flag)
-
-    k_cand = []
-    for u in k_zero:
-        if len(span_basis(list(treal) + k_cand + [tuple(u)])) \
-                > len(treal) + len(k_cand):
-            k_cand.append(tuple(u))
-    if len(treal) + len(k_cand) != r.dim:
-        raise InternalCheckError("complement completion lost dimensions")
 
     last = None
     for k_try in _k_candidates(r, treal, k_cand):

@@ -26,8 +26,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InputError, InternalCheckError
-from .linalg import (Mat, _span_rows, coords_in_span, in_span, inverse,
-                     is_zero_vec, kernel, rank, span_basis, trace_product)
+from .linalg import (Mat, _span_rows, coords_in_span, inverse, is_zero_vec,
+                     kernel, rank, span_basis, trace_product)
 from .scalars import _field
 
 # shared entries of unit vectors and of zero accumulators (Fractions are
@@ -294,8 +294,8 @@ class LieAlgebra:
 
     def is_subalgebra(self, basis) -> bool:
         rows = span_basis(basis)
-        return all(in_span(rows, self.bracket(a, b))
-                   for a in rows for b in rows)
+        return None not in coords_in_span(
+            rows, [self.bracket(a, b) for a in rows for b in rows])
 
     def subalgebra(self, basis):
         """Materialize a closed subspace as its own algebra.

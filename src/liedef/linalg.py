@@ -12,10 +12,12 @@ Jordan decomposition.
 Matrices are dense, but every linear system goes through one sparse
 Gauss-Jordan elimination, _gauss_jordan, which takes each row as a
 {column: coefficient} dict of its nonzero entries and answers all of the
-right-hand sides and the null space at once.  solve_sparse hands it such
-rows directly; rank, kernel, solve, inverse, span_basis and coords_in_span
-hand it the nonzero entries of dense rows, and raise ValueError on a length
-that does not fit.  Answers are exact, and all-Fraction input gives
+right-hand sides and the null space at once.  rank, kernel, solve, inverse,
+span_basis and coords_in_span hand it the nonzero entries of dense rows,
+and raise ValueError on a length that does not fit.  Its per-row step,
+_reduce_row, also decides alone whether a vector is new: independent runs
+it to complete a basis greedily, and the associative hull in structure to
+grow a span.  Answers are exact, and all-Fraction input gives
 all-Fraction answers.  Otherwise a zero coefficient of a reduced row, and so
 of a null vector or a span_basis row, is Fraction(0), and so is a free
 variable of a solution; every other entry, and every entry that comes from
@@ -238,23 +240,22 @@ def _sparse_rows(rows):
 
 def _gauss_jordan(rows, ncols, rhs):
     """The reduced echelon form of a system in ncols unknowns, and its
-    inconsistent right-hand sides; rows and rhs are as solve_sparse takes
-    them, but the row dicts are reduced in place.
+    inconsistent right-hand sides.
 
+    rows lists the equations as {column: coefficient} dicts that hold only
+    nonzero coefficients (an empty dict is a zero row), which are reduced
+    in place; rhs lists the right-hand sides, each with one entry per row.
     Returns (pivots, bad): pivots maps each pivot column c to [row, b],
     where row holds 1 at c and otherwise only free columns, and b lists its
     entry for each right-hand side; bad holds the indices of the
     inconsistent right-hand sides.
 
-    Each row is reduced by the pivot rows kept so far, which are zero in
-    every pivot column but their own, and then pivots on its least column,
-    which is cleared from the earlier pivot rows.  So every pivot row leads
-    with its pivot and the rows kept are the reduced echelon form, which is
-    unique whichever row supplies each pivot.  A row that reduces to zero
-    leaves a combination of right-hand sides that must vanish; each one it
-    leaves nonzero is inconsistent, so with no right-hand side the
-    elimination stops once every column has a pivot.  An int pivot is
-    divided through _field, so int entries never become floats.
+    Each row goes through _reduce_row in turn, so the rows kept are the
+    reduced echelon form, which is unique whichever row supplies each
+    pivot.  A row that reduces to zero leaves a combination of right-hand
+    sides that must vanish; each one it leaves nonzero is inconsistent, so
+    with no right-hand side the elimination stops once every column has a
+    pivot.
     """
     n_rows = len(rows)
     if any(len(b) != n_rows for b in rhs):
@@ -265,30 +266,42 @@ def _gauss_jordan(rows, ncols, rhs):
         if not rhs and len(pivots) == ncols:
             break
         b = list(b)
-        for c in [c for c in row if c in pivots]:
-            f = row.pop(c)
-            prow, pb = pivots[c]
-            _sparse_axpy(row, f, prow, c)
-            for k, y in enumerate(pb):
-                if y:
-                    b[k] = b[k] - f * y
-        if not row:
+        if not _reduce_row(pivots, row, b):
             bad.update(k for k, x in enumerate(b) if x)
-            continue
-        p = min(row)
-        inv = _field(row[p])
-        if inv != 1:
-            row = {j: v / inv for j, v in row.items()}
-            b = [x / inv if x else x for x in b]
-        for qrow, qb in pivots.values():
-            f = qrow.pop(p, None)
-            if f is not None:
-                _sparse_axpy(qrow, f, row, p)
-                for k, y in enumerate(b):
-                    if y:
-                        qb[k] = qb[k] - f * y
-        pivots[p] = [row, b]
     return pivots, bad
+
+
+def _reduce_row(pivots, row, b):
+    """One step of _gauss_jordan: reduce row and its right-hand side
+    entries b in place by the pivot rows and, if anything is left, pivot on
+    its least column, clearing that column from the earlier pivot rows; so
+    every pivot row leads with its pivot.  Returns True iff it pivoted,
+    i.e. iff row is independent of the rows that gave the pivots.  An int
+    pivot is divided through _field, so int entries never become floats.
+    """
+    for c in [c for c in row if c in pivots]:
+        f = row.pop(c)
+        prow, pb = pivots[c]
+        _sparse_axpy(row, f, prow, c)
+        for k, y in enumerate(pb):
+            if y:
+                b[k] = b[k] - f * y
+    if not row:
+        return False
+    p = min(row)
+    inv = _field(row[p])
+    if inv != 1:
+        row = {j: v / inv for j, v in row.items()}
+        b = [x / inv if x else x for x in b]
+    for qrow, qb in pivots.values():
+        f = qrow.pop(p, None)
+        if f is not None:
+            _sparse_axpy(qrow, f, row, p)
+            for k, y in enumerate(b):
+                if y:
+                    qb[k] = qb[k] - f * y
+    pivots[p] = [row, b]
+    return True
 
 
 def _sparse_axpy(row, f, prow, skip):
@@ -338,27 +351,6 @@ def _null_space(pivots, ncols):
             if j != c:
                 null[free[j]][c] = -v
     return [tuple(v) for v in null]
-
-
-def solve_sparse(rows, ncols: int, rhs):
-    """Every particular solution and the null space of one sparse system.
-
-    rows lists the equations as {column: coefficient} dicts that hold only
-    nonzero coefficients (an empty dict is a zero row); rhs lists the
-    right-hand sides, each with one entry per row.  Returns (solutions,
-    null): solutions[k] solves the system for rhs[k] with every free
-    variable zero, or is None when that system is inconsistent, and null
-    holds one vector per free column, 1 there and 0 at the other free
-    columns.  It is the one elimination that solve and kernel run too, so
-    on the nonzero entries of a dense matrix's rows it gives what they
-    give.  The 0s and 1s named here are Fraction(0) and Fraction(1).  A
-    null-vector entry at a pivot column is a reduced coefficient negated,
-    Fraction(0) when that is zero; a solution entry at a pivot column is a
-    reduced right-hand side entry, of the type its arithmetic gives.
-    """
-    pivots, bad = _gauss_jordan([dict(r) for r in rows], ncols, rhs)
-    return (_solutions(pivots, bad, ncols, len(rhs)),
-            _null_space(pivots, ncols))
 
 
 def rank(m: Mat) -> int:
@@ -440,15 +432,24 @@ def _span_rows(rows, n: int):
     return out
 
 
-def in_span(rows, v) -> bool:
-    """True iff v lies in the span of rref rows (as span_basis returns)."""
-    v = list(v)
-    for row in rows:
-        p = next(j for j, c in enumerate(row) if c)
-        c = v[p]
-        if c:
-            v = [a - c * b for a, b in zip(v, row)]
-    return is_zero_vec(v)
+def independent(rows, candidates):
+    """Indices, in order, of the candidates that a greedy completion of
+    rows keeps: those outside the span of rows and of the candidates kept
+    before them.
+
+    One elimination serves every candidate: the rows and then each
+    candidate go through _reduce_row, and a candidate is kept when it
+    pivots.
+    """
+    rows, candidates = list(rows), list(candidates)
+    n = len(rows[0]) if rows else len(candidates[0]) if candidates else 0
+    if any(len(v) != n for v in rows + candidates):
+        raise ValueError("ragged matrix")
+    pivots = {}
+    for row in _sparse_rows(rows):
+        _reduce_row(pivots, row, [])
+    return [i for i, row in enumerate(_sparse_rows(candidates))
+            if _reduce_row(pivots, row, [])]
 
 
 def coords_in_span(basis, vectors):

@@ -24,7 +24,7 @@ from .errors import (Indeterminate, InputError, InternalCheckError,
                      PreconditionError, UnsupportedError)
 from .lie import LieAlgebra
 from .linalg import (Mat, _gauss_jordan, _solutions, block_diag,
-                     coords_in_span, intersect_spans, inverse,
+                     coords_in_span, independent, intersect_spans, inverse,
                      is_nilpotent_mat, kernel, kron, mat_lincomb,
                      restrict_to_span, span_basis)
 from .scalars import GaussRat
@@ -192,12 +192,9 @@ def _lcs_adapted(series):
     adapted = []
     weights = []
     for k in range(1, len(series)):
-        base = list(series[k])
-        for v in series[k - 1]:
-            if len(span_basis(base + [v])) > len(base):
-                base.append(tuple(v))
-                adapted.append(tuple(v))
-                weights.append(k)
+        for i in independent(series[k], series[k - 1]):
+            adapted.append(tuple(series[k - 1][i]))
+            weights.append(k)
     if len(adapted) != len(series[0]):
         raise InternalCheckError("adapted basis has the wrong size")
     return adapted, weights
@@ -380,7 +377,7 @@ def _commutator_system(rho_images, d):
     Unknown p*d + q is the entry M[p][q]; row (a, r, c) is entry (r, c) of
     [M, R_a], and [E_pq, R]_rc = delta_rp R[q][c] - R[r][p] delta_cq.  Each
     row is a {unknown: coefficient} dict with only nonzero coefficients, as
-    solve_sparse takes it; a zero row stays, as an empty dict, because its
+    _gauss_jordan takes it; a zero row stays, as an empty dict, because its
     right-hand side must vanish.
     """
     rows = []
@@ -464,13 +461,8 @@ def _extend(g, h_span, rho):
     result, so it calls this directly.
     """
     incl = list(h_span)
-    comp = []
-    rows = list(incl)
-    for i in range(g.dim):
-        u = g.basis_vector(i)
-        if len(span_basis(rows + [u])) > len(rows):
-            rows.append(u)
-            comp.append(u)
+    units = g.basis()
+    comp = [units[i] for i in independent(incl, units)]
 
     tinv = inverse(Mat.from_cols(incl + comp))
     images = _solve_extension(g, incl, comp, list(rho.images), tinv)

@@ -16,15 +16,14 @@ and to contain [g, r].
 """
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalCheckError, PreconditionError
 from .lie import LieAlgebra
-from .linalg import (Mat, char_poly, coords_in_span, in_span,
-                     is_semisimple_mat, is_zero_vec, kernel, lincomb, rank,
-                     solve, span_basis, trace_product, vadd)
+from .linalg import (Mat, _reduce_row, _sparse_rows, char_poly,
+                     coords_in_span, is_semisimple_mat, is_zero_vec, kernel,
+                     lincomb, rank, solve, span_basis, trace_product, vadd)
 from .poly import purely_imaginary_spectrum
 
 
@@ -68,25 +67,18 @@ def _matrix_hull(mats):
 
     A word of length k + 1 is a word of length k times a generator, so each
     round multiplies only the matrices the last round added, each by every
-    generator, and keeps a product when it leaves the span found so far.
-    The span is held as echelon rows with leading entry 1, sorted by pivot.
+    generator, and keeps a product when it leaves the span found so far:
+    when its flattened entries pivot in one running _reduce_row
+    elimination.
     """
-    echelon = []
+    pivots = {}
     hull = []
 
     def grows(m):
-        v = m.flatten()
-        for p, row in echelon:
-            c = v[p]
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
-        p = next((j for j, c in enumerate(v) if c), None)
-        if p is None:
-            return False
-        lead = v[p]
-        insort(echelon, (p, [c / lead for c in v]))
-        hull.append(m)
-        return True
+        new = _reduce_row(pivots, _sparse_rows([m.flatten()])[0], [])
+        if new:
+            hull.append(m)
+        return new
 
     frontier = [m for m in mats if grows(m)]
     while frontier:
@@ -272,9 +264,8 @@ def commuting_levi(g: LieAlgebra, k_rows):
     """
     k = span_basis(k_rows)
     rad = radical(g)
-    for v in k:
-        if not in_span(rad, v):
-            raise PreconditionError("torus part must lie in the radical")
+    if None in coords_in_span(rad, k):
+        raise PreconditionError("torus part must lie in the radical")
     if not is_torus_like(g, k):
         raise PreconditionError(
             "torus part must be abelian with semisimple purely imaginary ad")

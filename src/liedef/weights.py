@@ -81,7 +81,8 @@ from fractions import Fraction
 from .errors import Indeterminate, InputError, InternalCheckError
 from .lie import LieAlgebra
 from .linalg import (Mat, _gauss_jordan, _null_space, _solutions,
-                     _sparse_axpy, char_poly, in_span, inverse, span_basis)
+                     _sparse_axpy, char_poly, independent, inverse,
+                     span_basis)
 from .poly import gaussian_roots
 from .scalars import _field, gauss
 
@@ -184,13 +185,15 @@ def _ideal_chain(alg: LieAlgebra):
     gives it on alg's basis.  [alg, alg] is the first level's [g_1, g_1],
     the rref rows derived_algebra returns.
 
-    Each g_k is kept as rref rows in alg's coordinates: g_{k+1} is
-    [g_k, g_k] (read off the table for g_1 = alg, as derived_algebra does,
-    and by bracketing each pair of rows once below it) completed greedily
-    by g_k's rows, in order, to one row less,
-    and z_k is the first row of g_k outside it (any hyperplane above the
-    derived subalgebra is an ideal); a non-solvable algebra reaches
-    [g_k, g_k] = g_k and raises InputError.  This is the chain of
+    Each g_k is kept as rref rows in alg's coordinates, and [g_k, g_k] is
+    read off the table for g_1 = alg, as derived_algebra does, and by
+    bracketing each pair of rows once below it.  One independent call
+    picks the rows of g_k that a greedy completion of [g_k, g_k] keeps; a
+    non-solvable algebra reaches [g_k, g_k] = g_k, where it picks none,
+    and raises InputError.  g_{k+1} is [g_k, g_k] completed by every picked
+    row but the last, and z_k is the last (any hyperplane above the
+    derived subalgebra is an ideal): every earlier row lies in g_{k+1}, so
+    z_k is the first row of g_k outside it.  This is the chain of
     materializing each g_k as an algebra on its rows: coordinate i of a
     vector of g_k is its entry at the pivot column of row i, so an rref
     basis in g_k's coordinates lifts to the rref basis of the same span in
@@ -201,14 +204,12 @@ def _ideal_chain(alg: LieAlgebra):
     derived = hyp = alg.derived_algebra()
     dirs = []
     while rows:
-        if len(hyp) == len(rows):
+        picked = independent(hyp, rows)
+        if not picked:
             raise InputError("acting algebra is not solvable")
-        for v in rows:
-            if len(hyp) == len(rows) - 1:
-                break
-            if not in_span(hyp, v):
-                hyp = span_basis(hyp + [v])
-        dirs.append(next(v for v in rows if not in_span(hyp, v)))
+        dirs.append(rows[picked[-1]])
+        if len(picked) > 1:
+            hyp = span_basis(hyp + [rows[i] for i in picked[:-1]])
         rows = hyp
         hyp = alg._pair_span(rows)
     return dirs, inverse(Mat.from_cols(dirs)), derived

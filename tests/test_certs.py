@@ -35,8 +35,8 @@ from liedef.definability import (RULE_FINITE_CENTER, SS_YES,
 from liedef.errors import InputError, InternalCheckError
 from liedef.formats import algebra_from_dict, save_algebra_file
 from liedef.lie import LieAlgebra
-from liedef.linalg import (char_poly, coords_in_span, in_span,
-                           is_semisimple_mat, is_zero_vec, span_basis)
+from liedef.linalg import (char_poly, coords_in_span, is_semisimple_mat,
+                           is_zero_vec, span_basis)
 from liedef.poly import purely_imaginary_spectrum
 from liedef.reps import nilpotent_ado
 from liedef.torus import TorusWeights, torus_zariski_closure
@@ -550,7 +550,7 @@ def _ref_tbc_verify(r, cert):
         return CertReport(False, "flag", "flag length differs from dim t")
     if len(span_basis(flag)) != len(flag):
         return CertReport(False, "flag", "flag vectors are dependent")
-    if not all(in_span(t_span, v) for v in flag):
+    if None in coords_in_span(t_span, flag):
         return CertReport(False, "flag", "flag vector outside the t part")
     bad = []
     for i, v in enumerate(flag):

@@ -7,13 +7,14 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from liedef.errors import InputError
-from liedef.linalg import (Mat, _dot, _field, block_diag, char_poly,
-                           coords_in_span, det, in_span, integer_left_kernel,
+from liedef.linalg import (Mat, _dot, _field, _gauss_jordan, _null_space,
+                           _solutions, block_diag, char_poly, coords_in_span,
+                           det, independent, integer_left_kernel,
                            intersect_spans, inverse, is_nilpotent_mat,
                            is_semisimple_mat, jordan_chevalley, kernel, kron,
                            lincomb, mat_lincomb, mat_pow, minimal_poly,
-                           poly_at, rank, restrict_to_span, solve,
-                           solve_sparse, span_basis, trace_product)
+                           poly_at, rank, restrict_to_span, solve, span_basis,
+                           trace_product)
 from liedef.poly import Poly, clear_denominators
 from liedef.scalars import GaussRat
 
@@ -523,17 +524,6 @@ def test_mat_lincomb():
         Mat([[Fraction(1, 2), 0], [Fraction(1, 2), 2]])
 
 
-def test_in_span():
-    assert in_span([], (0, 0, 0))
-    assert not in_span([], (0, 1, 0))
-    rows = span_basis([(1, 2, 3), (0, 1, 1)])
-    assert in_span(rows, (1, 3, 4))
-    assert not in_span(rows, (0, 0, 1))
-    g = span_basis([(GaussRat(1), GaussRat(0, 1))])
-    assert in_span(g, (GaussRat(0, 1), GaussRat(-1)))
-    assert not in_span(g, (GaussRat(1), GaussRat(1)))
-
-
 # ------------------------------------------------------------ sparse systems
 
 def _entries(kind):
@@ -567,6 +557,14 @@ def sparse_systems(draw):
     return rows, rhs
 
 
+def _solve_sparse(rows, ncols, rhs):
+    """Every particular solution and the null space of one sparse system,
+    from one elimination."""
+    pivots, bad = _gauss_jordan([dict(r) for r in rows], ncols, rhs)
+    return (_solutions(pivots, bad, ncols, len(rhs)),
+            _null_space(pivots, ncols))
+
+
 @seed(20261018)
 @settings(max_examples=150, deadline=None, database=None)
 @given(sparse_systems())
@@ -575,7 +573,7 @@ def test_solve_sparse_matches_solve_and_kernel(system):
     rows, rhs = system
     dense = Mat(rows)
     sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
-    solutions, null = solve_sparse(sparse, dense.ncols, rhs)
+    solutions, null = _solve_sparse(sparse, dense.ncols, rhs)
     assert solutions == [ref_solve(dense, tuple(b)) for b in rhs]
     assert solutions[-1] is not None
     assert null == ref_kernel(dense)
@@ -583,13 +581,13 @@ def test_solve_sparse_matches_solve_and_kernel(system):
 
 def test_solve_sparse_edge_cases():
     # no right-hand side; only zero rows; one inconsistent zero row
-    assert solve_sparse([{0: 1}], 2, []) == ([], [(0, 1)])
-    assert solve_sparse([{}, {}], 2, [[0, 0]]) \
+    assert _solve_sparse([{0: 1}], 2, []) == ([], [(0, 1)])
+    assert _solve_sparse([{}, {}], 2, [[0, 0]]) \
         == ([(0, 0)], [(1, 0), (0, 1)])
-    assert solve_sparse([{}, {1: 2}], 2, [[1, 4], [0, 4]]) \
+    assert _solve_sparse([{}, {1: 2}], 2, [[1, 4], [0, 4]]) \
         == ([None, (0, 2)], [(1, 0)])
     with pytest.raises(ValueError):
-        solve_sparse([{0: 1}], 1, [[1, 2]])
+        _solve_sparse([{0: 1}], 1, [[1, 2]])
 
 
 _ZEROS = {"int": 0, "Fraction": Fraction(0), "GaussRat": GaussRat(0)}
@@ -671,6 +669,54 @@ def test_readers_match_dense_reference(kind_and_matrix, data):
             inverse(square)
     else:
         agree(inverse(square), want)
+
+
+def ref_independent(rows, candidates):
+    """The greedy completion of rows: a candidate is kept when it grows the
+    span of rows and of the candidates kept before it."""
+    base = span_basis(rows)
+    kept = []
+    for i, v in enumerate(candidates):
+        grown = span_basis(base + [v])
+        if len(grown) > len(base):
+            base = grown
+            kept.append(i)
+    return kept
+
+
+@seed(20261020)
+@settings(max_examples=200, deadline=None, database=None)
+@given(matrices_of_every_kind(), st.data())
+def test_independent_matches_greedy_completion(kind_and_matrix, data):
+    # zero and repeated vectors come from the strategy; a split point of 0
+    # or of every vector leaves rows or candidates empty, and the unit
+    # vectors, before or after the rest, make the input full rank
+    kind, m = kind_and_matrix
+    vectors = list(m.rows)
+    n = m.ncols
+    units = [tuple(Fraction(int(i == j)) for j in range(n))
+             for i in range(n)]
+    where = data.draw(st.sampled_from(("none", "first", "last")))
+    if where == "first":
+        vectors = units + vectors
+    elif where == "last":
+        vectors = vectors + units
+    k = data.draw(st.integers(0, len(vectors)))
+    rows, candidates = vectors[:k], vectors[k:]
+    assert independent(rows, candidates) == ref_independent(rows, candidates)
+
+
+def test_independent_edge_cases():
+    assert independent([], []) == []
+    assert independent([(1, 0)], []) == []
+    assert independent([], [(0, 0), (1, 0), (2, 0), (0, 0), (0, 3)]) == [1, 4]
+    assert independent([(1, 2)], [(2, 4), (1, 2), (0, 1), (1, 0)]) == [2]
+    g = [(GaussRat(1), GaussRat(0, 1))]
+    assert independent(g, [(GaussRat(0, 1), GaussRat(-1)),
+                           (Fraction(1), 1)]) == [1]
+    for rows, candidates in (([(1, 0)], [(1, 0, 0)]), ([], [(1,), (1, 0)])):
+        with pytest.raises(ValueError, match="ragged matrix"):
+            independent(rows, candidates)
 
 
 def test_mismatched_lengths_raise():

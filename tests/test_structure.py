@@ -1,3 +1,5 @@
+import random
+from bisect import insort
 from collections import Counter
 from fractions import Fraction
 
@@ -12,8 +14,9 @@ from liedef.errors import PreconditionError
 from liedef.lie import LieAlgebra, from_matrices
 from liedef.linalg import (Mat, inverse, kernel, lincomb, span_basis,
                            trace_product)
-from liedef.structure import (commuting_levi, is_torus_like, levi_subalgebra,
-                              nilradical, radical)
+from liedef.structure import (_matrix_hull, commuting_levi, is_torus_like,
+                              levi_subalgebra, nilradical, radical)
+from test_acceptance import _random_solvable
 
 
 def gl2():
@@ -287,3 +290,60 @@ def test_nilradical_matches_the_dense_route_beyond_solvable():
         assert _typed_rows(nilradical(g)) == _typed_rows(_dense_nilradical(g))
     assert nilradical(so3_plus_e2()) == [(0, 0, 0, 1, 0, 0),
                                          (0, 0, 0, 0, 1, 0)]
+
+
+# -- the associative hull against a forward echelon ---------------------------
+
+def _ref_matrix_hull(mats):
+    """The hull as it was grown on its own forward echelon: a product is
+    kept when it leaves the span of the echelon rows, which have leading
+    entry 1 and are kept sorted by pivot."""
+    echelon = []
+    hull = []
+
+    def grows(m):
+        v = m.flatten()
+        for p, row in echelon:
+            c = v[p]
+            if c:
+                v = [a - c * b for a, b in zip(v, row)]
+        p = next((j for j, c in enumerate(v) if c), None)
+        if p is None:
+            return False
+        lead = v[p]
+        insort(echelon, (p, [c / lead for c in v]))
+        hull.append(m)
+        return True
+
+    frontier = [m for m in mats if grows(m)]
+    while frontier:
+        frontier = [prod for m in frontier for s in mats
+                    for prod in (m @ s,) if grows(prod)]
+    return hull
+
+
+def _radical_ad_sets(g):
+    """The ads nilradical hands _matrix_hull, those off the pivots of
+    [r, r], and every ad of the radical r, for a non-nilpotent r."""
+    rad = radical(g)
+    if not rad:
+        return []
+    rs, _ = g.subalgebra(rad)
+    if rs.is_nilpotent():
+        return []
+    pivots = {next(j for j, c in enumerate(v) if c)
+              for v in rs.derived_algebra()}
+    ads = [rs.ad(rs.basis_vector(i)) for i in range(rs.dim)]
+    return [[ads[i] for i in range(rs.dim) if i not in pivots], ads]
+
+
+def test_matrix_hull_matches_the_forward_echelon():
+    rng = random.Random(20261020)
+    algebras = [entry.algebra for entry in corpus()]
+    algebras += [_random_solvable(rng) for _ in range(40)]
+    sets = [s for g in algebras for s in _radical_ad_sets(g)]
+    assert len(sets) >= 40
+    for mats in sets:
+        got = _matrix_hull(mats)
+        assert [_typed_rows(m.rows) for m in got] \
+            == [_typed_rows(m.rows) for m in _ref_matrix_hull(mats)]

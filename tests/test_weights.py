@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 from collections import Counter
@@ -6,12 +7,12 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from liedef import definability, weights
+from liedef import definability, linalg, weights
 from liedef.corpus import corpus, corpus_entry
 from liedef.errors import Indeterminate, InputError, InternalCheckError
 from liedef.lie import LieAlgebra, from_matrices
 from liedef.linalg import (Mat, block_diag, char_poly, coords_in_span, det,
-                           in_span, inverse, kernel, mat_lincomb, span_basis)
+                           inverse, kernel, mat_lincomb, span_basis)
 from liedef.poly import gaussian_roots
 from liedef.reps import extend_rep, nilpotent_ado, supersolvable_triangular_rep
 from liedef.scalars import GaussRat, gauss
@@ -342,6 +343,10 @@ def test_common_eigenspace_shifts_like_subtracting_a_scaled_identity():
 # product of inclusions.  The chain fixes which flag and characters the peel
 # returns, and the golden digests do not pin it on their own.
 
+def _in_span(rows, v):
+    return coords_in_span(rows, [v])[0] is not None
+
+
 def _ref_hyperplane(alg):
     derived = alg.derived_algebra()
     if len(derived) >= alg.dim:
@@ -351,9 +356,9 @@ def _ref_hyperplane(alg):
         if len(rows) == alg.dim - 1:
             break
         cand = alg.basis_vector(i)
-        if not in_span(rows, cand):
+        if not _in_span(rows, cand):
             rows = span_basis(rows + [cand])
-    return rows, next(v for v in alg.basis() if not in_span(rows, v))
+    return rows, next(v for v in alg.basis() if not _in_span(rows, v))
 
 
 def _ref_ideal_chain(alg):
@@ -430,6 +435,76 @@ def test_weight_flag_materializes_no_subalgebra(monkeypatch):
     for _, g, mats in weight_flag_inputs():
         weight_flag(g, mats)
     assert calls == []
+
+
+def test_each_chain_level_is_picked_by_one_elimination(monkeypatch):
+    # one independent call per level picks g_{k+1}'s completing rows and
+    # z_k together; a level whose [g_k, g_k] is already a hyperplane keeps
+    # it as g_{k+1} and spans nothing
+    codims = []
+    spans = []
+    pick, span = weights.independent, weights.span_basis
+
+    def picked(rows, candidates):
+        codims.append(len(candidates) - len(rows))
+        out = pick(rows, candidates)
+        assert len(out) == codims[-1]
+        return out
+
+    def spanned(vectors):
+        spans.append(codims[-1])
+        return span(vectors)
+
+    monkeypatch.setattr(weights, "independent", picked)
+    monkeypatch.setattr(weights, "span_basis", spanned)
+    algebras = [g for _, g, _ in weight_flag_inputs()]
+    algebras += [e.algebra for e in corpus() if e.algebra.is_solvable()]
+    levels = Counter()
+    for g in algebras:
+        codims.clear()
+        spans.clear()
+        dirs, _, _ = weights._ideal_chain(g)
+        assert len(codims) == len(dirs) == g.dim
+        assert spans == [c for c in codims if c > 1]
+        levels.update(min(c, 2) for c in codims)
+    assert levels[1] > 20 and levels[2] > 20
+    assert not hasattr(linalg, "in_span")
+
+
+def test_the_oracle_spans_and_eliminates_little_on_the_corpus(monkeypatch):
+    # over the 68 pinned corpus presentations (matrices for the linear kind
+    # only) the greedy completions by span_basis and in_span took 577
+    # span_basis and 908 _gauss_jordan calls; one elimination for each
+    # completion takes 543 and 874
+    calls = Counter()
+    for name in ("span_basis", "_gauss_jordan"):
+        inner = getattr(linalg, name)
+
+        def counted(*args, _name=name, _inner=inner):
+            calls[_name] += 1
+            return _inner(*args)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("liedef") \
+                    and getattr(module, name, None) is inner:
+                monkeypatch.setattr(module, name, counted)
+    kinds = {"definable-simply-connected": ("simply-connected", False),
+             "definable-abstract": ("abstract", False),
+             "definable-linear": ("linear", False),
+             "definable-finite-center-levi": ("abstract", True)}
+    presentations = 0
+    for entry in corpus():
+        for key, (kind, fcl) in kinds.items():
+            if key in entry.known:
+                mats = entry.matrices if kind == "linear" else ()
+                definability.definability_oracle(
+                    definability.GroupPresentation(
+                        entry.algebra, kind, finite_center_levi=fcl,
+                        matrices=mats))
+                presentations += 1
+    assert presentations == 68
+    assert 0 < calls["span_basis"] <= 543
+    assert 0 < calls["_gauss_jordan"] <= 874
 
 
 # ------------------------------------------------------------ reference peel
