@@ -206,8 +206,9 @@ class LieAlgebra:
         return series
 
     def lower_central_series(self):
-        # a later step [g, g^k] needs every ordered pair
-        series = [span_basis(self.basis())]
+        # a later step [g, g^k] needs every ordered pair; the standard basis
+        # is already rref
+        series = [self.basis()]
         nxt = self.derived_algebra()
         while len(nxt) < len(series[-1]):
             series.append(nxt)
@@ -222,7 +223,7 @@ class LieAlgebra:
         # [x, v] = -ad(v) x, so x is in the kernel of every ad(v) stacked
         rows = [r for v in vectors for r in self.ad(v).rows]
         if not rows:
-            return span_basis(self.basis())
+            return self.basis()
         return kernel(Mat(rows))
 
     def killing(self, x, y):

@@ -2,12 +2,12 @@
 
 Everything downstream (brackets, flags, certificates, representations) runs on
 this layer, so the expensive invariants are checked where they are cheap to
-state: Smith forms are verified against their unimodular transforms on every
-call, and Jordan decompositions are verified semisimple-plus-nilpotent before
-they are returned.  Yes/no questions about one matrix are asked directly:
-is_nilpotent_mat takes a power, and is_semisimple_mat evaluates the
-squarefree part of the characteristic polynomial, without building a
-Jordan decomposition.
+state: integer left kernels are verified against their unimodular row
+transforms on every call, and Jordan decompositions are verified
+semisimple-plus-nilpotent before they are returned.  Yes/no questions about
+one matrix are asked directly: is_nilpotent_mat takes a power, and
+is_semisimple_mat evaluates the squarefree part of the characteristic
+polynomial, without building a Jordan decomposition.
 
 Matrices are dense, but every linear system goes through one sparse
 Gauss-Jordan elimination, _gauss_jordan, which takes each row as a
@@ -705,110 +705,49 @@ def _int_rows(m) -> list:
     return out
 
 
-def smith_normal_form(m):
-    """U, D, V with U @ m @ V = D, U and V unimodular, D a divisibility chain.
+def integer_left_kernel(m):
+    """Saturated basis of the lattice of integer rows v with v @ m = 0.
 
-    Verified on every call: the transform identity, the chain, and that both
-    determinants are +-1.
+    One integer row reduction of [m | I]: in each column, Euclid's steps
+    (move the row with the smallest nonzero entry up, subtract integer
+    multiples of it from the rows below) bring m to echelon form U @ m.
+    The basis is the rows of U at the zero rows of U @ m.  Verified on every
+    call: U @ m recomputed equals the echelon, |det U| = 1 (so the basis is
+    saturated), the zero rows number nrows - rank(m), and each basis row
+    annihilates m.
     """
     a = _int_rows(m)
-    nr = len(a)
-    nc = len(a[0]) if a else 0
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def row_op(i, j, q):
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):
-        for r in a:
-            r[i] -= q * r[j]
-        for r in v:
-            r[i] -= q * r[j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    t = 0
-    while t < min(nr, nc):
-        pivot = None
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t]:
-                        swap_rows(i, t)
-                        dirty = True
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j]:
-                        swap_cols(j, t)
-                        dirty = True
-            if dirty:
-                continue
-            stray = next(((i, j) for i in range(t + 1, nr)
-                          for j in range(t + 1, nc)
-                          if a[i][j] % a[t][t] != 0), None)
-            if stray is None:
-                break
-            # fold the offending row in so the pivot can shrink
-            a[t] = [x + y for x, y in zip(a[t], a[stray[0]])]
-            u[t] = [x + y for x, y in zip(u[t], u[stray[0]])]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-
-    um, dm, vm = Mat(u), Mat(a), Mat(v)
-    mm = Mat(_int_rows(m))
-    if um @ mm @ vm != dm:
-        raise InternalCheckError("Smith transform identity failed")
-    diag = [dm.rows[i][i] for i in range(min(nr, nc))]
-    for i in range(nr):
-        for j in range(nc):
-            if i != j and dm.rows[i][j]:
-                raise InternalCheckError("Smith form is not diagonal")
-    for x, y in zip(diag, diag[1:]):
-        if x == 0 and y != 0:
-            raise InternalCheckError("Smith diagonal has a zero before a nonzero")
-        if x and y % x != 0:
-            raise InternalCheckError("Smith diagonal is not a divisibility chain")
-    if abs(det(um.map(Fraction))) != 1 or abs(det(vm.map(Fraction))) != 1:
-        raise InternalCheckError("Smith transforms are not unimodular")
-    return um, dm, vm
-
-
-def integer_left_kernel(m):
-    """Basis of the lattice of integer rows v with v @ m = 0 (a saturated basis)."""
-    mm = Mat(_int_rows(m))
-    if mm.nrows == 0:
+    if not a:
         return []
-    u, d, _ = smith_normal_form(mm)
-    r = sum(1 for i in range(min(d.nrows, d.ncols)) if d.rows[i][i])
-    basis = [u.rows[i] for i in range(r, mm.nrows)]
+    mm = Mat(a)
+    nr = len(a)
+    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    t = 0
+    for c in range(mm.ncols):
+        while t < nr:
+            live = [i for i in range(t, nr) if a[i][c]]
+            if not live:
+                break
+            p = min(live, key=lambda i: abs(a[i][c]))
+            a[t], a[p] = a[p], a[t]
+            u[t], u[p] = u[p], u[t]
+            if len(live) == 1:
+                t += 1
+                break
+            for i in range(t + 1, nr):
+                if a[i][c]:
+                    q = a[i][c] // a[t][c]
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+    um = Mat(u)
+    if um @ mm != Mat(a):
+        raise InternalCheckError("row reduction transform identity failed")
+    if abs(det(um.map(Fraction))) != 1:
+        raise InternalCheckError("row reduction transform is not unimodular")
+    basis = [tuple(u[i]) for i in range(nr) if not any(a[i])]
+    if len(basis) != nr - rank(mm):
+        raise InternalCheckError("left kernel size is not the rank defect")
     for b in basis:
         if not is_zero_vec(tuple(_dot(b, c) for c in mm.cols())):
             raise InternalCheckError("left kernel row fails to annihilate")
-    return [tuple(b) for b in basis]
+    return basis

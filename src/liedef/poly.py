@@ -330,11 +330,6 @@ def _variations_at_inf(chain, positive: bool) -> int:
     return _variations(signs)
 
 
-def _real_root_count(ints) -> int:
-    chain = _sturm_chain(ints)
-    return _variations_at_inf(chain, False) - _variations_at_inf(chain, True)
-
-
 def sturm_count_real_roots(p: Poly) -> int:
     """Number of distinct real roots of p (coefficients must be real).
 
@@ -346,37 +341,8 @@ def sturm_count_real_roots(p: Poly) -> int:
     ints = _real_ints(p)
     if not ints:
         raise ValueError("root counting on the zero polynomial")
-    return _real_root_count(ints)
-
-
-def sturm_count_in_interval(p: Poly, a: Fraction, b=None) -> int:
-    """Distinct real roots of p in (a, b]; b=None means (a, +infinity).
-
-    The chain is taken of the squarefree part, since a finite endpoint may
-    be a repeated root of p.
-    """
-    ints = _real_ints(p)
-    if len(ints) <= 1:
-        return 0
-    chain = _sturm_chain(_squarefree_ints(ints))
-    va = _variations_at(chain, Fraction(a))
-    vb = _variations_at_inf(chain, True) if b is None else _variations_at(chain, Fraction(b))
-    return va - vb
-
-
-def all_roots_real(p: Poly) -> bool:
-    """True iff every complex root of p is real.
-
-    Equivalent to: the squarefree part has as many distinct real roots
-    as its degree.  Exact; multiple roots like (x-1)^2 are fine.
-    """
-    ints = _real_ints(p)
-    if not ints:
-        raise ValueError("all_roots_real on the zero polynomial")
-    if len(ints) == 1:
-        return True
-    q = _squarefree_ints(ints)
-    return _real_root_count(q) == len(q) - 1
+    chain = _sturm_chain(ints)
+    return _variations_at_inf(chain, False) - _variations_at_inf(chain, True)
 
 
 def purely_imaginary_spectrum(p: Poly) -> bool:

@@ -197,8 +197,7 @@ def levi_subalgebra(g: LieAlgebra) -> LeviDecomposition:
     """Constructive Levi-Malcev splitting, verified before returning."""
     rad = radical(g)
     if not rad:
-        levi = span_basis(g.basis())
-        return LeviDecomposition(tuple(rad), tuple(levi))
+        return LeviDecomposition(tuple(rad), tuple(g.basis()))
     if len(rad) == g.dim:
         return LeviDecomposition(tuple(rad), ())
     r2 = g.bracket_span(rad, rad)

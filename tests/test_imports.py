@@ -111,6 +111,60 @@ def test_the_check_sees_an_unreferenced_name():
         ("lib.py", 8, "dead"), ("lib.py", 12, "_dead_helper")]
 
 
+# a public function of the two base layers that only tests call is dead code
+# with a test attached: it has to be referenced by the program itself
+BASE_LAYERS = ("linalg.py", "poly.py")
+
+
+def _uncalled_functions(modules, program):
+    """(module, line, name) for each public top-level function of the
+    modules (file name -> source) that the program (file name -> source,
+    the modules included) references nowhere outside the function's own
+    body."""
+    refs = {name: _references(ast.parse(src)) for name, src in program.items()}
+    out = []
+    for mod, src in modules.items():
+        body = ast.parse(src).body
+        elsewhere = set().union(*(r for name, r in refs.items() if name != mod))
+        for node in body:
+            if not isinstance(node, ast.FunctionDef) or \
+                    node.name.startswith("_"):
+                continue
+            seen = elsewhere.union(*(_references(n) for n in body
+                                     if n is not node))
+            if node.name not in seen:
+                out.append((mod, node.lineno, node.name))
+    return sorted(out)
+
+
+def test_every_base_layer_function_is_called_by_the_program():
+    program = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    program.update({"perfbench/" + p.name: p.read_text()
+                    for p in (ROOT / "perfbench").glob("*.py")})
+    modules = {name: program[name] for name in BASE_LAYERS}
+    uncalled = ["%s:%d %s" % entry
+                for entry in _uncalled_functions(modules, program)]
+    assert not uncalled, "called by tests only: " + ", ".join(uncalled)
+
+
+def test_the_check_sees_an_uncalled_function():
+    lib = ("def used(x):\n    return _helper(x)\n"
+           "def inner(x):\n    return x\n"
+           "def outer(x):\n    return inner(x)\n"
+           "def recursive(x):\n    return recursive(x - 1) if x else 0\n"
+           "def dead():\n    pass\n"
+           "def _helper(x):\n    return x\n")
+    user = "from lib import used, outer\nused(outer(1))\n"
+    test = "from lib import dead\ndead()\n"
+    assert _uncalled_functions({"lib.py": lib},
+                               {"lib.py": lib, "user.py": user}) == [
+        ("lib.py", 7, "recursive"), ("lib.py", 9, "dead")]
+    assert _uncalled_functions({"lib.py": lib},
+                               {"lib.py": lib, "test.py": test}) == [
+        ("lib.py", 1, "used"), ("lib.py", 5, "outer"),
+        ("lib.py", 7, "recursive")]
+
+
 # the finders' modules; the checker in certs.py may import from definability
 # its public names and the solvable-given _tbc_verify, and nothing else of
 # theirs, so that a certificate is never checked by the code that found it

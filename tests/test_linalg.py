@@ -1,6 +1,8 @@
 import operator
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, seed, settings
@@ -17,6 +19,7 @@ from liedef.linalg import (Mat, _dot, _field, _gauss_jordan, _null_space,
                            trace_product)
 from liedef.poly import Poly, clear_denominators
 from liedef.scalars import GaussRat
+from liedef.torus import _normalize_relation
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -330,6 +333,47 @@ def test_smith_relations_known():
     assert len(rels) == 1
     m = rels[0]
     assert m[0] * 1 + m[1] * 2 == 0 and m != [0, 0]
+
+
+def _gcd_of_maximal_minors(rows):
+    k, n = len(rows), len(rows[0])
+    return gcd(*(int(det(Mat([[Fraction(r[j]) for j in cols] for r in rows])))
+                 for cols in combinations(range(n), k)))
+
+
+def test_integer_left_kernel_is_saturated():
+    # the basis spans the whole relation lattice, not a sublattice of index
+    # > 1, iff its maximal minors are coprime; planted multiples of earlier
+    # rows give relations with entries other than 0 and +-1
+    rng = random.Random(20261020)
+    checked = 0
+    for _ in range(300):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 3)
+        rows = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
+        for i in range(1, nr):
+            if rng.random() < 0.3:
+                f = rng.choice((-2, 2, 3))
+                rows[i] = [f * x for x in rows[rng.randrange(i)]]
+        rels = integer_left_kernel(rows)
+        assert len(rels) == nr - rank(Mat(rows))
+        if rels:
+            assert _gcd_of_maximal_minors(rels) == 1
+            checked += 1
+    assert checked > 150
+
+
+@pytest.mark.parametrize("weights,relations", [
+    ([[1], [2]], [(-2, 1)]),
+    ([[1, 0], [1, 0]], [(-1, 1)]),
+    ([[1], [2], [3]], [(-2, 1, 0), (-3, 0, 1)]),
+    ([[1, 0], [0, 1], [1, 1]], [(-1, -1, 1)]),
+    ([[2, 1], [1, 3]], []),
+    ([[2, 4], [1, 2], [3, 6]], [(-1, 2, 0), (0, -3, 1)]),
+])
+def test_integer_left_kernel_pinned_relations(weights, relations):
+    # the weight matrices of the torus tests and the committed checker pool
+    assert [_normalize_relation(m)
+            for m in integer_left_kernel(weights)] == relations
 
 
 def test_clear_denominators():
