@@ -24,7 +24,7 @@ from .errors import (  # noqa: F401
 from .scalars import GaussRat, rat  # noqa: F401
 from .linalg import Mat  # noqa: F401
 from .poly import Poly  # noqa: F401
-from .lie import LieAlgebra  # noqa: F401
+from .lie import LieAlgebra, from_matrices  # noqa: F401
 from .structure import (  # noqa: F401
     LeviDecomposition,
     commuting_levi,
@@ -32,7 +32,12 @@ from .structure import (  # noqa: F401
     nilradical,
     radical,
 )
-from .weights import WeightTable, adjoint_weights, module_weights  # noqa: F401
+from .weights import (  # noqa: F401
+    WeightTable,
+    adjoint_weights,
+    module_weights,
+    weight_flag,
+)
 from .definability import (  # noqa: F401
     DefinabilityVerdict,
     GroupPresentation,
@@ -50,6 +55,7 @@ from .reps import (  # noqa: F401
     GroupRepData,
     Representation,
     extend_rep,
+    is_unipotent,
     nilpotent_ado,
     quotient_rep,
     supersolvable_triangular_rep,

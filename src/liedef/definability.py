@@ -13,9 +13,10 @@ from fractions import Fraction
 from .errors import (Indeterminate, InputError, InternalCheckError,
                      NotSolvableError)
 from .lie import LieAlgebra
-from .linalg import (Mat, char_poly, coords_in_span, independent,
-                     is_semisimple_mat, is_zero_vec, jordan_chevalley, kernel,
-                     lincomb, solve, span_basis, vsub)
+from .linalg import (Mat, _coords_and_rank, char_poly, coords_in_span,
+                     independent, is_semisimple_mat, is_zero_vec,
+                     jordan_chevalley, kernel, lincomb, solve, span_basis,
+                     vsub)
 from .poly import (purely_imaginary_spectrum, squarefree_part,
                    sturm_count_real_roots)
 from .scalars import GaussRat
@@ -172,17 +173,19 @@ def _check_flag(g, flag, chars):
     of g and e_j acts on flag[i] modulo the earlier steps by chars[i][j];
     the nilradical is read off these characters.
 
-    A flag that spans g is a basis, so one elimination puts every bracket
-    [e_j, flag[i]] into coordinates of the whole flag: step i is an ideal
-    when every coordinate past i is zero, and coordinate i is chars[i][j].
-    Steps are checked in order, each for ideal-ness before its characters.
+    One elimination, with the flag vectors as columns and every bracket
+    [e_j, flag[i]] as a right-hand side, gives the rank of the flag and
+    the coordinates of those brackets in it.  A flag of n vectors and rank
+    n spans g: step i is an ideal when every coordinate past i is zero, and
+    coordinate i is chars[i][j].  Steps are checked in order, each for
+    ideal-ness before its characters.
     """
     n = g.dim
-    if len(span_basis(flag)) != n or len(flag) != n:
-        raise InternalCheckError("flag does not span the algebra")
     basis = g.basis()
-    coords = coords_in_span(flag, [g.bracket(x, v)
-                                   for v in flag for x in basis])
+    coords, rank = _coords_and_rank(flag, [g.bracket(x, v)
+                                           for v in flag for x in basis])
+    if rank != n or len(flag) != n:
+        raise InternalCheckError("flag does not span the algebra")
     for i in range(n):
         step = coords[i * n:(i + 1) * n]
         if any(any(co[i + 1:]) for co in step):
@@ -279,7 +282,8 @@ def _tbc_verify(r, cert):
 
     if len(flag) != len(t_span):
         return _fail("flag", "flag length differs from dim t")
-    flag_span = span_basis(flag)
+    # a t of len(t_span) vectors is independent, with rref basis t_span
+    flag_span = t_span if flag == t else span_basis(flag)
     if len(flag_span) != len(flag):
         return _fail("flag", "flag vectors are dependent")
     # both are rref bases, which are equal exactly when the spans are
@@ -298,7 +302,8 @@ def _tbc_verify(r, cert):
     k_span = span_basis(k)
     if len(t_span) + len(k_span) != r.dim:
         return _fail("direct-sum", "dimensions do not add up")
-    if len(span_basis(t_span + k_span)) != r.dim:
+    # with k empty, the dimensions adding up means that t spans r
+    if k_span and len(span_basis(t_span + k_span)) != r.dim:
         return _fail("direct-sum", "t and k overlap")
 
     for a in k_span:

@@ -460,13 +460,19 @@ def coords_in_span(basis, vectors):
     and each vector is a right-hand side.  Free basis columns get zero
     coefficients, as in solve.
     """
+    return _coords_and_rank(basis, vectors)[0]
+
+
+def _coords_and_rank(basis, vectors):
+    """coords_in_span, and the rank of the basis vectors, which is the
+    number of pivots of the same elimination."""
     basis, vectors = list(basis), list(vectors)
     n = len(basis[0]) if basis else len(vectors[0]) if vectors else 0
     if any(len(v) != n for v in basis):
         raise ValueError("shape mismatch")
     rows = [{j: v[i] for j, v in enumerate(basis) if v[i]} for i in range(n)]
     pivots, bad = _gauss_jordan(rows, len(basis), vectors)
-    return _solutions(pivots, bad, len(basis), len(vectors))
+    return _solutions(pivots, bad, len(basis), len(vectors)), len(pivots)
 
 
 def restrict_to_span(a: Mat, basis):

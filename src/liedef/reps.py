@@ -6,7 +6,8 @@ triangularity in the adapted flag, strict triangularity on the nilradical.
 Constructions that cannot reach a verified answer raise UnsupportedError
 rather than returning unchecked matrices.
 
-The homomorphism check sums one sparse residual per pair of basis elements.
+Every check reads the nonzero entries of the images, listed once; the
+homomorphism check sums one sparse residual per pair of basis elements.
 The nilradical the unipotent check needs is reached by two routes.  The
 finders hand the one they have already proved to _certified: the whole
 algebra for a nilpotent one, the common kernel of the adjoint step
@@ -69,9 +70,11 @@ def verify_rep(rep: Representation) -> frozenset:
     """The subset of {homomorphism, faithful, triangular, unipotent} that holds.
 
     Never raises on a false claim; constructions compare the result against
-    what they promised.  This is the checker's route: the unipotent claim is
-    judged on structure.nilradical(g), the associative-hull computation,
-    which shares no code with the finders' way of reaching the nilradical.
+    what they promised.  Every claim is decided from the nonzero entries of
+    the images, listed once, with no dense conjugate built (see _verify).
+    This is the checker's route: the unipotent claim is judged on
+    structure.nilradical(g), the associative-hull computation, which shares
+    no code with the finders' way of reaching the nilradical.
     """
     return _verify(rep, None)
 
@@ -80,57 +83,105 @@ def _verify(rep: Representation, nil) -> frozenset:
     """verify_rep, judging the unipotent claim on the rows nil, or on
     structure.nilradical(g) when nil is None.
 
-    When the flag is a basis, each image is conjugated into it once, and
-    every check but faithfulness reads those matrices: conjugation is an
+    The nonzero entries of each image are listed once, row by row, and
+    every claim is decided from those lists.  When the flag is a basis P,
+    each image M is conjugated into it by two sparse products, P^-1 (M P),
+    whose rows again list only nonzero entries: conjugation is an
     automorphism of gl(V), so the bracket relations hold there exactly when
     they hold for the images, and the image of a nilradical vector is the
-    same linear combination of them.  A flag that is not a basis grants
+    same linear combination of them.  Triangularity is read off the column
+    indices of the conjugated rows; for each nilradical vector, row r of
+    that combination is summed over the entries at columns up to r only,
+    and tested for zero once summed.  A flag that is not a basis grants
     neither triangular claim.  Faithfulness is one rank: the images are
     independent exactly when rep_kernel(rep) is empty, and taking each
     flattened image as one sparse row needs no d^2 x n column matrix.
     """
     g = rep.source
     d = rep.target_dim
+    nz = [_nonzero_rows(m.rows) for m in rep.images]
     conj = None
     if rep.flag is None:
-        conj = rep.images
+        conj = nz
     elif len(rep.flag) == d:
         try:
             p = Mat.from_cols(rep.flag)
-            pinv = inverse(p)
-            conj = [pinv @ m @ p for m in rep.images]
+            pinv = _nonzero_rows(inverse(p).rows)
         except ValueError:
-            conj = None
+            pass
+        else:
+            p = _nonzero_rows(p.rows)
+            conj = [_sparse_product(pinv, _sparse_product(m, p)) for m in nz]
     flags = set()
-    if _is_homomorphism(g, rep.images if conj is None else conj, d):
+    if _closes(g, nz if conj is None else conj, d):
         flags.add(HOMOMORPHISM)
 
-    rows = [{r * d + c: x for r, row in enumerate(m.rows)
-             for c, x in enumerate(row) if x} for m in rep.images]
+    rows = [{r * d + c: x for r, row in enumerate(m) for c, x in row}
+            for m in nz]
     if len(_gauss_jordan(rows, d * d, ())[0]) == g.dim:
         flags.add(FAITHFUL)
 
     if conj is not None:
-        if all(m.is_upper_triangular() for m in conj):
+        if all(c >= r for m in conj for r, row in enumerate(m)
+               for c, _ in row):
             flags.add(TRIANGULAR)
         if nil is None:
             nil = nilradical(g)
-        if all(mat_lincomb(v, conj, d).is_upper_triangular(strict=True)
-               for v in nil):
+        if all(_strictly_upper(v, conj, d) for v in nil):
             flags.add(UNIPOTENT)
     return frozenset(flags)
 
 
-def _is_homomorphism(g: LieAlgebra, mats, d: int) -> bool:
-    """Whether M_i M_j - M_j M_i = sum_k c_ij^k M_k for every pair i < j.
+def _nonzero_rows(rows):
+    """Each row as a list of its (column, entry) pairs with nonzero entry."""
+    return [[(c, x) for c, x in enumerate(row) if x] for row in rows]
 
-    The nonzero entries of each image's rows are listed once.  Row r of each
-    pair's residual is summed into a {column: value} dict over those entries
-    only, with c_ij^k read off the nonzero entries of g.table[i][j], and the
-    first row with a nonzero value answers False.
+
+def _sparse_product(a, b):
+    """The rows of a @ b, both given and returned as lists of (column,
+    entry) pairs with nonzero entry: each row of a sums the rows of b it
+    names, and keeps what stays nonzero, in no particular order."""
+    out = []
+    for row in a:
+        acc = {}
+        get = acc.get
+        for k, x in row:
+            for c, y in b[k]:
+                acc[c] = get(c, 0) + x * y
+        out.append([(c, x) for c, x in acc.items() if x])
+    return out
+
+
+def _strictly_upper(v, mats, d):
+    """Whether sum_i v_i mats[i], each mat given by the (column, entry)
+    pairs of its nonzero entries row by row, is strictly upper triangular:
+    row r is summed over the entries at columns up to r, and each sum is
+    tested once it is complete, so terms that cancel are seen to."""
+    terms = [(x, mats[i]) for i, x in enumerate(v) if x]
+    for r in range(d):
+        acc = {}
+        get = acc.get
+        for x, m in terms:
+            for c, y in m[r]:
+                if c <= r:
+                    acc[c] = get(c, 0) + x * y
+        if any(acc.values()):
+            return False
+    return True
+
+
+def _is_homomorphism(g: LieAlgebra, mats, d: int) -> bool:
+    """Whether M_i M_j - M_j M_i = sum_k c_ij^k M_k for every pair i < j."""
+    return _closes(g, [_nonzero_rows(m.rows) for m in mats], d)
+
+
+def _closes(g: LieAlgebra, nz, d: int) -> bool:
+    """_is_homomorphism of the images given as _nonzero_rows lists.
+
+    Row r of each pair's residual is summed into a {column: value} dict over
+    the listed entries only, with c_ij^k read off the nonzero entries of
+    g.table[i][j], and the first row with a nonzero value answers False.
     """
-    nz = [[[(c, x) for c, x in enumerate(row) if x] for row in m.rows]
-          for m in mats]
     for i in range(g.dim):
         a = nz[i]
         for j in range(i + 1, g.dim):

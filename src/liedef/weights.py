@@ -343,8 +343,9 @@ def common_eigenspace(chain, acts, spectra):
     if all(lam.is_real() for lam in lams):
         # the same values as over Q(i), without Gaussian products
         vals = [lam.re for lam in lams]
+    # a zero eigenvalue adds nothing to the character
     char = tuple(gauss(sum((lam * r[j] for lam, r in zip(vals, inv_z.rows)
-                            if r[j]), Fraction(0)))
+                            if lam and r[j]), Fraction(0)))
                  for j in range(len(dirs)))
     return char, w, lams
 

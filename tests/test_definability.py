@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, seed, settings
 
-from liedef import definability
+from liedef import definability, linalg
 from liedef.certs import emit_tbc, emit_verdict, verify_certificate
 from liedef.definability import (DEFINABLE, NOT_DEFINABLE, NOT_TBC,
                                  RULE_FINITE_CENTER, RULE_LINEAR, RULE_OPEN,
@@ -97,6 +97,41 @@ def test_supersolvable_checks_every_step_character(monkeypatch, axb):
                     supersolvable_test(alg)
     monkeypatch.undo()
     assert supersolvable_test(aff2).status == SS_YES
+
+
+def _count_eliminations(monkeypatch):
+    """Route linalg._gauss_jordan through a counter; returns its calls."""
+    calls = []
+    real = linalg._gauss_jordan
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", counted)
+    return calls
+
+
+def _aff2():
+    return LieAlgebra.from_entries(
+        4, {(0, 1): (0, 1, 0, 0), (2, 3): (0, 0, 0, 1)})
+
+
+def test_the_flag_check_eliminates_once(monkeypatch, h3, axb, filiform4):
+    # the flag's rank and the brackets' coordinates come from one
+    # elimination
+    for alg in (h3, axb, filiform4, _aff2()):
+        res = supersolvable_test(alg)
+        flag, chars = list(res.flag), list(res.step_characters)
+        calls = _count_eliminations(monkeypatch)
+        definability._check_flag(alg, flag, chars)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        for bad in (flag[:-1], flag[:-1] + flag[-2:-1],
+                    flag[:-1] + [(Fraction(0),) * alg.dim]):
+            with pytest.raises(InternalCheckError,
+                               match="flag does not span the algebra"):
+                definability._check_flag(alg, bad, chars)
 
 
 # -------------------------------------------------------------------- tbc_find
@@ -296,6 +331,19 @@ def test_verify_rejects_flag_in_wrong_order(h3):
     cert = TbcCertificate(full, (), full, ())
     rep = tbc_verify(h3, cert)
     assert not rep and rep.clause == "flag"
+
+
+def test_a_k_empty_certificate_whose_flag_is_t_takes_two_eliminations(
+        monkeypatch, h3, axb, filiform4):
+    # one for t's rref basis, which is the flag's too, and one for the
+    # steps; the direct sum is settled by the dimensions
+    for alg in (h3, axb, filiform4, _aff2()):
+        flag = supersolvable_test(alg).flag
+        cert = TbcCertificate(flag, (), flag, ())
+        calls = _count_eliminations(monkeypatch)
+        assert definability._tbc_verify(alg, cert).ok
+        assert len(calls) == 2
+        monkeypatch.undo()
 
 
 def test_verify_rejects_flag_outside_t(e2):

@@ -111,16 +111,16 @@ def test_the_check_sees_an_unreferenced_name():
         ("lib.py", 8, "dead"), ("lib.py", 12, "_dead_helper")]
 
 
-# a public function of the two base layers that only tests call is dead code
-# with a test attached: it has to be referenced by the program itself
-BASE_LAYERS = ("linalg.py", "poly.py")
+# a public function that only tests call is dead code with a test attached:
+# it has to be referenced by the program itself, unless the package exports
+# it as part of its API
 
 
-def _uncalled_functions(modules, program):
+def _uncalled_functions(modules, program, exported=frozenset()):
     """(module, line, name) for each public top-level function of the
     modules (file name -> source) that the program (file name -> source,
     the modules included) references nowhere outside the function's own
-    body."""
+    body, and that is not among the exported names."""
     refs = {name: _references(ast.parse(src)) for name, src in program.items()}
     out = []
     for mod, src in modules.items():
@@ -128,7 +128,7 @@ def _uncalled_functions(modules, program):
         elsewhere = set().union(*(r for name, r in refs.items() if name != mod))
         for node in body:
             if not isinstance(node, ast.FunctionDef) or \
-                    node.name.startswith("_"):
+                    node.name.startswith("_") or node.name in exported:
                 continue
             seen = elsewhere.union(*(_references(n) for n in body
                                      if n is not node))
@@ -137,13 +137,26 @@ def _uncalled_functions(modules, program):
     return sorted(out)
 
 
-def test_every_base_layer_function_is_called_by_the_program():
-    program = {p.name: p.read_text() for p in SRC.glob("*.py")}
+def _exports(source):
+    """The names, as their modules define them, that a package __init__
+    re-exports with `from .module import`."""
+    return frozenset(alias.name
+                     for node in ast.parse(source).body
+                     if isinstance(node, ast.ImportFrom) and node.level
+                     for alias in node.names)
+
+
+def test_every_function_is_called_by_the_program_or_exported():
+    # __init__.py is the allow-list, so its imports are not calls
+    program = {p.name: p.read_text() for p in SRC.glob("*.py")
+               if p.name != "__init__.py"}
+    modules = dict(program)
     program.update({"perfbench/" + p.name: p.read_text()
                     for p in (ROOT / "perfbench").glob("*.py")})
-    modules = {name: program[name] for name in BASE_LAYERS}
+    exported = _exports((SRC / "__init__.py").read_text())
+    assert "Mat" in exported and "verify_rep" in exported
     uncalled = ["%s:%d %s" % entry
-                for entry in _uncalled_functions(modules, program)]
+                for entry in _uncalled_functions(modules, program, exported)]
     assert not uncalled, "called by tests only: " + ", ".join(uncalled)
 
 
@@ -163,6 +176,13 @@ def test_the_check_sees_an_uncalled_function():
                                {"lib.py": lib, "test.py": test}) == [
         ("lib.py", 1, "used"), ("lib.py", 5, "outer"),
         ("lib.py", 7, "recursive")]
+    init = ('"""A package."""\n__version__ = "1"\n'
+            "from .lib import dead, outer as api  # noqa: F401\n"
+            "from math import gcd\nimport json\n")
+    assert _exports(init) == {"dead", "outer"}
+    assert _uncalled_functions({"lib.py": lib},
+                               {"lib.py": lib, "user.py": user},
+                               _exports(init)) == [("lib.py", 7, "recursive")]
 
 
 # the finders' modules; the checker in certs.py may import from definability

@@ -16,15 +16,15 @@ from liedef.errors import (InputError, NotNilpotentError,
                            NotSupersolvableError, PreconditionError,
                            UnsupportedError)
 from liedef.formats import (algebra_from_dict, matrix_from_json,
-                            vector_from_json)
+                            scalar_from_json, vector_from_json)
 from liedef.lie import LieAlgebra, from_matrices
 from liedef.linalg import (Mat, block_diag, intersect_spans, inverse,
-                           span_basis)
+                           mat_lincomb, rank, span_basis, vadd)
 from liedef.reps import (ALL_FLAGS, FAITHFUL, HOMOMORPHISM, TRIANGULAR,
                          UNIPOTENT, GroupRepData, Representation, extend_rep,
                          is_unipotent, nilpotent_ado, quotient_rep,
                          rep_kernel, supersolvable_triangular_rep, verify_rep)
-from liedef.scalars import GaussRat
+from liedef.scalars import GaussRat, rat_str
 from liedef.structure import nilradical
 
 
@@ -249,6 +249,193 @@ def test_verify_rep_matches_the_reference_on_the_module_workload():
             seen.add(want)
     # intact modules grant every flag, and each corruption loses some
     assert ALL_FLAGS in seen and len(seen) > 4
+
+
+def _ref_verify(rep, nil):
+    """reps._verify written on dense matrices: each image conjugated into
+    the flag as pinv @ m @ p, the bracket relations checked as matrix
+    identities on those products, faithfulness as the rank of the
+    flattened images, and each triangular claim judged by
+    is_upper_triangular on the products and on their combinations."""
+    g = rep.source
+    d = rep.target_dim
+    conj = None
+    if rep.flag is None:
+        conj = rep.images
+    elif len(rep.flag) == d:
+        try:
+            p = Mat.from_cols(rep.flag)
+            pinv = inverse(p)
+            conj = [pinv @ m @ p for m in rep.images]
+        except ValueError:
+            conj = None
+    flags = set()
+    m = rep.images if conj is None else conj
+    if all(m[i] @ m[j] - m[j] @ m[i] == mat_lincomb(g.table[i][j], m, d)
+           for i in range(g.dim) for j in range(i + 1, g.dim)):
+        flags.add(HOMOMORPHISM)
+    if rank(Mat([m.flatten() for m in rep.images])) == g.dim:
+        flags.add(FAITHFUL)
+    if conj is not None:
+        if all(m.is_upper_triangular() for m in conj):
+            flags.add(TRIANGULAR)
+        if nil is None:
+            nil = nilradical(g)
+        if all(mat_lincomb(v, conj, d).is_upper_triangular(strict=True)
+               for v in nil):
+            flags.add(UNIPOTENT)
+    return frozenset(flags)
+
+
+def _finder_representations(monkeypatch):
+    """(rep, nil) for every module the finder builds on the modules
+    workload's algebras, nil being the nilradical it hands _certified."""
+    handed = []
+    real = reps._certified
+
+    def recorded(rep, required, nil):
+        handed.append((rep, nil))
+        return real(rep, required, nil)
+
+    monkeypatch.setattr(reps, "_certified", recorded)
+    out = []
+    for g in _module_algebras():
+        supersolvable_triangular_rep(g)
+        # the outermost call comes last
+        out.append(handed[-1])
+    monkeypatch.undo()
+    return out
+
+
+def test_sparse_verify_matches_the_dense_one_on_the_module_workload(
+        monkeypatch):
+    built = _finder_representations(monkeypatch)
+    assert any(rep.flag is not None for rep, _ in built)
+    for rep, nil in built:
+        assert reps._verify(rep, nil) == _ref_verify(rep, nil) == ALL_FLAGS
+        assert reps._verify(rep, None) == _ref_verify(rep, None) \
+            == ALL_FLAGS
+
+
+def _as_json_gaussian(x, im=0):
+    """x + im*i as the checker reads a {"re", "im"} JSON scalar."""
+    return scalar_from_json({"re": rat_str(x), "im": rat_str(im)})
+
+
+def _forged(rep, rng):
+    """Seeded forgeries of rep: flags that are singular, permuted, not a
+    basis, of the wrong length or made of vectors of the wrong length;
+    entries turned into GaussRat as JSON scalars give them, one of them
+    off the real line; and one perturbed entry."""
+    d = rep.target_dim
+    images = list(rep.images)
+    flag = list(rep.flag or Mat.identity(d).cols())
+    out = []
+    if d >= 2:
+        a, b = rng.sample(range(d), 2)
+        dependent = flag[:]
+        dependent[a] = vadd(flag[b], flag[b])
+        zero = flag[:]
+        zero[a] = (Fraction(0),) * d
+        twice = flag[:]
+        twice[a] = flag[b]
+        permuted = flag[:]
+        rng.shuffle(permuted)
+        out += [replace(rep, flag=tuple(f))
+                for f in (dependent, zero, twice, permuted)]
+    out.append(replace(rep, flag=tuple(flag[:-1])))
+    out.append(replace(rep, flag=tuple(flag + flag[:1])))
+    out.append(replace(rep, flag=tuple(v[:-1] for v in flag)))
+    out.append(replace(rep, flag=tuple(v + (Fraction(1),) for v in flag)))
+    # a basis that the images need not keep triangular
+    sheared = flag[:]
+    if d >= 2:
+        sheared[a] = vadd(flag[a], flag[b])
+    out.append(replace(rep, flag=tuple(sheared)))
+
+    gaussian = [Mat([[_as_json_gaussian(x) if rng.random() < 0.5 else x
+                      for x in row] for row in m.rows]) for m in images]
+    gflag = tuple(tuple(_as_json_gaussian(x) if rng.random() < 0.3 else x
+                        for x in v) for v in flag)
+    out.append(replace(rep, images=tuple(gaussian)))
+    out.append(replace(rep, images=tuple(gaussian), flag=gflag))
+    k, r, c = (rng.randrange(len(images)), rng.randrange(d),
+               rng.randrange(d))
+    for shift in (Fraction(rng.choice((-1, 1)), rng.randint(1, 3)),
+                  _as_json_gaussian(0, rng.choice((-1, 1)))):
+        rows = [list(row) for row in images[k].rows]
+        rows[r][c] = rows[r][c] + shift
+        perturbed = images[:]
+        perturbed[k] = Mat(rows)
+        out.append(replace(rep, images=tuple(perturbed)))
+    return out
+
+
+def _cancelling(rng, d):
+    """Two images, conjugated by a seeded basis P, whose sum is strictly
+    upper triangular in P while neither image is triangular there; with
+    the flag P, or with no flag when P is the identity."""
+    lower = [[Fraction(rng.randint(-2, 2)) if c <= r else Fraction(0)
+              for c in range(d)] for r in range(d)]
+    lower[d - 1][0] = Fraction(rng.choice((-2, -1, 1, 2)))
+    upper = [[Fraction(rng.randint(-2, 2)) if c > r else Fraction(0)
+              for c in range(d)] for r in range(d)]
+    x1 = Mat(upper) + Mat(lower)
+    x2 = -Mat(lower)
+    p = Mat.identity(d)
+    if rng.random() < 0.7:
+        while True:
+            p = Mat([[Fraction(rng.randint(-1, 1)) for _ in range(d)]
+                      for _ in range(d)])
+            if rank(p) == d:
+                break
+    pinv = inverse(p)
+    images = (p @ x1 @ pinv, p @ x2 @ pinv)
+    flag = None if p == Mat.identity(d) else tuple(p.cols())
+    g = LieAlgebra(2, [[(Fraction(0),) * 2] * 2 for _ in range(2)])
+    return Representation(g, d, images, flag=flag)
+
+
+def test_sparse_verify_matches_the_dense_one_on_forged_representations(
+        monkeypatch):
+    rng = random.Random(20261026)
+    seen = set()
+    built = _finder_representations(monkeypatch)
+    for rep, nil in rng.sample(built, 20) + [
+            (r, None) for r in _pool_representations()[:6]]:
+        for forged in [rep] + _forged(rep, rng):
+            got = reps._verify(forged, nil)
+            assert got == _ref_verify(forged, nil)
+            seen.add(got)
+    assert ALL_FLAGS in seen and frozenset((HOMOMORPHISM, FAITHFUL)) in seen
+    assert len(seen) >= 6
+
+    # the unipotent claim sums the images before it tests for zero
+    for _ in range(40):
+        rep = _cancelling(rng, rng.randint(2, 4))
+        for nil, unipotent in (([(1, 1)], True), ([(1, 2)], False),
+                               ([(1, 0)], False)):
+            got = reps._verify(rep, nil)
+            assert got == _ref_verify(rep, nil)
+            assert (UNIPOTENT in got) == unipotent
+            assert TRIANGULAR not in got
+
+
+def test_sparse_verify_builds_no_dense_matrix(monkeypatch):
+    built = _finder_representations(monkeypatch)
+    calls = []
+    for name in ("__matmul__", "is_upper_triangular"):
+        real = getattr(Mat, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(Mat, name, counted)
+    assert sum(rep.flag is not None for rep, _ in built) >= 10
+    for rep, nil in built:
+        assert reps._verify(rep, nil) == ALL_FLAGS
+    assert calls == []
 
 
 _ENTRIES = {

@@ -1,9 +1,17 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from liedef import scalars
+from liedef.certs import emit_representation
+from liedef.corpus import corpus
+from liedef.errors import InputError
+from liedef.formats import (canonical_json, matrix_from_json,
+                            scalar_from_json, vector_from_json)
+from liedef.reps import Representation, supersolvable_triangular_rep
 from liedef.scalars import GaussRat, gauss, rat, rat_str
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -163,3 +171,53 @@ def test_rat_str_takes_fractions_ints_and_booleans():
     assert rat_str(f) == "-3/7"
     assert rat_str(4) == rat_str(Fraction(4)) == "4"
     assert rat_str(True) == "1"
+
+
+def test_rat_of_zero_is_the_shared_zero():
+    assert rat("0") is scalars._ZERO
+    assert scalar_from_json("0") is scalars._ZERO
+    z = scalar_from_json({"re": "0", "im": "0"})
+    assert z.re is scalars._ZERO and z.im is scalars._ZERO
+
+
+def test_other_spellings_of_zero_parse_as_fractions():
+    for text in ("-0", "00", "0/1", " 0", "+0", "0 ", "-00", "0/7"):
+        got = rat(text)
+        assert type(got) is Fraction and got == 0, text
+
+
+def test_malformed_scalars_keep_their_messages():
+    cases = {
+        "0x": "m[0][0]: cannot parse '0x' as a rational",
+        "": "m[0][0]: cannot parse '' as a rational",
+        "1/0": "m[0][0]: cannot parse '1/0' as a rational",
+        "0.0.0": "m[0][0]: cannot parse '0.0.0' as a rational",
+        "- 0": "m[0][0]: cannot parse '- 0' as a rational",
+    }
+    for text, message in cases.items():
+        with pytest.raises(InputError) as err:
+            scalar_from_json(text, "m[0][0]")
+        assert str(err.value) == message
+    with pytest.raises(InputError) as err:
+        scalar_from_json({"re": "0", "im": "x"}, "m[0][0]")
+    assert str(err.value) == "m[0][0]: malformed rational parts"
+
+
+def test_parsed_representations_emit_the_same_bytes():
+    # the images of a triangular module are mostly "0" entries
+    algebras = [e.algebra for e in corpus()
+                if e.known.get("supersolvable")
+                and e.known_value("supersolvable")]
+    assert algebras
+    for g in algebras:
+        text = canonical_json(emit_representation(
+            supersolvable_triangular_rep(g)))
+        payload = json.loads(text)["payload"]
+        flag = payload["flag"]
+        rep = Representation(
+            g, payload["target_dim"],
+            tuple(matrix_from_json(m) for m in payload["images"]),
+            frozenset(payload["claims"]),
+            None if flag is None else
+            tuple(tuple(vector_from_json(v)) for v in flag))
+        assert canonical_json(emit_representation(rep)) == text
