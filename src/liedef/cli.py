@@ -32,12 +32,8 @@ from .structure import commuting_levi, levi_subalgebra, nilradical, radical
 from .torus import TorusWeights, torus_zariski_closure
 
 
-def _fmt(x) -> str:
-    return str(x)
-
-
 def _fmt_vec(v) -> str:
-    return "[" + ", ".join(_fmt(c) for c in v) + "]"
+    return "[" + ", ".join(str(c) for c in v) + "]"
 
 
 def _print_rows(title, rows):

@@ -6,8 +6,9 @@ state: integer left kernels are verified against their unimodular row
 transforms on every call, and Jordan decompositions are verified
 semisimple-plus-nilpotent before they are returned.  Yes/no questions about
 one matrix are asked directly: is_nilpotent_mat takes a power, and
-is_semisimple_mat evaluates the squarefree part of the characteristic
-polynomial, without building a Jordan decomposition.
+is_semisimple_mat evaluates the squarefree part of the norm of the
+characteristic polynomial (a rational polynomial, see poly.norm), without
+building a Jordan decomposition.
 
 Matrices are dense, but every linear system goes through one sparse
 Gauss-Jordan elimination, _gauss_jordan, which takes each row as a
@@ -28,8 +29,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InputError, InternalCheckError
-from .poly import Poly, poly_gcd, squarefree_part
+from .errors import InternalCheckError
+from .poly import Poly, norm, squarefree_part
 from .scalars import GaussRat, _field, gauss
 
 
@@ -475,35 +476,6 @@ def _coords_and_rank(basis, vectors):
     return _solutions(pivots, bad, len(basis), len(vectors)), len(pivots)
 
 
-def restrict_to_span(a: Mat, basis):
-    """Matrix of a on an invariant span, in the given basis coordinates.
-
-    The image a @ v of each basis vector is summed over the nonzero entries
-    of a's rows where v is nonzero too, in increasing column order from
-    Fraction(0), the additions a @ v makes; coords_in_span then solves for
-    every image at once, and an image outside the span raises InputError.
-    Values and entry types are those of coords_in_span on the dense images.
-    """
-    nz_rows = [[(j, x) for j, x in enumerate(r) if x] for r in a.rows]
-    images = []
-    for v in basis:
-        if len(v) != a.ncols:
-            raise ValueError("shape mismatch")
-        image = []
-        for nz in nz_rows:
-            acc = Fraction(0)
-            for j, x in nz:
-                y = v[j]
-                if y:
-                    acc = acc + x * y
-            image.append(acc)
-        images.append(image)
-    cols = coords_in_span(basis, images)
-    if None in cols:
-        raise InputError("matrix does not preserve the span")
-    return Mat.from_cols(cols)
-
-
 def lincomb(coeffs, vectors, dim: int):
     """sum of c * v over the pairs, as a tuple of length dim.
 
@@ -630,29 +602,16 @@ def poly_at(p: Poly, a: Mat) -> Mat:
     return out
 
 
-def minimal_poly(a: Mat) -> Poly:
-    if not a.is_square():
-        raise ValueError("minimal polynomial of a non-square matrix")
-    n = a.nrows
-    powers = [Mat.identity(n).flatten()]
-    cur = Mat.identity(n)
-    for k in range(1, n + 1):
-        cur = cur @ a
-        c = coords_in_span(powers, [cur.flatten()])[0]
-        if c is not None:
-            return Poly(list(-x for x in c) + [Fraction(1)])
-        powers.append(cur.flatten())
-    raise InternalCheckError("minimal polynomial exceeded the dimension bound")
-
-
 def jordan_chevalley(a: Mat):
-    """Split a = s + n with s semisimple, n nilpotent, s n = n s, both in Q[a].
+    """Split a = s + n with s semisimple, n nilpotent, s n = n s, both
+    polynomials in a.
 
-    Newton iteration against the squarefree part of the characteristic
-    polynomial.  The decomposition is verified before being returned.
+    Newton iteration against f, the squarefree part of the norm of the
+    characteristic polynomial: f is rational, f(a) is nilpotent and f'(a)
+    is invertible.  The decomposition is verified before being returned.
     """
     n_dim = a.nrows
-    f = squarefree_part(char_poly(a))
+    f = squarefree_part(norm(char_poly(a)))
     x = a
     fx = poly_at(f, x)
     for _ in range(max(1, n_dim).bit_length() + 2):
@@ -671,10 +630,9 @@ def jordan_chevalley(a: Mat):
     nil = a - s
     if s @ nil != nil @ s:
         raise InternalCheckError("Jordan split parts do not commute")
-    if not mat_pow(nil, n_dim).is_zero():
+    if not is_nilpotent_mat(nil):
         raise InternalCheckError("Jordan split second part is not nilpotent")
-    mp = minimal_poly(s)
-    if poly_gcd(mp, mp.derivative()).degree != 0:
+    if not is_semisimple_mat(s, char_poly(s)):
         raise InternalCheckError("Jordan split first part is not semisimple")
     return s, nil
 
@@ -687,11 +645,13 @@ def is_semisimple_mat(a: Mat, cp: Poly) -> bool:
     """True iff a is diagonalizable over the algebraic closure; cp is
     char_poly(a), which every caller also needs for the spectrum.
 
-    That holds exactly when the minimal polynomial is squarefree, i.e. when
-    the squarefree part of the characteristic polynomial annihilates a; no
-    Jordan decomposition is built.
+    That holds exactly when the minimal polynomial is squarefree.  The
+    squarefree part f of the norm of cp is rational and has every root of
+    cp as a simple root (with their conjugates, which need not be
+    eigenvalues), so the minimal polynomial divides f, i.e. f(a) = 0,
+    exactly when it is squarefree.  No Jordan decomposition is built.
     """
-    return poly_at(squarefree_part(cp), a).is_zero()
+    return poly_at(squarefree_part(norm(cp)), a).is_zero()
 
 
 # -- integer lattices ----------------------------------------------------------

@@ -2,21 +2,23 @@
 
 Coefficients are stored lowest degree first and may be int, Fraction or
 GaussRat; all algorithms are exact, and a division by an int coefficient
-goes through a Fraction, so no float ever appears.  The gcd, the squarefree
-part and the Sturm chain of a polynomial with rational coefficients are
-computed on primitive integer coefficient lists: each remainder is a
+goes through a Fraction, so no float ever appears.  Every gcd, squarefree
+part and Sturm chain is computed on primitive integer coefficient lists of
+a polynomial with rational coefficients: each remainder is a
 sign-preserving pseudo-remainder (the dividend scaled by a power of the
 divisor's |leading coefficient|) divided by its positive content, so every
 term is a positive multiple of the one Euclid's algorithm over Q gives, and
-only a monic result is turned back into Fractions.  Over Q(i) the gcd and
-squarefree part run Euclid's algorithm on the GaussRat coefficients.
+only a monic result is turned back into Fractions.  A polynomial p over
+Q(i) is asked through its norm N(p) = p * conj(p) (Trager), which has
+rational coefficients and the roots of p and their conjugates.
 
 Real-root counting uses Sturm sequences on the squarefree part.  Root
 extraction over the fixed tower Q < Q(i) is complete and has no size bound:
-the roots of the squarefree part are found modulo a small prime p = 1
-(mod 4), lifted p-adically, read back into Q(i) by a 2-D lattice reduction,
-and accepted only after exact evaluation.  Anything that would need a
-larger field is reported as a leftover degree, never approximated.
+the roots of the squarefree part of the norm are found modulo a small prime
+p = 1 (mod 4), lifted p-adically, read back into Q(i) by a 2-D lattice
+reduction, and accepted only after exact division of p itself.  Anything
+that would need a larger field is reported as a leftover degree, never
+approximated.
 """
 from __future__ import annotations
 
@@ -163,10 +165,6 @@ class Poly:
         return Poly(out)
 
 
-def _is_rational(p: Poly) -> bool:
-    return not any(isinstance(c, GaussRat) for c in p.coeffs)
-
-
 def _primitive(ints):
     """An integer list divided by its positive content."""
     g = gcd(*ints)
@@ -257,33 +255,22 @@ def _monic(ints) -> Poly:
     return Poly([Fraction(c, ints[-1]) for c in ints] if ints else [])
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd.
-
-    With rational coefficients it is the last nonzero term of the primitive
-    integer remainder sequence (see the module docstring), made monic in
-    Fractions; over Q(i) it is Euclid's algorithm on the coefficients.
-    """
-    if _is_rational(a) and _is_rational(b):
-        return _monic(_int_gcd(_int_coeffs(a.coeffs), _int_coeffs(b.coeffs)))
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+def norm(p: Poly) -> Poly:
+    """The norm N(p) = p * conj(p) of p over Q(i): its coefficients are
+    real, and its roots are those of p and their complex conjugates.  A
+    real p has the roots of its norm, so it stands for it unchanged."""
+    return p if p.is_real() else p * p.conj()
 
 
 def squarefree_part(p: Poly) -> Poly:
-    """p / gcd(p, p'), monic; zero stays zero.
+    """p / gcd(p, p'), monic; zero stays zero.  p must be real (else
+    ValueError); ask a polynomial over Q(i) through its norm.
 
-    With rational coefficients both the gcd and the exact division run on
-    primitive integer lists, and only the result becomes Fractions.
+    Both the gcd and the exact division run on primitive integer lists, and
+    only the result becomes Fractions.
     """
-    if _is_rational(p):
-        ints = _int_coeffs(p.coeffs)
-        return _monic(_squarefree_ints(ints) if len(ints) > 1 else ints)
-    if p.degree <= 0:
-        return p.monic() if not p.is_zero() else p
-    g = poly_gcd(p, p.derivative())
-    return p.divexact(g).monic()
+    ints = _real_ints(p)
+    return _monic(_squarefree_ints(ints) if len(ints) > 1 else ints)
 
 
 # -- Sturm counting ------------------------------------------------------------
@@ -346,12 +333,13 @@ def sturm_count_real_roots(p: Poly) -> int:
 
 
 def purely_imaginary_spectrum(p: Poly) -> bool:
-    """True iff every root of the real polynomial p lies on the imaginary axis.
+    """True iff every root of p lies on the imaginary axis.
 
-    Writing p = x^m * r(x) with r(0) != 0, this holds iff r is even,
-    r(x) = q(x^2), and q has only negative real roots.
+    Conjugation keeps the axis, so a p over Q(i) is read through its norm.
+    Writing that real polynomial as x^m * r(x) with r(0) != 0, this holds
+    iff r is even, r(x) = q(x^2), and q has only negative real roots.
     """
-    cs = _real_ints(p)
+    cs = _real_ints(norm(p))
     if not cs:
         raise ValueError("spectrum test on the zero polynomial")
     cs = cs[next(m for m, c in enumerate(cs) if c):]
@@ -368,11 +356,6 @@ def purely_imaginary_spectrum(p: Poly) -> bool:
 
 
 # -- exact roots over Q and Q(i) --------------------------------------------------
-
-
-def clear_denominators(v):
-    """Scale a rational vector to a primitive integer vector."""
-    return tuple(_int_coeffs(list(v)))
 
 
 # Polynomials over Z/m below are lists of ints in [0, m), lowest degree first,
@@ -499,25 +482,19 @@ def _reduced_basis(u, v):
         u, v = v, u
 
 
-def _modular_roots(g: Poly):
-    """Candidate roots in Q(i) of the squarefree g (degree >= 2).
+def _modular_roots(ints):
+    """Candidate roots in Q(i) of a squarefree integer list (degree >= 2).
 
-    With the denominators of g cleared into Z[i], lc * z lies in Z[i] for
-    every root z, and |lc * z| <= H = |lc| + max |a_j| (Cauchy).  The roots
-    are found mod a prime p = 1 (mod 4) with i mapped to a square root iota
-    of -1, lifted with iota to p^k > 8 H^2 by Newton steps, and read back as
-    the short A + B*i with A + B*iota = lc * r (mod p^k): the A + B*i with
-    A + B*iota = 0 form an ideal of Z[i] of norm p^k, a square lattice whose
-    reduced basis rounds exactly.  The caller accepts a candidate only after
-    exact evaluation.
+    lc * z lies in Z[i] for every root z, and |lc * z| <= H = |lc| +
+    max |a_j| (Cauchy).  The roots are found mod a prime p = 1 (mod 4),
+    lifted to p^k > 8 H^2 by Newton steps along with a square root iota of
+    -1, and read back as the short A + B*i with A + B*iota = lc * r
+    (mod p^k): the A + B*i with A + B*iota = 0 form an ideal of Z[i] of
+    norm p^k, a square lattice whose reduced basis rounds exactly.  The
+    caller accepts a candidate only after exact division.
     """
-    parts = [(c.re, c.im) if isinstance(c, GaussRat) else (c, 0)
-             for c in g.coeffs]
-    flat = clear_denominators([x for pair in parts for x in pair])
-    ints = list(zip(flat[0::2], flat[1::2]))
     for p in _primes_1_mod_4():
-        iota = _sqrt_minus_one(p)
-        f = [(a + b * iota) % p for a, b in ints]
+        f = [c % p for c in ints]
         if not f[-1]:
             continue
         inv = pow(f[-1], -1, p)
@@ -530,13 +507,13 @@ def _modular_roots(g: Poly):
         _gcd_mod(f, _sub_mod(_powmod_mod(x, p, f, p), x, p), p), p)
 
     lc = ints[-1]
-    height = abs(lc[0]) + abs(lc[1]) + max(abs(a) + abs(b)
-                                           for a, b in ints[:-1])
+    height = abs(lc) + max(abs(a) for a in ints[:-1])
+    iota = _sqrt_minus_one(p)
     mod = p
     while mod <= 8 * height * height:
         mod = mod * mod
         iota = (iota - (iota * iota + 1) * pow(2 * iota, -1, mod)) % mod
-        f = [(a + b * iota) % mod for a, b in ints]
+        f = [c % mod for c in ints]
         df = [k * c % mod for k, c in enumerate(f)][1:]
         found = [(r - _eval_mod(f, r, mod)
                   * pow(_eval_mod(df, r, mod), -1, mod)) % mod
@@ -544,13 +521,12 @@ def _modular_roots(g: Poly):
 
     u, v = _reduced_basis((mod, 0), (-iota % mod, 1))
     det = u[0] * v[1] - u[1] * v[0]
-    lead = GaussRat(*lc)
     out = []
     for r in found:
-        t = (lc[0] + lc[1] * iota) * r % mod
+        t = lc * r % mod
         c1, c2 = _round_div(t * v[1], det), _round_div(-t * u[1], det)
         w = (t - c1 * u[0] - c2 * v[0], -c1 * u[1] - c2 * v[1])
-        out.append(GaussRat(*w) / lead)
+        out.append(GaussRat(*w) / lc)
     return out
 
 
@@ -573,9 +549,11 @@ def _deflate(p: Poly, z):
 def gaussian_roots(p: Poly):
     """All roots of p lying in Q(i), with multiplicities, plus leftover degree.
 
-    Works for Fraction or GaussRat coefficients.  leftover == 0 means p splits
-    into linear factors over Q(i); a positive leftover is the degree of the
-    certified Q(i)-rootless cofactor.  Roots come sorted by (re, im).
+    Works for Fraction or GaussRat coefficients.  The candidates are the
+    Q(i) roots of the squarefree part of the norm N(p), and each is kept
+    only when _deflate finds it a root of p itself.  leftover == 0 means p
+    splits into linear factors over Q(i); a positive leftover is the degree
+    of the certified Q(i)-rootless cofactor.  Roots come sorted by (re, im).
     """
     if p.is_zero():
         raise ValueError("roots of the zero polynomial")
@@ -583,20 +561,19 @@ def gaussian_roots(p: Poly):
          else Poly([gauss(c) for c in p.coeffs]))
     zeros = next(k for k, c in enumerate(f.coeffs) if c)
     f = Poly(f.coeffs[zeros:])
-    g = squarefree_part(f)
-    if g.degree == 1:
-        candidates = [gauss(-g.coeffs[0])]
-    elif g.degree > 1:
+    ints = _real_ints(norm(f))
+    g = _squarefree_ints(ints) if len(ints) > 1 else ints
+    if len(g) == 2:
+        candidates = [GaussRat(Fraction(-g[0], g[1]))]
+    elif len(g) > 2:
         candidates = _modular_roots(g)
     else:
         candidates = []
     roots = [(GaussRat(0), zeros)] if zeros else []
     # real roots first, so a real p deflates over Q as long as it can
     for z in sorted(candidates, key=lambda z: not z.is_real()):
-        value = z.re if z.is_real() else z
-        if g(value) == 0:
-            mult, f = _deflate(f, value)
+        mult, f = _deflate(f, z.re if z.is_real() else z)
+        if mult:
             roots.append((z, mult))
     roots.sort(key=lambda rm: (rm[0].re, rm[0].im))
     return roots, p.degree - sum(m for _, m in roots)
-

@@ -26,8 +26,7 @@ from .errors import (Indeterminate, InputError, InternalCheckError,
 from .lie import LieAlgebra
 from .linalg import (Mat, _gauss_jordan, _solutions, block_diag,
                      coords_in_span, independent, intersect_spans, inverse,
-                     is_nilpotent_mat, kernel, kron, mat_lincomb,
-                     restrict_to_span, span_basis)
+                     is_nilpotent_mat, kernel, kron, mat_lincomb, span_basis)
 from .scalars import GaussRat
 from .structure import nilradical
 from .weights import _weight_flag
@@ -60,6 +59,8 @@ class Representation:
         for m in self.images:
             if m.nrows != self.target_dim or m.ncols != self.target_dim:
                 raise InputError("image matrix shape differs from target_dim")
+        if any(len(v) != self.target_dim for v in self.flag or ()):
+            raise InputError("flag vector length differs from target_dim")
 
     def image_of(self, x):
         """Image of an arbitrary element, by linearity."""
@@ -170,13 +171,9 @@ def _strictly_upper(v, mats, d):
     return True
 
 
-def _is_homomorphism(g: LieAlgebra, mats, d: int) -> bool:
-    """Whether M_i M_j - M_j M_i = sum_k c_ij^k M_k for every pair i < j."""
-    return _closes(g, [_nonzero_rows(m.rows) for m in mats], d)
-
-
 def _closes(g: LieAlgebra, nz, d: int) -> bool:
-    """_is_homomorphism of the images given as _nonzero_rows lists.
+    """Whether M_i M_j - M_j M_i = sum_k c_ij^k M_k for every pair i < j,
+    of the images M given as _nonzero_rows lists.
 
     Row r of each pair's residual is summed into a {column: value} dict over
     the listed entries only, with c_ij^k read off the nonzero entries of
@@ -502,8 +499,8 @@ def extend_rep(g: LieAlgebra, h_rows, rho: Representation) -> Representation:
 
 
 def _extend(g, h_span, rho):
-    """extend_rep from the complement on, unverified: images that
-    _is_homomorphism has accepted, or UnsupportedError.
+    """extend_rep from the complement on, unverified: images that _closes
+    has accepted, or UnsupportedError.
 
     h_span is a proper ideal in rref rows, which g.subalgebra takes as the
     basis of rho's source, and rho a faithful module whose weights vanish
@@ -533,8 +530,8 @@ def _solve_extension(g, incl, comp, rho_images, tinv):
     solution of each, every free variable zero, or shows that some c has
     none.  tinv is the inverse of the matrix with columns incl + comp.
     Returns the images of g's standard basis, rho_images on incl and the
-    sigma(c) on comp carried through tinv, once _is_homomorphism accepts
-    them, else None.
+    sigma(c) on comp carried through tinv, once _closes accepts them, else
+    None.
     """
     d = rho_images[0].nrows
     k = len(incl)
@@ -555,7 +552,8 @@ def _solve_extension(g, incl, comp, rho_images, tinv):
     # a linear map keeps the brackets on the basis incl + comp exactly when
     # it keeps them on the standard one
     images = [mat_lincomb(tinv @ x, found, d) for x in g.basis()]
-    return images if _is_homomorphism(g, images, d) else None
+    nz = [_nonzero_rows(m.rows) for m in images]
+    return images if _closes(g, nz, d) else None
 
 
 def _unflatten(v, d):
@@ -663,7 +661,10 @@ def quotient_rep(data: GroupRepData):
     def induced(m):
         parts = []
         for basis, _ in components:
-            parts.append(restrict_to_span(m, basis))
+            coords = coords_in_span(basis, [m @ v for v in basis])
+            if None in coords:
+                raise InternalCheckError("a component is not invariant")
+            parts.append(Mat.from_cols(coords))
         blocks = [kron(p, p) for p in parts]
         for rel in relations:
             factors = [parts[i] for i in range(h) if rel[i]]

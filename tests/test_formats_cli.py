@@ -152,6 +152,30 @@ def test_cli_oracle_exit_codes(tmp_path, e2, sl2, capsys):
     assert "Theorem 5" in out
 
 
+def test_cli_complex_presentation_matrices_exit_zero(tmp_path, capsys):
+    # Theorem 3 takes a linear presentation with its matrices, and a
+    # complex matrix group is a real linear group too: [[i]] is of compact
+    # type and [[1 + i]] is not, and neither run may end in a traceback
+    from liedef.certs import load_certificate, verify_certificate
+    from liedef.lie import LieAlgebra
+    g = LieAlgebra.from_entries(1, {})
+    for z, compact in ((GaussRat(0, 1), True), (GaussRat(1, 1), False)):
+        p = write(tmp_path, "complex.json", g, [Mat([[z]])])
+        cert = str(tmp_path / "complex.cert.json")
+        assert main(["oracle", p, "--presentation", "linear",
+                     "--cert-out", cert]) == 0
+        captured = capsys.readouterr()
+        assert "verdict: Definable" in captured.out
+        assert captured.err == ""
+        if compact:
+            assert "note:" not in captured.out
+        else:
+            assert "note: the matrices as given are not of compact type" \
+                in captured.out
+        alg, mats, _ = load_algebra_file(p)
+        assert verify_certificate(load_certificate(cert), alg, mats).ok
+
+
 def test_cli_supersolvable_and_certs(tmp_path, h3, e2, capsys):
     h3p = write(tmp_path, "h3.json", h3)
     cert = str(tmp_path / "h3.flag.json")

@@ -8,16 +8,14 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from liedef.errors import InputError
 from liedef.linalg import (Mat, _dot, _field, _gauss_jordan, _null_space,
                            _solutions, block_diag, char_poly, coords_in_span,
                            det, independent, integer_left_kernel,
                            intersect_spans, inverse, is_nilpotent_mat,
                            is_semisimple_mat, jordan_chevalley, kernel, kron,
-                           lincomb, mat_lincomb, mat_pow, minimal_poly,
-                           poly_at, rank, restrict_to_span, solve, span_basis,
-                           trace_product)
-from liedef.poly import Poly, clear_denominators
+                           lincomb, mat_lincomb, mat_pow, poly_at, rank,
+                           solve, span_basis, trace_product)
+from liedef.poly import Poly, squarefree_part
 from liedef.scalars import GaussRat
 from liedef.torus import _normalize_relation
 
@@ -137,10 +135,25 @@ def test_poly_at_matches_horner_with_a_scaled_identity():
                 assert _typed(poly_at(p, a)) == _typed(want)
 
 
+def _minimal_poly(a: Mat) -> Poly:
+    """The monic minimal polynomial: the first power of a that is a
+    combination of the lower ones."""
+    n = a.nrows
+    powers = [Mat.identity(n).flatten()]
+    cur = Mat.identity(n)
+    for _ in range(n):
+        cur = cur @ a
+        c = coords_in_span(powers, [cur.flatten()])[0]
+        if c is not None:
+            return Poly([-x for x in c] + [Fraction(1)])
+        powers.append(cur.flatten())
+    raise AssertionError("no minimal polynomial up to the dimension")
+
+
 @settings(max_examples=40)
 @given(mats(3))
-def test_minimal_poly_divides_char(a):
-    mp = minimal_poly(a)
+def test_the_minimal_polynomial_divides_char_poly(a):
+    mp = _minimal_poly(a)
     assert poly_at(mp, a).is_zero()
     assert char_poly(a).divmod(mp)[1].is_zero()
 
@@ -160,8 +173,7 @@ def test_jordan_chevalley_properties(a):
     assert s @ n == n @ s
     assert is_nilpotent_mat(n)
     # semisimple part has squarefree minimal polynomial
-    mp = minimal_poly(s)
-    from liedef.poly import squarefree_part
+    mp = _minimal_poly(s)
     assert squarefree_part(mp).degree == mp.degree
 
 
@@ -178,6 +190,69 @@ def test_is_semisimple_mat_examples():
     assert not is_semisimple_mat(jordan, char_poly(jordan))
     assert is_semisimple_mat(rotation, char_poly(rotation))
     assert is_semisimple_mat(repeated, char_poly(repeated))
+
+
+def _gaussian_jordan_forms(rng, count):
+    """(a, s, nil) with a = P (D + N) P^-1, s = P D P^-1 and nil = P N P^-1:
+    D + N is a Jordan form of up to three blocks of sizes 1 to 3 with
+    seeded Gaussian eigenvalues, some repeated, some the conjugate of
+    another, some real or zero, and P is a seeded invertible Gaussian
+    matrix or the identity."""
+    out = []
+    while len(out) < count:
+        blocks = []
+        for _ in range(rng.randint(1, 3)):
+            if blocks and rng.random() < 0.4:
+                lam = rng.choice((blocks[-1][0], blocks[-1][0].conj()))
+            else:
+                lam = GaussRat(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+                               rng.choice((0, rng.randint(-3, 3))))
+            blocks.append((lam, rng.choice((1, 1, 2, 3))))
+        n = sum(size for _, size in blocks)
+        if n > 5:
+            continue
+        d = [[Fraction(0)] * n for _ in range(n)]
+        nil = [[Fraction(0)] * n for _ in range(n)]
+        at = 0
+        for lam, size in blocks:
+            for k in range(at, at + size):
+                d[k][k] = lam
+                if k + 1 < at + size:
+                    nil[k][k + 1] = Fraction(1)
+            at += size
+        p = Mat.identity(n)
+        if rng.random() < 0.7:
+            p = Mat([[GaussRat(rng.randint(-1, 1), rng.randint(-1, 1))
+                      for _ in range(n)] for _ in range(n)])
+            if rank(p) < n:
+                continue
+        pinv = inverse(p)
+        s, nil = p @ Mat(d) @ pinv, p @ Mat(nil) @ pinv
+        out.append((s + nil, s, nil))
+    return out
+
+
+def test_is_semisimple_mat_on_gaussian_jordan_forms():
+    rng = random.Random(20261027)
+    seen = set()
+    for a, s, nil in _gaussian_jordan_forms(rng, 60):
+        assert is_semisimple_mat(a, char_poly(a)) == nil.is_zero()
+        assert is_semisimple_mat(s, char_poly(s))
+        seen.add(nil.is_zero())
+    assert seen == {True, False}
+    # a Jordan block at i next to -i twice, and i twice next to -i: the
+    # squarefree part x^2 + 1 annihilates only the second
+    i = GaussRat(0, 1)
+    pair = Mat([[i, 1, 0, 0], [0, i, 0, 0], [0, 0, -i, 0], [0, 0, 0, -i]])
+    diag = Mat.diag([i, i, -i])
+    assert not is_semisimple_mat(pair, char_poly(pair))
+    assert is_semisimple_mat(diag, char_poly(diag))
+
+
+def test_jordan_chevalley_splits_gaussian_matrices():
+    rng = random.Random(20261028)
+    for a, s, nil in _gaussian_jordan_forms(rng, 40):
+        assert jordan_chevalley(a) == (s, nil)
 
 
 def test_solve_and_inverse():
@@ -216,23 +291,6 @@ def test_intersect_spans():
     assert intersect_spans([(1, 0, 0)], [(0, 0, 1)], 3) == []
 
 
-def test_restrict_to_span():
-    a = Mat([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
-    r = restrict_to_span(a, [(0, 1, 0), (0, 0, 1)])
-    assert r == Mat([[2, 0], [0, 3]])
-    with pytest.raises(InputError):
-        restrict_to_span(Mat([[0, -1, 0], [1, 0, 0], [0, 0, 0]]),
-                         [(1, 0, 0)])
-    # a non-diagonal action on a 3-dim invariant span with a non-standard
-    # basis: the first three columns of p span it, c is the action there
-    p = Mat([[1, 0, 1, 0], [1, 1, 0, 0], [0, 1, 2, 0],
-             [0, 0, 1, 1]]).map(Fraction)
-    c = [[1, 2, 0], [0, 1, -1], [3, 0, 2]]
-    j = Mat([r + [x] for r, x in zip(c, (5, -2, 1))] + [[0, 0, 0, 4]])
-    a = p @ j @ inverse(p)
-    assert restrict_to_span(a, p.cols()[:3]) == Mat(c)
-
-
 def test_int_matrices_stay_exact():
     # Mat allows plain int entries; elimination must not divide them into
     # floats
@@ -257,7 +315,9 @@ def test_int_matrices_stay_exact():
     c = [[1, 2, 0], [0, 1, -1], [3, 0, 2]]
     j = Mat([r + [y] for r, y in zip(c, (5, -2, 1))] + [[0, 0, 0, 4]])
     m = a @ j @ inverse(a)
-    assert restrict_to_span(m, a.cols()[:3]) == Mat(c)
+    basis = a.cols()[:3]
+    assert Mat.from_cols(coords_in_span(basis, [m @ v for v in basis])) \
+        == Mat(c)
 
 
 def _random_square(rng, n, density, gaussian):
@@ -376,13 +436,6 @@ def test_integer_left_kernel_pinned_relations(weights, relations):
             for m in integer_left_kernel(weights)] == relations
 
 
-def test_clear_denominators():
-    v = (Fraction(1, 2), Fraction(2, 3))
-    w = clear_denominators(v)
-    assert all(x.denominator == 1 for x in w)
-    assert w[0] * v[1] == w[1] * v[0]  # same direction
-
-
 def test_kron_block_diag_shapes():
     a = Mat([[1, 2], [3, 4]])
     b = Mat([[0, 1], [1, 0]])
@@ -484,16 +537,6 @@ def ref_lincomb(coeffs, vectors, dim):
         if c:
             out = [a + c * b for a, b in zip(out, v)]
     return tuple(out)
-
-
-def ref_restrict_to_span(a: Mat, basis):
-    """Coordinates of each dense image a @ v in the basis, one dense solve
-    per image."""
-    t = Mat.from_cols(basis)
-    cols = [ref_solve(t, a @ v) for v in basis]
-    if None in cols:
-        raise InputError("matrix does not preserve the span")
-    return Mat.from_cols(cols)
 
 
 def _random_vec(rng, n, gaussian):
@@ -777,20 +820,9 @@ def test_mismatched_lengths_raise():
             coords_in_span(basis, vectors)
     with pytest.raises(ValueError, match="ragged matrix"):
         span_basis([(1, 0), (1, 0, 0)])
-    with pytest.raises(ValueError):
-        restrict_to_span(Mat.identity(3), [(1, 0)])
 
 
-# ------------------------------------------------ sparse lincomb, restriction
-
-def _any_type(draw, x):
-    """x as a Fraction, a GaussRat or, when it is an integer, an int."""
-    if isinstance(x, GaussRat) and x.im:
-        return x
-    v = Fraction(x.re if isinstance(x, GaussRat) else x)
-    return draw(st.sampled_from([v, GaussRat(v)]
-                                + ([int(v)] if v.denominator == 1 else [])))
-
+# ------------------------------------------------------------ sparse lincomb
 
 @st.composite
 def lincomb_cases(draw):
@@ -821,42 +853,3 @@ def test_lincomb_keeps_the_type_of_a_gaussian_zero():
     assert _typed_deep(got) == [(g, 0), (q, 2), (q, 0)]
     assert (_typed_deep(lincomb([g(0, 1)], [(0, 1)], 2))
             == [(g, 0), (g, g(0, 1))])
-
-
-@st.composite
-def invariant_spans(draw):
-    """(a, basis): a = P J P^-1 with P unit lower triangular and J zero
-    below its leading k x k block, so the first k columns of P span an
-    invariant space, sometimes spoilt by one changed entry of a.  Entries
-    are of one kind or mixed, and each entry of a and of the basis is
-    retyped at random to an int, Fraction or GaussRat of its value."""
-    entry = _kind_entries(draw(st.sampled_from(
-        ("int", "Fraction", "GaussRat", "mixed"))))
-    n = draw(st.integers(1, 5))
-    k = draw(st.integers(1, n))
-    p = Mat([[draw(entry) if i > j else int(i == j) for j in range(n)]
-             for i in range(n)])
-    j = Mat([[0 if i >= k > c else draw(entry) for c in range(n)]
-             for i in range(n)])
-    rows = [[_any_type(draw, x) for x in r]
-            for r in (p @ j @ inverse(p)).rows]
-    if draw(st.booleans()):
-        i, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        rows[i][c] = rows[i][c] + 1
-    basis = [tuple(_any_type(draw, x) for x in col) for col in p.cols()[:k]]
-    return Mat(rows), basis
-
-
-@seed(20261021)
-@settings(max_examples=200, deadline=None, database=None)
-@given(invariant_spans())
-def test_restrict_to_span_matches_dense_reference(case):
-    a, basis = case
-    try:
-        want = ref_restrict_to_span(a, basis)
-    except InputError:
-        with pytest.raises(InputError, match="does not preserve"):
-            restrict_to_span(a, basis)
-    else:
-        assert (_typed_deep(restrict_to_span(a, basis))
-                == _typed_deep(want))

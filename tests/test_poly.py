@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liedef.poly import (Poly, gaussian_roots, poly_gcd,
-                         purely_imaginary_spectrum, squarefree_part,
+from liedef.poly import (Poly, _int_coeffs, _int_gcd, _monic, gaussian_roots,
+                         norm, purely_imaginary_spectrum, squarefree_part,
                          sturm_count_real_roots)
 from liedef.scalars import GaussRat, gauss
 
@@ -28,6 +28,12 @@ def prod(ps):
     for p in ps:
         out = out * p
     return out
+
+
+def gcd_of(p, q):
+    """The monic gcd of rational p and q by the integer remainder
+    sequence."""
+    return _monic(_int_gcd(_int_coeffs(p.coeffs), _int_coeffs(q.coeffs)))
 
 
 small_rats = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -103,7 +109,7 @@ def test_gcd_divides(a, b):
     p, q = Poly(tuple(a)), Poly(tuple(b))
     if p.is_zero() or q.is_zero():
         return
-    g = poly_gcd(p, q)
+    g = gcd_of(p, q)
     assert p.divmod(g)[1].is_zero()
     assert q.divmod(g)[1].is_zero()
 
@@ -223,8 +229,8 @@ def _typed(p):
 def test_int_coefficients_give_exact_fractions():
     p = Poly([1, 2, 1])
     assert _typed(squarefree_part(p)) == [(Fraction, 1), (Fraction, 1)]
-    assert _typed(poly_gcd(p, Poly([2, 2]))) == [(Fraction, 1),
-                                                 (Fraction, 1)]
+    assert _typed(gcd_of(p, Poly([2, 2]))) == [(Fraction, 1),
+                                               (Fraction, 1)]
     assert _typed(Poly([3, 6]).monic()) == [(Fraction, Fraction(1, 2)),
                                             (Fraction, 1)]
     quot, rem = Poly([1, 0, 1]).divmod(Poly([0, 2]))
@@ -325,8 +331,143 @@ def test_integer_remainder_sequences_match_euclid_over_q():
         if rng.random() < 0.5 and p.degree > 0:
             q = q * p.derivative()
         assert _typed(squarefree_part(p)) == _typed(_ref_squarefree(p))
-        assert _typed(poly_gcd(p, q)) == _typed(_ref_gcd(p, q))
-        assert _typed(poly_gcd(q, Poly([]))) == _typed(_ref_gcd(q, Poly([])))
+        assert _typed(gcd_of(p, q)) == _typed(_ref_gcd(p, q))
+        assert _typed(gcd_of(q, Poly([]))) == _typed(_ref_gcd(q, Poly([])))
         assert sturm_count_real_roots(p) == _ref_count_real(p)
         assert purely_imaginary_spectrum(p) == _ref_imaginary(p)
-    assert _typed(poly_gcd(Poly([]), Poly([]))) == []
+    assert _typed(gcd_of(Poly([]), Poly([]))) == []
+
+
+# -- polynomials over Q(i), asked through their norm ------------------------------
+#
+# The reference is the Euclid route over Q(i): a candidate z is a root when
+# the squarefree part of p, computed by _ref_squarefree on the GaussRat
+# coefficients with Poly's own division, vanishes at z, and its multiplicity
+# is the number of exact divisions by x - z.
+
+
+def _seeded_gaussian_poly(rng):
+    """(p, roots in Q(i) of p, whether every root of p is on the imaginary
+    axis): a Gaussian constant times x^k (k <= 2) and up to four factors,
+    each raised to a power 1..3: x - z for z in Q(i) (sometimes the
+    conjugate or the negative of an earlier z, or on an axis), the cubic
+    (x - s)^3 - a with a a non-cube, which has no root in Q(i), and
+    (x - ti)^2 + c with c a non-square, whose roots ti +- sqrt(-c) are not
+    in Q(i) and lie on the imaginary axis exactly when c > 0."""
+    def small():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    lead = GaussRat(small() or 1, small())
+    zeros = rng.choice((0, 0, 1, 2))
+    p = Poly([lead]) * prod([x] * zeros)
+    roots = {GaussRat(0)} if zeros else set()
+    imaginary = True
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.random()
+        if kind < 0.6:
+            if roots and rng.random() < 0.4:
+                z = rng.choice(sorted(roots, key=lambda z: (z.re, z.im)))
+                z = rng.choice((z.conj(), -z))
+            else:
+                z = GaussRat(rng.choice((0, small())), rng.choice((0, small())))
+            f = glin(z)
+            roots.add(z)
+            imaginary = imaginary and not z.re
+        elif kind < 0.8:
+            # the roots s + r, s + r w, s + r w^2 (r real, r^3 = a, w a cube
+            # root of unity) do not all have the real part of s
+            s = GaussRat(small(), small())
+            f = prod([glin(s)] * 3) - Poly([rng.choice((2, 3, 5, -4, -7))])
+            imaginary = False
+        else:
+            t, c = small(), rng.choice((2, 3, -2, -5, Fraction(1, 2)))
+            f = glin(GaussRat(0, t)) * glin(GaussRat(0, t)) + Poly([c])
+            imaginary = imaginary and c > 0
+        p = p * prod([f] * rng.randint(1, 3))
+    return p, roots, imaginary
+
+
+def _ref_gaussian_roots(p, candidates):
+    f = Poly([gauss(c) for c in p.coeffs])
+    g = _ref_squarefree(f)
+    roots = []
+    for z in set(candidates):
+        if g(z) == 0:
+            mult = 0
+            while (f % glin(z)).is_zero():
+                f, mult = f.divexact(glin(z)), mult + 1
+            roots.append((z, mult))
+    roots.sort(key=lambda rm: (rm[0].re, rm[0].im))
+    return roots, p.degree - sum(m for _, m in roots)
+
+
+def _typed_roots(found):
+    roots, leftover = found
+    return [(type(z), type(z.re), z.re, type(z.im), z.im, m)
+            for z, m in roots], leftover
+
+
+def test_gaussian_roots_match_the_euclid_route_over_q_i():
+    rng = random.Random(20261027)
+    split = rootless = 0
+    for _ in range(150):
+        p, roots, _ = _seeded_gaussian_poly(rng)
+        # decoys: the conjugates and negatives of the roots, and 1 + i
+        candidates = ({z.conj() for z in roots} | {-z for z in roots}
+                      | roots | {GaussRat(1, 1)})
+        got = gaussian_roots(p)
+        assert _typed_roots(got) == _typed_roots(
+            _ref_gaussian_roots(p, candidates))
+        assert {z for z, _ in got[0]} == roots
+        split += got[1] == 0
+        rootless += got[1] > 0
+    assert split > 20 and rootless > 20
+
+
+def test_gaussian_roots_of_a_gaussian_polynomial_divide_no_poly(monkeypatch):
+    calls = []
+    divmod_ = Poly.divmod
+
+    def counting(self, other):
+        calls.append(other)
+        return divmod_(self, other)
+
+    monkeypatch.setattr(Poly, "divmod", counting)
+    rng = random.Random(20261028)
+    for _ in range(20):
+        p, roots, _ = _seeded_gaussian_poly(rng)
+        if not p.is_real():
+            assert {z for z, _ in gaussian_roots(p)[0]} == roots
+    assert calls == []
+
+
+def test_purely_imaginary_spectrum_of_gaussian_polynomials():
+    rng = random.Random(20261029)
+    seen = set()
+    for _ in range(150):
+        p, _, imaginary = _seeded_gaussian_poly(rng)
+        assert purely_imaginary_spectrum(p) == imaginary
+        seen.add(imaginary)
+    assert seen == {True, False}
+    i = GaussRat(0, 1)
+    assert purely_imaginary_spectrum(Poly([-i, 1]))
+    assert not purely_imaginary_spectrum(Poly([-1 - i, 1]))
+
+
+def test_the_norm_is_rational_with_the_conjugate_roots():
+    i = GaussRat(0, 1)
+    p = glin(1 + i) * glin(2 * i)
+    n = norm(p)
+    assert n.is_real() and n.degree == 4
+    assert all(n(z) == 0 for z in (1 + i, 1 - i, 2 * i, -2 * i))
+    real = lin(3) * lin(3)
+    assert norm(real) is real
+
+
+def test_squarefree_part_rejects_a_nonreal_polynomial():
+    i = GaussRat(0, 1)
+    with pytest.raises(ValueError, match="not real"):
+        squarefree_part(glin(i))
+    # a GaussRat coefficient on the real line is rational
+    assert _typed(squarefree_part(Poly([GaussRat(-1), 0, GaussRat(1)]))) \
+        == _typed(_ref_squarefree(Poly([Fraction(-1), 0, Fraction(1)])))

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from liedef import reps, structure
 from liedef.certs import emit_representation, verify_certificate
 from liedef.corpus import corpus
-from liedef.errors import (InputError, NotNilpotentError,
-                           NotSupersolvableError, PreconditionError,
-                           UnsupportedError)
+from liedef.errors import (InputError, InternalCheckError,
+                           NotNilpotentError, NotSupersolvableError,
+                           PreconditionError, UnsupportedError)
 from liedef.formats import (algebra_from_dict, matrix_from_json,
                             scalar_from_json, vector_from_json)
 from liedef.lie import LieAlgebra, from_matrices
@@ -324,8 +324,7 @@ def _as_json_gaussian(x, im=0):
 
 def _forged(rep, rng):
     """Seeded forgeries of rep: flags that are singular, permuted, not a
-    basis, of the wrong length or made of vectors of the wrong length;
-    entries turned into GaussRat as JSON scalars give them, one of them
+    basis or of the wrong length; entries turned into GaussRat as JSON scalars give them, one of them
     off the real line; and one perturbed entry."""
     d = rep.target_dim
     images = list(rep.images)
@@ -345,8 +344,11 @@ def _forged(rep, rng):
                 for f in (dependent, zero, twice, permuted)]
     out.append(replace(rep, flag=tuple(flag[:-1])))
     out.append(replace(rep, flag=tuple(flag + flag[:1])))
-    out.append(replace(rep, flag=tuple(v[:-1] for v in flag)))
-    out.append(replace(rep, flag=tuple(v + (Fraction(1),) for v in flag)))
+    # flag vectors of the wrong length are no Representation
+    for bad in (tuple(v[:-1] for v in flag),
+                tuple(v + (Fraction(1),) for v in flag)):
+        with pytest.raises(InputError, match="flag vector length"):
+            replace(rep, flag=bad)
     # a basis that the images need not keep triangular
     sheared = flag[:]
     if d >= 2:
@@ -480,7 +482,8 @@ def test_sparse_homomorphism_check_matches_the_dense_relation():
         g, m = rep.source, rep.images
         want = all(m[i] @ m[j] - m[j] @ m[i] == rep.image_of(g.table[i][j])
                    for i in range(g.dim) for j in range(i + 1, g.dim))
-        assert reps._is_homomorphism(g, m, rep.target_dim) == want
+        nz = [reps._nonzero_rows(x.rows) for x in m]
+        assert reps._closes(g, nz, rep.target_dim) == want
         seen.add(want)
 
     check()
@@ -789,6 +792,41 @@ def test_quotient_rep_order_three_unsupported():
     data = GroupRepData((w,), (Mat.identity(2), w, w @ w), 3)
     with pytest.raises(UnsupportedError):
         quotient_rep(data)
+
+
+def test_quotient_rep_images_on_the_criterion_5_examples(monkeypatch):
+    # every entry is pinned, and every entry is a Fraction
+    swap = [[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]]
+    f = Mat([[1, 0, 0], [0, -1, 0], [0, 0, -1]])
+    gen = Mat([[1, 0, 0], [0, 0, -1], [0, 1, 0]])
+    for data, want in (
+            (GroupRepData((rot90(),), (Mat.identity(2), -1 * Mat.identity(2)),
+                          2), swap),
+            (GroupRepData((gen,), (Mat.identity(3), f), 2),
+             [r + [0, 0] for r in swap]
+             + [[0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]])):
+        dim, images = quotient_rep(data)
+        assert dim == len(want)
+        assert ([[(type(c), c) for c in r] for r in images[0].rows]
+                == [[(Fraction, c) for c in r] for r in want])
+    # a component the generators do not keep is an internal fault
+    kernel = reps.kernel
+    monkeypatch.setattr(reps, "kernel", lambda m: (
+        [(Fraction(1), Fraction(0))] * 2 if m.is_zero() else kernel(m)))
+    with pytest.raises(InternalCheckError, match="not invariant"):
+        quotient_rep(GroupRepData(
+            (rot90(),), (Mat.identity(2), -1 * Mat.identity(2)), 2))
+
+
+def test_flag_vectors_must_have_the_target_length():
+    # a dim-1 source on a 2-dimensional target: Mat.from_cols sizes the
+    # flag basis by its first vector, so a vector of another length would
+    # be read wrongly or not at all
+    for flag in (((1, 0, 0), (0, 1)), ((1, 0), (0, 1, 0))):
+        with pytest.raises(InputError, match="flag vector length"):
+            Representation(r1(), 2, (Mat.zeros(2, 2),), flag=flag)
+    rep = Representation(r1(), 2, (Mat.zeros(2, 2),), flag=((1, 0), (0, 1)))
+    assert verify_rep(rep) == frozenset((HOMOMORPHISM, TRIANGULAR, UNIPOTENT))
 
 
 def test_group_data_validation():
