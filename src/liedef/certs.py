@@ -11,7 +11,6 @@ file can be matched without trusting paths.
 from __future__ import annotations
 
 import hashlib
-import json
 from fractions import Fraction
 
 from .definability import (DEFINABLE, NOT_DEFINABLE, PRESENTATION_KINDS,
@@ -22,7 +21,8 @@ from .definability import (DEFINABLE, NOT_DEFINABLE, PRESENTATION_KINDS,
                            _tbc_verify, tbc_verify)
 from .errors import InputError, NotSolvableError
 from .formats import (algebra_hash, canonical_json, matrix_from_json,
-                      matrix_to_json, vector_from_json, vector_to_json)
+                      matrix_to_json, read_json, vector_from_json,
+                      vector_to_json, write_json)
 from .lie import LieAlgebra
 from .linalg import Mat, char_poly, coords_in_span, kernel, span_basis
 from .poly import squarefree_part, sturm_count_real_roots
@@ -480,19 +480,11 @@ def verify_certificate(cert, algebra: LieAlgebra | None = None,
 # ---------------------------------------------------------------- file IO
 
 def save_certificate(path: str, cert: dict):
-    with open(path, "w") as fh:
-        json.dump(cert, fh, indent=1)
-        fh.write("\n")
+    write_json(path, cert)
 
 
 def load_certificate(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise InputError(f"{path}: no such file")
-    except json.JSONDecodeError as e:
-        raise InputError(f"{path}:{e.lineno}:{e.colno}: {e.msg}")
+    data = read_json(path)
     if not isinstance(data, dict):
         raise InputError(f"{path}: certificate must be a JSON object")
     return data

@@ -10,7 +10,6 @@ verify-cert, which recomputes only the checking side.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .certs import (KIND_TBC, KIND_TORUS, emit_flag, emit_representation,
@@ -24,7 +23,7 @@ from .definability import (NOT_TBC, SS_NO, SS_YES, TBC,
 from .errors import (InputError, InternalCheckError, NotNilpotentError,
                      NotSolvableError, NotSupersolvableError,
                      PreconditionError, UnsupportedError)
-from .formats import load_algebra_file, matrix_from_json
+from .formats import load_algebra_file, matrix_from_json, read_json
 from .linalg import lincomb
 from .reps import GroupRepData, nilpotent_ado, quotient_rep, extend_rep, \
     supersolvable_triangular_rep
@@ -221,24 +220,25 @@ def _cmd_oracle(args):
     return {DEFINABLE: 0, NOT_DEFINABLE: 1, UNKNOWN: 2}[v.outcome]
 
 
-def _cmd_ado(args):
-    alg, mats, _ = _load(args.file)
-    rep = nilpotent_ado(alg)
-    print("faithful strictly upper triangular on %d dimensions"
-          % rep.target_dim)
+def _report_rep(args, headline, rep, mats):
+    """Print headline % the module dimension and the verified flags, and
+    write the Representation certificate if asked to."""
+    print(headline % rep.target_dim)
     print("verified: %s" % ", ".join(sorted(rep.verified)))
     _write_cert(args, emit_representation(rep, mats))
     return 0
+
+
+def _cmd_ado(args):
+    alg, mats, _ = _load(args.file)
+    return _report_rep(args, "faithful strictly upper triangular on %d "
+                       "dimensions", nilpotent_ado(alg), mats)
 
 
 def _cmd_triangular_rep(args):
     alg, mats, _ = _load(args.file)
-    rep = supersolvable_triangular_rep(alg)
-    print("faithful triangular representation on %d dimensions"
-          % rep.target_dim)
-    print("verified: %s" % ", ".join(sorted(rep.verified)))
-    _write_cert(args, emit_representation(rep, mats))
-    return 0
+    return _report_rep(args, "faithful triangular representation on %d "
+                       "dimensions", supersolvable_triangular_rep(alg), mats)
 
 
 def _cmd_extend_rep(args):
@@ -246,12 +246,9 @@ def _cmd_extend_rep(args):
     h_rows = [alg.basis_vector(i) for i in _indices(args.ideal, alg.dim)]
     sub, _ = alg.subalgebra(h_rows)
     rho = nilpotent_ado(sub)
-    rep = extend_rep(alg, h_rows, rho)
-    print("extended the ideal module to the whole algebra: "
-          "%d dimensions" % rep.target_dim)
-    print("verified: %s" % ", ".join(sorted(rep.verified)))
-    _write_cert(args, emit_representation(rep, mats))
-    return 0
+    return _report_rep(args, "extended the ideal module to the whole "
+                       "algebra: %d dimensions", extend_rep(alg, h_rows, rho),
+                       mats)
 
 
 def _cmd_quotient_rep(args):
@@ -307,13 +304,7 @@ def _cmd_torus_closure(args):
 
 
 def _read_weights_file(path):
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise InputError("%s: no such file" % path)
-    except json.JSONDecodeError as e:
-        raise InputError("%s:%d:%d: %s" % (path, e.lineno, e.colno, e.msg))
+    data = read_json(path)
     if not isinstance(data, dict) or "weights" not in data:
         raise InputError("%s: expected an object with a \"weights\" key"
                          % path)

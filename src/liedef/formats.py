@@ -159,15 +159,28 @@ def algebra_from_dict(d) -> tuple:
     return alg, matrices
 
 
-def load_algebra_file(path: str) -> tuple:
-    """(algebra, matrices, raw dict) from a JSON file, with diagnostics."""
+def read_json(path: str):
+    """The JSON value in a file; a missing file or malformed JSON is an
+    InputError naming the path (and the line and column)."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"{path}: no such file")
     except json.JSONDecodeError as e:
         raise InputError(f"{path}:{e.lineno}:{e.colno}: {e.msg}")
+
+
+def write_json(path: str, obj):
+    """obj as JSON with one-space indents and a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=1)
+        fh.write("\n")
+
+
+def load_algebra_file(path: str) -> tuple:
+    """(algebra, matrices, raw dict) from a JSON file, with diagnostics."""
+    raw = read_json(path)
     try:
         alg, mats = algebra_from_dict(raw)
     except InputError as e:
@@ -176,9 +189,7 @@ def load_algebra_file(path: str) -> tuple:
 
 
 def save_algebra_file(path: str, alg: LieAlgebra, matrices=None):
-    with open(path, "w") as fh:
-        json.dump(algebra_to_dict(alg, matrices), fh, indent=1)
-        fh.write("\n")
+    write_json(path, algebra_to_dict(alg, matrices))
 
 
 def canonical_json(obj) -> str:

@@ -10,15 +10,22 @@ is_semisimple_mat evaluates the squarefree part of the norm of the
 characteristic polynomial (a rational polynomial, see poly.norm), without
 building a Jordan decomposition.
 
-Matrices are dense, but every linear system goes through one sparse
-Gauss-Jordan elimination, _gauss_jordan, which takes each row as a
-{column: coefficient} dict of its nonzero entries and answers all of the
-right-hand sides and the null space at once.  rank, kernel, solve, inverse,
-span_basis and coords_in_span hand it the nonzero entries of dense rows,
-and raise ValueError on a length that does not fit.  Its per-row step,
-_reduce_row, also decides alone whether a vector is new: independent runs
-it to complete a basis greedily, and the associative hull in structure to
-grow a span.  Answers are exact, and all-Fraction input gives
+Matrices are dense, and the package has one sparse row format: a
+{column: entry} dict of the nonzero entries of a row, which _sparse_rows
+reads off dense rows and _combine sums (c_1 row_1 + ... over
+(coefficient, row) pairs, a zero coefficient skipped).  Only two indexes
+keep (index, entry) pairs instead: LieAlgebra._terms, the immutable
+structure constants of an algebra, and the local lists of
+_row_sparse_product, which gives Mat @ its dense rows.
+
+Every linear system goes through one sparse Gauss-Jordan elimination,
+_gauss_jordan, which takes its equations in that format and answers all of
+the right-hand sides and the null space at once.  rank, kernel, solve,
+inverse, span_basis and coords_in_span hand it the nonzero entries of dense
+rows, and raise ValueError on a length that does not fit.  Its per-row
+step, _reduce_row, also decides alone whether a vector is new: independent
+runs it to complete a basis greedily, and the associative hull in structure
+to grow a span.  Answers are exact, and all-Fraction input gives
 all-Fraction answers.  Otherwise a zero coefficient of a reduced row, and so
 of a null vector or a span_basis row, is Fraction(0), and so is a free
 variable of a solution; every other entry, and every entry that comes from
@@ -237,6 +244,19 @@ def block_diag(mats) -> Mat:
 def _sparse_rows(rows):
     """Each row as a {column: entry} dict of its nonzero entries."""
     return [{j: x for j, x in enumerate(r) if x} for r in rows]
+
+
+def _combine(terms):
+    """sum of c * row over the (coefficient, row) pairs, a zero c skipped,
+    as a dict of the nonzero entries: each column starts from its first
+    product, and one whose sum cancels is dropped once every term is in."""
+    out = {}
+    for c, row in terms:
+        if c:
+            for j, y in row.items():
+                x = out.get(j)
+                out[j] = c * y if x is None else x + c * y
+    return {j: x for j, x in out.items() if x}
 
 
 def _gauss_jordan(rows, ncols, rhs):
@@ -550,18 +570,18 @@ def char_poly(a: Mat) -> Poly:
         rm = h[m]
         piv = rm[m - 1]
         nz = [k for k in range(m - 1, n) if rm[k]]
-        ops = []
+        ops = {}
         for j in range(m + 1, n):
             rj = h[j]
             if rj[m - 1]:
                 u = rj[m - 1] / piv
                 for k in nz:
                     rj[k] = rj[k] - u * rm[k]
-                ops.append((j, u))
+                ops[j] = u
         # H <- L H L^-1: the row operations above, then their inverse on
         # the columns
         for row in h:
-            for j, u in ops:
+            for j, u in ops.items():
                 if row[j]:
                     row[m] = row[m] + u * row[j]
     # polys[m] holds the coefficients of det(xI - H[:m, :m]), lowest first

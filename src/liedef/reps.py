@@ -6,8 +6,9 @@ triangularity in the adapted flag, strict triangularity on the nilradical.
 Constructions that cannot reach a verified answer raise UnsupportedError
 rather than returning unchecked matrices.
 
-Every check reads the nonzero entries of the images, listed once; the
-homomorphism check sums one sparse residual per pair of basis elements.
+Every check reads the images once, as linalg's sparse rows ({column:
+entry} dicts of the nonzero entries); the homomorphism check sums one
+sparse residual per pair of basis elements.
 The nilradical the unipotent check needs is reached by two routes.  The
 finders hand the one they have already proved to _certified: the whole
 algebra for a nilpotent one, the common kernel of the adjoint step
@@ -24,9 +25,10 @@ from .errors import (Indeterminate, InputError, InternalCheckError,
                      NotNilpotentError, NotSupersolvableError,
                      PreconditionError, UnsupportedError)
 from .lie import LieAlgebra
-from .linalg import (Mat, _gauss_jordan, _solutions, block_diag,
-                     coords_in_span, independent, intersect_spans, inverse,
-                     is_nilpotent_mat, kernel, kron, mat_lincomb, span_basis)
+from .linalg import (Mat, _combine, _gauss_jordan, _solutions, _sparse_rows,
+                     block_diag, coords_in_span, independent, intersect_spans,
+                     inverse, is_nilpotent_mat, kernel, kron, mat_lincomb,
+                     span_basis)
 from .scalars import GaussRat
 from .structure import nilradical
 from .weights import _weight_flag
@@ -84,47 +86,46 @@ def _verify(rep: Representation, nil) -> frozenset:
     """verify_rep, judging the unipotent claim on the rows nil, or on
     structure.nilradical(g) when nil is None.
 
-    The nonzero entries of each image are listed once, row by row, and
-    every claim is decided from those lists.  When the flag is a basis P,
-    each image M is conjugated into it by two sparse products, P^-1 (M P),
-    whose rows again list only nonzero entries: conjugation is an
-    automorphism of gl(V), so the bracket relations hold there exactly when
-    they hold for the images, and the image of a nilradical vector is the
-    same linear combination of them.  Triangularity is read off the column
-    indices of the conjugated rows; for each nilradical vector, row r of
-    that combination is summed over the entries at columns up to r only,
-    and tested for zero once summed.  A flag that is not a basis grants
-    neither triangular claim.  Faithfulness is one rank: the images are
-    independent exactly when rep_kernel(rep) is empty, and taking each
-    flattened image as one sparse row needs no d^2 x n column matrix.
+    Each image is read once into sparse rows, and every claim is decided
+    from those.  When the flag is a basis P, each image M is conjugated
+    into it by two sparse products, P^-1 (M P), again sparse rows:
+    conjugation is an automorphism of gl(V), so the bracket relations hold
+    there exactly when they hold for the images, and the image of a
+    nilradical vector is the same linear combination of them.
+    Triangularity is read off the columns of the conjugated rows; for each
+    nilradical vector, row r of that combination is summed over the
+    entries at columns up to r only, and tested for zero once summed.  A
+    flag that is not a basis grants neither triangular claim.  Faithfulness
+    is one rank: the images are independent exactly when rep_kernel(rep) is
+    empty, and taking each flattened image as one sparse row needs no
+    d^2 x n column matrix.
     """
     g = rep.source
     d = rep.target_dim
-    nz = [_nonzero_rows(m.rows) for m in rep.images]
+    nz = [_sparse_rows(m.rows) for m in rep.images]
     conj = None
     if rep.flag is None:
         conj = nz
     elif len(rep.flag) == d:
         try:
             p = Mat.from_cols(rep.flag)
-            pinv = _nonzero_rows(inverse(p).rows)
+            pinv = _sparse_rows(inverse(p).rows)
         except ValueError:
             pass
         else:
-            p = _nonzero_rows(p.rows)
+            p = _sparse_rows(p.rows)
             conj = [_sparse_product(pinv, _sparse_product(m, p)) for m in nz]
     flags = set()
     if _closes(g, nz if conj is None else conj, d):
         flags.add(HOMOMORPHISM)
 
-    rows = [{r * d + c: x for r, row in enumerate(m) for c, x in row}
+    rows = [{r * d + c: x for r, row in enumerate(m) for c, x in row.items()}
             for m in nz]
     if len(_gauss_jordan(rows, d * d, ())[0]) == g.dim:
         flags.add(FAITHFUL)
 
     if conj is not None:
-        if all(c >= r for m in conj for r, row in enumerate(m)
-               for c, _ in row):
+        if all(c >= r for m in conj for r, row in enumerate(m) for c in row):
             flags.add(TRIANGULAR)
         if nil is None:
             nil = nilradical(g)
@@ -133,37 +134,23 @@ def _verify(rep: Representation, nil) -> frozenset:
     return frozenset(flags)
 
 
-def _nonzero_rows(rows):
-    """Each row as a list of its (column, entry) pairs with nonzero entry."""
-    return [[(c, x) for c, x in enumerate(row) if x] for row in rows]
-
-
 def _sparse_product(a, b):
-    """The rows of a @ b, both given and returned as lists of (column,
-    entry) pairs with nonzero entry: each row of a sums the rows of b it
-    names, and keeps what stays nonzero, in no particular order."""
-    out = []
-    for row in a:
-        acc = {}
-        get = acc.get
-        for k, x in row:
-            for c, y in b[k]:
-                acc[c] = get(c, 0) + x * y
-        out.append([(c, x) for c, x in acc.items() if x])
-    return out
+    """The sparse rows of a @ b, both given as sparse rows: each row of a
+    combines the rows of b it names."""
+    return [_combine((x, b[k]) for k, x in row.items()) for row in a]
 
 
 def _strictly_upper(v, mats, d):
-    """Whether sum_i v_i mats[i], each mat given by the (column, entry)
-    pairs of its nonzero entries row by row, is strictly upper triangular:
-    row r is summed over the entries at columns up to r, and each sum is
-    tested once it is complete, so terms that cancel are seen to."""
+    """Whether sum_i v_i mats[i], each mat given as sparse rows, is strictly
+    upper triangular: row r is summed over the entries at columns up to r,
+    and each sum is tested once it is complete, so terms that cancel are
+    seen to."""
     terms = [(x, mats[i]) for i, x in enumerate(v) if x]
     for r in range(d):
         acc = {}
         get = acc.get
         for x, m in terms:
-            for c, y in m[r]:
+            for c, y in m[r].items():
                 if c <= r:
                     acc[c] = get(c, 0) + x * y
         if any(acc.values()):
@@ -173,7 +160,7 @@ def _strictly_upper(v, mats, d):
 
 def _closes(g: LieAlgebra, nz, d: int) -> bool:
     """Whether M_i M_j - M_j M_i = sum_k c_ij^k M_k for every pair i < j,
-    of the images M given as _nonzero_rows lists.
+    of the images M given as sparse rows.
 
     Row r of each pair's residual is summed into a {column: value} dict over
     the listed entries only, with c_ij^k read off the nonzero entries of
@@ -187,14 +174,14 @@ def _closes(g: LieAlgebra, nz, d: int) -> bool:
             for r in range(d):
                 acc = {}
                 get = acc.get
-                for k, x in a[r]:
-                    for c, y in b[k]:
+                for k, x in a[r].items():
+                    for c, y in b[k].items():
                         acc[c] = get(c, 0) + x * y
-                for k, x in b[r]:
-                    for c, y in a[k]:
+                for k, x in b[r].items():
+                    for c, y in a[k].items():
                         acc[c] = get(c, 0) - x * y
                 for m, ck in terms:
-                    for c, y in m[r]:
+                    for c, y in m[r].items():
                         acc[c] = get(c, 0) - ck * y
                 if any(acc.values()):
                     return False
@@ -430,15 +417,12 @@ def _commutator_system(rho_images, d):
     """
     rows = []
     for r_a in rho_images:
-        rr = r_a.rows
-        by_col = [[(q, rr[q][c]) for q in range(d) if rr[q][c]]
-                  for c in range(d)]
-        by_row = [[(p, x) for p, x in enumerate(rr[r]) if x]
-                  for r in range(d)]
+        by_col = _sparse_rows(zip(*r_a.rows))
+        by_row = _sparse_rows(r_a.rows)
         for r in range(d):
             for c in range(d):
-                row = {r * d + q: x for q, x in by_col[c]}
-                for p, x in by_row[r]:
+                row = {r * d + q: x for q, x in by_col[c].items()}
+                for p, x in by_row[r].items():
                     j = p * d + c
                     v = row[j] - x if j in row else -x
                     if v:
@@ -552,7 +536,7 @@ def _solve_extension(g, incl, comp, rho_images, tinv):
     # a linear map keeps the brackets on the basis incl + comp exactly when
     # it keeps them on the standard one
     images = [mat_lincomb(tinv @ x, found, d) for x in g.basis()]
-    nz = [_nonzero_rows(m.rows) for m in images]
+    nz = [_sparse_rows(m.rows) for m in images]
     return images if _closes(g, nz, d) else None
 
 

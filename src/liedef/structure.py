@@ -17,13 +17,13 @@ and to contain [g, r].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InternalCheckError, PreconditionError
 from .lie import LieAlgebra
-from .linalg import (Mat, _reduce_row, _sparse_rows, char_poly,
-                     coords_in_span, is_semisimple_mat, is_zero_vec, kernel,
-                     lincomb, rank, solve, span_basis, trace_product, vadd)
+from .linalg import (Mat, _combine, _gauss_jordan, _reduce_row, _solutions,
+                     _sparse_rows, char_poly, coords_in_span,
+                     is_semisimple_mat, is_zero_vec, kernel, lincomb, rank,
+                     span_basis, trace_product, vadd)
 from .poly import purely_imaginary_spectrum
 
 
@@ -140,8 +140,10 @@ def _levi_abelian_radical(g: LieAlgebra, rad):
     With a linear section sigma of g -> g/r, the bracket defect of sigma is a
     2-cocycle with values in r; a correction h with values in r kills it
     because the relevant cohomology vanishes for a semisimple quotient in
-    characteristic zero.  The solver failing would therefore be a bug, not a
-    property of the input.
+    characteristic zero.  The equations for h, p per pair of lifts, go as
+    sparse rows to one elimination, whose particular solution (free
+    variables zero) is taken.  The solver failing would therefore be a bug,
+    not a property of the input.
     """
     q, lift, _ = g.quotient(rad)
     if not q.is_semisimple():
@@ -153,39 +155,30 @@ def _levi_abelian_radical(g: LieAlgebra, rad):
             br = g.bracket(lift[j], lift[k])
             target = lincomb(q.table[j][k], lift, n)
             defect[(j, k)] = tuple(a - b for a, b in zip(br, target))
-    # unknowns h[j] in r, coordinates against the rad basis: m*p of them;
-    # acts[j] is ad(lift[j]) on r in those coordinates
+    # unknowns h[j] in r, coordinates against the rad basis: m*p of them,
+    # h[l] at columns l*p..l*p+p-1; acts[j] is ad(lift[j]) on r in those
+    # coordinates, as sparse rows
     coords = coords_in_span(rad, [g.ad(x) @ r_vec for x in lift
                                   for r_vec in rad] + list(defect.values()))
     if None in coords:
         raise InternalCheckError("cocycle left the radical")
-    acts = [Mat.from_cols(coords[j * p:(j + 1) * p]) for j in range(m)]
+    acts = [_sparse_rows(zip(*coords[j * p:(j + 1) * p])) for j in range(m)]
     rows = []
     rhs = []
     for c_jk, (j, k) in zip(coords[m * p:], defect):
-        aj, ak = acts[j], acts[k]
-        # p scalar equations, coefficients of each h[l]
-        blocks = []
-        for l in range(m):
-            col_block = Mat.zeros(p, p)
-            if l == k:
-                col_block = col_block + aj
-            if l == j:
-                col_block = col_block - ak
-            coeff = q.table[j][k][l]
-            if coeff:
-                col_block = col_block - coeff * Mat.identity(p)
-            blocks.append(col_block)
+        # p equations ad(lift_j) h_k - ad(lift_k) h_j - sum_l c_jk^l h_l
+        # = -c_jk, one per coordinate rr
         for rr in range(p):
-            rows.append([blocks[l].rows[rr][cc]
-                         for l in range(m) for cc in range(p)])
-        rhs.extend(-x for x in c_jk)
-    if rows:
-        sol = solve(Mat(rows), tuple(rhs))
-        if sol is None:
-            raise InternalCheckError("Levi correction system is inconsistent")
-    else:
-        sol = tuple(Fraction(0) for _ in range(m * p))
+            rows.append(_combine(
+                [(1, {k * p + cc: x for cc, x in acts[j][rr].items()}),
+                 (-1, {j * p + cc: x for cc, x in acts[k][rr].items()})]
+                + [(-c, {l * p + rr: 1})
+                   for l, c in enumerate(q.table[j][k])]))
+            rhs.append(-c_jk[rr])
+    pivots, bad = _gauss_jordan(rows, m * p, [rhs])
+    if bad:
+        raise InternalCheckError("Levi correction system is inconsistent")
+    sol = _solutions(pivots, bad, m * p, 1)[0]
     levi = []
     for j in range(m):
         h_j = lincomb(sol[j * p:(j + 1) * p], rad, n)

@@ -17,15 +17,17 @@ action fails loudly instead of returning garbage.  Each peel quotients the
 module by its eigenvector in closed form (m[j][l] - w_j m[p][l] once w_p is
 scaled to 1), without building or inverting a change of basis.
 
-The module stays sparse from entry to exit.  The action of each chain
+The module stays sparse from entry to exit, in linalg's sparse rows
+({column: entry} dicts of the nonzero entries).  The action of each chain
 direction z_k, B_k = sum_i z_k[i] M_i, is formed once per weight_flag call
-as {row: {column: entry}} dicts of its nonzero entries, keyed by module
+by linalg._combine, row by row, as a {row: sparse row} dict keyed by module
 coordinate, and each peel quotients those in place (the quotient is linear,
-so it is the same as quotienting the basis actions and combining them).  A
-peel drops one coordinate, so the coordinates left are the lift back to the
-module, and a flag vector is read off the eigenvector's own entries.  A
-level's shifted rows go straight to the one sparse elimination of linalg;
-only a characteristic polynomial densifies its matrix.  Once the eigenspace
+so it is the same as quotienting the basis actions and combining them).
+An eigenspace found so far is lifted by _combine too.  A peel drops one
+coordinate, so the coordinates left are the lift back to the module, and a
+flag vector is read off the eigenvector's own entries.  A level's shifted
+rows go straight to the one sparse elimination of linalg; only a
+characteristic polynomial densifies its matrix.  Once the eigenspace
 found so far is one vector v, every later level is 1x1: its eigenvalue is
 (b v)_p / v_p at a nonzero entry p of v, and b v = lambda v is checked
 exactly in place of a restriction.
@@ -80,9 +82,9 @@ from fractions import Fraction
 
 from .errors import Indeterminate, InputError, InternalCheckError
 from .lie import LieAlgebra
-from .linalg import (Mat, _gauss_jordan, _null_space, _solutions,
-                     _sparse_axpy, char_poly, independent, inverse,
-                     span_basis)
+from .linalg import (Mat, _combine, _gauss_jordan, _null_space, _solutions,
+                     _sparse_axpy, _sparse_rows, char_poly, independent,
+                     inverse, span_basis)
 from .poly import gaussian_roots
 from .scalars import _field, gauss
 
@@ -254,20 +256,7 @@ def _restrict(b, w, coords):
     pivots, bad = _gauss_jordan(eqs, len(w), rhs)
     if bad:
         raise InternalCheckError(NOT_INVARIANT)
-    cols = _solutions(pivots, bad, len(w), len(w))
-    return [{c: col[r] for c, col in enumerate(cols) if col[r]}
-            for r in range(len(w))]
-
-
-def _combine(coeffs, vectors):
-    """sum of c * v over the pairs, as a dict of the nonzero entries."""
-    out = {}
-    for c, v in zip(coeffs, vectors):
-        if c:
-            for j, y in v.items():
-                x = out.get(j)
-                out[j] = c * y if x is None else x + c * y
-    return {j: x for j, x in out.items() if x}
+    return _sparse_rows(zip(*_solutions(pivots, bad, len(w), len(w))))
 
 
 def common_eigenspace(chain, acts, spectra):
@@ -330,13 +319,12 @@ def common_eigenspace(chain, acts, spectra):
         found = _level_eigenspace(level, candidates)
         if found is None:
             return Indeterminate(
-                "an eigenvalue of the action lies outside Q(i), or outside Q "
-                "on a direction that must stay rational")
+                "an eigenvalue of the action lies outside Q(i)")
         lams[k], eig = found
         if w is None:
             w = [{coords[t]: x for t, x in enumerate(v) if x} for v in eig]
         else:
-            w = [_combine(c, w) for c in eig]
+            w = [_combine(zip(c, w)) for c in eig]
     if w is None:
         w = [{c: Fraction(1)} for c in coords]
     vals = lams
@@ -362,10 +350,10 @@ def _peel_quotient(acts, w):
     """
     p = min(w)
     wp = w[p]
-    scaled = [(j, c / wp) for j, c in w.items() if j != p]
+    scaled = {j: c / wp for j, c in w.items() if j != p}
     for act in acts:
         prow = act.pop(p)
-        for j, c in scaled:
+        for j, c in scaled.items():
             _sparse_axpy(act[j], c, prow, p)
         for row in act.values():
             row.pop(p, None)
@@ -375,22 +363,12 @@ def _peel_quotient(acts, w):
 def _direction_actions(dirs, mats):
     """B_k = sum_i z_k[i] M_i for each chain direction z_k, as
     {row: {column: entry}} dicts of the nonzero entries, an int entry of an
-    M_i read as a Fraction."""
+    M_i read as a Fraction: row i of B_k combines the rows i of the M_i."""
     basis = [[{j: _field(x) for j, x in enumerate(r) if x} for r in m.rows]
              for m in mats]
     n = mats[0].nrows
-    acts = []
-    for z in dirs:
-        act = {i: {} for i in range(n)}
-        for c, m in zip(z, basis):
-            if c:
-                for row, m_row in zip(act.values(), m):
-                    for j, x in m_row.items():
-                        y = row.get(j)
-                        row[j] = c * x if y is None else y + c * x
-        acts.append({i: {j: x for j, x in row.items() if x}
-                     for i, row in act.items()})
-    return acts
+    return [{i: _combine((c, m[i]) for c, m in zip(z, basis))
+             for i in range(n)} for z in dirs]
 
 
 def weight_flag(alg: LieAlgebra, mats):
@@ -471,10 +449,10 @@ def _weight_table(alg, chars, module_dim, derived):
     anything else raises InternalCheckError.
     """
     merged = {}
-    rows = [[(j, x) for j, x in enumerate(d) if x] for d in derived]
+    rows = _sparse_rows(derived)
     for char in chars:
         for row in rows:
-            if sum((char[j] * x for j, x in row), gauss(0)):
+            if sum((char[j] * x for j, x in row.items()), gauss(0)):
                 raise InternalCheckError(
                     "weight does not vanish on the derived subalgebra")
         merged[char] = merged.get(char, 0) + 1

@@ -12,13 +12,13 @@ from liedef.certs import (emit_flag, emit_representation, emit_tbc,
                           emit_torus_equations, emit_verdict,
                           verify_certificate)
 from liedef.corpus import corpus, corpus_entry
-from liedef.definability import (DEFINABLE, NOT_DEFINABLE, SS_YES, TBC,
-                                 UNKNOWN, GroupPresentation, NonRealWitness,
+from liedef.definability import (DEFINABLE, NOT_DEFINABLE, UNKNOWN,
+                                 GroupPresentation, NonRealWitness,
                                  TbcObstruction, definability_oracle,
                                  supersolvable_test, tbc_find, tbc_verify)
 from liedef.lie import LieAlgebra
-from liedef.linalg import (Mat, char_poly, intersect_spans, inverse,
-                           mat_pow, rank, span_basis)
+from liedef.linalg import (Mat, intersect_spans, inverse, mat_pow, rank,
+                           span_basis)
 from liedef.poly import Poly, squarefree_part, sturm_count_real_roots
 from liedef.reps import (ALL_FLAGS, GroupRepData, Representation,
                          is_unipotent, nilpotent_ado, quotient_rep,

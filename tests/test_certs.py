@@ -21,11 +21,10 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from liedef import certs, definability, linalg
-from liedef.certs import (CertReport, KIND_FLAG, KIND_REPRESENTATION,
-                          KIND_TBC, KIND_TORUS, KIND_VERDICT, emit_flag,
-                          emit_representation, emit_tbc, emit_torus_equations,
-                          emit_verdict, load_certificate, save_certificate,
-                          verify_certificate, weights_hash)
+from liedef.certs import (CertReport, KIND_FLAG, KIND_TBC, KIND_VERDICT,
+                          emit_flag, emit_representation, emit_tbc,
+                          emit_torus_equations, emit_verdict, load_certificate,
+                          save_certificate, verify_certificate, weights_hash)
 from liedef.cli import main
 from liedef.corpus import corpus
 from liedef.definability import (RULE_FINITE_CENTER, SS_YES,

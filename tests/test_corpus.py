@@ -14,7 +14,6 @@ from liedef.definability import (DEFINABLE, NOT_DEFINABLE, SS_YES, TBC,
                                  supersolvable_test, tbc_find)
 from liedef.errors import InputError
 from liedef.formats import load_algebra_file
-from liedef.lie import LieAlgebra
 
 
 def recompute(entry, key):

@@ -17,7 +17,7 @@ from liedef.definability import (DEFINABLE, NOT_DEFINABLE, NOT_TBC,
 from liedef.errors import (Indeterminate, InputError, InternalCheckError,
                            NotSolvableError)
 from liedef.lie import LieAlgebra
-from liedef.linalg import Mat, char_poly, span_basis
+from liedef.linalg import char_poly, span_basis
 from liedef.poly import squarefree_part, sturm_count_real_roots
 from liedef.scalars import GaussRat
 from liedef.structure import radical

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from liedef.cli import main
+from liedef.certs import load_certificate, save_certificate
+from liedef.cli import _read_weights_file, main
 from liedef.errors import InputError
 from liedef.formats import (algebra_from_dict, algebra_hash, algebra_to_dict,
                             load_algebra_file, save_algebra_file,
@@ -82,6 +83,30 @@ def test_diagnostics_carry_the_path(tmp_path):
         load_algebra_file(str(field))
     assert str(field) in str(exc.value)
     assert "out of range" in str(exc.value)
+
+
+def test_every_reader_reports_a_missing_or_malformed_file_alike(tmp_path):
+    # the algebra, certificate and weights readers share one JSON reader
+    missing = str(tmp_path / "missing.json")
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"dim": 2,\n "brackets": [1,, 2]}\n')
+    for read in (load_algebra_file, load_certificate, _read_weights_file):
+        with pytest.raises(InputError) as exc:
+            read(missing)
+        assert str(exc.value) == missing + ": no such file"
+        with pytest.raises(InputError) as exc:
+            read(str(bad))
+        assert str(exc.value) == str(bad) + ":2:17: Expecting value"
+
+
+def test_algebra_and_certificate_files_are_written_alike(tmp_path, e2):
+    # one space of indent and a trailing newline, for both writers
+    path = tmp_path / "e2.json"
+    save_algebra_file(str(path), e2)
+    assert path.read_text() == json.dumps(algebra_to_dict(e2), indent=1) + "\n"
+    cert = {"kind": "Verdict", "rows": [["1", "-1/2"]]}
+    save_certificate(str(path), cert)
+    assert path.read_text() == json.dumps(cert, indent=1) + "\n"
 
 
 def test_format_rejections():
@@ -258,6 +283,31 @@ def test_cli_extend_rep_from_the_nilradical(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.out + captured.err
+
+
+def test_cli_module_commands_print_dimension_flags_and_certificate(
+        tmp_path, h3, axb, capsys):
+    from liedef.lie import LieAlgebra
+    g = LieAlgebra.from_entries(
+        5, {(0, 1): (0, 0, 1, 0, 0), (3, 4): (0, 0, 0, 0, 1)})
+    flags = ("verified: faithful, homomorphism, triangular_in_flag, "
+             "unipotent_on_nilradical\n")
+    cert = str(tmp_path / "rep.json")
+    for args, head in (
+            (["ado", write(tmp_path, "h3.json", h3)],
+             "faithful strictly upper triangular on 10 dimensions\n"),
+            (["triangular-rep", write(tmp_path, "axb.json", axb)],
+             "faithful triangular representation on 2 dimensions\n"),
+            (["extend-rep", write(tmp_path, "g.json", g), "--ideal",
+              "0,1,2,4"], "extended the ideal module to the whole algebra: "
+             "15 dimensions\n")):
+        assert main(args) == 0
+        assert capsys.readouterr().out == head + flags
+        assert main(args + ["--cert-out", cert]) == 0
+        assert capsys.readouterr().out == (
+            head + flags + "certificate written to %s\n" % cert)
+        assert main(["verify-cert", args[1], cert]) == 0
+        capsys.readouterr()
 
 
 def test_cli_internal_error_is_four_without_traceback(tmp_path, e2, capsys,

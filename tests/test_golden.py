@@ -44,7 +44,7 @@ WEIGHT_FLAG_DIGESTS = {
     "rotation-module":
         "e38609b77fa6305dbee1bcf48db0ead3849578f5fef3026b07489d18d6b174a6",
     "sqrt2":
-        "6627c5d1d48d90a9da24b5de87d253945c1db28d8b52105f62e4d1bdcfc7a2b3",
+        "ebc42bc89b49016913e1aac00ffe6d53fa6f604a725f2c934ffe0e2b29e48dfa",
 }
 PRESENTATIONS = (("simply-connected", False), ("linear", False),
                  ("abstract", False), ("abstract", True))

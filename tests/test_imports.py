@@ -1,9 +1,9 @@
-"""Every module-level import in src/liedef is used by the module that makes it,
-and every top-level name it defines, public or private, is referenced
-somewhere (dunder names such as __all__ are exempt).
+"""Every module-level import in src/liedef and tests/ is used by the module
+that makes it, and every top-level name src/liedef defines, public or
+private, is referenced somewhere (dunder names such as __all__ are exempt).
 
-__init__.py is exempt from the import check (it re-exports the public API),
-and so is `from __future__ import annotations`.  A reference is a name read,
+src/liedef/__init__.py is exempt from the import check (it re-exports the
+public API), and so is `from __future__ import annotations`.  A reference is a name read,
 an attribute or an imported name anywhere in src/, tests/ or perfbench/;
 docstrings and other strings do not count.
 """
@@ -32,8 +32,10 @@ def _unused_imports(source):
 
 def test_no_unused_module_level_imports():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-    assert modules
-    unused = ["%s:%d %s" % (p.name, line, name)
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    assert modules and tests
+    modules += tests
+    unused = ["%s:%d %s" % (p.relative_to(ROOT), line, name)
               for p in modules
               for line, name in _unused_imports(p.read_text())]
     assert not unused, "unused imports: " + ", ".join(unused)

@@ -18,8 +18,8 @@ from liedef.errors import (InputError, InternalCheckError,
 from liedef.formats import (algebra_from_dict, matrix_from_json,
                             scalar_from_json, vector_from_json)
 from liedef.lie import LieAlgebra, from_matrices
-from liedef.linalg import (Mat, block_diag, intersect_spans, inverse,
-                           mat_lincomb, rank, span_basis, vadd)
+from liedef.linalg import (Mat, _sparse_rows, block_diag, intersect_spans,
+                           inverse, mat_lincomb, rank, span_basis, vadd)
 from liedef.reps import (ALL_FLAGS, FAITHFUL, HOMOMORPHISM, TRIANGULAR,
                          UNIPOTENT, GroupRepData, Representation, extend_rep,
                          is_unipotent, nilpotent_ado, quotient_rep,
@@ -482,12 +482,62 @@ def test_sparse_homomorphism_check_matches_the_dense_relation():
         g, m = rep.source, rep.images
         want = all(m[i] @ m[j] - m[j] @ m[i] == rep.image_of(g.table[i][j])
                    for i in range(g.dim) for j in range(i + 1, g.dim))
-        nz = [reps._nonzero_rows(x.rows) for x in m]
+        nz = [_sparse_rows(x.rows) for x in m]
         assert reps._closes(g, nz, rep.target_dim) == want
         seen.add(want)
 
     check()
     assert seen == {True, False}
+
+
+def _pair_list_product(a, b):
+    """The earlier sparse product of _verify, on rows listed as (column,
+    entry) pairs: a per-row accumulator that starts each column at int 0."""
+    out = []
+    for row in a:
+        acc = {}
+        for k, x in row:
+            for c, y in b[k]:
+                acc[c] = acc.get(c, 0) + x * y
+        out.append([(c, x) for c, x in acc.items() if x])
+    return out
+
+
+_SCALARS = (0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3),
+            GaussRat(1, 1), GaussRat(0, -1), GaussRat(2))
+
+
+def _typed_pairs(rows):
+    return [[(c, type(x).__name__, x,
+              (type(x.re), type(x.im)) if isinstance(x, GaussRat) else None)
+             for c, x in row] for row in rows]
+
+
+def test_sparse_product_matches_the_pair_list_product():
+    # seeded int, Fraction and GaussRat rows; a column of b repeated with
+    # opposite signs in a makes some sums cancel to zero
+    rng = random.Random(20261020)
+    cancelled = 0
+    for _ in range(200):
+        m, k, n = rng.randint(1, 4), rng.randint(2, 4), rng.randint(1, 4)
+        a = [[rng.choice(_SCALARS) for _ in range(k)] for _ in range(m)]
+        b = [[rng.choice(_SCALARS) for _ in range(n)] for _ in range(k)]
+        b[1] = b[0]
+        for row in a:
+            if rng.random() < 0.5:
+                row[1] = -row[0]
+        got = reps._sparse_product(_sparse_rows(a), _sparse_rows(b))
+        want = _pair_list_product(
+            [list(r.items()) for r in _sparse_rows(a)],
+            [list(r.items()) for r in _sparse_rows(b)])
+        assert _typed_pairs(r.items() for r in got) == _typed_pairs(want)
+        dense = Mat(a) @ Mat(b)
+        assert [[r.get(c, 0) for c in range(n)] for r in got] \
+            == [list(r) for r in dense.rows]
+        cancelled += sum(1 for r, ra in zip(got, a)
+                         for c in range(n) if c not in r
+                         and any(x and b[j][c] for j, x in enumerate(ra)))
+    assert cancelled > 20
 
 
 def _faithfulness_cases():

@@ -12,11 +12,11 @@ from liedef.definability import (SS_YES, GroupPresentation,
                                  definability_oracle, supersolvable_test)
 from liedef.errors import PreconditionError
 from liedef.lie import LieAlgebra, from_matrices
-from liedef.linalg import (Mat, inverse, kernel, lincomb, span_basis,
-                           trace_product)
+from liedef.linalg import (Mat, block_diag, inverse, kernel, lincomb,
+                           span_basis, trace_product)
 from liedef.structure import (_matrix_hull, commuting_levi, is_torus_like,
                               levi_subalgebra, nilradical, radical)
-from test_acceptance import _random_solvable
+from test_acceptance import _change_basis, _random_solvable
 
 
 def gl2():
@@ -93,6 +93,74 @@ def test_levi_splits_semidirect_product():
     assert sub.is_semisimple()
     # radical + levi spans everything
     assert len(span_basis(list(dec.radical) + list(dec.levi))) == 5
+
+
+def _sl2_action(n):
+    """h, e, f on the irreducible module V_n of sl2, basis v_0..v_n:
+    h v_k = (n - 2k) v_k, e v_k = (n - k + 1) v_(k-1), f v_k = (k + 1)
+    v_(k+1)."""
+    def mat(entry):
+        return Mat([[Fraction(entry(i, k)) for k in range(n + 1)]
+                    for i in range(n + 1)])
+    return (mat(lambda i, k: n - 2 * k if i == k else 0),
+            mat(lambda i, k: n - k + 1 if i == k - 1 else 0),
+            mat(lambda i, k: k + 1 if i == k + 1 else 0))
+
+
+def _sl2_semidirect(*degrees):
+    """sl2 x| (V_a + V_b + ...), basis (h, e, f, then each module's
+    v_0..v_a); the radical is the abelian module part."""
+    acts = [block_diag([_sl2_action(a)[x] for a in degrees])
+            for x in range(3)]
+    m = acts[0].nrows
+    pad = (0,) * m
+    entries = {(0, 1): (0, 2, 0) + pad, (0, 2): (0, 0, -2) + pad,
+               (1, 2): (1, 0, 0) + pad}
+    for x in range(3):
+        for k in range(m):
+            entries[(x, 3 + k)] = (0, 0, 0) + acts[x].col(k)
+    return LieAlgebra.from_entries(3 + m, entries)
+
+
+def _mixed_basis(dim, seed):
+    """A seeded unit lower times unit upper triangular matrix, entries of
+    both factors in {-1, 0, 1}: it mixes the Levi part into the radical."""
+    rng = random.Random(seed)
+    lower = Mat([[Fraction(1) if i == j else
+                  Fraction(rng.randint(-1, 1)) if j < i else Fraction(0)
+                  for j in range(dim)] for i in range(dim)])
+    upper = Mat([[Fraction(1) if i == j else
+                  Fraction(rng.randint(-1, 1)) if j > i else Fraction(0)
+                  for j in range(dim)] for i in range(dim)])
+    return lower @ upper
+
+
+# levi_subalgebra rows of sl2 x| V under one fixed basis change each, all
+# Fraction entries: the cocycle system of an abelian radical, solved with
+# its free variables zero, then brought to rref
+LEVI_PINS = (
+    ((1,), 1, ("1 0 7/4 3/2 0", "0 1 -7/8 -7/4 0", "0 0 0 0 1")),
+    ((1, 2), 2, ("1 0 0 0 0 0 -1/2 11/18",
+                 "0 1 0 2540/537 116/179 -1045/537 -1271/1074 -1501/9666",
+                 "0 0 1 237/179 4/179 60/179 -68/179 -67/537")),
+    ((2,), 3, ("1 0 0 -1 1 12", "0 1 0 2 -69/19 -619/19",
+               "0 0 1 71/35 -687/266 -3343/133")),
+    ((1, 1), 4, ("1 0 0 -1/20 -23/20 1/20 -9/20", "0 1 0 0 0 0 -1",
+                 "0 0 1 -3/10 1/10 23/10 3/10")),
+)
+
+
+def test_levi_rows_are_pinned_on_sheared_semidirect_products():
+    for degrees, seed_, want in LEVI_PINS:
+        g = _sl2_semidirect(*degrees)
+        g.require_valid()
+        # unsheared, the Levi part is sl2 itself
+        assert levi_subalgebra(g).levi == tuple(g.basis()[:3])
+        g = _change_basis(g, _mixed_basis(g.dim, seed_))
+        got = [[(type(c).__name__, str(c)) for c in row]
+               for row in levi_subalgebra(g).levi]
+        assert got == [[("Fraction", c) for c in row.split()]
+                       for row in want]
 
 
 def test_levi_of_solvable_algebra(e2):

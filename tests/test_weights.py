@@ -1,3 +1,4 @@
+import random
 import sys
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from liedef.linalg import (Mat, block_diag, char_poly, coords_in_span, det,
                            inverse, kernel, mat_lincomb, span_basis)
 from liedef.poly import gaussian_roots
 from liedef.reps import extend_rep, nilpotent_ado, supersolvable_triangular_rep
-from liedef.scalars import GaussRat, gauss
+from liedef.scalars import GaussRat, _field, gauss
 from liedef.structure import nilradical
 from liedef.weights import adjoint_weights, module_weights, weight_flag
 from test_golden import weight_flag_inputs
@@ -515,8 +516,7 @@ def test_the_oracle_spans_and_eliminates_little_on_the_corpus(monkeypatch):
 # lifts through a dense identity.  An independent reference for the sparse
 # peel that carries each direction's spectrum across peels.
 
-REF_INDETERMINATE = ("an eigenvalue of the action lies outside Q(i), or "
-                     "outside Q on a direction that must stay rational")
+REF_INDETERMINATE = "an eigenvalue of the action lies outside Q(i)"
 
 
 def _ref_pick_root(b):
@@ -966,3 +966,52 @@ def test_the_oracle_factors_few_spectra_on_the_corpus(monkeypatch):
                 presentations += 1
     assert presentations == 68
     assert 0 < len(spectra) <= 14
+
+
+def _inline_direction_actions(dirs, mats):
+    """The earlier _direction_actions: every row of B_k summed in place by
+    an inline loop over the basis actions."""
+    basis = [[{j: _field(x) for j, x in enumerate(r) if x} for r in m.rows]
+             for m in mats]
+    acts = []
+    for z in dirs:
+        act = {i: {} for i in range(mats[0].nrows)}
+        for c, m in zip(z, basis):
+            if c:
+                for row, m_row in zip(act.values(), m):
+                    for j, x in m_row.items():
+                        y = row.get(j)
+                        row[j] = c * x if y is None else y + c * x
+        acts.append({i: {j: x for j, x in row.items() if x}
+                     for i, row in act.items()})
+    return acts
+
+
+def test_direction_actions_match_the_inline_loop():
+    # seeded int, Fraction and GaussRat actions and directions; a repeated
+    # action taken with opposite coefficients makes some sums cancel
+    rng = random.Random(20261021)
+    pool = (0, 0, 0, 1, -1, 3, Fraction(1, 2), Fraction(-3, 4),
+            GaussRat(1, 1), GaussRat(0, 2), GaussRat(-1))
+    cancelled = 0
+    for _ in range(150):
+        n, k = rng.randint(1, 4), rng.randint(2, 4)
+        mats = [Mat([[rng.choice(pool) for _ in range(n)] for _ in range(n)])
+                for _ in range(k)]
+        mats[1] = mats[0]
+        dirs = [[rng.choice(pool) for _ in range(k)]
+                for _ in range(rng.randint(1, 3))]
+        for z in dirs:
+            if rng.random() < 0.5:
+                z[1] = -z[0]
+        got = weights._direction_actions(dirs, mats)
+        want = _inline_direction_actions(dirs, mats)
+        assert [[(i, [(j, _typed(x)) for j, x in row.items()])
+                 for i, row in act.items()] for act in got] \
+            == [[(i, [(j, _typed(x)) for j, x in row.items()])
+                 for i, row in act.items()] for act in want]
+        cancelled += sum(1 for z, act in zip(dirs, got)
+                         for i in range(n) for j in range(n)
+                         if j not in act[i] and any(
+                             c and m.rows[i][j] for c, m in zip(z, mats)))
+    assert cancelled > 20
