@@ -24,7 +24,8 @@ from .formats import (algebra_hash, canonical_json, matrix_from_json,
                       matrix_to_json, read_json, vector_from_json,
                       vector_to_json, write_json)
 from .lie import LieAlgebra
-from .linalg import Mat, char_poly, coords_in_span, kernel, span_basis
+from .linalg import (Mat, char_poly, coords_in_span, kernel,
+                     maximal_minor_gcd, rank, span_basis)
 from .poly import squarefree_part, sturm_count_real_roots
 from .reps import ALL_FLAGS, Representation, verify_rep
 from .torus import TorusClosure, TorusWeights, parse_equation, vanishes_on_torus
@@ -410,6 +411,19 @@ def _check_torus(payload, tw: TorusWeights) -> CertReport:
             if sum(mj * tw.rows[j][col] for j, mj in enumerate(m)):
                 return _fail("relations", "relation %d does not annihilate "
                                           "the weights" % k)
+    # relations inside the lattice, as many as its rank, span it exactly
+    # when they are independent and the gcd of their maximal minors is 1
+    lattice_rank = tw.blocks - rank(Mat(tw.rows))
+    if len(relations) != lattice_rank:
+        return _fail("relations", "%d relations listed; the relation "
+                                  "lattice has rank %d"
+                     % (len(relations), lattice_rank))
+    index = maximal_minor_gcd(relations)
+    if not index:
+        return _fail("relations", "relations are dependent")
+    if index != 1:
+        return _fail("relations", "relations span a sublattice of index %d"
+                     % index)
     equations = payload.get("equations")
     if not isinstance(equations, list) \
             or not all(isinstance(s, str) for s in equations):

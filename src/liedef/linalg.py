@@ -691,25 +691,15 @@ def _int_rows(m) -> list:
     return out
 
 
-def integer_left_kernel(m):
-    """Saturated basis of the lattice of integer rows v with v @ m = 0.
-
-    One integer row reduction of [m | I]: in each column, Euclid's steps
-    (move the row with the smallest nonzero entry up, subtract integer
-    multiples of it from the rows below) bring m to echelon form U @ m.
-    The basis is the rows of U at the zero rows of U @ m.  Verified on every
-    call: U @ m recomputed equals the echelon, |det U| = 1 (so the basis is
-    saturated), the zero rows number nrows - rank(m), and each basis row
-    annihilates m.
-    """
-    a = _int_rows(m)
-    if not a:
-        return []
-    mm = Mat(a)
+def _int_echelon(a, u) -> int:
+    """Euclid's row reduction of the integer rows a to echelon form, in
+    place: in each column, move the row with the smallest nonzero entry up
+    and subtract integer multiples of it from the rows below, doing every
+    row step to the rows u as well.  Returns the number of pivots; pivot t
+    sits in row t."""
     nr = len(a)
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
     t = 0
-    for c in range(mm.ncols):
+    for c in range(len(a[0]) if a else 0):
         while t < nr:
             live = [i for i in range(t, nr) if a[i][c]]
             if not live:
@@ -725,6 +715,25 @@ def integer_left_kernel(m):
                     q = a[i][c] // a[t][c]
                     a[i] = [x - q * y for x, y in zip(a[i], a[t])]
                     u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+    return t
+
+
+def integer_left_kernel(m):
+    """Saturated basis of the lattice of integer rows v with v @ m = 0.
+
+    One integer row reduction of [m | I] (_int_echelon) brings m to echelon
+    form U @ m.  The basis is the rows of U at the zero rows of U @ m.
+    Verified on every call: U @ m recomputed equals the echelon, |det U| = 1
+    (so the basis is saturated), the zero rows number nrows - rank(m), and
+    each basis row annihilates m.
+    """
+    a = _int_rows(m)
+    if not a:
+        return []
+    mm = Mat(a)
+    nr = len(a)
+    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    _int_echelon(a, u)
     um = Mat(u)
     if um @ mm != Mat(a):
         raise InternalCheckError("row reduction transform identity failed")
@@ -737,3 +746,21 @@ def integer_left_kernel(m):
         if not is_zero_vec(tuple(_dot(b, c) for c in mm.cols())):
             raise InternalCheckError("left kernel row fails to annihilate")
     return basis
+
+
+def maximal_minor_gcd(rows) -> int:
+    """The gcd of the k x k minors of k integer rows: 0 when they are
+    dependent, 1 exactly when they are a basis of the integer points of
+    their rational span, and otherwise the index of their lattice in it.
+
+    Euclid's row reduction of the transpose (column steps on the rows)
+    keeps that gcd and ends in a k x k triangle above zero rows, whose
+    diagonal product is the one nonzero maximal minor left.
+    """
+    a = [list(col) for col in zip(*_int_rows(rows))]
+    if _int_echelon(a, [[] for _ in a]) < len(rows):
+        return 0
+    out = 1
+    for i in range(len(rows)):
+        out *= abs(a[i][i])
+    return out

@@ -6,12 +6,16 @@ several parameters is dense in the algebraic subgroup cut out by the
 character relations of the weight lattice.  This module computes those
 relations through the integer left kernel of the weight matrix and turns
 each one into exact binomial equations in the block coordinates, certified
-by substituting the circle parametrization as formal Laurent monomials.
+by substituting the circle parametrization: c_j and s_j become
+(z_j + 1/z_j)/2 and -i (z_j - 1/z_j)/2 with z_j the Laurent monomial
+t^(W row j), and, cleared of denominators, every term expands into integer
+Laurent coefficients by binomial coefficients alone (vanishes_on_torus).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import InputError, InternalCheckError, UnsupportedError
 from .linalg import integer_left_kernel
@@ -221,68 +225,98 @@ def _leading_sign_fix(p: MPoly) -> MPoly:
     return p
 
 
-# -- formal circle parametrization ------------------------------------------------
+# -- the torus substitution ------------------------------------------------------
 
-def _laurent_mul(a, b):
+def _binomials(n: int) -> list:
+    """[C(n, 0), ..., C(n, n)], each from the one before: one small
+    multiplication and division per entry, where math.comb computes each
+    entry on its own and takes seconds once n is in the thousands."""
+    row = [1]
+    for p in range(n):
+        row.append(row[-1] * (n - p) // (p + 1))
+    return row
+
+
+def _block_factor(a: int, b: int) -> dict:
+    """{e: integer coefficient of z^e in (z + 1/z)^a (z - 1/z)^b}."""
     out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            key = tuple(x + y for x, y in zip(e1, e2))
-            s = out.get(key, GaussRat(0)) + c1 * c2
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
+    minus = _binomials(b)
+    for p, cp in enumerate(_binomials(a)):
+        for q, cq in enumerate(minus):
+            e = a - 2 * p + b - 2 * q
+            out[e] = out.get(e, 0) + (-cp * cq if q % 2 else cp * cq)
     return out
 
 
-def _substitute(poly: MPoly, cos_sub, sin_sub, nparams):
-    zero_exp = (0,) * nparams
-    total = {}
-    for exps, coeff in poly.terms.items():
-        term = {zero_exp: coeff}
-        for v, e in enumerate(exps):
-            base = cos_sub[v // 2] if v % 2 == 0 else sin_sub[v // 2]
-            for _ in range(e):
-                term = _laurent_mul(term, base)
-        for key, c in term.items():
-            s = total.get(key, GaussRat(0)) + c
-            if s:
-                total[key] = s
-            elif key in total:
-                del total[key]
-    return total
-
-
-def torus_parametrization(tw: TorusWeights):
-    """Laurent substitutions (cos rows, sin rows) for the weight torus."""
-    half = GaussRat(Fraction(1, 2))
-    half_over_i = GaussRat(0, Fraction(-1, 2))
-    cos_sub = []
-    sin_sub = []
-    for row in tw.rows:
-        pos = tuple(row)
-        neg = tuple(-w for w in row)
-        if pos == neg:
-            cos_sub.append({pos: GaussRat(1)})
-            sin_sub.append({})
-        else:
-            cos_sub.append({pos: half, neg: half})
-            sin_sub.append({pos: half_over_i, neg: -half_over_i})
-    return cos_sub, sin_sub
-
-
 def vanishes_on_torus(tw: TorusWeights, poly: MPoly) -> bool:
-    """Exact test that a block-coordinate polynomial kills the whole torus."""
+    """Exact test that a block-coordinate polynomial kills the whole torus.
+
+    On the torus z_j = c_j + i s_j is the Laurent monomial t^(W row j), so
+    c_j = (z_j + 1/z_j)/2 and s_j = -i (z_j - 1/z_j)/2.  A term
+    coeff * prod_j c_j^a_j s_j^b_j of degree d becomes
+    coeff (-i)^B 2^-d prod_j (z_j + 1/z_j)^a_j (z_j - 1/z_j)^b_j with
+    B = sum_j b_j.  Scaled by 2^D L (D the top degree, L the lcm of the
+    coefficient denominators) each term is a Gaussian integer times
+    binomial coefficients: (-i)^B moves the integer parts between re and
+    im, and block j's exponent e lands on e * (W row j).  Sums are kept as
+    [re, im] integer pairs per exponent tuple of t, and the polynomial
+    vanishes on the torus exactly when every pair is zero.
+
+    The blocks are expanded last to first, and after each one the terms
+    that agree on the blocks before it are summed, so a binomial relation
+    such as Re(z_2^49 z_3^50 - ...) collapses before the next block
+    multiplies it out.
+    """
     if poly.nvars != 2 * tw.blocks:
         raise InputError("polynomial variable count does not match the blocks")
-    cos_sub, sin_sub = torus_parametrization(tw)
-    return not _substitute(poly, cos_sub, sin_sub, tw.params)
+    top = max(map(sum, poly.terms), default=0)
+    scale = lcm(*(q.denominator for c in poly.terms.values()
+                  for q in (c.re, c.im)))
+    zero = (0,) * tw.params
+    # {exponents of the blocks not expanded yet: {t exponent: [re, im]}}
+    state = {}
+    for exps, coeff in poly.terms.items():
+        k = scale << (top - sum(exps))
+        re = coeff.re.numerator * (k // coeff.re.denominator)
+        im = coeff.im.numerator * (k // coeff.im.denominator)
+        for _ in range(sum(exps[1::2]) % 4):
+            re, im = im, -re
+        state[exps] = {zero: [re, im]}
+    for j in reversed(range(tw.blocks)):
+        row = tw.rows[j]
+        merged = {}
+        for exps, laurent in state.items():
+            acc = merged.setdefault(exps[:2 * j], {})
+            a, b = exps[2 * j], exps[2 * j + 1]
+            if not (a or b):
+                for key, (re, im) in laurent.items():
+                    pair = acc.get(key)
+                    if pair is None:
+                        acc[key] = [re, im]
+                    else:
+                        pair[0] += re
+                        pair[1] += im
+                continue
+            for e, c in _block_factor(a, b).items():
+                if not c:
+                    continue
+                shift = tuple(e * w for w in row)
+                for key, (re, im) in laurent.items():
+                    key = tuple(x + y for x, y in zip(key, shift))
+                    pair = acc.get(key)
+                    if pair is None:
+                        acc[key] = [re * c, im * c]
+                    else:
+                        pair[0] += re * c
+                        pair[1] += im * c
+        state = merged
+    return not any(re or im for laurent in state.values()
+                   for re, im in laurent.values())
 
 
 def parse_equation(nvars: int, text: str) -> MPoly:
     """Inverse of as_string for real rational coefficients."""
-    out = MPoly(nvars, {})
+    terms = {}
     src = text.replace(" - ", " + -").strip()
     if not src:
         raise InputError("empty polynomial text")
@@ -301,7 +335,7 @@ def parse_equation(nvars: int, text: str) -> MPoly:
             if not factor:
                 raise InputError("empty factor in polynomial text")
             if factor[0] in "cs":
-                name, _, power = factor.partition("^")
+                name, caret, power = factor.partition("^")
                 kind, idx = name[0], name[1:]
                 if not idx.isdigit() or int(idx) < 1:
                     raise InputError(f"bad variable {factor!r}")
@@ -309,7 +343,7 @@ def parse_equation(nvars: int, text: str) -> MPoly:
                 if v >= nvars:
                     raise InputError(f"variable {name} out of range")
                 e = 1
-                if power:
+                if caret:
                     if not power.isdigit():
                         raise InputError(f"bad exponent in {factor!r}")
                     e = int(power)
@@ -319,8 +353,9 @@ def parse_equation(nvars: int, text: str) -> MPoly:
                     coeff = coeff * Fraction(factor)
                 except (ValueError, ZeroDivisionError):
                     raise InputError(f"bad coefficient {factor!r}")
-        out = out + MPoly(nvars, {tuple(exps): GaussRat(coeff)})
-    return out
+        key = tuple(exps)
+        terms[key] = terms.get(key, 0) + coeff
+    return MPoly(nvars, terms)
 
 
 def torus_zariski_closure(tw: TorusWeights) -> TorusClosure:
@@ -362,9 +397,8 @@ def torus_zariski_closure(tw: TorusWeights) -> TorusClosure:
         sj = MPoly.variable(nvars, 2 * j + 1)
         circle_eqs.append(cj * cj + sj * sj - MPoly.constant(nvars, 1))
 
-    cos_sub, sin_sub = torus_parametrization(tw)
     for eq in relation_eqs + circle_eqs:
-        if _substitute(eq, cos_sub, sin_sub, tw.params):
+        if not vanishes_on_torus(tw, eq):
             raise InternalCheckError(
                 "closure equation fails on the torus parametrization")
 

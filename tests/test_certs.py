@@ -243,6 +243,50 @@ def test_torus_relation_tamper():
     assert not rep and rep.clause == "relations"
 
 
+def test_torus_relations_must_be_a_lattice_basis():
+    tw = TorusWeights(((1,), (2,), (3,)))
+    cert = emit_torus_equations(torus_zariski_closure(tw))
+    assert cert["payload"]["relations"] == [[-2, 1, 0], [-3, 0, 1]]
+    cases = (
+        ([], "0 relations listed; the relation lattice has rank 2"),
+        ([[-2, 1, 0]], "1 relations listed; the relation lattice has rank 2"),
+        ([[-2, 1, 0], [-3, 0, 1], [-5, 1, 1]],
+         "3 relations listed; the relation lattice has rank 2"),
+        ([[-2, 1, 0], [-4, 2, 0]], "relations are dependent"),
+        ([[-4, 2, 0], [-3, 0, 1]], "relations span a sublattice of index 2"),
+        ([[-4, 2, 0], [-6, 0, 2]], "relations span a sublattice of index 4"),
+        # an annihilation failure keeps its text
+        ([[1, 0, 0]], "relation 0 does not annihilate the weights"),
+    )
+    for relations, detail in cases:
+        bad = json.loads(json.dumps(cert))
+        bad["payload"]["relations"] = relations
+        assert verify_certificate(bad, weights=tw) \
+            == CertReport(False, "relations", detail), relations
+    # any other basis of the same lattice passes
+    for relations in ([[-3, 0, 1], [-2, 1, 0]], [[2, -1, 0], [-5, 1, 1]]):
+        good = json.loads(json.dumps(cert))
+        good["payload"]["relations"] = relations
+        assert verify_certificate(good, weights=tw).ok
+    # every pool torus certificate: dropped or doubled relations fail
+    checked = 0
+    for item in CHECKER_POOL:
+        if item["cert"]["kind"] != "TorusEquations":
+            continue
+        weights = [tuple(r) for r in item["subject"]["weights"]]
+        relations = item["cert"]["payload"]["relations"]
+        assert verify_certificate(item["cert"], weights=weights).ok
+        for edit in ([], [[2 * c for c in m] for m in relations]):
+            if edit == relations:
+                continue
+            bad = json.loads(json.dumps(item["cert"]))
+            bad["payload"]["relations"] = edit
+            rep = verify_certificate(bad, weights=weights)
+            assert not rep and rep.clause == "relations"
+            checked += 1
+    assert checked == 8
+
+
 def test_torus_subject_binding():
     cert = emit_torus_equations(torus_zariski_closure(TorusWeights(((1,), (2,)))))
     rep = verify_certificate(cert, weights=((1,), (3,)))

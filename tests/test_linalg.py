@@ -13,8 +13,8 @@ from liedef.linalg import (Mat, _dot, _field, _gauss_jordan, _null_space,
                            det, independent, integer_left_kernel,
                            intersect_spans, inverse, is_nilpotent_mat,
                            is_semisimple_mat, jordan_chevalley, kernel, kron,
-                           lincomb, mat_lincomb, mat_pow, poly_at, rank,
-                           solve, span_basis, trace_product)
+                           lincomb, mat_lincomb, mat_pow, maximal_minor_gcd,
+                           poly_at, rank, solve, span_basis, trace_product)
 from liedef.poly import Poly, squarefree_part
 from liedef.scalars import GaussRat
 from liedef.torus import _normalize_relation
@@ -420,6 +420,28 @@ def test_integer_left_kernel_is_saturated():
             assert _gcd_of_maximal_minors(rels) == 1
             checked += 1
     assert checked > 150
+
+
+def test_maximal_minor_gcd_matches_the_minors():
+    # a planted multiple of the first row gives 0, a scaled first row an
+    # index above 1
+    rng = random.Random(20261021)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        k = rng.randint(1, n)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
+        roll = rng.random()
+        if k > 1 and roll < 0.2:
+            rows[-1] = [-2 * x for x in rows[0]]
+        elif roll < 0.4:
+            rows[0] = [rng.choice((2, 3)) * x for x in rows[0]]
+        want = _gcd_of_maximal_minors(rows)
+        assert maximal_minor_gcd(rows) == want, rows
+        seen.add(min(want, 2))
+    assert seen == {0, 1, 2}
+    assert maximal_minor_gcd([]) == 1
+    assert maximal_minor_gcd([[1, 2], [2, 4], [0, 1]]) == 0
 
 
 @pytest.mark.parametrize("weights,relations", [

@@ -1,8 +1,19 @@
+import hashlib
+import json
+import pathlib
+import random
+from fractions import Fraction
+
 import pytest
 
+from liedef.certs import emit_torus_equations
 from liedef.errors import InputError, UnsupportedError
+from liedef.scalars import GaussRat
 from liedef.torus import (MPoly, TorusWeights, parse_equation,
                           torus_zariski_closure, vanishes_on_torus)
+
+POOL = (pathlib.Path(__file__).resolve().parent.parent
+        / "perfbench" / "data" / "checker_pool.json")
 
 
 def test_weight_validation():
@@ -97,7 +108,8 @@ def test_parse_equation_accepts_plain_forms():
 
 
 def test_parse_equation_rejects_garbage():
-    for text in ("", "c0", "s3", "c1^x", "q1", "c1^-1", "1/0*c1"):
+    for text in ("", "c0", "s3", "c1^x", "q1", "c1^-1", "1/0*c1", "c1^",
+                 "2*s1^ - 1"):
         with pytest.raises((InputError, ZeroDivisionError)):
             parse_equation(2, text)
 
@@ -120,3 +132,203 @@ def test_relations_annihilate_weights():
     for m in tc.relations:
         for col in range(2):
             assert sum(mi * rows[i][col] for i, mi in enumerate(m)) == 0
+
+
+def test_empty_exponent_is_rejected():
+    for text in ("c1^", "c1^ + s1", "3*s1^"):
+        with pytest.raises(InputError, match="bad exponent"):
+            parse_equation(2, text)
+
+
+def test_parse_equation_sums_repeated_terms():
+    p = parse_equation(4, "c1*s2 + 2*c1*s2 - s1 + s1 - 1/2*c1*c1 + c1^2")
+    assert p.as_string() == "1/2*c1^2 + 3*c1*s2"
+    assert parse_equation(2, "c1 - c1") == MPoly(2)
+    assert all(type(c.re) is Fraction and type(c.im) is Fraction
+               for c in p.terms.values())
+
+
+# -- the integer expansion against the GaussRat Laurent substitution -------
+
+def _laurent_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            s = out.get(key, GaussRat(0)) + c1 * c2
+            if s:
+                out[key] = s
+            elif key in out:
+                del out[key]
+    return out
+
+
+def _reference_vanishes(tw, poly):
+    """The Laurent substitution vanishes_on_torus replaced: cos and sin of
+    each block as GaussRat Laurent polynomials, multiplied factor by
+    factor."""
+    half = GaussRat(Fraction(1, 2))
+    half_over_i = GaussRat(0, Fraction(-1, 2))
+    subs = []
+    for row in tw.rows:
+        pos, neg = tuple(row), tuple(-w for w in row)
+        if pos == neg:
+            subs += [{pos: GaussRat(1)}, {}]
+        else:
+            subs += [{pos: half, neg: half},
+                     {pos: half_over_i, neg: -half_over_i}]
+    total = {}
+    for exps, coeff in poly.terms.items():
+        term = {(0,) * tw.params: coeff}
+        for v, e in enumerate(exps):
+            for _ in range(e):
+                term = _laurent_mul(term, subs[v])
+        for key, c in term.items():
+            s = total.get(key, GaussRat(0)) + c
+            if s:
+                total[key] = s
+            elif key in total:
+                del total[key]
+    return not total
+
+
+def _random_poly(rng, nvars, terms, degree):
+    out = {}
+    for _ in range(terms):
+        exps = [0] * nvars
+        for _ in range(rng.randint(0, degree)):
+            exps[rng.randrange(nvars)] += 1
+        re = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        im = Fraction(rng.randint(-6, 6), rng.randint(1, 4)) \
+            if rng.random() < 0.5 else 0
+        out[tuple(exps)] = GaussRat(re, im)
+    return MPoly(nvars, out)
+
+
+def _cases(seed, count):
+    rng = random.Random(seed)
+    for k in range(count):
+        blocks, params = rng.randint(1, 3), rng.randint(1, 2)
+        rows = [[rng.randint(-3, 3) for _ in range(params)]
+                for _ in range(blocks)]
+        if rng.random() < 0.25:
+            rows[rng.randrange(blocks)] = [0] * params
+        tw = TorusWeights(rows)
+        nvars = 2 * blocks
+        p = _random_poly(rng, nvars, rng.randint(1, 4), 3)
+        if k % 2:
+            # a multiple of a closure equation, binomial or circle, of
+            # degree at most 6 so that the reference stays quick
+            eqs = [e for e in torus_zariski_closure(tw).equations
+                   if max(map(sum, e.terms)) <= 6]
+            p = p * eqs[rng.randrange(len(eqs))]
+        yield tw, p
+
+
+def test_vanishing_matches_the_laurent_substitution():
+    seen = {True: 0, False: 0}
+    for tw, p in _cases(2029, 420):
+        got = vanishes_on_torus(tw, p)
+        assert got == _reference_vanishes(tw, p), (tw, p)
+        seen[got] += 1
+    assert seen[True] >= 210 and seen[False] >= 100
+    # terms of degree 40 and more, vanishing and not
+    tw = TorusWeights(((1, 2), (-1, 0)))
+    circle = torus_zariski_closure(tw).circle_equations[0]
+    c1, s2 = MPoly.variable(4, 0), MPoly.variable(4, 3)
+    big = c1.power(40) * circle
+    assert max(map(sum, big.terms)) == 42
+    for p, want in ((big, True),
+                    (c1.power(20) * s2.power(20) - MPoly.constant(4, 1), False),
+                    (big.scale(GaussRat(1, Fraction(-1, 3))) + s2, False)):
+        assert vanishes_on_torus(tw, p) is want
+        assert _reference_vanishes(tw, p) is want
+
+
+def test_pool_equations_match_the_laurent_substitution():
+    pool = json.loads(POOL.read_text())
+    checked = 0
+    for item in pool:
+        if item["cert"]["kind"] != "TorusEquations":
+            continue
+        tw = TorusWeights(item["subject"]["weights"])
+        for text in item["cert"]["payload"]["equations"]:
+            p = parse_equation(2 * tw.blocks, text)
+            assert vanishes_on_torus(tw, p) and _reference_vanishes(tw, p)
+            q = p + MPoly.variable(2 * tw.blocks, 1)
+            assert not vanishes_on_torus(tw, q)
+            assert not _reference_vanishes(tw, q)
+            checked += 1
+    assert checked == 22
+
+
+def test_high_degree_equation_is_cheap():
+    tw = TorusWeights(((1,), (800,)))
+    assert not vanishes_on_torus(tw, parse_equation(4, "c1^800 - c2"))
+    tc = torus_zariski_closure(TorusWeights(((1,), (40,))))
+    assert tc.relations == ((-40, 1),)
+    assert all(vanishes_on_torus(tc.weights, eq) for eq in tc.equations)
+
+
+# -- closure output recorded before the integer expansion -------------------
+
+CLOSURE_PINS = {
+    ((1,), (2,), (3,)): (
+        ((-2, 1, 0), (-3, 0, 1)),
+        ["c1^2 - s1^2 - c2", "2*c1*s1 - s2", "c1^3 - 3*c1*s1^2 - c3",
+         "3*c1^2*s1 - s1^3 - s3", "c1^2 + s1^2 - 1", "c2^2 + s2^2 - 1",
+         "c3^2 + s3^2 - 1"],
+        "aaf35a1dd74458c347eda73eb97aadcd204b1c7baeb3b5c545f2633f680e0234"),
+    ((2, 1), (1, 3)): (
+        (),
+        ["c1^2 + s1^2 - 1", "c2^2 + s2^2 - 1"],
+        "ef3d84ddb1ff1158bb2b37b9b36802a1b86f57d6975239215d889de1628441a6"),
+    ((0,), (1,)): (
+        ((1, 0),),
+        ["c1 - 1", "s1", "c1^2 + s1^2 - 1", "c2^2 + s2^2 - 1"],
+        "1f01a0021451241a4f540963cb39a14142ec1d4d182ff0f70f1f37e6c1138035"),
+    ((5,), (-3,)): (
+        ((3, 5),),
+        ["c1^3*c2^5 - 10*c1^3*c2^3*s2^2 + 5*c1^3*c2*s2^4"
+         " - 15*c1^2*s1*c2^4*s2 + 30*c1^2*s1*c2^2*s2^3 - 3*c1^2*s1*s2^5"
+         " - 3*c1*s1^2*c2^5 + 30*c1*s1^2*c2^3*s2^2 - 15*c1*s1^2*c2*s2^4"
+         " + 5*s1^3*c2^4*s2 - 10*s1^3*c2^2*s2^3 + s1^3*s2^5 - 1",
+         "5*c1^3*c2^4*s2 - 10*c1^3*c2^2*s2^3 + c1^3*s2^5"
+         " + 3*c1^2*s1*c2^5 - 30*c1^2*s1*c2^3*s2^2 + 15*c1^2*s1*c2*s2^4"
+         " - 15*c1*s1^2*c2^4*s2 + 30*c1*s1^2*c2^2*s2^3 - 3*c1*s1^2*s2^5"
+         " - s1^3*c2^5 + 10*s1^3*c2^3*s2^2 - 5*s1^3*c2*s2^4",
+         "c1^2 + s1^2 - 1", "c2^2 + s2^2 - 1"],
+        "c2aedb46018ae3300e86c3b0486d6e5ea898a36de067f452da36e8d9910cb0cf"),
+    ((0, 0), (1, -1), (2, -2)): (
+        ((1, 0, 0), (0, -2, 1)),
+        ["c1 - 1", "s1", "c2^2 - s2^2 - c3", "2*c2*s2 - s3",
+         "c1^2 + s1^2 - 1", "c2^2 + s2^2 - 1", "c3^2 + s3^2 - 1"],
+        "99be2a5ad8e4563b88a56a6460464050faaeb8b20221cbb93a5d73bf7bb191a3"),
+}
+
+
+def test_closure_output_is_pinned():
+    for rows, (relations, strings, digest) in CLOSURE_PINS.items():
+        tc = torus_zariski_closure(TorusWeights(rows))
+        assert tc.relations == relations
+        assert tc.equation_strings() == strings
+        text = json.dumps(emit_torus_equations(tc), indent=1) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_four_block_closures_are_pinned():
+    # recorded with the term-by-term GaussRat substitution; four blocks
+    # and relation entries up to 12 exercise the block-by-block sums
+    pins = {
+        ((1, 4), (-2, 4), (-2, -1), (1, 3)): (
+            ((-5, 0, 1, 7), (-10, 1, 0, 12)),
+            "148c4a1b643a2d8e3a4d203f5ddf0414e22360994b5ab745675b3bd8b0d6bd70"),
+        ((2, -3), (4, 1), (-4, 4), (0, -3)): (
+            ((10, 2, 7, 0), (-8, -1, -5, 1)),
+            "7a890dad3d052d5be44d5aa73da6d924bec029131d70550c8b59a7b1edb8081b"),
+    }
+    for rows, (relations, digest) in pins.items():
+        tc = torus_zariski_closure(TorusWeights(rows))
+        assert tc.relations == relations
+        text = json.dumps(emit_torus_equations(tc), indent=1) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
