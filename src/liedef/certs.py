@@ -24,7 +24,7 @@ from .formats import (algebra_hash, canonical_json, matrix_from_json,
                       matrix_to_json, read_json, vector_from_json,
                       vector_to_json, write_json)
 from .lie import LieAlgebra
-from .linalg import (Mat, char_poly, coords_in_span, kernel,
+from .linalg import (Mat, _coords_and_rank, char_poly, kernel,
                      maximal_minor_gcd, rank, span_basis)
 from .poly import squarefree_part, sturm_count_real_roots
 from .reps import ALL_FLAGS, Representation, verify_rep
@@ -198,11 +198,12 @@ def _check_flag(payload, alg: LieAlgebra) -> CertReport:
     element i acts on step k, modulo the earlier steps, by the claimed
     character chars[k][i].
 
-    An independent flag of length dim is a basis, so one elimination puts
-    every bracket [e_i, flag[k]] into coordinates of the whole flag: step k
-    is an ideal when every coordinate past k is zero, and coordinate k is
-    the character.  Steps, and basis elements within a step, are checked in
-    order, so the first failure is reported.
+    One elimination, with the flag vectors as columns and every bracket
+    [e_i, flag[k]] as a right-hand side, gives the rank of the flag and the
+    coordinates of those brackets in it.  An independent flag of length dim
+    is a basis: step k is an ideal when every coordinate past k is zero,
+    and coordinate k is the character.  Steps, and basis elements within a
+    step, are checked in order, so the first failure is reported.
     """
     try:
         flag = _real_vectors(payload.get("flag"), alg.dim, "flag")
@@ -214,14 +215,14 @@ def _check_flag(payload, alg: LieAlgebra) -> CertReport:
     if len(flag) != alg.dim:
         return _fail("flag", "flag length %d differs from dim %d"
                      % (len(flag), alg.dim))
-    if len(span_basis(flag)) != len(flag):
-        return _fail("flag", "flag vectors are not independent")
-    if chars is not None and len(chars) != len(flag):
-        return _fail("shape", "one character row per flag step required")
     n = len(flag)
     basis = alg.basis()
-    coords = coords_in_span(flag, [alg.bracket(x, v)
-                                   for v in flag for x in basis])
+    coords, flag_rank = _coords_and_rank(
+        flag, [alg.bracket(x, v) for v in flag for x in basis])
+    if flag_rank != n:
+        return _fail("flag", "flag vectors are not independent")
+    if chars is not None and len(chars) != n:
+        return _fail("shape", "one character row per flag step required")
     for k in range(n):
         for i, co in enumerate(coords[k * n:(k + 1) * n]):
             if any(co[k + 1:]):

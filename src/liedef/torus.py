@@ -4,12 +4,15 @@ A one-parameter family of plane rotations with weight row w sweeps the
 curve (cos(w.phi), sin(w.phi)) in each block; the group generated by
 several parameters is dense in the algebraic subgroup cut out by the
 character relations of the weight lattice.  This module computes those
-relations through the integer left kernel of the weight matrix and turns
-each one into exact binomial equations in the block coordinates, certified
-by substituting the circle parametrization: c_j and s_j become
+relations through the integer left kernel of the weight matrix.  A
+relation m says prod_j z_j^m_j = 1 for z_j = c_j + i s_j; its two sides are
+written out term by term by the binomial theorem, in integers, and the real
+and imaginary parts of their difference are its equations.  Each equation is
+certified by substituting the circle parametrization: c_j and s_j become
 (z_j + 1/z_j)/2 and -i (z_j - 1/z_j)/2 with z_j the Laurent monomial
 t^(W row j), and, cleared of denominators, every term expands into integer
-Laurent coefficients by binomial coefficients alone (vanishes_on_torus).
+Laurent coefficients, one row of a three-term recurrence per block
+(vanishes_on_torus).
 """
 from __future__ import annotations
 
@@ -55,7 +58,9 @@ class MPoly:
     """Polynomial in c1,s1,...,cn,sn with Gaussian rational coefficients.
 
     Variable 2j is c_{j+1}, variable 2j+1 is s_{j+1}; terms are a map from
-    exponent tuples to nonzero coefficients.
+    exponent tuples to nonzero coefficients.  An MPoly is only held,
+    printed and compared: the closure writes its terms directly and the
+    check reads them, so it has no ring arithmetic.
     """
 
     __slots__ = ("nvars", "terms")
@@ -69,15 +74,6 @@ class MPoly:
                 clean[tuple(exps)] = coeff
         self.terms = clean
 
-    @staticmethod
-    def constant(nvars: int, value) -> "MPoly":
-        return MPoly(nvars, {(0,) * nvars: gauss(value)})
-
-    @staticmethod
-    def variable(nvars: int, index: int) -> "MPoly":
-        exps = tuple(int(i == index) for i in range(nvars))
-        return MPoly(nvars, {exps: GaussRat(1)})
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -88,52 +84,6 @@ class MPoly:
     def __hash__(self):
         return hash((self.nvars, tuple(sorted(self.terms.items(),
                                               key=lambda kv: kv[0]))))
-
-    def _same_arity(self, other: "MPoly"):
-        if self.nvars != other.nvars:
-            raise InputError("polynomials live in different variable sets")
-
-    def __add__(self, other: "MPoly") -> "MPoly":
-        self._same_arity(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, GaussRat(0)) + coeff
-        return MPoly(self.nvars, out)
-
-    def __sub__(self, other: "MPoly") -> "MPoly":
-        self._same_arity(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, GaussRat(0)) - coeff
-        return MPoly(self.nvars, out)
-
-    def __mul__(self, other: "MPoly") -> "MPoly":
-        self._same_arity(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, GaussRat(0)) + c1 * c2
-        return MPoly(self.nvars, out)
-
-    def scale(self, c) -> "MPoly":
-        c = gauss(c)
-        return MPoly(self.nvars, {e: v * c for e, v in self.terms.items()})
-
-    def power(self, k: int) -> "MPoly":
-        out = MPoly.constant(self.nvars, 1)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def real_part(self) -> "MPoly":
-        return MPoly(self.nvars, {e: GaussRat(c.re) for e, c in self.terms.items()})
-
-    def imag_part(self) -> "MPoly":
-        return MPoly(self.nvars, {e: GaussRat(c.im) for e, c in self.terms.items()})
-
-    def is_real(self) -> bool:
-        return all(c.is_real() for c in self.terms.values())
 
     def __repr__(self):
         return f"MPoly({self.as_string()!r})"
@@ -158,7 +108,7 @@ class MPoly:
             parts.append((coeff, body))
         out = ""
         for coeff, body in parts:
-            text = _coeff_str(coeff, bare=not body)
+            text = _coeff_str(coeff)
             if not body:
                 term = text
             elif text == "1":
@@ -180,7 +130,7 @@ def _display_key(exps):
     return (-sum(exps), tuple(-e for e in exps))
 
 
-def _coeff_str(c: GaussRat, bare: bool) -> str:
+def _coeff_str(c: GaussRat) -> str:
     if c.is_real():
         return str(c.re)
     if not c.re:
@@ -216,13 +166,28 @@ def _normalize_relation(m):
     return tuple(m)
 
 
-def _leading_sign_fix(p: MPoly) -> MPoly:
-    if not p.terms:
-        return p
-    c = p.terms[min(p.terms, key=_display_key)]
-    if c.re < 0 or (c.re == 0 and c.im < 0):
-        return p.scale(-1)
-    return p
+def _leading_sign_fix(terms: dict) -> dict:
+    """The integer terms, negated when the first in reading order is
+    negative."""
+    if terms[min(terms, key=_display_key)] < 0:
+        return {e: -c for e, c in terms.items()}
+    return terms
+
+
+def _power_product(nvars: int, powers) -> dict:
+    """{exponents: [re, im]} of prod_j (c_j + i s_j)^e over the (j, e)
+    pairs, by the binomial theorem: c_j^(e-k) s_j^k carries C(e, k) i^k."""
+    terms = {(0,) * nvars: [1, 0]}
+    for j, e in powers:
+        row = _binomials(e)
+        out = {}
+        for exps, (re, im) in terms.items():
+            head, tail = exps[:2 * j], exps[2 * j + 2:]
+            for k, c in enumerate(row):
+                out[head + (e - k, k) + tail] = [re * c, im * c]
+                re, im = -im, re
+        terms = out
+    return terms
 
 
 # -- the torus substitution ------------------------------------------------------
@@ -238,13 +203,20 @@ def _binomials(n: int) -> list:
 
 
 def _block_factor(a: int, b: int) -> dict:
-    """{e: integer coefficient of z^e in (z + 1/z)^a (z - 1/z)^b}."""
-    out = {}
-    minus = _binomials(b)
-    for p, cp in enumerate(_binomials(a)):
-        for q, cq in enumerate(minus):
-            e = a - 2 * p + b - 2 * q
-            out[e] = out.get(e, 0) + (-cp * cq if q % 2 else cp * cq)
+    """{e: integer coefficient of z^e in (z + 1/z)^a (z - 1/z)^b}.
+
+    The product is z^(a+b) f(1/z^2) with f(x) = (1 + x)^a (1 - x)^b, and
+    (1 - x^2) f' = ((a - b) - (a + b) x) f gives the coefficients of f in
+    one row, each exactly from the two before it:
+    (n + 1) c_(n+1) = (a - b) c_n - (a + b - n + 1) c_(n-1), with c_0 = 1
+    and c_(-1) = 0.  c_n lands on z^(a+b-2n).
+    """
+    d = a + b
+    out = {d: 1}
+    prev, cur = 0, 1
+    for n in range(d):
+        prev, cur = cur, ((a - b) * cur - (d - n + 1) * prev) // (n + 1)
+        out[d - 2 * n - 2] = cur
     return out
 
 
@@ -256,11 +228,13 @@ def vanishes_on_torus(tw: TorusWeights, poly: MPoly) -> bool:
     coeff * prod_j c_j^a_j s_j^b_j of degree d becomes
     coeff (-i)^B 2^-d prod_j (z_j + 1/z_j)^a_j (z_j - 1/z_j)^b_j with
     B = sum_j b_j.  Scaled by 2^D L (D the top degree, L the lcm of the
-    coefficient denominators) each term is a Gaussian integer times
-    binomial coefficients: (-i)^B moves the integer parts between re and
-    im, and block j's exponent e lands on e * (W row j).  Sums are kept as
-    [re, im] integer pairs per exponent tuple of t, and the polynomial
-    vanishes on the torus exactly when every pair is zero.
+    coefficient denominators) each term is a Gaussian integer times the
+    integer coefficients of those products: (-i)^B moves the integer parts
+    between re and im, block j's factor is one row of a recurrence
+    (_block_factor, a_j + b_j steps), and its exponent e lands on
+    e * (W row j).  Sums are kept as [re, im] integer pairs per exponent
+    tuple of t, and the polynomial vanishes on the torus exactly when every
+    pair is zero.
 
     The blocks are expanded last to first, and after each one the terms
     that agree on the blocks before it are summed, so a binomial relation
@@ -315,7 +289,12 @@ def vanishes_on_torus(tw: TorusWeights, poly: MPoly) -> bool:
 
 
 def parse_equation(nvars: int, text: str) -> MPoly:
-    """Inverse of as_string for real rational coefficients."""
+    """Inverse of as_string for real rational coefficients.  The text must
+    be ASCII, so that str.isdigit and int() read indices and exponents from
+    the digits 0-9 alone."""
+    if not text.isascii():
+        raise InputError("non-ASCII character %r in polynomial text"
+                         % next(ch for ch in text if not ch.isascii()))
     terms = {}
     src = text.replace(" - ", " + -").strip()
     if not src:
@@ -362,8 +341,9 @@ def torus_zariski_closure(tw: TorusWeights) -> TorusClosure:
     """Equations cutting out the closure of the weight torus, verified.
 
     Each lattice relation m with m @ W = 0 forces the character identity
-    prod z_j^{m_j} = 1 on block coordinates z_j = c_j + i s_j; splitting the
-    binomial into real and imaginary parts gives rational equations, and the
+    prod z_j^{m_j} = 1 on block coordinates z_j = c_j + i s_j; its sides,
+    expanded by the binomial theorem, differ by a Gaussian integer
+    polynomial whose real and imaginary parts are the equations, and the
     circle equations close the system.  Every emitted polynomial is checked
     to vanish identically under c_j + i s_j -> t^(W row j) as formal Laurent
     monomials, which is the parametrization of the torus itself.
@@ -377,25 +357,23 @@ def torus_zariski_closure(tw: TorusWeights) -> TorusClosure:
 
     relation_eqs = []
     for m in relations:
-        lhs = MPoly.constant(nvars, 1)
-        rhs = MPoly.constant(nvars, 1)
-        for j, mj in enumerate(m):
-            zj = (MPoly.variable(nvars, 2 * j)
-                  + MPoly.variable(nvars, 2 * j + 1).scale(GaussRat(0, 1)))
-            if mj > 0:
-                lhs = lhs * zj.power(mj)
-            elif mj < 0:
-                rhs = rhs * zj.power(-mj)
-        diff = lhs - rhs
-        for part in (diff.real_part(), diff.imag_part()):
-            if part:
-                relation_eqs.append(_leading_sign_fix(part))
+        diff = _power_product(nvars, [(j, e) for j, e in enumerate(m) if e > 0])
+        for exps, (re, im) in _power_product(
+                nvars, [(j, -e) for j, e in enumerate(m) if e < 0]).items():
+            pair = diff.setdefault(exps, [0, 0])
+            pair[0] -= re
+            pair[1] -= im
+        for part in (0, 1):
+            terms = {exps: pair[part] for exps, pair in diff.items()
+                     if pair[part]}
+            if terms:
+                relation_eqs.append(MPoly(nvars, _leading_sign_fix(terms)))
 
     circle_eqs = []
     for j in range(n):
-        cj = MPoly.variable(nvars, 2 * j)
-        sj = MPoly.variable(nvars, 2 * j + 1)
-        circle_eqs.append(cj * cj + sj * sj - MPoly.constant(nvars, 1))
+        c2, s2 = ((0,) * (2 * j) + sq + (0,) * (nvars - 2 * j - 2)
+                  for sq in ((2, 0), (0, 2)))
+        circle_eqs.append(MPoly(nvars, {c2: 1, s2: 1, (0,) * nvars: -1}))
 
     for eq in relation_eqs + circle_eqs:
         if not vanishes_on_torus(tw, eq):

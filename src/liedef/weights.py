@@ -381,14 +381,25 @@ def weight_flag(alg: LieAlgebra, mats):
     (see the module docstring for why that is exact).  The module stays
     over Q until a peel picks a nonreal eigenvalue; from that peel on the
     flag vectors are over Q(i), so the flag holds GaussRat entries exactly
-    when some weight is nonreal.  mats are Mat, one per basis element.
+    when some weight is nonreal.  mats are one square matrix per basis
+    element, all of one size; anything else raises InputError.
     Returns (flag_vectors, characters) with flag vectors in module
     coordinates (prefix spans give an invariant flag) and one character
     per vector, or an Indeterminate.
     """
-    if not mats:
-        return [], []
+    mats = _action_matrices(alg, mats)
     return _weight_flag(_ideal_chain(alg), mats)
+
+
+def _action_matrices(alg: LieAlgebra, mats) -> list:
+    """mats as Mat, one square matrix per basis element of alg, all of one
+    size; anything else raises InputError."""
+    mats = [m if isinstance(m, Mat) else Mat(m) for m in mats]
+    if len(mats) != alg.dim:
+        raise InputError("one action matrix per basis element is required")
+    if any(m.nrows != m.ncols or m.nrows != mats[0].nrows for m in mats):
+        raise InputError("action matrices must be square and of one size")
+    return mats
 
 
 def _weight_flag(chain, mats):
@@ -430,9 +441,7 @@ def module_weights(alg: LieAlgebra, mats):
     ideal of the chain contains the perfect term of its derived series, so
     the chain stops there before any peel.
     """
-    mats = [m if isinstance(m, Mat) else Mat(m) for m in mats]
-    if len(mats) != alg.dim:
-        raise InputError("one action matrix per basis element is required")
+    mats = _action_matrices(alg, mats)
     chain = _ideal_chain(alg)
     peeled = _weight_flag(chain, mats)
     if isinstance(peeled, Indeterminate):

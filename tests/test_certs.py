@@ -287,6 +287,23 @@ def test_torus_relations_must_be_a_lattice_basis():
     assert checked == 8
 
 
+def test_non_ascii_digits_are_a_parse_failure():
+    # str.isdigit takes superscripts, which int() refuses, and other
+    # scripts' digits, which int() reads as 0-9: the text must be ASCII
+    tw = TorusWeights(((1,), (3,)))
+    cert = emit_torus_equations(torus_zariski_closure(tw))
+    first = cert["payload"]["equations"][0]
+    assert first == "c1^3 - 3*c1*s1^2 - c2"
+    for text in ("c1^\u00b2", "c\u00b2", first.replace("^3", "^\u0663"),
+                 first.replace("c2", "c\u0662"),
+                 first.replace("3*", "\u0663*")):
+        bad = json.loads(json.dumps(cert))
+        bad["payload"]["equations"][0] = text
+        rep = verify_certificate(bad, weights=tw)
+        assert (rep.ok, rep.clause) == (False, "parse"), text
+        assert rep.detail.startswith("equation 0: non-ASCII character")
+
+
 def test_torus_subject_binding():
     cert = emit_torus_equations(torus_zariski_closure(TorusWeights(((1,), (2,)))))
     rep = verify_certificate(cert, weights=((1,), (3,)))
@@ -800,10 +817,11 @@ def test_flag_clauses_report_what_the_per_step_loops_report(monkeypatch):
 
 
 def test_each_flag_clause_is_one_elimination(monkeypatch, e2):
-    """The checker's Flag clause runs two eliminations whatever the
-    dimension n (independence, then the coordinates of every bracket; one
-    per prefix took n + 1), and _tbc_verify asks for coordinates in t only
-    when t is a proper subspace: a t that spans r is an ideal."""
+    """The checker's Flag clause runs one elimination whatever the
+    dimension n (the flag's rank and the coordinates of every bracket
+    together; one per prefix took n + 1, and a separate independence test
+    one more), and _tbc_verify asks for coordinates in t only when t is a
+    proper subspace: a t that spans r is an ideal."""
     eliminations = []
     real = linalg._gauss_jordan
 
@@ -830,7 +848,7 @@ def test_each_flag_clause_is_one_elimination(monkeypatch, e2):
         payload = emit_flag(g, ss.flag, ss.step_characters)["payload"]
         eliminations.clear()
         assert certs._check_flag(payload, g).ok
-        assert len(eliminations) <= 2
+        assert len(eliminations) == 1
         asked.clear()
         cert = TbcCertificate(ss.flag, (), ss.flag, ())
         assert definability._tbc_verify(g, cert).ok

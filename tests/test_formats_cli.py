@@ -355,6 +355,24 @@ def test_cli_torus_closure(tmp_path, capsys):
     assert main(["verify-cert", str(wfile), out_cert]) == 0
 
 
+def test_cli_rejects_a_non_ascii_exponent(tmp_path, capsys):
+    cert_path = tmp_path / "torus.json"
+    assert main(["torus-closure", "--weights", "1;2",
+                 "--cert-out", str(cert_path)]) == 0
+    capsys.readouterr()
+    cert = json.loads(cert_path.read_text())
+    cert["payload"]["equations"][0] = "c1^\u00b2 - s1^2 - c2"
+    cert_path.write_text(json.dumps(cert))
+    wfile = tmp_path / "weights.json"
+    wfile.write_text(json.dumps({"weights": [[1], [2]]}))
+    proc = subprocess.run([sys.executable, "-m", "liedef.cli", "verify-cert",
+                           str(wfile), str(cert_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout.startswith("rejected at clause 'parse': equation 0:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_corpus_run(capsys):
     assert main(["corpus", "list"]) == 0
     out = capsys.readouterr().out

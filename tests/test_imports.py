@@ -187,6 +187,80 @@ def test_the_check_sees_an_uncalled_function():
                                _exports(init)) == [("lib.py", 7, "recursive")]
 
 
+# the same rule for methods: a method of a class the package does not export
+# is reached only through the program, so one that the program never names is
+# dead code, whatever the tests call
+
+
+def _unreferenced_methods(modules, program, exported=frozenset()):
+    """(module, line, "Class.method") for each method, dunder methods apart,
+    of a top-level class of the modules (file name -> source) that is not
+    among the exported names and that the program (file name -> source, the
+    modules included) references nowhere outside the method's own body."""
+    refs = {name: _references(ast.parse(src)) for name, src in program.items()}
+    out = []
+    for mod, src in modules.items():
+        body = ast.parse(src).body
+        elsewhere = set().union(*(r for name, r in refs.items() if name != mod))
+        for cls in body:
+            if not isinstance(cls, ast.ClassDef) or cls.name in exported:
+                continue
+            outside = elsewhere.union(*(_references(n) for n in body
+                                        if n is not cls))
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or \
+                        node.name.startswith("__") and node.name.endswith("__"):
+                    continue
+                seen = outside.union(*(_references(n) for n in cls.body
+                                       if n is not node))
+                if node.name not in seen:
+                    out.append((mod, node.lineno,
+                                "%s.%s" % (cls.name, node.name)))
+    return sorted(out)
+
+
+def test_every_method_of_an_internal_class_is_used_by_the_program():
+    program = {p.name: p.read_text() for p in SRC.glob("*.py")
+               if p.name != "__init__.py"}
+    modules = dict(program)
+    program.update({"perfbench/" + p.name: p.read_text()
+                    for p in (ROOT / "perfbench").glob("*.py")})
+    exported = _exports((SRC / "__init__.py").read_text())
+    assert "MPoly" not in exported
+    unused = ["%s:%d %s" % entry
+              for entry in _unreferenced_methods(modules, program, exported)]
+    assert not unused, "methods the program never uses: " + ", ".join(unused)
+
+
+def test_the_check_sees_an_unused_method():
+    lib = ("class Poly:\n"
+           "    def __init__(self, terms):\n        self.terms = terms\n"
+           "    def __add__(self, other):\n        return self\n"
+           "    def text(self):\n        return self._sorted()\n"
+           "    def _sorted(self):\n        return sorted(self.terms)\n"
+           "    def scale(self, c):\n        return self.scale(c)\n"
+           "    @property\n    def degree(self):\n        return 0\n"
+           "    @staticmethod\n    def constant(c):\n        return Poly([c])\n"
+           "class Api:\n    def dead(self):\n        pass\n"
+           "def show(p):\n    return p.text()\n")
+    user = "from lib import show, Poly\nshow(Poly([1]))\n"
+    test = "from lib import Poly\nPoly.constant(1).scale(2).degree\n"
+    assert _unreferenced_methods({"lib.py": lib},
+                                 {"lib.py": lib, "user.py": user},
+                                 frozenset(("Api",))) == [
+        ("lib.py", 10, "Poly.scale"), ("lib.py", 13, "Poly.degree"),
+        ("lib.py", 16, "Poly.constant")]
+    # an exported class's methods are its API; a reference anywhere in the
+    # program keeps a method, so test.py keeps Poly's if it is program code
+    program = {"lib.py": lib, "user.py": user, "test.py": test}
+    assert _unreferenced_methods({"lib.py": lib},
+                                 {"lib.py": lib, "user.py": user}) == [
+        ("lib.py", 10, "Poly.scale"), ("lib.py", 13, "Poly.degree"),
+        ("lib.py", 16, "Poly.constant"), ("lib.py", 19, "Api.dead")]
+    assert _unreferenced_methods({"lib.py": lib}, program) == [
+        ("lib.py", 19, "Api.dead")]
+
+
 # the finders' modules; the checker in certs.py may import from definability
 # its public names and the solvable-given _tbc_verify, and nothing else of
 # theirs, so that a certificate is never checked by the code that found it

@@ -88,6 +88,23 @@ def test_module_weights_requires_one_matrix_per_basis_element(r2):
         module_weights(r2, [Mat.identity(2)])
 
 
+def test_public_peels_take_one_square_matrix_per_basis_element(axb):
+    ads = [axb.ad(x) for x in axb.basis()]
+    big = Mat([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    for mats, message in (
+            (ads[:1], "one action matrix per basis element"),
+            (ads + ads, "one action matrix per basis element"),
+            ([ads[0], big], "square and of one size"),
+            ([big, ads[1]], "square and of one size"),
+            ([Mat([[1, 0]]), Mat([[0, 1]])], "square and of one size"),
+            ([[[1, 0]], [[0, 0]]], "square and of one size")):
+        for peel in (weight_flag, module_weights):
+            with pytest.raises(InputError, match=message):
+                peel(axb, mats)
+    # the well-formed action, as lists or as Mat, still peels
+    assert weight_flag(axb, [m.rows for m in ads]) == weight_flag(axb, ads)
+
+
 def test_module_weights_rejects_nonsolvable(sl2):
     # gl2 and sl2 x| R^2 are not perfect: the ideal chain takes a level or
     # more before it reaches the perfect term and stops there
