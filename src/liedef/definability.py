@@ -178,7 +178,8 @@ def _check_flag(g, flag, chars):
     the coordinates of those brackets in it.  A flag of n vectors and rank
     n spans g: step i is an ideal when every coordinate past i is zero, and
     coordinate i is chars[i][j].  Steps are checked in order, each for
-    ideal-ness before its characters.
+    ideal-ness before its characters.  This is the one proof of the
+    certificate (flag, (), flag, ()) that a yes hands out (see tbc_find).
     """
     n = g.dim
     basis = g.basis()
@@ -337,25 +338,20 @@ def _cert_vectors(vectors, dim, what):
     return out
 
 
-def _assert_verified(r, cert):
-    rep = _tbc_verify(r, cert)
-    if not rep.ok:
-        raise InternalCheckError(
-            "finder emitted a certificate the verifier rejects (%s: %s)"
-            % (rep.clause, rep.detail))
-    return cert
-
-
 def tbc_find(r: LieAlgebra) -> TbcResult:
     """Best-effort search for a triangular-by-compact splitting.
 
-    Fast path: supersolvable means t = r, k = 0.  Otherwise the weight
-    functionals over Q(i) pin both sides: any t lies inside the common
-    kernel of their imaginary parts, any k inside the common kernel of the
-    real parts, so a dimension gap between r and the sum certifies NotTbc.
-    When the sum spans, t is taken to be the full imaginary-part kernel and
-    k is completed from the real-part kernel, once as found and once after
-    subtracting inner corrections that cancel nilpotent parts.  Every
+    Fast path: supersolvable means t = r, k = 0, and the certificate is
+    (flag, (), flag, ()) with the flag _check_flag has just proved, which
+    is every clause of tbc_verify on it: the flag spans r, so t is r and
+    needs no ideal test; the flag is t; its steps are the system
+    _check_flag solved; and k is empty.  Otherwise the weight functionals
+    over Q(i) pin both sides: any t lies inside the common kernel of their
+    imaginary parts, any k inside the common kernel of the real parts, so
+    a dimension gap between r and the sum certifies NotTbc.  When the sum
+    spans, t is taken to be the full imaginary-part kernel and k is
+    completed from the real-part kernel, once as found and once after
+    subtracting inner corrections that cancel nilpotent parts.  Each such
     candidate passes through tbc_verify's clauses before being returned;
     anything unverified is reported as Unknown, never as a guess.
     Solvability of r is checked here; the private _tbc_find takes it as
@@ -369,8 +365,9 @@ def tbc_find(r: LieAlgebra) -> TbcResult:
 def _tbc_find(r):
     ss, table, _ = _adjoint_peel(r)
     if ss.status == SS_YES:
-        cert = TbcCertificate(ss.flag, (), ss.flag, ())
-        return TbcResult(TBC, _assert_verified(r, cert), None, None)
+        # _check_flag has proved this certificate (see tbc_find)
+        return TbcResult(TBC, TbcCertificate(ss.flag, (), ss.flag, ()),
+                         None, None)
     if isinstance(table, Indeterminate):
         return TbcResult(TBC_UNKNOWN, None, None,
                          "adjoint weights do not split over Q(i): "
@@ -506,10 +503,10 @@ def definability_oracle(p: GroupPresentation) -> DefinabilityVerdict:
 def _simply_connected_rule(g):
     ss = _adjoint_peel(g)[0]
     if ss.status == SS_YES:
-        cert = _assert_verified(
-            g, TbcCertificate(ss.flag, (), ss.flag, ()))
-        return DefinabilityVerdict(DEFINABLE, RULE_SIMPLY_CONNECTED,
-                                   certificate=cert)
+        # _check_flag has proved this certificate (see tbc_find)
+        return DefinabilityVerdict(
+            DEFINABLE, RULE_SIMPLY_CONNECTED,
+            certificate=TbcCertificate(ss.flag, (), ss.flag, ()))
     if ss.status == SS_NO:
         return DefinabilityVerdict(NOT_DEFINABLE, RULE_SIMPLY_CONNECTED,
                                    counter_witness=ss.witness)

@@ -6,7 +6,9 @@ first offending basis triple, so malformed input fails loudly instead of
 corrupting everything downstream.  Solvability is always computed twice, once
 from the derived series and once from the trace-form criterion, and the two
 must agree, in _trace_form, which also hands the radical its [g, g] and
-Killing rows.
+Killing rows.  Those rows are K d for the rref rows d of [g, g] only, each
+read as (tr(ad e_i ad d))_i off the nonzero entries of ad d and of each
+ad e_i, so the trace form never builds the n x n Killing matrix.
 
 Besides the public table, an algebra keeps one private index, _terms:
 _terms[i][j] lists the pairs (k, c_ij^k) with c_ij^k nonzero, in increasing
@@ -16,7 +18,9 @@ the Jacobi check sums each residual off the structure constants, [g, g] (the
 first step of the derived and lower central series) is the span of the
 nonzero entries [e_i, e_j], and the Killing form K_ij = tr(ad e_i ad e_j) is
 the sum of c * d over the nonzero ad(e_i)[k][l] = c with ad(e_j)[l][k] = d
-nonzero.  No unit vector is bracketed and no dense ad matrix is built.
+nonzero.  No unit vector is bracketed and no dense ad matrix is built.  The
+later steps of the derived series bracket their rows off _terms straight
+into sparse rows for the elimination, with no dense bracket in between.
 Nothing else is remembered between calls: every series, radical and Killing
 form is recomputed each time it is asked for.
 """
@@ -182,9 +186,27 @@ class LieAlgebra:
 
     def _pair_span(self, vectors):
         """span of [a, b] over unordered pairs a, b of the vectors; by
-        antisymmetry that is the span over all ordered pairs."""
-        return span_basis([self.bracket(a, b)
-                           for a, b in combinations(vectors, 2)])
+        antisymmetry that is the span over all ordered pairs.
+
+        Each bracket goes to _span_rows as the {k: entry} dict of its
+        nonzero entries, summed off _terms as bracket sums it, so no dense
+        bracket is built.  The vectors are rref rows over Q (Fraction
+        entries), so every entry is a Fraction, as in bracket.
+        """
+        terms = self._terms
+        rows = []
+        for a, b in combinations([_nonzero(v) for v in vectors], 2):
+            out = {}
+            for i, x in a:
+                row = terms[i]
+                for j, y in b:
+                    if row[j]:
+                        c = x * y
+                        for k, tk in row[j]:
+                            z = out.get(k)
+                            out[k] = c * tk if z is None else z + c * tk
+            rows.append({k: z for k, z in out.items() if z})
+        return _span_rows(rows, self.dim)
 
     def derived_algebra(self):
         """[g, g] as rref rows: the span of the nonzero table entries
@@ -254,19 +276,47 @@ class LieAlgebra:
     def is_solvable(self) -> bool:
         return not self._trace_form()[1]
 
+    def _killing_rows(self, vectors):
+        """killing_matrix() @ v for each v, without the matrix: entry i is
+        tr(ad e_i ad v), the sum of c * d over the nonzero entries
+        ad(e_i)[k][l] = c_il^k whose transposed entry ad(v)[l][k] = d is
+        nonzero, where ad v = sum_j v_j ad e_j is read off _terms at the
+        nonzero v_j.  So each row costs about two passes over the nonzero
+        structure constants, and for a rational v its entries are
+        Fractions, as those of K @ v are."""
+        # ad(e_i) as ((k, l), (l, k), c_il^k) triples
+        ads = [[((k, l), (l, k), c) for l, terms in enumerate(row)
+                for k, c in terms] for row in self._terms]
+        out = []
+        for v in vectors:
+            # ad v, keyed by the transpose of each entry's position
+            adv = {}
+            for vj, ad in zip(v, ads):
+                if vj:
+                    for _, lk, c in ad:
+                        x = adv.get(lk)
+                        adv[lk] = vj * c if x is None else x + vj * c
+            row = []
+            for ad in ads:
+                acc = _ZERO
+                for kl, _, c in ad:
+                    x = adv.get(kl)
+                    if x:
+                        acc = acc + c * x
+                row.append(acc)
+            out.append(tuple(row))
+        return out
+
     def _trace_form(self):
         """([g, g] as rref rows, the nonzero rows K d of the Killing matrix
         at its rows d): Cartan's criterion makes rows empty exactly when g
         is solvable, which the derived series must confirm.  The kernel of
-        rows is the radical."""
+        rows is the radical.  The rows K d come from _killing_rows, so the
+        Killing matrix itself is never built here."""
         series = self.derived_series()
         # [g, g] is series[1], or series[0] when g is perfect (or zero)
         derived = series[1] if len(series) > 1 else series[0]
-        rows = []
-        if derived:
-            killing = self.killing_matrix()
-            rows = [r for r in (killing @ d for d in derived)
-                    if not is_zero_vec(r)]
+        rows = [r for r in self._killing_rows(derived) if not is_zero_vec(r)]
         if bool(series[-1]) != bool(rows):
             raise InternalCheckError(
                 "solvability by derived series and by trace form disagree")

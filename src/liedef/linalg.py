@@ -442,7 +442,12 @@ def span_basis(vectors):
 def _span_rows(rows, n: int):
     """span_basis of length-n vectors given as {column: entry} dicts of
     their nonzero entries, which are reduced in place."""
-    pivots, _ = _gauss_jordan(rows, n, ())
+    return _echelon(_gauss_jordan(rows, n, ())[0], n)
+
+
+def _echelon(pivots, n: int):
+    """The pivot rows of an elimination in n columns as dense rref rows, in
+    pivot order, a zero entry Fraction(0)."""
     zero = Fraction(0)
     out = []
     for c in sorted(pivots):
@@ -462,6 +467,14 @@ def independent(rows, candidates):
     candidate go through _reduce_row, and a candidate is kept when it
     pivots.
     """
+    return _independent(rows, candidates)[0]
+
+
+def _independent(rows, candidates, before=None):
+    """independent(rows, candidates), and with before given, the span_basis
+    of rows and the first before candidates kept, read off the same
+    elimination once it has kept them; it then stops at the next candidate
+    it keeps.  Without before the span is None."""
     rows, candidates = list(rows), list(candidates)
     n = len(rows[0]) if rows else len(candidates[0]) if candidates else 0
     if any(len(v) != n for v in rows + candidates):
@@ -469,8 +482,16 @@ def independent(rows, candidates):
     pivots = {}
     for row in _sparse_rows(rows):
         _reduce_row(pivots, row, [])
-    return [i for i, row in enumerate(_sparse_rows(candidates))
-            if _reduce_row(pivots, row, [])]
+    kept = []
+    span = _echelon(pivots, n) if before == 0 else None
+    for i, row in enumerate(_sparse_rows(candidates)):
+        if _reduce_row(pivots, row, []):
+            kept.append(i)
+            if len(kept) == before:
+                span = _echelon(pivots, n)
+            elif span is not None:
+                break
+    return kept, span
 
 
 def coords_in_span(basis, vectors):

@@ -82,9 +82,9 @@ from fractions import Fraction
 
 from .errors import Indeterminate, InputError, InternalCheckError
 from .lie import LieAlgebra
-from .linalg import (Mat, _combine, _gauss_jordan, _null_space, _solutions,
-                     _sparse_axpy, _sparse_rows, char_poly, independent,
-                     inverse, span_basis)
+from .linalg import (Mat, _combine, _gauss_jordan, _independent, _null_space,
+                     _solutions, _sparse_axpy, _sparse_rows, char_poly,
+                     inverse)
 from .poly import gaussian_roots
 from .scalars import _field, gauss
 
@@ -189,13 +189,15 @@ def _ideal_chain(alg: LieAlgebra):
 
     Each g_k is kept as rref rows in alg's coordinates, and [g_k, g_k] is
     read off the table for g_1 = alg, as derived_algebra does, and by
-    bracketing each pair of rows once below it.  One independent call
-    picks the rows of g_k that a greedy completion of [g_k, g_k] keeps; a
-    non-solvable algebra reaches [g_k, g_k] = g_k, where it picks none,
-    and raises InputError.  g_{k+1} is [g_k, g_k] completed by every picked
-    row but the last, and z_k is the last (any hyperplane above the
+    bracketing each pair of rows once below it.  A greedy completion of
+    [g_k, g_k] by the rows of g_k picks dim g_k - dim [g_k, g_k] of them; a
+    non-solvable algebra reaches [g_k, g_k] = g_k, where it would pick
+    none, and raises InputError.  g_{k+1} is [g_k, g_k] completed by every
+    picked row but the last, and z_k is the last (any hyperplane above the
     derived subalgebra is an ideal): every earlier row lies in g_{k+1}, so
-    z_k is the first row of g_k outside it.  This is the chain of
+    z_k is the first row of g_k outside it.  One elimination
+    (linalg._independent) makes the picks and hands back the rref rows of
+    g_{k+1} as they stand before the last pick.  This is the chain of
     materializing each g_k as an algebra on its rows: coordinate i of a
     vector of g_k is its entry at the pivot column of row i, so an rref
     basis in g_k's coordinates lifts to the rref basis of the same span in
@@ -206,13 +208,12 @@ def _ideal_chain(alg: LieAlgebra):
     derived = hyp = alg.derived_algebra()
     dirs = []
     while rows:
-        picked = independent(hyp, rows)
-        if not picked:
+        need = len(rows) - len(hyp)
+        if not need:
             raise InputError("acting algebra is not solvable")
+        picked, below = _independent(hyp, rows, need - 1)
         dirs.append(rows[picked[-1]])
-        if len(picked) > 1:
-            hyp = span_basis(hyp + [rows[i] for i in picked[:-1]])
-        rows = hyp
+        rows = below
         hyp = alg._pair_span(rows)
     return dirs, inverse(Mat.from_cols(dirs)), derived
 

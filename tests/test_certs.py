@@ -391,21 +391,31 @@ def test_no_call_asks_solvability_of_one_table_twice(monkeypatch):
     checker from its rule clause to the certificate; the radical is read
     off the same trace form.  So within one definability_oracle or
     verify_certificate call no table has its trace form run twice (which
-    is_solvable runs too) or gets a second Killing matrix; the checker
-    still takes nothing from the oracle."""
+    is_solvable runs too) or has its Killing rows on [g, g] worked out a
+    second time, one row per rref row of [g, g], and none builds a Killing
+    matrix; the checker still takes nothing from the oracle."""
     asked = Counter()
     trace_form = LieAlgebra._trace_form
+    killing_rows = LieAlgebra._killing_rows
     killing = LieAlgebra.killing_matrix
+    rows_built = []
 
     def counted(self):
         asked[repr(self.table)] += 1
         return trace_form(self)
 
-    def counted_killing(self):
+    def counted_rows(self, vectors):
         asked["killing", repr(self.table)] += 1
+        assert len(vectors) == len(self.derived_algebra())
+        rows_built.append(len(vectors))
+        return killing_rows(self, vectors)
+
+    def counted_killing(self):
+        asked["killing matrix", repr(self.table)] += 1
         return killing(self)
 
     monkeypatch.setattr(LieAlgebra, "_trace_form", counted)
+    monkeypatch.setattr(LieAlgebra, "_killing_rows", counted_rows)
     monkeypatch.setattr(LieAlgebra, "killing_matrix", counted_killing)
     rng = random.Random(20260816)
     subjects = [(e.algebra, e.matrices) for e in corpus()]
@@ -418,6 +428,7 @@ def test_no_call_asks_solvability_of_one_table_twice(monkeypatch):
             asked.clear()
             v = definability_oracle(p)
             assert all(n == 1 for n in asked.values()), (p, asked)
+            assert not any(key[0] == "killing matrix" for key in asked), p
             calls += sum(asked.values())
             certs = [emit_verdict(p, v)]
             if v.certificate is not None and v.radical_basis is None:
@@ -427,20 +438,29 @@ def test_no_call_asks_solvability_of_one_table_twice(monkeypatch):
                 assert verify_certificate(cert, algebra=alg,
                                           matrices=mats or None).ok
                 assert all(n == 1 for n in asked.values()), (cert, asked)
+                assert not any(key[0] == "killing matrix" for key in asked)
                 calls += sum(asked.values())
     assert calls > len(subjects)
+    assert sum(rows_built) > len(subjects)
 
 
 def test_a_wrong_rule_on_a_linear_verdict_needs_no_algebra(monkeypatch):
     """A linear presentation is always Theorem 3's, so its rule clause is
-    decided before the trace form runs."""
+    decided before the trace form runs: no Killing row or matrix is
+    worked out."""
     built = []
+    killing_rows = LieAlgebra._killing_rows
     killing = LieAlgebra.killing_matrix
+
+    def counted_rows(self, vectors):
+        built.append(self)
+        return killing_rows(self, vectors)
 
     def counted(self):
         built.append(self)
         return killing(self)
 
+    monkeypatch.setattr(LieAlgebra, "_killing_rows", counted_rows)
     monkeypatch.setattr(LieAlgebra, "killing_matrix", counted)
     kinds = Counter()
     for entry in corpus():
@@ -460,16 +480,23 @@ def test_a_whole_claimed_radical_builds_one_killing_matrix(monkeypatch):
     """A claimed radical that is the whole algebra is one the Killing form
     vanishes on [g, g] for, which proves it solvable (Cartan's criterion,
     which the same trace form checks against the derived series), so the
-    certificate clause builds no second Killing matrix."""
+    certificate clause works out no second set of Killing rows and builds
+    no Killing matrix."""
     built = []
+    killing_rows = LieAlgebra._killing_rows
     killing = LieAlgebra.killing_matrix
+
+    def counted_rows(self, vectors):
+        built.append(self)
+        return killing_rows(self, vectors)
 
     def counted(self):
         built.append(self)
         return killing(self)
 
+    monkeypatch.setattr(LieAlgebra, "_killing_rows", counted_rows)
     monkeypatch.setattr(LieAlgebra, "killing_matrix", counted)
-    checked = 0
+    checked = row_sets = 0
     for entry in corpus():
         g = entry.algebra
         if not g.is_solvable():
@@ -482,10 +509,11 @@ def test_a_whole_claimed_radical_builds_one_killing_matrix(monkeypatch):
         built.clear()
         assert verify_certificate(cert, algebra=g,
                                   matrices=entry.matrices or None).ok
-        # one for the trace form, none when [g, g] = 0
+        # the trace form's one set of rows
         assert len(built) <= 1, entry.name
         checked += 1
-    assert checked > 5
+        row_sets += len(built)
+    assert checked > 5 and row_sets > 5
 
 
 # ------------------------------------------------------------ edit fuzz

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import assume, given, seed, settings
 
 from liedef import definability, linalg
 from liedef.certs import emit_tbc, emit_verdict, verify_certificate
+from liedef.corpus import corpus
 from liedef.definability import (DEFINABLE, NOT_DEFINABLE, NOT_TBC,
                                  RULE_FINITE_CENTER, RULE_LINEAR, RULE_OPEN,
                                  RULE_SIMPLY_CONNECTED, RULE_SOLVABLE,
@@ -16,8 +18,8 @@ from liedef.definability import (DEFINABLE, NOT_DEFINABLE, NOT_TBC,
                                  tbc_find, tbc_verify)
 from liedef.errors import (Indeterminate, InputError, InternalCheckError,
                            NotSolvableError)
-from liedef.lie import LieAlgebra
-from liedef.linalg import char_poly, span_basis
+from liedef.lie import LieAlgebra, from_matrices
+from liedef.linalg import Mat, char_poly, span_basis
 from liedef.poly import squarefree_part, sturm_count_real_roots
 from liedef.scalars import GaussRat
 from liedef.structure import radical
@@ -135,6 +137,86 @@ def test_the_flag_check_eliminates_once(monkeypatch, h3, axb, filiform4):
 
 
 # -------------------------------------------------------------------- tbc_find
+
+def _seeded_supersolvable(rng):
+    """The algebra that one to three random rational upper triangular
+    matrices generate, on the basis from_matrices picks: supersolvable by
+    Lie's theorem, and not triangular on its own basis in general."""
+    n = rng.randint(2, 4)
+    gens = [Mat([[Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                  if j >= i else Fraction(0) for j in range(n)]
+                 for i in range(n)])
+            for _ in range(rng.randint(1, 3))]
+    return from_matrices(gens)[0]
+
+
+def _supersolvable_subjects():
+    subjects = [e.algebra for e in corpus() if e.algebra.is_solvable()
+                and supersolvable_test(e.algebra).status == SS_YES]
+    rng = random.Random(20261020)
+    sweep = [_seeded_supersolvable(rng) for _ in range(16)]
+    return subjects, sweep
+
+
+def test_the_fast_path_certificate_passes_both_checkers():
+    # a yes hands out (flag, (), flag, ()) as _check_flag proved it, with
+    # no verifier run of its own; tbc_verify and the certificate checker
+    # must still accept it, from tbc_find and from the simply connected rule
+    subjects, sweep = _supersolvable_subjects()
+    assert len(subjects) >= 10
+    for g in subjects + sweep:
+        assert supersolvable_test(g).status == SS_YES
+        tb = tbc_find(g)
+        assert tb.status == TBC and tb.certificate.k_basis == ()
+        p = GroupPresentation(g, "simply-connected")
+        v = definability_oracle(p)
+        assert v.outcome == DEFINABLE and v.certificate == tb.certificate
+        assert tbc_verify(g, tb.certificate).ok
+        assert verify_certificate(emit_tbc(g, tb.certificate),
+                                  algebra=g).ok
+        assert verify_certificate(emit_verdict(p, v), algebra=g).ok
+
+
+def _is_flag(g, flag, chars):
+    """Whether every prefix span of flag is an ideal of g on which e_j acts
+    modulo the earlier steps by chars[i][j], by span_basis and is_ideal."""
+    for i, v in enumerate(flag):
+        if not g.is_ideal(flag[:i + 1]):
+            return False
+        below = len(span_basis(flag[:i]))
+        for j, x in enumerate(g.basis()):
+            image = tuple(a - chars[i][j] * b
+                          for a, b in zip(g.bracket(x, v), v))
+            if len(span_basis(flag[:i] + [image])) != below:
+                return False
+    return True
+
+
+def test_the_flag_check_catches_two_steps_swapped():
+    # _check_flag is the one proof of a yes certificate, so it must reject
+    # each flag with two steps (and their characters) swapped exactly when
+    # that is not a flag any more; a non-abelian algebra always has such
+    # a swap, since one whose flag vectors all span ideals is abelian
+    subjects, sweep = _supersolvable_subjects()
+    caught = 0
+    for g in subjects + sweep:
+        res = supersolvable_test(g)
+        flag, chars = list(res.flag), list(res.step_characters)
+        bad = 0
+        for i in range(g.dim):
+            for j in range(i + 1, g.dim):
+                f, c = list(flag), list(chars)
+                f[i], f[j], c[i], c[j] = f[j], f[i], c[j], c[i]
+                if _is_flag(g, f, c):
+                    definability._check_flag(g, f, c)
+                    continue
+                bad += 1
+                with pytest.raises(InternalCheckError):
+                    definability._check_flag(g, f, c)
+        assert bool(bad) == (not g.is_abelian())
+        caught += bad
+    assert caught > 20
+
 
 def test_tbc_of_supersolvable_has_empty_k(h3):
     res = tbc_find(h3)

@@ -320,6 +320,9 @@ def test_structure_constants_match_dense_formulas(data):
     assert _typed_rows(g.ad(x).rows) == _typed_rows(_ref_ad(t, x).rows)
     assert (_typed_rows(g.killing_matrix().rows)
             == _typed_rows(_ref_killing(t).rows))
+    rows = g.derived_algebra() + g.basis()
+    assert (_typed_rows(g._killing_rows(rows))
+            == _typed_rows([_ref_killing(t) @ d for d in rows]))
     units = _units(n)
     assert (_typed_rows(g.derived_algebra())
             == _typed_rows(_ref_span_of_brackets(t, units, units)))
@@ -460,3 +463,33 @@ def test_table_reads_match_the_unit_vector_routes():
         else:
             g.require_valid()
     assert valid >= 30 and failing == len(algebras) - valid >= 25
+
+
+# -- the trace form's Killing rows -----------------------------------------------
+
+def test_the_killing_rows_are_the_killing_matrix_at_each_row():
+    """_killing_rows(vectors) is killing_matrix() @ d for each d, in value
+    and entry type, and _trace_form keeps the nonzero ones at the rows of
+    [g, g]: over the corpus (the open-regime algebras first) and a seeded
+    solvable sweep."""
+    named = {e.name: e.algebra for e in corpus()}
+    algebras = [named[name] for name in ("sl2", "so3", "gl2",
+                                         "sl2-semidirect-r2", "so3-plus-e2")]
+    algebras += [e.algebra for e in corpus()]
+    rng = random.Random(20261020)
+    algebras += [_seeded_solvable(rng) for _ in range(24)]
+    nonzero = 0
+    for g in algebras:
+        k = g.killing_matrix()
+        series = g.derived_series()
+        derived = series[1] if len(series) > 1 else series[0]
+        for vectors in (derived, g.basis(), []):
+            assert (_typed_rows(g._killing_rows(vectors))
+                    == _typed_rows([k @ d for d in vectors]))
+        want = [r for r in (k @ d for d in derived) if not is_zero_vec(r)]
+        got_derived, rows = g._trace_form()
+        assert _typed_rows(got_derived) == _typed_rows(derived)
+        assert _typed_rows(rows) == _typed_rows(want)
+        nonzero += bool(rows)
+    assert nonzero >= 5
+

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from liedef.linalg import (Mat, _dot, _field, _gauss_jordan, _null_space,
-                           _solutions, block_diag, char_poly, coords_in_span,
+from liedef.linalg import (Mat, _dot, _field, _gauss_jordan, _independent,
+                           _null_space, _solutions, block_diag, char_poly, coords_in_span,
                            det, independent, integer_left_kernel,
                            intersect_spans, inverse, is_nilpotent_mat,
                            is_semisimple_mat, jordan_chevalley, kernel, kron,
@@ -875,3 +875,23 @@ def test_lincomb_keeps_the_type_of_a_gaussian_zero():
     assert _typed_deep(got) == [(g, 0), (q, 2), (q, 0)]
     assert (_typed_deep(lincomb([g(0, 1)], [(0, 1)], 2))
             == [(g, 0), (g, g(0, 1))])
+
+
+def test_independent_hands_back_the_span_before_its_last_pick():
+    # _independent(rows, candidates, before) keeps what independent keeps,
+    # up to the pick after the first before, with the rref rows of rows
+    # and those picks
+    rng = random.Random(20261020)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        rows = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(n))
+                for _ in range(rng.randint(0, 3))]
+        candidates = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(n))
+                      for _ in range(rng.randint(1, 6))]
+        kept = independent(rows, candidates)
+        assert _independent(rows, candidates) == (kept, None)
+        for before in range(len(kept)):
+            got, below = _independent(rows, candidates, before)
+            assert got == kept[:before + 1]
+            want = span_basis(rows + [candidates[i] for i in kept[:before]])
+            assert _typed(Mat(below)) == _typed(Mat(want))

@@ -455,35 +455,37 @@ def test_weight_flag_materializes_no_subalgebra(monkeypatch):
     assert calls == []
 
 
+def _typed_rows(rows):
+    return [[(type(c), c) for c in r] for r in rows]
+
+
 def test_each_chain_level_is_picked_by_one_elimination(monkeypatch):
-    # one independent call per level picks g_{k+1}'s completing rows and
-    # z_k together; a level whose [g_k, g_k] is already a hyperplane keeps
-    # it as g_{k+1} and spans nothing
+    # one _independent call per level picks g_{k+1}'s completing rows and
+    # z_k together, and hands back g_{k+1} as the rref rows of [g_k, g_k]
+    # and every pick but the last, which span_basis would give; nothing is
+    # reduced a second time
     codims = []
-    spans = []
-    pick, span = weights.independent, weights.span_basis
+    pick = weights._independent
 
-    def picked(rows, candidates):
+    def picked(rows, candidates, before=None):
         codims.append(len(candidates) - len(rows))
-        out = pick(rows, candidates)
-        assert len(out) == codims[-1]
-        return out
+        kept, below = pick(rows, candidates, before)
+        assert before == codims[-1] - 1
+        assert len(kept) == codims[-1]
+        want = span_basis(list(rows) + [candidates[i] for i in kept[:-1]])
+        assert _typed_rows(below) == _typed_rows(want)
+        return kept, below
 
-    def spanned(vectors):
-        spans.append(codims[-1])
-        return span(vectors)
-
-    monkeypatch.setattr(weights, "independent", picked)
-    monkeypatch.setattr(weights, "span_basis", spanned)
+    monkeypatch.setattr(weights, "_independent", picked)
+    assert not hasattr(weights, "span_basis")
+    assert not hasattr(weights, "independent")
     algebras = [g for _, g, _ in weight_flag_inputs()]
     algebras += [e.algebra for e in corpus() if e.algebra.is_solvable()]
     levels = Counter()
     for g in algebras:
         codims.clear()
-        spans.clear()
         dirs, _, _ = weights._ideal_chain(g)
         assert len(codims) == len(dirs) == g.dim
-        assert spans == [c for c in codims if c > 1]
         levels.update(min(c, 2) for c in codims)
     assert levels[1] > 20 and levels[2] > 20
     assert not hasattr(linalg, "in_span")
