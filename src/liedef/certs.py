@@ -19,7 +19,7 @@ from .definability import (DEFINABLE, NOT_DEFINABLE, PRESENTATION_KINDS,
                            CertReport, DefinabilityVerdict, GroupPresentation,
                            NonRealWitness, TbcCertificate, TbcObstruction,
                            _tbc_verify, tbc_verify)
-from .errors import InputError, NotSolvableError
+from .errors import InputError, NotSolvableError, UnsupportedError
 from .formats import (algebra_hash, canonical_json, matrix_from_json,
                       matrix_to_json, read_json, vector_from_json,
                       vector_to_json, write_json)
@@ -429,12 +429,21 @@ def _check_torus(payload, tw: TorusWeights) -> CertReport:
     if not isinstance(equations, list) \
             or not all(isinstance(s, str) for s in equations):
         return _fail("shape", "equations: expected a list of strings")
+    # the closure's equations have degree at most 2 (circles) or
+    # max(sum m+, sum m-); the expansion's cost grows with the degree
+    cap = max([2] + [max(sum(c for c in m if c > 0),
+                         -sum(c for c in m if c < 0)) for m in relations])
     for k, text in enumerate(equations):
         try:
-            poly = parse_equation(2 * tw.blocks, text)
+            terms = parse_equation(2 * tw.blocks, text)
         except InputError as e:
             return _fail("parse", "equation %d: %s" % (k, e))
-        if not vanishes_on_torus(tw, poly):
+        degree = max(map(sum, terms), default=0)
+        if degree > cap:
+            return _fail("parse", "equation %d has degree %d; the closure "
+                                  "equations have degree at most %d"
+                         % (k, degree, cap))
+        if not vanishes_on_torus(tw, terms):
             return _fail("equations", "equation %d does not vanish on the "
                                       "torus" % k)
     return CertReport(True)
@@ -473,8 +482,10 @@ def verify_certificate(cert, algebra: LieAlgebra | None = None,
         if not isinstance(weights, TorusWeights):
             try:
                 weights = TorusWeights(tuple(tuple(r) for r in weights))
-            except InputError as e:
+            except (InputError, UnsupportedError) as e:
                 return _fail("subject", str(e))
+            except TypeError:
+                return _fail("subject", "weights must be rows of integers")
         if weights_hash(weights.rows) != claimed_hash:
             return _fail("subject", "subject hash does not match the weights")
         return _check_torus(payload, weights)

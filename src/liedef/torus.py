@@ -7,22 +7,25 @@ character relations of the weight lattice.  This module computes those
 relations through the integer left kernel of the weight matrix.  A
 relation m says prod_j z_j^m_j = 1 for z_j = c_j + i s_j; its two sides are
 written out term by term by the binomial theorem, in integers, and the real
-and imaginary parts of their difference are its equations.  Each equation is
-certified by substituting the circle parametrization: c_j and s_j become
-(z_j + 1/z_j)/2 and -i (z_j - 1/z_j)/2 with z_j the Laurent monomial
-t^(W row j), and, cleared of denominators, every term expands into integer
-Laurent coefficients, one row of a three-term recurrence per block
-(vanishes_on_torus).
+and imaginary parts of their difference are its equations: a term of
+s-degree K carries i^K, so it is real for even K and imaginary for odd K.
+An equation is a dict {exponent tuple: real coefficient} over c1, s1, ...,
+cn, sn (ints from the closure, Fractions from parse_equation).  Each
+equation is certified by substituting the circle parametrization: c_j and
+s_j become (z_j + 1/z_j)/2 and -i (z_j - 1/z_j)/2 with z_j the Laurent
+monomial t^(W row j), and, cleared of denominators, every term expands
+into integer Laurent coefficients, one row of a three-term recurrence per
+block (vanishes_on_torus).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import add
 
 from .errors import InputError, InternalCheckError, UnsupportedError
 from .linalg import integer_left_kernel
-from .scalars import GaussRat, gauss
 
 
 @dataclass(frozen=True)
@@ -54,98 +57,33 @@ class TorusWeights:
         return len(self.rows[0])
 
 
-class MPoly:
-    """Polynomial in c1,s1,...,cn,sn with Gaussian rational coefficients.
-
-    Variable 2j is c_{j+1}, variable 2j+1 is s_{j+1}; terms are a map from
-    exponent tuples to nonzero coefficients.  An MPoly is only held,
-    printed and compared: the closure writes its terms directly and the
-    check reads them, so it has no ring arithmetic.
-    """
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms=None):
-        self.nvars = nvars
-        clean = {}
-        for exps, coeff in (terms or {}).items():
-            coeff = gauss(coeff)
-            if coeff:
-                clean[tuple(exps)] = coeff
-        self.terms = clean
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (isinstance(other, MPoly) and self.nvars == other.nvars
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.nvars, tuple(sorted(self.terms.items(),
-                                              key=lambda kv: kv[0]))))
-
-    def __repr__(self):
-        return f"MPoly({self.as_string()!r})"
-
-    def as_string(self) -> str:
-        """Deterministic reading order: lower degree first, then exponents."""
-        if not self.terms:
-            return "0"
-        names = []
-        for j in range(self.nvars // 2):
-            names.extend((f"c{j + 1}", f"s{j + 1}"))
-        parts = []
-        for exps in sorted(self.terms, key=_display_key):
-            coeff = self.terms[exps]
-            factors = []
-            for v, e in enumerate(exps):
-                if e == 1:
-                    factors.append(names[v])
-                elif e > 1:
-                    factors.append(f"{names[v]}^{e}")
-            body = "*".join(factors)
-            parts.append((coeff, body))
-        out = ""
-        for coeff, body in parts:
-            text = _coeff_str(coeff)
-            if not body:
-                term = text
-            elif text == "1":
-                term = body
-            elif text == "-1":
-                term = "-" + body
-            else:
-                term = f"{text}*{body}"
-            if not out:
-                out = term
-            elif term.startswith("-"):
-                out += " - " + term[1:]
-            else:
-                out += " + " + term
-        return out
+def equation_string(nvars: int, terms: dict) -> str:
+    """An equation {exponents: coefficient} over c1, s1, ..., as text:
+    higher degree first, then larger exponents from c1 on, each
+    coefficient printed by str; "0" when there are no terms."""
+    if not terms:
+        return "0"
+    names = [f"{v}{j + 1}" for j in range(nvars // 2) for v in "cs"]
+    out = ""
+    for exps in sorted(terms, key=_display_key):
+        c = terms[exps]
+        body = "*".join(names[v] if e == 1 else f"{names[v]}^{e}"
+                        for v, e in enumerate(exps) if e)
+        text = str(abs(c))
+        if body:
+            text = body if text == "1" else f"{text}*{body}"
+        out += (" - " if c < 0 else " + ") + text
+    return out[3:] if out.startswith(" + ") else "-" + out[3:]
 
 
 def _display_key(exps):
     return (-sum(exps), tuple(-e for e in exps))
 
 
-def _coeff_str(c: GaussRat) -> str:
-    if c.is_real():
-        return str(c.re)
-    if not c.re:
-        if c.im == 1:
-            return "i"
-        if c.im == -1:
-            return "-i"
-        return f"{c.im}*i"
-    sign = "+" if c.im > 0 else "-"
-    return f"({c.re} {sign} {abs(c.im)}*i)"
-
-
 @dataclass(frozen=True)
 class TorusClosure:
-    """Certified equation set for the closure of a weight torus."""
+    """Certified equation set for the closure of a weight torus; each
+    equation is a dict {exponents: integer coefficient}."""
     weights: TorusWeights
     relations: tuple
     relation_equations: tuple
@@ -156,7 +94,8 @@ class TorusClosure:
         return self.relation_equations + self.circle_equations
 
     def equation_strings(self):
-        return [p.as_string() for p in self.equations]
+        nvars = 2 * self.weights.blocks
+        return [equation_string(nvars, terms) for terms in self.equations]
 
 
 def _normalize_relation(m):
@@ -166,26 +105,19 @@ def _normalize_relation(m):
     return tuple(m)
 
 
-def _leading_sign_fix(terms: dict) -> dict:
-    """The integer terms, negated when the first in reading order is
-    negative."""
-    if terms[min(terms, key=_display_key)] < 0:
-        return {e: -c for e, c in terms.items()}
-    return terms
-
-
 def _power_product(nvars: int, powers) -> dict:
-    """{exponents: [re, im]} of prod_j (c_j + i s_j)^e over the (j, e)
-    pairs, by the binomial theorem: c_j^(e-k) s_j^k carries C(e, k) i^k."""
-    terms = {(0,) * nvars: [1, 0]}
+    """{exponents: integer} of prod_j (c_j + s_j)^e over the (j, e) pairs,
+    by the binomial theorem: c_j^(e-k) s_j^k takes C(e, k).  In
+    prod_j (c_j + i s_j)^e the same term carries i^K as well, K its
+    s-degree."""
+    terms = {(0,) * nvars: 1}
     for j, e in powers:
         row = _binomials(e)
         out = {}
-        for exps, (re, im) in terms.items():
+        for exps, c in terms.items():
             head, tail = exps[:2 * j], exps[2 * j + 2:]
-            for k, c in enumerate(row):
-                out[head + (e - k, k) + tail] = [re * c, im * c]
-                re, im = -im, re
+            for k, b in enumerate(row):
+                out[head + (e - k, k) + tail] = c * b
         terms = out
     return terms
 
@@ -220,42 +152,49 @@ def _block_factor(a: int, b: int) -> dict:
     return out
 
 
-def vanishes_on_torus(tw: TorusWeights, poly: MPoly) -> bool:
-    """Exact test that a block-coordinate polynomial kills the whole torus.
+def vanishes_on_torus(tw: TorusWeights, terms: dict) -> bool:
+    """Exact test that a real block-coordinate polynomial kills the torus.
 
     On the torus z_j = c_j + i s_j is the Laurent monomial t^(W row j), so
     c_j = (z_j + 1/z_j)/2 and s_j = -i (z_j - 1/z_j)/2.  A term
     coeff * prod_j c_j^a_j s_j^b_j of degree d becomes
     coeff (-i)^B 2^-d prod_j (z_j + 1/z_j)^a_j (z_j - 1/z_j)^b_j with
     B = sum_j b_j.  Scaled by 2^D L (D the top degree, L the lcm of the
-    coefficient denominators) each term is a Gaussian integer times the
-    integer coefficients of those products: (-i)^B moves the integer parts
-    between re and im, block j's factor is one row of a recurrence
-    (_block_factor, a_j + b_j steps), and its exponent e lands on
-    e * (W row j).  Sums are kept as [re, im] integer pairs per exponent
-    tuple of t, and the polynomial vanishes on the torus exactly when every
-    pair is zero.
-
-    The blocks are expanded last to first, and after each one the terms
-    that agree on the blocks before it are summed, so a binomial relation
-    such as Re(z_2^49 z_3^50 - ...) collapses before the next block
-    multiplies it out.
+    coefficient denominators) each term is an integer times the integer
+    coefficients of those products, and (-i)^B makes it real for even B
+    and imaginary for odd B.  The polynomial vanishes on the torus exactly
+    when the even-B terms and the odd-B terms each sum to zero, and each
+    sum is expanded by _sum_vanishes in plain integers.
     """
-    if poly.nvars != 2 * tw.blocks:
+    nvars = 2 * tw.blocks
+    if any(len(exps) != nvars for exps in terms):
         raise InputError("polynomial variable count does not match the blocks")
-    top = max(map(sum, poly.terms), default=0)
-    scale = lcm(*(q.denominator for c in poly.terms.values()
-                  for q in (c.re, c.im)))
+    top = max(map(sum, terms), default=0)
+    scale = lcm(*(c.denominator for c in terms.values()))
+    parts = ({}, {})
+    for exps, c in terms.items():
+        b = sum(exps[1::2])
+        v = c.numerator * ((scale << (top - sum(exps))) // c.denominator)
+        # (-i)^B is 1, -i, -1, i for B = 0, 1, 2, 3 mod 4; the odd sum is
+        # kept as the negated coefficient of i
+        parts[b & 1][exps] = -v if b & 2 else v
+    return all(_sum_vanishes(tw, part) for part in parts)
+
+
+def _sum_vanishes(tw: TorusWeights, terms: dict) -> bool:
+    """Whether sum v prod_j (z_j + 1/z_j)^a_j (z_j - 1/z_j)^b_j over the
+    terms {(a_1, b_1, ...): v} is zero, z_j = t^(W row j).
+
+    Block j's factor is one row of a recurrence (_block_factor, a_j + b_j
+    steps), and its exponent e lands on e * (W row j).  The blocks are
+    expanded last to first, and after each one the terms that agree on the
+    blocks before it are summed, so a binomial relation such as
+    Re(z_2^49 z_3^50 - ...) collapses before the next block multiplies it
+    out.
+    """
     zero = (0,) * tw.params
-    # {exponents of the blocks not expanded yet: {t exponent: [re, im]}}
-    state = {}
-    for exps, coeff in poly.terms.items():
-        k = scale << (top - sum(exps))
-        re = coeff.re.numerator * (k // coeff.re.denominator)
-        im = coeff.im.numerator * (k // coeff.im.denominator)
-        for _ in range(sum(exps[1::2]) % 4):
-            re, im = im, -re
-        state[exps] = {zero: [re, im]}
+    # {exponents of the blocks not expanded yet: {t exponent: integer}}
+    state = {exps: {zero: v} for exps, v in terms.items()}
     for j in reversed(range(tw.blocks)):
         row = tw.rows[j]
         merged = {}
@@ -263,35 +202,24 @@ def vanishes_on_torus(tw: TorusWeights, poly: MPoly) -> bool:
             acc = merged.setdefault(exps[:2 * j], {})
             a, b = exps[2 * j], exps[2 * j + 1]
             if not (a or b):
-                for key, (re, im) in laurent.items():
-                    pair = acc.get(key)
-                    if pair is None:
-                        acc[key] = [re, im]
-                    else:
-                        pair[0] += re
-                        pair[1] += im
+                for key, v in laurent.items():
+                    acc[key] = acc.get(key, 0) + v
                 continue
             for e, c in _block_factor(a, b).items():
                 if not c:
                     continue
                 shift = tuple(e * w for w in row)
-                for key, (re, im) in laurent.items():
-                    key = tuple(x + y for x, y in zip(key, shift))
-                    pair = acc.get(key)
-                    if pair is None:
-                        acc[key] = [re * c, im * c]
-                    else:
-                        pair[0] += re * c
-                        pair[1] += im * c
+                for key, v in laurent.items():
+                    key = tuple(map(add, key, shift))
+                    acc[key] = acc.get(key, 0) + v * c
         state = merged
-    return not any(re or im for laurent in state.values()
-                   for re, im in laurent.values())
+    return not any(any(laurent.values()) for laurent in state.values())
 
 
-def parse_equation(nvars: int, text: str) -> MPoly:
-    """Inverse of as_string for real rational coefficients.  The text must
-    be ASCII, so that str.isdigit and int() read indices and exponents from
-    the digits 0-9 alone."""
+def parse_equation(nvars: int, text: str) -> dict:
+    """Inverse of equation_string: {exponents: nonzero Fraction}.  The text
+    must be ASCII, so that str.isdigit and int() read indices and exponents
+    from the digits 0-9 alone."""
     if not text.isascii():
         raise InputError("non-ASCII character %r in polynomial text"
                          % next(ch for ch in text if not ch.isascii()))
@@ -334,7 +262,7 @@ def parse_equation(nvars: int, text: str) -> MPoly:
                     raise InputError(f"bad coefficient {factor!r}")
         key = tuple(exps)
         terms[key] = terms.get(key, 0) + coeff
-    return MPoly(nvars, terms)
+    return {exps: c for exps, c in terms.items() if c}
 
 
 def torus_zariski_closure(tw: TorusWeights) -> TorusClosure:
@@ -357,23 +285,29 @@ def torus_zariski_closure(tw: TorusWeights) -> TorusClosure:
 
     relation_eqs = []
     for m in relations:
-        diff = _power_product(nvars, [(j, e) for j, e in enumerate(m) if e > 0])
-        for exps, (re, im) in _power_product(
-                nvars, [(j, -e) for j, e in enumerate(m) if e < 0]).items():
-            pair = diff.setdefault(exps, [0, 0])
-            pair[0] -= re
-            pair[1] -= im
-        for part in (0, 1):
-            terms = {exps: pair[part] for exps, pair in diff.items()
-                     if pair[part]}
+        # a term of s-degree K carries i^K: 1, i, -1, -i for K = 0, 1, 2, 3
+        # mod 4, so it is real for even K and imaginary for odd K
+        parts = ({}, {})
+        for sign in (1, -1):
+            powers = [(j, sign * e) for j, e in enumerate(m) if sign * e > 0]
+            for exps, c in _power_product(nvars, powers).items():
+                k = sum(exps[1::2])
+                part = parts[k & 1]
+                part[exps] = part.get(exps, 0) + (-sign * c if k & 2
+                                                  else sign * c)
+        for part in parts:
+            terms = {exps: c for exps, c in part.items() if c}
             if terms:
-                relation_eqs.append(MPoly(nvars, _leading_sign_fix(terms)))
+                # negated when the first term in reading order is negative
+                if terms[min(terms, key=_display_key)] < 0:
+                    terms = {exps: -c for exps, c in terms.items()}
+                relation_eqs.append(terms)
 
     circle_eqs = []
     for j in range(n):
         c2, s2 = ((0,) * (2 * j) + sq + (0,) * (nvars - 2 * j - 2)
                   for sq in ((2, 0), (0, 2)))
-        circle_eqs.append(MPoly(nvars, {c2: 1, s2: 1, (0,) * nvars: -1}))
+        circle_eqs.append({c2: 1, s2: 1, (0,) * nvars: -1})
 
     for eq in relation_eqs + circle_eqs:
         if not vanishes_on_torus(tw, eq):

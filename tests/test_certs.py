@@ -311,6 +311,43 @@ def test_torus_subject_binding():
     assert weights_hash(((1,), (2,))) == cert["subject_sha256"]
 
 
+def test_an_equation_above_the_closure_degree_is_a_parse_failure():
+    # the weights-(1, 2) closure has degree 2 (relation (-2, 1) and the
+    # circles): a higher equation is refused before it is expanded, a
+    # false one within the degree is expanded and fails
+    cert = emit_torus_equations(torus_zariski_closure(TorusWeights(((1,),
+                                                                    (2,)))))
+    for extra, clause, detail in (
+            ("c1^20000 - c2", "parse", "equation 4 has degree 20000; the "
+             "closure equations have degree at most 2"),
+            ("s1*c2", "equations", "equation 4 does not vanish on the torus"),
+            ("c1*s1 - c1*s1 + c1^3", "parse", "equation 4 has degree 3; "
+             "the closure equations have degree at most 2")):
+        bad = json.loads(json.dumps(cert))
+        bad["payload"]["equations"].append(extra)
+        assert verify_certificate(bad, weights=((1,), (2,))) \
+            == CertReport(False, clause, detail), extra
+    # the cap is the larger side of each listed relation: (-3, 1) allows 3
+    tw = TorusWeights(((1,), (3,)))
+    cert = emit_torus_equations(torus_zariski_closure(tw))
+    assert cert["payload"]["equations"][0] == "c1^3 - 3*c1*s1^2 - c2"
+    for extra, clause in (("c1^3 - c2", "equations"), ("c1^4", "parse"),
+                          ("c2 + 3*c1*s1^2 - c1^3", None)):
+        bad = json.loads(json.dumps(cert))
+        bad["payload"]["equations"].append(extra)
+        assert verify_certificate(bad, weights=tw).clause == clause, extra
+
+
+def test_a_non_integer_weight_subject_is_reported():
+    cert = emit_torus_equations(torus_zariski_closure(TorusWeights(((1,),
+                                                                    (2,)))))
+    for weights in ([[1.5], [2]], [[True], [2]], [["2"], [2]], [[], [2]],
+                    [[1, 2], [2]], [1, 2], 5):
+        rep = verify_certificate(cert, weights=weights)
+        assert (rep.ok, rep.clause) == (False, "subject"), weights
+        assert rep.detail, weights
+
+
 def test_verify_requires_matching_subject_kind(e2):
     cert = emit_tbc(e2, tbc_find(e2).certificate)
     rep = verify_certificate(cert)

@@ -373,6 +373,21 @@ def test_cli_rejects_a_non_ascii_exponent(tmp_path, capsys):
     assert "Traceback" not in proc.stderr
 
 
+def test_cli_reports_a_non_integer_weight_subject(tmp_path, capsys):
+    cert_path = tmp_path / "torus.json"
+    assert main(["torus-closure", "--weights", "1;2",
+                 "--cert-out", str(cert_path)]) == 0
+    capsys.readouterr()
+    wfile = tmp_path / "weights.json"
+    wfile.write_text(json.dumps({"weights": [[1.5], [2]]}))
+    proc = subprocess.run([sys.executable, "-m", "liedef.cli", "verify-cert",
+                           str(wfile), str(cert_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout.startswith("rejected at clause 'subject':")
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_corpus_run(capsys):
     assert main(["corpus", "list"]) == 0
     out = capsys.readouterr().out

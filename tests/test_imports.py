@@ -226,7 +226,7 @@ def test_every_method_of_an_internal_class_is_used_by_the_program():
     program.update({"perfbench/" + p.name: p.read_text()
                     for p in (ROOT / "perfbench").glob("*.py")})
     exported = _exports((SRC / "__init__.py").read_text())
-    assert "MPoly" not in exported
+    assert "WeightEntry" not in exported
     unused = ["%s:%d %s" % entry
               for entry in _unreferenced_methods(modules, program, exported)]
     assert not unused, "methods the program never uses: " + ", ".join(unused)
