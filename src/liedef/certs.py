@@ -4,14 +4,15 @@ A certificate records a claim about one subject (an algebra file, or a weight
 matrix for torus equations) together with exactly the data a checker needs to
 re-verify the claim.  Verification never reruns a finder; it only replays the
 cheap side of each argument: ideals, spans, commutators, characteristic
-polynomials, Sturm counts, Laurent substitutions.  Every certificate carries
-the sha256 of its subject's canonical serialization, so a certificate and a
-file can be matched without trusting paths.
+polynomials, Sturm counts, the binomials of lattice relations.  Every
+certificate carries the sha256 of its subject's canonical serialization, so a
+certificate and a file can be matched without trusting paths.
 """
 from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
+from math import prod
 
 from .definability import (DEFINABLE, NOT_DEFINABLE, PRESENTATION_KINDS,
                            RULE_FINITE_CENTER, RULE_LINEAR, RULE_OPEN,
@@ -28,7 +29,7 @@ from .linalg import (Mat, _coords_and_rank, char_poly, kernel,
                      maximal_minor_gcd, rank, span_basis)
 from .poly import squarefree_part, sturm_count_real_roots
 from .reps import ALL_FLAGS, Representation, verify_rep
-from .torus import TorusClosure, TorusWeights, parse_equation, vanishes_on_torus
+from .torus import TorusClosure, TorusWeights, equation_string
 
 SCHEMA_VERSION = 1
 
@@ -395,6 +396,35 @@ def _check_verdict(payload, alg: LieAlgebra) -> CertReport:
     return CertReport(True)
 
 
+def _closure_strings(blocks: int, relations) -> list:
+    """The text torus_zariski_closure prints for these relations: Re and Im
+    of prod_{m_j>0} z_j^m_j - prod_{m_j<0} z_j^-m_j, z_j = c_j + i s_j, for
+    each m, then the circles.  A side is the Cartesian product of its
+    blocks' binomial rows; a term of s-degree K carries i^K and goes to Re
+    for even K, and an equation is negated when its first term is."""
+    out = []
+    for m in relations:
+        parts = ({}, {})
+        for sign in (1, -1):
+            side = {(): sign}
+            for mj in m:
+                e = max(sign * mj, 0)
+                row = [1]
+                for k in range(e):
+                    row.append(row[-1] * (e - k) // (k + 1))
+                side = {exps + (e - k, k): c * b for exps, c in side.items()
+                        for k, b in enumerate(row)}
+            # the two sides of a nonzero m share no term
+            for exps, c in side.items():
+                degree = sum(exps[1::2])
+                parts[degree & 1][exps] = -c if degree & 2 else c
+        for part in parts:
+            if part[max(part, key=lambda e: (sum(e), e))] < 0:
+                part = {exps: -c for exps, c in part.items()}
+            out.append(equation_string(2 * blocks, part))
+    return out + ["c%d^2 + s%d^2 - 1" % (j, j) for j in range(1, blocks + 1)]
+
+
 def _check_torus(payload, tw: TorusWeights) -> CertReport:
     raw_weights = payload.get("weights")
     if [list(r) for r in tw.rows] != raw_weights:
@@ -429,23 +459,36 @@ def _check_torus(payload, tw: TorusWeights) -> CertReport:
     if not isinstance(equations, list) \
             or not all(isinstance(s, str) for s in equations):
         return _fail("shape", "equations: expected a list of strings")
-    # the closure's equations have degree at most 2 (circles) or
-    # max(sum m+, sum m-); the expansion's cost grows with the degree
-    cap = max([2] + [max(sum(c for c in m if c > 0),
-                         -sum(c for c in m if c < 0)) for m in relations])
-    for k, text in enumerate(equations):
-        try:
-            terms = parse_equation(2 * tw.blocks, text)
-        except InputError as e:
-            return _fail("parse", "equation %d: %s" % (k, e))
-        degree = max(map(sum, terms), default=0)
-        if degree > cap:
-            return _fail("parse", "equation %d has degree %d; the closure "
-                                  "equations have degree at most %d"
-                         % (k, degree, cap))
-        if not vanishes_on_torus(tw, terms):
-            return _fail("equations", "equation %d does not vanish on the "
-                                      "torus" % k)
+    # a side of m has prod(e + 1) terms over its exponents e, the sides
+    # share none, and a circle has three; a coefficient is a product of
+    # C(e, k) >= 2^min(k, e - k), and min(k, e - k) sums to e^2 // 4 over
+    # k: the closure is written only for a list with as many terms and at
+    # least 3/10 of that sum over the closure's terms in characters
+    sides = [[c for c in m if c > 0] for m in relations] \
+        + [[-c for c in m if c < 0] for m in relations]
+    listed = sum(1 + s.count(" + ") + s.count(" - ") for s in equations)
+    expected = 3 * tw.blocks + sum(prod(e + 1 for e in side) for side in sides)
+    if listed != expected:
+        return _fail("equations", "the equations have %d terms; the closure "
+                                  "of the listed relations has %d"
+                     % (listed, expected))
+    chars = sum(map(len, equations))
+    digits = 3 * sum(e * e // 4 * prod(f + 1 for f in side) // (e + 1)
+                     for side in sides for e in side) // 10
+    if digits > chars:
+        return _fail("equations", "the equations have %d characters; the "
+                     "closure's coefficients have at least %d digits"
+                     % (chars, digits))
+    try:
+        closure = _closure_strings(tw.blocks, relations)
+    except ValueError:  # a coefficient past str's digit limit: never emitted
+        return _fail("equations", "the closure of the listed relations has "
+                                  "a coefficient too long to print")
+    if equations != closure:
+        k = next((k for k, (a, b) in enumerate(zip(equations, closure))
+                  if a != b), min(len(equations), len(closure)))
+        return _fail("equations", "equation %d differs from the closure of "
+                                  "the listed relations" % k)
     return CertReport(True)
 
 

@@ -9,18 +9,23 @@ relation m says prod_j z_j^m_j = 1 for z_j = c_j + i s_j; its two sides are
 written out term by term by the binomial theorem, in integers, and the real
 and imaginary parts of their difference are its equations: a term of
 s-degree K carries i^K, so it is real for even K and imaginary for odd K.
-An equation is a dict {exponent tuple: real coefficient} over c1, s1, ...,
-cn, sn (ints from the closure, Fractions from parse_equation).  Each
-equation is certified by substituting the circle parametrization: c_j and
-s_j become (z_j + 1/z_j)/2 and -i (z_j - 1/z_j)/2 with z_j the Laurent
+An equation is a dict {exponent tuple: integer coefficient} over c1, s1,
+..., cn, sn, printed by equation_string.  The relation lattice
+L = {m : m W = 0} is a kernel, so it is saturated, and on the circles
+c_j^2 + s_j^2 = 1 the two equations of m vanish exactly when z^m = 1: the
+circles and the equations of a basis of L cut out the set
+{z : z^m = 1 for all m in L}, which is the image of t -> e^(iWt) (Eisenbud
+and Sturmfels, "Binomial ideals", Duke Math. J. 84, 1996).  The closure
+checks itself by substituting the circle parametrization: c_j and s_j
+become (z_j + 1/z_j)/2 and -i (z_j - 1/z_j)/2 with z_j the Laurent
 monomial t^(W row j), and, cleared of denominators, every term expands
 into integer Laurent coefficients, one row of a three-term recurrence per
-block (vanishes_on_torus).
+block (vanishes_on_torus).  The certificate checker does not substitute:
+it writes the equations of the listed relations afresh and compares text.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from operator import add
 
@@ -214,55 +219,6 @@ def _sum_vanishes(tw: TorusWeights, terms: dict) -> bool:
                     acc[key] = acc.get(key, 0) + v * c
         state = merged
     return not any(any(laurent.values()) for laurent in state.values())
-
-
-def parse_equation(nvars: int, text: str) -> dict:
-    """Inverse of equation_string: {exponents: nonzero Fraction}.  The text
-    must be ASCII, so that str.isdigit and int() read indices and exponents
-    from the digits 0-9 alone."""
-    if not text.isascii():
-        raise InputError("non-ASCII character %r in polynomial text"
-                         % next(ch for ch in text if not ch.isascii()))
-    terms = {}
-    src = text.replace(" - ", " + -").strip()
-    if not src:
-        raise InputError("empty polynomial text")
-    for chunk in src.split(" + "):
-        chunk = chunk.strip()
-        if not chunk:
-            raise InputError("empty term in polynomial text")
-        sign = Fraction(1)
-        if chunk.startswith("-"):
-            sign = Fraction(-1)
-            chunk = chunk[1:]
-        coeff = sign
-        exps = [0] * nvars
-        for factor in chunk.split("*"):
-            factor = factor.strip()
-            if not factor:
-                raise InputError("empty factor in polynomial text")
-            if factor[0] in "cs":
-                name, caret, power = factor.partition("^")
-                kind, idx = name[0], name[1:]
-                if not idx.isdigit() or int(idx) < 1:
-                    raise InputError(f"bad variable {factor!r}")
-                v = 2 * (int(idx) - 1) + (0 if kind == "c" else 1)
-                if v >= nvars:
-                    raise InputError(f"variable {name} out of range")
-                e = 1
-                if caret:
-                    if not power.isdigit():
-                        raise InputError(f"bad exponent in {factor!r}")
-                    e = int(power)
-                exps[v] += e
-            else:
-                try:
-                    coeff = coeff * Fraction(factor)
-                except (ValueError, ZeroDivisionError):
-                    raise InputError(f"bad coefficient {factor!r}")
-        key = tuple(exps)
-        terms[key] = terms.get(key, 0) + coeff
-    return {exps: c for exps, c in terms.items() if c}
 
 
 def torus_zariski_closure(tw: TorusWeights) -> TorusClosure:

@@ -25,7 +25,7 @@ from liedef.reps import (ALL_FLAGS, GroupRepData, Representation,
                          rep_kernel, supersolvable_triangular_rep,
                          verify_rep)
 from liedef.structure import commuting_levi, levi_subalgebra, nilradical, radical
-from liedef.torus import (TorusWeights, parse_equation, torus_zariski_closure,
+from liedef.torus import (TorusWeights, torus_zariski_closure,
                           vanishes_on_torus)
 
 
@@ -178,9 +178,9 @@ def test_criterion_6_torus_closures():
     assert "c1^2 - s1^2 - c2" in eqs
     assert "2*c1*s1 - s2" in eqs
     # the double angle identities themselves reduce to zero on the curve
-    for text in ("c1^2 - s1^2 - c2", "2*c1*s1 - s2",
-                 "c1^2 + s1^2 - 1", "c2^2 + s2^2 - 1"):
-        assert vanishes_on_torus(tw, parse_equation(4, text))
+    assert tc.equation_strings() == ["c1^2 - s1^2 - c2", "2*c1*s1 - s2",
+                                     "c1^2 + s1^2 - 1", "c2^2 + s2^2 - 1"]
+    assert all(vanishes_on_torus(tw, eq) for eq in tc.equations)
     assert verify_certificate(emit_torus_equations(tc), weights=tw).ok
 
     diag = TorusWeights(((1, 0), (1, 0)))

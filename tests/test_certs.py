@@ -12,7 +12,9 @@ import json
 import os
 import random
 import re
+import sys
 import tempfile
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -263,11 +265,24 @@ def test_torus_relations_must_be_a_lattice_basis():
         bad["payload"]["relations"] = relations
         assert verify_certificate(bad, weights=tw) \
             == CertReport(False, "relations", detail), relations
-    # any other basis of the same lattice passes
-    for relations in ([[-3, 0, 1], [-2, 1, 0]], [[2, -1, 0], [-5, 1, 1]]):
+    # any other basis of the same lattice passes with its own closure:
+    # reordered relations reorder the equations, a negated one keeps them,
+    # and (-5, 1, 1) gives Re and Im of z2 z3 - z1^5
+    eqs = cert["payload"]["equations"]
+    for relations, equations, detail in (
+            ([[-3, 0, 1], [-2, 1, 0]], eqs[2:4] + eqs[:2] + eqs[4:],
+             "equation 0 differs from the closure of the listed relations"),
+            ([[2, -1, 0], [-5, 1, 1]], eqs[:2] + [
+                "c1^5 - 10*c1^3*s1^2 + 5*c1*s1^4 - c2*c3 + s2*s3",
+                "5*c1^4*s1 - 10*c1^2*s1^3 + s1^5 - c2*s3 - s2*c3"]
+             + eqs[4:], "the equations have 20 terms; the closure of the "
+                        "listed relations has 24")):
         good = json.loads(json.dumps(cert))
         good["payload"]["relations"] = relations
-        assert verify_certificate(good, weights=tw).ok
+        assert verify_certificate(good, weights=tw) \
+            == CertReport(False, "equations", detail), relations
+        good["payload"]["equations"] = equations
+        assert verify_certificate(good, weights=tw).ok, relations
     # every pool torus certificate: dropped or doubled relations fail
     checked = 0
     for item in CHECKER_POOL:
@@ -287,9 +302,8 @@ def test_torus_relations_must_be_a_lattice_basis():
     assert checked == 8
 
 
-def test_non_ascii_digits_are_a_parse_failure():
-    # str.isdigit takes superscripts, which int() refuses, and other
-    # scripts' digits, which int() reads as 0-9: the text must be ASCII
+def test_non_ascii_digits_are_rejected():
+    # superscripts and other scripts' digits are not the closure's text
     tw = TorusWeights(((1,), (3,)))
     cert = emit_torus_equations(torus_zariski_closure(tw))
     first = cert["payload"]["equations"][0]
@@ -300,8 +314,117 @@ def test_non_ascii_digits_are_a_parse_failure():
         bad = json.loads(json.dumps(cert))
         bad["payload"]["equations"][0] = text
         rep = verify_certificate(bad, weights=tw)
-        assert (rep.ok, rep.clause) == (False, "parse"), text
-        assert rep.detail.startswith("equation 0: non-ASCII character")
+        assert (rep.ok, rep.clause) == (False, "equations"), text
+        assert rep.detail in (
+            "equation 0 differs from the closure of the listed relations",
+            "the equations have 10 terms; the closure of the listed "
+            "relations has 12"), text
+
+
+def test_torus_forgeries_are_rejected_at_equations():
+    # each of these verified while the checker only asked that the listed
+    # equations vanish on the torus
+    tw = TorusWeights(((1,), (2,), (3,)))
+    cert = emit_torus_equations(torus_zariski_closure(tw))
+    eqs = cert["payload"]["equations"]
+    counted = "the equations have %d terms; the closure of the listed " \
+              "relations has %d"
+    for relations, equations, detail in (
+            (None, [], counted % (0, 20)),
+            (None, eqs[:1], counted % (3, 20)),
+            # a basis of the relation lattice, with large entries
+            ([[-2, 1, 0], [-2000003, 1000000, 1]], None,
+             counted % (20, 4000020)),
+            (None, eqs[:2] + eqs[3:], counted % (17, 20)),
+            (None, eqs[:3] + [eqs[4], eqs[3]] + eqs[5:],
+             "equation 3 differs from the closure of the listed relations")):
+        bad = json.loads(json.dumps(cert))
+        if relations is not None:
+            bad["payload"]["relations"] = relations
+        if equations is not None:
+            bad["payload"]["equations"] = equations
+        assert verify_certificate(bad, weights=tw) \
+            == CertReport(False, "equations", detail), (relations, equations)
+
+
+def test_a_large_basis_is_rejected_before_any_term_is_written(monkeypatch):
+    # the closure of (-2000003, 1000000, 1) has 4000004 terms: the term
+    # count refuses it without writing one
+    tw = TorusWeights(((1,), (2,), (3,)))
+    cert = emit_torus_equations(torus_zariski_closure(tw))
+    cert["payload"]["relations"] = [[-2, 1, 0], [-2000003, 1000000, 1]]
+
+    def unreachable(blocks, relations):
+        raise AssertionError("the closure was written")
+
+    monkeypatch.setattr(certs, "_closure_strings", unreachable)
+    start = time.perf_counter()
+    rep = verify_certificate(cert, weights=tw)
+    assert time.perf_counter() - start < 0.05
+    assert (rep.ok, rep.clause) == (False, "equations")
+
+
+def _forged_torus_cert(e, term):
+    """A certificate for weights (1, e) and relation (-e, 1) that lists
+    as many terms as the closure, each the text term."""
+    tw = TorusWeights(((1,), (e,)))
+    cert = emit_torus_equations(torus_zariski_closure(TorusWeights(((1,),
+                                                                   (2,)))))
+    cert["subject_sha256"] = weights_hash(tw.rows)
+    cert["payload"].update(weights=[[1], [e]], relations=[[-e, 1]],
+                           equations=[" + ".join([term] * (e + 9))])
+    return tw, cert
+
+
+def test_a_short_list_for_a_large_relation_is_rejected_unwritten(
+        monkeypatch):
+    # the closure of (-15000, 1) lists 15009 terms, as this 60 kB list
+    # does, but its coefficients C(15000, k) print millions of digits
+    tw, cert = _forged_torus_cert(15000, "1")
+    monkeypatch.setattr(certs, "_closure_strings", None)
+    start = time.perf_counter()
+    rep = verify_certificate(cert, weights=tw)
+    assert time.perf_counter() - start < 0.05
+    assert rep == CertReport(False, "equations", "the equations have 60033 "
+                             "characters; the closure's coefficients have at "
+                             "least 16875000 digits")
+
+
+def test_a_coefficient_past_the_print_limit_is_a_report():
+    # C(2200, 1100) has 661 digits, past the lowest limit on the digits
+    # str(int) prints; a list long enough to pass the digit count is
+    # answered with a report, as one at the default limit would be
+    tw, cert = _forged_torus_cert(2200, "9" * 170)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        rep = verify_certificate(cert, weights=tw)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert rep == CertReport(False, "equations", "the closure of the listed "
+                             "relations has a coefficient too long to print")
+
+
+def test_seeded_closures_are_the_checker_s_text():
+    # every emitted certificate verifies, and the checker writes the
+    # closure's text byte for byte; relation lattices with a basis vector
+    # of |m|_1 > 24 are skipped, since the closure's self-check grows fast
+    rng = random.Random(30300)
+    checked = 0
+    while checked < 100:
+        blocks, params = rng.randint(1, 4), rng.randint(1, 3)
+        rows = [[rng.randint(-6, 6) for _ in range(params)]
+                for _ in range(blocks)]
+        kernel = linalg.integer_left_kernel(rows)
+        if any(sum(map(abs, m)) > 24 for m in kernel):
+            continue
+        tc = torus_zariski_closure(TorusWeights(rows))
+        cert = emit_torus_equations(tc)
+        assert cert["payload"]["equations"] == tc.equation_strings()
+        assert certs._closure_strings(blocks, tc.relations) \
+            == tc.equation_strings(), rows
+        assert verify_certificate(cert, weights=rows).ok, rows
+        checked += 1
 
 
 def test_torus_subject_binding():
@@ -311,31 +434,28 @@ def test_torus_subject_binding():
     assert weights_hash(((1,), (2,))) == cert["subject_sha256"]
 
 
-def test_an_equation_above_the_closure_degree_is_a_parse_failure():
-    # the weights-(1, 2) closure has degree 2 (relation (-2, 1) and the
-    # circles): a higher equation is refused before it is expanded, a
-    # false one within the degree is expanded and fails
+def test_an_appended_equation_is_rejected():
+    # the weights-(1, 2) closure has 11 terms; an appended equation, true
+    # or false and of any degree, is refused before anything is written
     cert = emit_torus_equations(torus_zariski_closure(TorusWeights(((1,),
                                                                     (2,)))))
-    for extra, clause, detail in (
-            ("c1^20000 - c2", "parse", "equation 4 has degree 20000; the "
-             "closure equations have degree at most 2"),
-            ("s1*c2", "equations", "equation 4 does not vanish on the torus"),
-            ("c1*s1 - c1*s1 + c1^3", "parse", "equation 4 has degree 3; "
-             "the closure equations have degree at most 2")):
+    for extra, listed in (("c1^20000 - c2", 13), ("s1*c2", 12),
+                          ("c1*s1 - c1*s1 + c1^3", 14)):
         bad = json.loads(json.dumps(cert))
         bad["payload"]["equations"].append(extra)
+        detail = "the equations have %d terms; the closure of the listed " \
+                 "relations has 11" % listed
         assert verify_certificate(bad, weights=((1,), (2,))) \
-            == CertReport(False, clause, detail), extra
-    # the cap is the larger side of each listed relation: (-3, 1) allows 3
+            == CertReport(False, "equations", detail), extra
+    # a true equation, the negated first one, is refused too
     tw = TorusWeights(((1,), (3,)))
     cert = emit_torus_equations(torus_zariski_closure(tw))
     assert cert["payload"]["equations"][0] == "c1^3 - 3*c1*s1^2 - c2"
-    for extra, clause in (("c1^3 - c2", "equations"), ("c1^4", "parse"),
-                          ("c2 + 3*c1*s1^2 - c1^3", None)):
+    for extra in ("c1^3 - c2", "c1^4", "c2 + 3*c1*s1^2 - c1^3"):
         bad = json.loads(json.dumps(cert))
         bad["payload"]["equations"].append(extra)
-        assert verify_certificate(bad, weights=tw).clause == clause, extra
+        rep = verify_certificate(bad, weights=tw)
+        assert (rep.ok, rep.clause) == (False, "equations"), extra
 
 
 def test_a_non_integer_weight_subject_is_reported():

@@ -369,7 +369,8 @@ def test_cli_rejects_a_non_ascii_exponent(tmp_path, capsys):
                            str(wfile), str(cert_path)],
                           capture_output=True, text=True)
     assert proc.returncode == 1
-    assert proc.stdout.startswith("rejected at clause 'parse': equation 0:")
+    assert proc.stdout.startswith("rejected at clause 'equations': equation "
+                                  "0 differs")
     assert "Traceback" not in proc.stderr
 
 

@@ -294,6 +294,38 @@ def test_the_checker_takes_no_finder_code():
     assert not _finder_imports((SRC / "certs.py").read_text())
 
 
+# the checker writes a torus closure's equations itself and compares text:
+# it takes the types and the printer from torus, not the closure's writer
+# or its self-check
+CHECKER_TORUS_NAMES = frozenset(("TorusWeights", "TorusClosure",
+                                 "equation_string"))
+
+
+def _torus_imports(source):
+    """The names the source imports from a module named torus."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and \
+                (node.module or "").split(".")[-1] == "torus":
+            names.update(a.name for a in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.name for a in node.names
+                         if a.name.split(".")[-1] == "torus")
+    return names
+
+
+def test_the_checker_takes_only_types_and_the_printer_from_torus():
+    assert _torus_imports((SRC / "certs.py").read_text()) \
+        == CHECKER_TORUS_NAMES
+
+
+def test_the_check_sees_a_torus_import():
+    src = ("from .torus import TorusWeights, vanishes_on_torus\n"
+           "from . import torus\nimport liedef.torus\n")
+    assert _torus_imports(src) == {"TorusWeights", "vanishes_on_torus",
+                                   "torus", "liedef.torus"}
+
+
 def test_the_check_sees_a_finder_import():
     src = ("from .definability import DEFINABLE, _tbc_verify, _tbc_find\n"
            "from .structure import radical\n"

@@ -7,12 +7,11 @@ from math import comb
 
 import pytest
 
-from liedef.certs import emit_torus_equations
+from liedef.certs import emit_torus_equations, verify_certificate
 from liedef.errors import InputError, UnsupportedError
 from liedef.scalars import GaussRat
 from liedef.torus import (TorusWeights, _block_factor, equation_string,
-                          parse_equation, torus_zariski_closure,
-                          vanishes_on_torus)
+                          torus_zariski_closure, vanishes_on_torus)
 
 POOL = (pathlib.Path(__file__).resolve().parent.parent
         / "perfbench" / "data" / "checker_pool.json")
@@ -74,6 +73,7 @@ def test_every_equation_vanishes_on_the_curve():
         tw = TorusWeights(rows)
         tc = torus_zariski_closure(tw)
         for eq in tc.equations:
+            assert all(type(c) is int for c in eq.values())
             assert vanishes_on_torus(tw, eq)
 
 
@@ -88,29 +88,6 @@ def test_vanishing_checks_shape():
     tw = TorusWeights(((1,), (2,)))
     with pytest.raises(InputError):
         vanishes_on_torus(tw, {(1, 0): 1})
-
-
-def test_parse_equation_round_trip():
-    for rows in (((1,), (2,)), ((2, 1), (1, 1), (0, 1))):
-        tc = torus_zariski_closure(TorusWeights(rows))
-        nvars = 2 * len(rows)
-        for eq in tc.equations:
-            assert all(type(c) is int for c in eq.values())
-            back = parse_equation(nvars, equation_string(nvars, eq))
-            assert back == eq
-
-
-def test_parse_equation_accepts_plain_forms():
-    p = parse_equation(2, "c1^2 + s1^2 - 1")
-    assert p == {(2, 0): 1, (0, 2): 1, (0, 0): -1}
-    assert parse_equation(2, "3/2*c1") == {(1, 0): Fraction(3, 2)}
-
-
-def test_parse_equation_rejects_garbage():
-    for text in ("", "c0", "s3", "c1^x", "q1", "c1^-1", "1/0*c1", "c1^",
-                 "2*s1^ - 1"):
-        with pytest.raises((InputError, ZeroDivisionError)):
-            parse_equation(2, text)
 
 
 def test_equation_string_prints_terms_and_zero():
@@ -130,16 +107,13 @@ def test_relations_annihilate_weights():
 
 
 def test_empty_exponent_is_rejected():
+    tw = TorusWeights(((1,), (2,)))
+    cert = emit_torus_equations(torus_zariski_closure(tw))
     for text in ("c1^", "c1^ + s1", "3*s1^"):
-        with pytest.raises(InputError, match="bad exponent"):
-            parse_equation(2, text)
-
-
-def test_parse_equation_sums_repeated_terms():
-    p = parse_equation(4, "c1*s2 + 2*c1*s2 - s1 + s1 - 1/2*c1*c1 + c1^2")
-    assert equation_string(4, p) == "1/2*c1^2 + 3*c1*s2"
-    assert parse_equation(2, "c1 - c1") == {}
-    assert all(type(c) is Fraction for c in p.values())
+        bad = json.loads(json.dumps(cert))
+        bad["payload"]["equations"][0] = text
+        rep = verify_certificate(bad, weights=tw)
+        assert (rep.ok, rep.clause) == (False, "equations"), text
 
 
 # -- the integer expansion against the GaussRat Laurent substitution -------
@@ -259,8 +233,9 @@ def test_pool_equations_match_the_laurent_substitution():
         if item["cert"]["kind"] != "TorusEquations":
             continue
         tw = TorusWeights(item["subject"]["weights"])
-        for text in item["cert"]["payload"]["equations"]:
-            p = parse_equation(2 * tw.blocks, text)
+        tc = torus_zariski_closure(tw)
+        assert tc.equation_strings() == item["cert"]["payload"]["equations"]
+        for p in tc.equations:
             assert vanishes_on_torus(tw, p) and _reference_vanishes(tw, p)
             s1 = (0, 1) + (0,) * (2 * tw.blocks - 2)
             q = _plus(p, {s1: 1})
@@ -272,7 +247,8 @@ def test_pool_equations_match_the_laurent_substitution():
 
 def test_high_degree_equation_is_cheap():
     tw = TorusWeights(((1,), (800,)))
-    assert not vanishes_on_torus(tw, parse_equation(4, "c1^800 - c2"))
+    # c1^800 - c2
+    assert not vanishes_on_torus(tw, {(800, 0, 0, 0): 1, (0, 0, 1, 0): -1})
     tc = torus_zariski_closure(TorusWeights(((1,), (40,))))
     assert tc.relations == ((-40, 1),)
     assert all(vanishes_on_torus(tc.weights, eq) for eq in tc.equations)
