@@ -21,7 +21,8 @@ from .poly import (purely_imaginary_spectrum, squarefree_part,
                    sturm_count_real_roots)
 from .scalars import GaussRat
 from .structure import _radical
-from .weights import _ideal_chain, _weight_flag, _weight_table
+from .weights import (_adjoint_actions, _ideal_chain, _weight_flag,
+                      _weight_table)
 
 SS_YES = "yes"
 SS_NO = "no"
@@ -109,27 +110,32 @@ def supersolvable_test(g: LieAlgebra) -> SupersolvableResult:
 def _supersolvable(g):
     """supersolvable_test, and the ideal chain of g its peel walked, for a
     caller that peels another module of g on the same chain."""
-    if not g.is_solvable():
+    derived, rows = g._trace_form()
+    if rows:
         raise NotSolvableError(
             "supersolvability is only asked of solvable algebras")
-    ss, _, chain = _adjoint_peel(g)
+    ss, _, chain = _adjoint_peel(g, derived)
     return ss, chain
 
 
-def _adjoint_peel(g):
+def _adjoint_peel(g, derived):
     """supersolvable_test of a solvable algebra, its adjoint weights, and
     the ideal chain of the peel.
 
-    Returns (result, table, chain): table is None on yes, the WeightTable
-    of the same peel when a weight is nonreal, and the peel's Indeterminate
-    when the weights do not split over Q(i).
+    derived is [g, g] as rref rows, which every caller already holds.  The
+    action of each chain direction is read off the structure constants
+    (weights._adjoint_actions), and past a nonreal weight the peel keeps
+    only the weights, over Q, since no flag vector is read then.  A dense
+    ad(e_i) is built only for a witness or the screen.  Returns (result,
+    table, chain): table is None on yes, the WeightTable of the same peel
+    when a weight is nonreal, and the peel's Indeterminate when the
+    weights do not split over Q(i).
     """
-    ads = [g.ad(x) for x in g.basis()]
-    chain = _ideal_chain(g)
-    peeled = _weight_flag(chain, ads)
+    chain = _ideal_chain(g, derived)
+    peeled = _weight_flag(chain, _adjoint_actions(g, chain[0]))
     if isinstance(peeled, Indeterminate):
-        for i, ad in enumerate(ads):
-            witness = _nonreal_witness(g, i, ad, None)
+        for i in range(g.dim):
+            witness = _nonreal_witness(g, i, None)
             if witness is not None:
                 return SupersolvableResult(SS_NO, None, None, witness,
                                            None), peeled, chain
@@ -147,7 +153,7 @@ def _adjoint_peel(g):
     i = next(i for i in range(g.dim)
              if any(not c[i].is_real() for c in peeled[1]))
     values = next(e.values for e in table.entries if not e.real)
-    witness = _nonreal_witness(g, i, ads[i], values)
+    witness = _nonreal_witness(g, i, values)
     if witness is None:
         raise InternalCheckError(
             "a weight is nonreal on e_%d but ad(e_%d) has real spectrum"
@@ -155,11 +161,11 @@ def _adjoint_peel(g):
     return SupersolvableResult(SS_NO, None, None, witness, None), table, chain
 
 
-def _nonreal_witness(g, i, ad, values):
-    """The NonRealWitness of e_i when ad = ad(e_i) has a nonreal eigenvalue,
-    by one Sturm count of its squarefree characteristic polynomial; else
+def _nonreal_witness(g, i, values):
+    """The NonRealWitness of e_i when ad(e_i) has a nonreal eigenvalue, by
+    one Sturm count of its squarefree characteristic polynomial; else
     None."""
-    p = char_poly(ad)
+    p = char_poly(g.ad(g.basis_vector(i)))
     sf = squarefree_part(p)
     real = sturm_count_real_roots(sf)
     if real >= sf.degree:
@@ -355,15 +361,16 @@ def tbc_find(r: LieAlgebra) -> TbcResult:
     candidate passes through tbc_verify's clauses before being returned;
     anything unverified is reported as Unknown, never as a guess.
     Solvability of r is checked here; the private _tbc_find takes it as
-    proven by its caller in the same call.
+    proven by its caller in the same call, which hands it [r, r].
     """
-    if not r.is_solvable():
+    derived, rows = r._trace_form()
+    if rows:
         raise NotSolvableError("tbc splittings describe solvable algebras")
-    return _tbc_find(r)
+    return _tbc_find(r, derived)
 
 
-def _tbc_find(r):
-    ss, table, _ = _adjoint_peel(r)
+def _tbc_find(r, derived):
+    ss, table, _ = _adjoint_peel(r, derived)
     if ss.status == SS_YES:
         # _check_flag has proved this certificate (see tbc_find)
         return TbcResult(TBC, TbcCertificate(ss.flag, (), ss.flag, ()),
@@ -389,7 +396,7 @@ def _tbc_find(r):
     # rational, so the flag construction cannot fail here; an ideal of a
     # solvable algebra is solvable, so sub needs no solvability test
     sub, incl = r.subalgebra(treal)
-    ss_t = _adjoint_peel(sub)[0]
+    ss_t = _adjoint_peel(sub, sub.derived_algebra())[0]
     if ss_t.status != SS_YES:
         raise InternalCheckError(
             "real-weight ideal failed its own supersolvability test")
@@ -481,6 +488,8 @@ def definability_oracle(p: GroupPresentation) -> DefinabilityVerdict:
 
     One trace-form test (LieAlgebra._trace_form) decides solvability, and
     the radical rules find the radical from its [g, g] and Killing rows.
+    The adjoint peel of a solvable g walks a chain above that [g, g], and
+    that of a proper radical r above the [r, r] that proved r solvable.
     """
     g = p.algebra
     g.require_valid()
@@ -490,8 +499,8 @@ def definability_oracle(p: GroupPresentation) -> DefinabilityVerdict:
     if not form[1]:
         # both rules take g's solvability as proven by this test
         if p.kind == "simply-connected":
-            return _simply_connected_rule(g)
-        return _solvable_rule(g)
+            return _simply_connected_rule(g, form[0])
+        return _solvable_rule(g, form[0])
     if p.finite_center_levi:
         return _radical_rule(p, g, form, RULE_FINITE_CENTER)
     return DefinabilityVerdict(
@@ -500,8 +509,8 @@ def definability_oracle(p: GroupPresentation) -> DefinabilityVerdict:
                     "presentation without the finite-center assumption")
 
 
-def _simply_connected_rule(g):
-    ss = _adjoint_peel(g)[0]
+def _simply_connected_rule(g, derived):
+    ss = _adjoint_peel(g, derived)[0]
     if ss.status == SS_YES:
         # _check_flag has proved this certificate (see tbc_find)
         return DefinabilityVerdict(
@@ -516,8 +525,8 @@ def _simply_connected_rule(g):
                     + str(ss.reason))
 
 
-def _solvable_rule(g):
-    tb = _tbc_find(g)
+def _solvable_rule(g, derived):
+    tb = _tbc_find(g, derived)
     if tb.status == TBC:
         return DefinabilityVerdict(DEFINABLE, RULE_SOLVABLE,
                                    certificate=tb.certificate)
@@ -528,7 +537,7 @@ def _solvable_rule(g):
 
 
 def _radical_rule(p, g, form, rule):
-    rad, _, sub = _radical(g, *form)
+    rad, inner, sub = _radical(g, *form)
     notes = _presentation_notes(p)
     if not rad:
         # empty radical is vacuously triangular-by-compact
@@ -536,9 +545,9 @@ def _radical_rule(p, g, form, rule):
         return DefinabilityVerdict(DEFINABLE, rule, certificate=cert,
                                    radical_basis=(),
                                    presentation_notes=notes)
-    # _radical has proved the radical r solvable
+    # _radical has proved the radical r solvable, by its [r, r]
     r, incl = sub
-    tb = _tbc_find(r)
+    tb = _tbc_find(r, inner)
     if tb.status == TBC:
         if notes:
             notes = notes + (

@@ -29,9 +29,8 @@ from .linalg import (Mat, _combine, _gauss_jordan, _solutions, _sparse_rows,
                      block_diag, coords_in_span, independent, intersect_spans,
                      inverse, is_nilpotent_mat, kernel, kron, mat_lincomb,
                      span_basis)
-from .scalars import GaussRat
 from .structure import nilradical
-from .weights import _weight_flag
+from .weights import _direction_actions, _weight_flag
 
 HOMOMORPHISM = "homomorphism"
 FAITHFUL = "faithful"
@@ -394,11 +393,12 @@ def supersolvable_triangular_rep(t: LieAlgebra) -> Representation:
 
     base = nilpotent_ado(t.subalgebra(nil)[0])
     ext = _extend(t, nil, base)
-    # the chain of t's adjoint peel serves the extended module too
-    peeled = _weight_flag(chain, list(ext.images))
-    # the peel lifts to Q(i) only at a nonreal eigenvalue
+    # the chain of t's adjoint peel serves the extended module too; a
+    # nonreal character leaves no rational flag, and the peel records none
+    # past it
+    peeled = _weight_flag(chain, _direction_actions(chain[0], ext.images))
     if isinstance(peeled, Indeterminate) or any(
-            isinstance(x, GaussRat) for v in peeled[0] for x in v):
+            not x.is_real() for c in peeled[1] for x in c):
         raise UnsupportedError(
             "extended module has no rational triangular flag")
     return _certified(replace(ext, flag=tuple(peeled[0])), ALL_FLAGS, nil)

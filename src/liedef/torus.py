@@ -25,8 +25,9 @@ it writes the equations of the listed relations afresh and compares text.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from math import lcm
+from math import comb, lcm, prod
 from operator import add
 
 from .errors import InputError, InternalCheckError, UnsupportedError
@@ -69,7 +70,7 @@ def equation_string(nvars: int, terms: dict) -> str:
     if not terms:
         return "0"
     names = [f"{v}{j + 1}" for j in range(nvars // 2) for v in "cs"]
-    out = ""
+    parts = []
     for exps in sorted(terms, key=_display_key):
         c = terms[exps]
         body = "*".join(names[v] if e == 1 else f"{names[v]}^{e}"
@@ -77,7 +78,8 @@ def equation_string(nvars: int, terms: dict) -> str:
         text = str(abs(c))
         if body:
             text = body if text == "1" else f"{text}*{body}"
-        out += (" - " if c < 0 else " + ") + text
+        parts.append((" - " if c < 0 else " + ") + text)
+    out = "".join(parts)
     return out[3:] if out.startswith(" + ") else "-" + out[3:]
 
 
@@ -221,6 +223,17 @@ def _sum_vanishes(tw: TorusWeights, terms: dict) -> bool:
     return not any(any(laurent.values()) for laurent in state.values())
 
 
+def _prints(side, limit: int) -> bool:
+    """Whether the largest coefficient of prod_j (c_j + i s_j)^e over the
+    exponents e of side, prod_j C(e, e // 2), has at most limit digits,
+    the most that str prints.  C(e, e // 2) >= 2^e / (e + 1), and
+    10^limit < 2^(4 limit), so a side whose bound reaches 2^(4 limit)
+    fails without its binomials being computed."""
+    if sum(e - (e + 1).bit_length() for e in side) >= 4 * limit:
+        return False
+    return prod(comb(e, e // 2) for e in side) < 10 ** limit
+
+
 def torus_zariski_closure(tw: TorusWeights) -> TorusClosure:
     """Equations cutting out the closure of the weight torus, verified.
 
@@ -230,7 +243,10 @@ def torus_zariski_closure(tw: TorusWeights) -> TorusClosure:
     polynomial whose real and imaginary parts are the equations, and the
     circle equations close the system.  Every emitted polynomial is checked
     to vanish identically under c_j + i s_j -> t^(W row j) as formal Laurent
-    monomials, which is the parametrization of the torus itself.
+    monomials, which is the parametrization of the torus itself.  A
+    relation whose coefficients str cannot print
+    (sys.get_int_max_str_digits, 0 for no limit) raises UnsupportedError
+    before anything is written.
     """
     if not isinstance(tw, TorusWeights):
         tw = TorusWeights(tuple(tw))
@@ -238,6 +254,15 @@ def torus_zariski_closure(tw: TorusWeights) -> TorusClosure:
     nvars = 2 * n
     relations = tuple(_normalize_relation(m)
                       for m in integer_left_kernel(tw.rows))
+    # Python before 3.10.7 has no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for m in relations:
+        if limit and not all(_prints([sign * e for e in m if sign * e > 0],
+                                     limit) for sign in (1, -1)):
+            raise UnsupportedError(
+                "relation %s has a closure coefficient of more than %d "
+                "digits, which Python's int-to-str limit does not print"
+                % (list(m), limit))
 
     relation_eqs = []
     for m in relations:

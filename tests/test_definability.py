@@ -91,7 +91,7 @@ def test_supersolvable_checks_every_step_character(monkeypatch, axb):
                 spoiled = [list(c) for c in chars]
                 spoiled[i][j] += 1
 
-                def wrong(chain, mats, out=(flag, spoiled)):
+                def wrong(chain, acts, out=(flag, spoiled)):
                     return out
 
                 monkeypatch.setattr(definability, "_weight_flag", wrong)
@@ -156,6 +156,25 @@ def _supersolvable_subjects():
     rng = random.Random(20261020)
     sweep = [_seeded_supersolvable(rng) for _ in range(16)]
     return subjects, sweep
+
+
+def test_the_adjoint_peel_of_a_supersolvable_algebra_builds_no_ad(
+        monkeypatch):
+    # the chain directions act as read off the structure constants, and a
+    # yes needs no witness, so no dense ad matrix is built
+    subjects, sweep = _supersolvable_subjects()
+    calls = []
+    inner = LieAlgebra.ad
+
+    def counted(self, x):
+        calls.append(x)
+        return inner(self, x)
+
+    monkeypatch.setattr(LieAlgebra, "ad", counted)
+    for g in subjects + sweep:
+        ss, table, _ = definability._adjoint_peel(g, g.derived_algebra())
+        assert ss.status == SS_YES and table is None
+    assert calls == []
 
 
 def test_the_fast_path_certificate_passes_both_checkers():
@@ -317,7 +336,7 @@ def test_a_nonreal_character_needs_a_nonreal_spectrum(axb, monkeypatch):
         spoiled = list(chars)
         spoiled[i] = (chars[i][0] + GaussRat(0, 1),) + chars[i][1:]
 
-        def wrong(chain, mats, out=(flag, spoiled)):
+        def wrong(chain, acts, out=(flag, spoiled)):
             return out
 
         monkeypatch.setattr(definability, "_weight_flag", wrong)
@@ -337,9 +356,9 @@ def test_each_call_peels_its_algebra_once(axb, e2, oscillator, monkeypatch):
     inner = weights._ideal_chain
     seen = []
 
-    def counted(alg):
+    def counted(alg, derived):
         seen.append(alg)
-        return inner(alg)
+        return inner(alg, derived)
 
     # the adjoint peel builds the chain it walks through its own binding
     for namespace in (weights, definability):

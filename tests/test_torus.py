@@ -2,12 +2,15 @@ import hashlib
 import json
 import pathlib
 import random
+import sys
+import time
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from liedef.certs import emit_torus_equations, verify_certificate
+from liedef.cli import main
 from liedef.errors import InputError, UnsupportedError
 from liedef.scalars import GaussRat
 from liedef.torus import (TorusWeights, _block_factor, equation_string,
@@ -344,3 +347,28 @@ def test_four_block_closures_are_pinned():
         assert tc.relations == relations
         text = json.dumps(emit_torus_equations(tc), indent=1) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-to-str digit limit")
+def test_a_closure_past_the_digit_limit_is_unsupported(capsys):
+    # C(15000, 7500) has 4513 digits, past str's default limit of 4300, so
+    # the closure of relation (-15000, 1) cannot be printed; it is refused
+    # before anything is written or self-checked, and the CLI reports it
+    # as unknown, with no traceback.  For (1; 10^9) the bound 2^e / (e + 1)
+    # decides without the binomial.
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for big in (15000, 10 ** 9):
+            start = time.perf_counter()
+            with pytest.raises(UnsupportedError,
+                               match=r"relation \[-%d, 1\]" % big):
+                torus_zariski_closure(TorusWeights(((1,), (big,))))
+            assert time.perf_counter() - start < 1
+        assert main(["torus-closure", "--weights", "1;15000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.startswith("unknown: relation [-15000, 1]")
+        assert "Traceback" not in captured.out + captured.err
+    finally:
+        sys.set_int_max_str_digits(old)

@@ -128,6 +128,14 @@ def test_module_weights_rejects_matrices_that_are_not_an_action(axb):
     with pytest.raises(InternalCheckError) as exc:
         module_weights(axb, [a, x])
     assert "not invariant" in str(exc.value)
+    # on the plane, e_0 is walked first and its eigenspace for 0 is
+    # span{u_0, u_1}, which e_1 sends out of: the restriction reads the
+    # coordinates 0, 0 of e_1 u_0 = u_2 and must not take them
+    plane = LieAlgebra.from_entries(2, {})
+    d = Mat.diag([0, 0, 1])
+    leave = Mat([[0, 0, 0], [0, 0, 0], [1, 0, 0]])
+    with pytest.raises(InternalCheckError, match="not invariant"):
+        module_weights(plane, [d, leave])
 
 
 def test_weights_outside_the_tower_are_indeterminate():
@@ -216,11 +224,17 @@ def test_real_modules_are_peeled_over_q(monkeypatch):
 def test_peel_lifts_to_q_i_at_the_first_nonreal_eigenvalue(monkeypatch):
     # -1 sorts before -i and i, so the first peel is real; the second picks
     # -i on the rational rotation block and lifts, so the quotient the third
-    # peels is over Q(i)
+    # peels of the full flag is over Q(i).  module_weights records -i and i
+    # at the second peel and quotients by the rational plane of the block,
+    # so it never holds a GaussRat and needs no third peel.
     seen = _record_levels(monkeypatch)
     g = LieAlgebra.from_entries(1, {})
-    table = module_weights(g, [Mat([[-1, 0, 0], [0, 0, -1], [0, 1, 0]])])
+    mats = [Mat([[-1, 0, 0], [0, 0, -1], [0, 1, 0]])]
+    weight_flag(g, mats)
     assert seen == [False, False, True]
+    seen.clear()
+    table = module_weights(g, mats)
+    assert seen == [False, False]
     assert [(e.values, e.multiplicity, e.real) for e in table.entries] == [
         ((GaussRat(-1),), 1, True),
         ((GaussRat(0, -1),), 1, False),
@@ -341,7 +355,7 @@ def test_common_eigenspace_shifts_like_subtracting_a_scaled_identity():
     # is not divided out, so an int left beside it would reach the
     # eigenvectors
     line = LieAlgebra.from_entries(1, {})
-    chain = weights._ideal_chain(line)
+    chain = weights._ideal_chain(line, line.derived_algebra())
     for b, mu in ((Mat([[2, 1, 7], [0, 2, 0], [0, 0, 2]]), Fraction(2)),
                   (Mat([[0, 1, 3], [0, 0, Fraction(1, 2)], [0, 0, 0]]),
                    Fraction(0))):
@@ -393,7 +407,7 @@ def _ref_ideal_chain(alg):
 
 
 def _assert_chain_matches_the_reference(alg):
-    dirs, inv_z, derived = weights._ideal_chain(alg)
+    dirs, inv_z, derived = weights._ideal_chain(alg, alg.derived_algebra())
     want_dirs, want_inv = _ref_ideal_chain(alg)
     assert _typed(list(dirs)) == _typed(list(want_dirs))
     assert _typed(inv_z.rows) == _typed(want_inv.rows)
@@ -484,7 +498,7 @@ def test_each_chain_level_is_picked_by_one_elimination(monkeypatch):
     levels = Counter()
     for g in algebras:
         codims.clear()
-        dirs, _, _ = weights._ideal_chain(g)
+        dirs, _, _ = weights._ideal_chain(g, g.derived_algebra())
         assert len(codims) == len(dirs) == g.dim
         levels.update(min(c, 2) for c in codims)
     assert levels[1] > 20 and levels[2] > 20
@@ -821,7 +835,7 @@ def test_peel_matches_the_reference_on_read_off_actions(case):
     g, mats = case
     _assert_peel_matches_the_reference(g, mats)
     # the first common eigenspace in full; a peel keeps one vector of it
-    chain = weights._ideal_chain(g)
+    chain = weights._ideal_chain(g, g.derived_algebra())
     char, w, _ = weights.common_eigenspace(
         chain, weights._direction_actions(chain[0], mats),
         [None] * len(chain[0]))
@@ -873,9 +887,9 @@ def test_the_extension_route_walks_one_chain(monkeypatch):
     inner = weights._ideal_chain
     seen = []
 
-    def counted(alg):
+    def counted(alg, derived):
         seen.append(alg)
-        return inner(alg)
+        return inner(alg, derived)
 
     for namespace in (weights, definability):
         monkeypatch.setattr(namespace, "_ideal_chain", counted)
@@ -883,6 +897,17 @@ def test_the_extension_route_walks_one_chain(monkeypatch):
     rep = supersolvable_triangular_rep(g)
     assert rep.target_dim >= 10
     assert sum(alg is g for alg in seen) == 1
+
+
+def _rotation_first_module():
+    """A module of the plane whose first peel picks a nonreal weight: e_0,
+    walked first, is 0 on a plane that e_1 rotates, and 5 and 6 are not
+    eigenvalues of e_1 there, so e_1 tries them and picks -i, and a real
+    peel follows."""
+    plane = LieAlgebra.from_entries(2, {})
+    return plane, [Mat.diag([0, 0, 1, 1]),
+                   Mat([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 5, 0],
+                        [0, 0, 0, 6]])]
 
 
 def test_carried_spectra_are_those_of_the_current_module(monkeypatch):
@@ -900,9 +925,13 @@ def test_carried_spectra_are_those_of_the_current_module(monkeypatch):
 
     monkeypatch.setattr(weights, "common_eigenspace", checking)
     rotation = LieAlgebra.from_entries(1, {})
-    weight_flag(rotation, [Mat([[-1, 0, 0], [0, 0, -1], [0, 1, 0]])])
     e2 = LieAlgebra.from_entries(3, {(0, 2): (0, -1, 0), (1, 2): (1, 0, 0)})
-    weight_flag(e2, _adjoint(e2))
+    # module_weights quotients by the rational span of a nonreal
+    # eigenspace, and its spectra lose a conjugate pair for each vector
+    for peel in (weight_flag, module_weights):
+        peel(rotation, [Mat([[-1, 0, 0], [0, 0, -1], [0, 1, 0]])])
+        peel(e2, _adjoint(e2))
+        peel(*_rotation_first_module())
     for g in (_h3_plus_aff(), _h3_semidirect(2)):
         for mats in (_adjoint(g), _extended_module(g)):
             weight_flag(g, mats)
@@ -922,7 +951,7 @@ def test_zero_and_triangular_levels_are_read_off_their_entries(monkeypatch):
         monkeypatch.setattr(weights, name, counted)
 
     def first_peel(g, mats):
-        chain = weights._ideal_chain(g)
+        chain = weights._ideal_chain(g, g.derived_algebra())
         acts = weights._direction_actions(chain[0], mats)
         calls.clear()
         _, w, lams = weights.common_eigenspace(chain, acts,
@@ -950,11 +979,12 @@ def test_zero_and_triangular_levels_are_read_off_their_entries(monkeypatch):
     assert first_peel(plane, [zero, upper])[1:] == ([gauss(-1), gauss(0)],
                                                     {"_gauss_jordan": 1})
     # the second direction is zero on the eigenspace for 0 of the first:
-    # one elimination for that eigenspace and one for the restriction
+    # one elimination for that eigenspace, and a restriction that reads its
+    # coordinates with none
     d = Mat.diag([0, 0, 1])
     assert first_peel(plane, [d, d]) == (
         [{0: one}, {1: one}], [gauss(0), gauss(0)],
-        {"_gauss_jordan": 2, "_restrict": 1})
+        {"_gauss_jordan": 1, "_restrict": 1})
 
 
 def test_the_oracle_factors_few_spectra_on_the_corpus(monkeypatch):
@@ -1034,3 +1064,84 @@ def test_direction_actions_match_the_inline_loop():
                          if j not in act[i] and any(
                              c and m.rows[i][j] for c, m in zip(z, mats)))
     assert cancelled > 20
+
+
+def _seeded_rotation_algebra(rng):
+    """The algebra two or three seeded block upper triangular matrices
+    generate, diagonal blocks scalars or rotation-scaling blocks a + bJ as
+    in solvable_algebras, in a seeded unit triangular basis."""
+    sizes = [rng.choice((1, 2)) for _ in range(rng.randint(1, 3))]
+    n = sum(sizes)
+    block = [i for i, size in enumerate(sizes) for _ in range(size)]
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        rows = [[rng.randint(-2, 2) if block[j] > block[i] else 0
+                 for j in range(n)] for i in range(n)]
+        start = 0
+        for size in sizes:
+            rows[start][start] = rng.randint(-2, 2)
+            if size == 2:
+                b = rng.randint(-2, 2)
+                rows[start][start + 1], rows[start + 1][start] = -b, b
+                rows[start + 1][start + 1] = rows[start][start]
+            start += size
+        gens.append(Mat(rows))
+    g0 = from_matrices(gens)[0]
+    k = g0.dim
+    t = Mat([[Fraction(int(i == j)) if j <= i else
+              Fraction(rng.randint(-2, 2)) for j in range(k)]
+             for i in range(k)])
+    t_inv, cols = inverse(t), t.cols()
+    return LieAlgebra(k, [[t_inv @ g0.bracket(cols[i], cols[j])
+                           for j in range(k)] for i in range(k)])
+
+
+def test_the_weights_only_peel_tabulates_the_full_flag(
+        monkeypatch, e2, oscillator):
+    # past a nonreal weight, module_weights and the adjoint peel record the
+    # weight and its conjugate and quotient by a rational subspace; their
+    # tables must equal the one tabulated from weight_flag's full Q(i)
+    # characters, and the adjoint peel never quotients a GaussRat
+    gaussian = []
+    inner = weights._peel_quotient
+
+    def checked(acts, w):
+        gaussian.append(any(isinstance(x, GaussRat) for x in w.values())
+                        or any(isinstance(x, GaussRat) for act in acts
+                               for row in act.values() for x in row.values()))
+        return inner(acts, w)
+
+    monkeypatch.setattr(weights, "_peel_quotient", checked)
+    rng = random.Random(20261022)
+    algebras = [e2, oscillator, corpus_entry("bianchi-VII0").algebra,
+                corpus_entry("bianchi-VIIa").algebra]
+    while len(algebras) < 40:
+        g = _seeded_rotation_algebra(rng)
+        if 2 <= g.dim <= 8:
+            algebras.append(g)
+    modules = [(g, _adjoint(g)) for g in algebras]
+    modules.append((LieAlgebra.from_entries(1, {}),
+                    [Mat([[-1, 0, 0], [0, 0, -1], [0, 1, 0]])]))
+    modules.append(_rotation_first_module())
+    nonreal = 0
+    for g, mats in modules:
+        full = weight_flag(g, mats)
+        if isinstance(full, Indeterminate):
+            want = full
+        else:
+            want = weights._weight_table(g, full[1], len(mats[0].rows),
+                                         g.derived_algebra())
+            nonreal += not want.all_real()
+        gaussian.clear()
+        got = module_weights(g, mats)
+        assert got == want and repr(got) == repr(want)
+        assert not any(gaussian)
+        if len(mats) == g.dim and mats == _adjoint(g):
+            gaussian.clear()
+            ss, table, _ = definability._adjoint_peel(g, g.derived_algebra())
+            if table is None:
+                assert ss.status == "yes" and want.all_real()
+            else:
+                assert table == want and repr(table) == repr(want)
+            assert not any(gaussian)
+    assert nonreal > 20
