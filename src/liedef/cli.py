@@ -289,7 +289,7 @@ def _parse_weight_rows(text):
 
 
 def _cmd_torus_closure(args):
-    if args.weights:
+    if args.weights is not None:
         rows = _parse_weight_rows(args.weights)
     elif args.file:
         rows = _read_weights_file(args.file)

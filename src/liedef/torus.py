@@ -15,20 +15,16 @@ L = {m : m W = 0} is a kernel, so it is saturated, and on the circles
 c_j^2 + s_j^2 = 1 the two equations of m vanish exactly when z^m = 1: the
 circles and the equations of a basis of L cut out the set
 {z : z^m = 1 for all m in L}, which is the image of t -> e^(iWt) (Eisenbud
-and Sturmfels, "Binomial ideals", Duke Math. J. 84, 1996).  The closure
-checks itself by substituting the circle parametrization: c_j and s_j
-become (z_j + 1/z_j)/2 and -i (z_j - 1/z_j)/2 with z_j the Laurent
-monomial t^(W row j), and, cleared of denominators, every term expands
-into integer Laurent coefficients, one row of a three-term recurrence per
-block (vanishes_on_torus).  The certificate checker does not substitute:
-it writes the equations of the listed relations afresh and compares text.
+and Sturmfels, "Binomial ideals", Duke Math. J. 84, 1996).  The closure is
+proved by the certificate checker before it is returned: the checker
+confirms that the relations are a basis of L, writes the equations of
+those relations afresh with its own writer, and compares the text.
 """
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from math import comb, lcm, prod
-from operator import add
+from math import comb, prod
 
 from .errors import InputError, InternalCheckError, UnsupportedError
 from .linalg import integer_left_kernel
@@ -129,8 +125,6 @@ def _power_product(nvars: int, powers) -> dict:
     return terms
 
 
-# -- the torus substitution ------------------------------------------------------
-
 def _binomials(n: int) -> list:
     """[C(n, 0), ..., C(n, n)], each from the one before: one small
     multiplication and division per entry, where math.comb computes each
@@ -139,88 +133,6 @@ def _binomials(n: int) -> list:
     for p in range(n):
         row.append(row[-1] * (n - p) // (p + 1))
     return row
-
-
-def _block_factor(a: int, b: int) -> dict:
-    """{e: integer coefficient of z^e in (z + 1/z)^a (z - 1/z)^b}.
-
-    The product is z^(a+b) f(1/z^2) with f(x) = (1 + x)^a (1 - x)^b, and
-    (1 - x^2) f' = ((a - b) - (a + b) x) f gives the coefficients of f in
-    one row, each exactly from the two before it:
-    (n + 1) c_(n+1) = (a - b) c_n - (a + b - n + 1) c_(n-1), with c_0 = 1
-    and c_(-1) = 0.  c_n lands on z^(a+b-2n).
-    """
-    d = a + b
-    out = {d: 1}
-    prev, cur = 0, 1
-    for n in range(d):
-        prev, cur = cur, ((a - b) * cur - (d - n + 1) * prev) // (n + 1)
-        out[d - 2 * n - 2] = cur
-    return out
-
-
-def vanishes_on_torus(tw: TorusWeights, terms: dict) -> bool:
-    """Exact test that a real block-coordinate polynomial kills the torus.
-
-    On the torus z_j = c_j + i s_j is the Laurent monomial t^(W row j), so
-    c_j = (z_j + 1/z_j)/2 and s_j = -i (z_j - 1/z_j)/2.  A term
-    coeff * prod_j c_j^a_j s_j^b_j of degree d becomes
-    coeff (-i)^B 2^-d prod_j (z_j + 1/z_j)^a_j (z_j - 1/z_j)^b_j with
-    B = sum_j b_j.  Scaled by 2^D L (D the top degree, L the lcm of the
-    coefficient denominators) each term is an integer times the integer
-    coefficients of those products, and (-i)^B makes it real for even B
-    and imaginary for odd B.  The polynomial vanishes on the torus exactly
-    when the even-B terms and the odd-B terms each sum to zero, and each
-    sum is expanded by _sum_vanishes in plain integers.
-    """
-    nvars = 2 * tw.blocks
-    if any(len(exps) != nvars for exps in terms):
-        raise InputError("polynomial variable count does not match the blocks")
-    top = max(map(sum, terms), default=0)
-    scale = lcm(*(c.denominator for c in terms.values()))
-    parts = ({}, {})
-    for exps, c in terms.items():
-        b = sum(exps[1::2])
-        v = c.numerator * ((scale << (top - sum(exps))) // c.denominator)
-        # (-i)^B is 1, -i, -1, i for B = 0, 1, 2, 3 mod 4; the odd sum is
-        # kept as the negated coefficient of i
-        parts[b & 1][exps] = -v if b & 2 else v
-    return all(_sum_vanishes(tw, part) for part in parts)
-
-
-def _sum_vanishes(tw: TorusWeights, terms: dict) -> bool:
-    """Whether sum v prod_j (z_j + 1/z_j)^a_j (z_j - 1/z_j)^b_j over the
-    terms {(a_1, b_1, ...): v} is zero, z_j = t^(W row j).
-
-    Block j's factor is one row of a recurrence (_block_factor, a_j + b_j
-    steps), and its exponent e lands on e * (W row j).  The blocks are
-    expanded last to first, and after each one the terms that agree on the
-    blocks before it are summed, so a binomial relation such as
-    Re(z_2^49 z_3^50 - ...) collapses before the next block multiplies it
-    out.
-    """
-    zero = (0,) * tw.params
-    # {exponents of the blocks not expanded yet: {t exponent: integer}}
-    state = {exps: {zero: v} for exps, v in terms.items()}
-    for j in reversed(range(tw.blocks)):
-        row = tw.rows[j]
-        merged = {}
-        for exps, laurent in state.items():
-            acc = merged.setdefault(exps[:2 * j], {})
-            a, b = exps[2 * j], exps[2 * j + 1]
-            if not (a or b):
-                for key, v in laurent.items():
-                    acc[key] = acc.get(key, 0) + v
-                continue
-            for e, c in _block_factor(a, b).items():
-                if not c:
-                    continue
-                shift = tuple(e * w for w in row)
-                for key, v in laurent.items():
-                    key = tuple(map(add, key, shift))
-                    acc[key] = acc.get(key, 0) + v * c
-        state = merged
-    return not any(any(laurent.values()) for laurent in state.values())
 
 
 def _prints(side, limit: int) -> bool:
@@ -241,12 +153,13 @@ def torus_zariski_closure(tw: TorusWeights) -> TorusClosure:
     prod z_j^{m_j} = 1 on block coordinates z_j = c_j + i s_j; its sides,
     expanded by the binomial theorem, differ by a Gaussian integer
     polynomial whose real and imaginary parts are the equations, and the
-    circle equations close the system.  Every emitted polynomial is checked
-    to vanish identically under c_j + i s_j -> t^(W row j) as formal Laurent
-    monomials, which is the parametrization of the torus itself.  A
-    relation whose coefficients str cannot print
-    (sys.get_int_max_str_digits, 0 for no limit) raises UnsupportedError
-    before anything is written.
+    circle equations close the system.  Before it is returned, the closure's
+    certificate goes through verify_certificate, which checks that the
+    relations are a basis of the relation lattice and writes their
+    equations again with the checker's own writer; a rejected certificate
+    raises InternalCheckError naming the clause.  A relation whose
+    coefficients str cannot print (sys.get_int_max_str_digits, 0 for no
+    limit) raises UnsupportedError before anything is written.
     """
     if not isinstance(tw, TorusWeights):
         tw = TorusWeights(tuple(tw))
@@ -290,9 +203,11 @@ def torus_zariski_closure(tw: TorusWeights) -> TorusClosure:
                   for sq in ((2, 0), (0, 2)))
         circle_eqs.append({c2: 1, s2: 1, (0,) * nvars: -1})
 
-    for eq in relation_eqs + circle_eqs:
-        if not vanishes_on_torus(tw, eq):
-            raise InternalCheckError(
-                "closure equation fails on the torus parametrization")
-
-    return TorusClosure(tw, relations, tuple(relation_eqs), tuple(circle_eqs))
+    tc = TorusClosure(tw, relations, tuple(relation_eqs), tuple(circle_eqs))
+    # certs imports this module, so the checker is imported here
+    from .certs import emit_torus_equations, verify_certificate
+    report = verify_certificate(emit_torus_equations(tc), weights=tw)
+    if not report.ok:
+        raise InternalCheckError("closure certificate rejected at %s: %s"
+                                 % (report.clause, report.detail))
+    return tc

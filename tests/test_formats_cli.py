@@ -353,6 +353,10 @@ def test_cli_torus_closure(tmp_path, capsys):
     wfile = tmp_path / "weights.json"
     wfile.write_text(json.dumps({"weights": [[1], [2]]}))
     assert main(["verify-cert", str(wfile), out_cert]) == 0
+    capsys.readouterr()
+    # an empty --weights is given, so the error names the empty rows
+    assert main(["torus-closure", "--weights", ""]) == 3
+    assert "at least one block row is required" in capsys.readouterr().err
 
 
 def test_cli_rejects_a_non_ascii_exponent(tmp_path, capsys):

@@ -320,9 +320,9 @@ def test_the_checker_takes_only_types_and_the_printer_from_torus():
 
 
 def test_the_check_sees_a_torus_import():
-    src = ("from .torus import TorusWeights, vanishes_on_torus\n"
+    src = ("from .torus import TorusWeights, _power_product\n"
            "from . import torus\nimport liedef.torus\n")
-    assert _torus_imports(src) == {"TorusWeights", "vanishes_on_torus",
+    assert _torus_imports(src) == {"TorusWeights", "_power_product",
                                    "torus", "liedef.torus"}
 
 

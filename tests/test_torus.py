@@ -5,16 +5,16 @@ import random
 import sys
 import time
 from fractions import Fraction
-from math import comb
+from math import prod
 
 import pytest
 
+from liedef import torus
 from liedef.certs import emit_torus_equations, verify_certificate
 from liedef.cli import main
-from liedef.errors import InputError, UnsupportedError
+from liedef.errors import InputError, InternalCheckError, UnsupportedError
 from liedef.scalars import GaussRat
-from liedef.torus import (TorusWeights, _block_factor, equation_string,
-                          torus_zariski_closure, vanishes_on_torus)
+from liedef.torus import TorusWeights, equation_string, torus_zariski_closure
 
 POOL = (pathlib.Path(__file__).resolve().parent.parent
         / "perfbench" / "data" / "checker_pool.json")
@@ -77,20 +77,75 @@ def test_every_equation_vanishes_on_the_curve():
         tc = torus_zariski_closure(tw)
         for eq in tc.equations:
             assert all(type(c) is int for c in eq.values())
-            assert vanishes_on_torus(tw, eq)
+            assert _reference_vanishes(tw, eq)
 
 
 def test_nonmember_does_not_vanish():
     tw = TorusWeights(((1,), (2,)))
     # c1 - c2 holds on the diagonal torus, not on the (1, 2) curve
     p = {(1, 0, 0, 0): 1, (0, 0, 1, 0): -1}
-    assert not vanishes_on_torus(tw, p)
+    assert not _reference_vanishes(tw, p)
 
 
-def test_vanishing_checks_shape():
+def test_seeded_closures_vanish_on_the_torus():
+    # random weights of 1 to 3 blocks; every closure whose relations have
+    # |m|_1 <= 12 is multiplied out by the reference substitution
+    rng = random.Random(30300)
+    checked = with_relations = 0
+    for _ in range(150):
+        blocks, params = rng.randint(1, 3), rng.randint(1, 2)
+        tw = TorusWeights([[rng.randint(-4, 4) for _ in range(params)]
+                           for _ in range(blocks)])
+        tc = torus_zariski_closure(tw)
+        if any(sum(map(abs, m)) > 12 for m in tc.relations):
+            continue
+        for eq in tc.equations:
+            assert _reference_vanishes(tw, eq), (tw, eq)
+        checked += 1
+        with_relations += bool(tc.relations)
+    assert checked >= 100 and with_relations >= 50
+
+
+def test_the_closure_checks_its_own_output(monkeypatch):
+    # the closure's certificate goes through the checker before it is
+    # returned, so a writer that drops the imaginary part of each relation,
+    # or gets one coefficient wrong, is caught; Re alone passes a
+    # substitution check, but cuts out more than the closure
+    write = torus._power_product
+
+    def even_only(nvars, powers):
+        return {exps: c for exps, c in write(nvars, powers).items()
+                if not sum(exps[1::2]) & 1}
+
+    def off_by_one(nvars, powers):
+        terms = write(nvars, powers)
+        first = min(terms)
+        return {**terms, first: terms[first] + 1}
+
     tw = TorusWeights(((1,), (2,)))
-    with pytest.raises(InputError):
-        vanishes_on_torus(tw, {(1, 0): 1})
+    for writer in (even_only, off_by_one):
+        monkeypatch.setattr(torus, "_power_product", writer)
+        with pytest.raises(InternalCheckError,
+                           match="rejected at equations"):
+            torus_zariski_closure(tw)
+    monkeypatch.setattr(torus, "_power_product", write)
+    assert torus_zariski_closure(tw).equation_strings() == [
+        "c1^2 - s1^2 - c2", "2*c1*s1 - s2", "c1^2 + s1^2 - 1",
+        "c2^2 + s2^2 - 1"]
+
+
+def test_a_large_closure_is_quick():
+    # relation (44, 24, 1, 15), 18001 + 18000 terms; the digest was
+    # recorded while the closure still checked itself by a Laurent
+    # substitution, which made it take 3.7 s on a 2-core host
+    tw = TorusWeights(((-2, -2, 4), (1, 0, -4), (4, -2, -5), (4, 6, -5)))
+    start = time.perf_counter()
+    tc = torus_zariski_closure(tw)
+    assert time.perf_counter() - start < 2
+    assert tc.relations == ((44, 24, 1, 15),)
+    text = json.dumps(emit_torus_equations(tc), indent=1) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "aacd9b17add0e128afa6826928f92ef438c6585fc02d928a1a927c1f79189208"
 
 
 def test_equation_string_prints_terms_and_zero():
@@ -119,7 +174,7 @@ def test_empty_exponent_is_rejected():
         assert (rep.ok, rep.clause) == (False, "equations"), text
 
 
-# -- the integer expansion against the GaussRat Laurent substitution -------
+# -- the closure against the GaussRat Laurent substitution ------------------
 
 def _plus(p, q):
     out = dict(p)
@@ -151,8 +206,8 @@ def _laurent_mul(a, b):
 
 
 def _reference_vanishes(tw, poly):
-    """The Laurent substitution vanishes_on_torus replaced: cos and sin of
-    each block as GaussRat Laurent polynomials, multiplied factor by
+    """Whether poly vanishes on the torus: cos and sin of each block as
+    GaussRat Laurent polynomials in the parameters, multiplied factor by
     factor."""
     half = GaussRat(Fraction(1, 2))
     half_over_i = GaussRat(0, Fraction(-1, 2))
@@ -179,6 +234,27 @@ def _reference_vanishes(tw, poly):
     return not total
 
 
+def _curve_point(tw, ts):
+    """(c1, s1, ...) at the torus point with z_j = prod_k u_k^(W_jk), where
+    u_k = (1 - t_k^2 + 2 i t_k) / (1 + t_k^2) is a rational point of the
+    circle."""
+    units = [GaussRat(Fraction(1 - t * t, 1 + t * t), Fraction(2 * t, 1 + t * t))
+             for t in ts]
+    point = []
+    for row in tw.rows:
+        z = GaussRat(1)
+        for u, w in zip(units, row):
+            for _ in range(abs(w)):
+                z = z * (u if w > 0 else u.conj())
+        point += [z.re, z.im]
+    return point
+
+
+def _value(poly, point):
+    return sum(c * prod(x ** e for x, e in zip(point, exps))
+               for exps, c in poly.items())
+
+
 def _random_poly(rng, nvars, terms, degree):
     out = {}
     for _ in range(terms):
@@ -189,9 +265,9 @@ def _random_poly(rng, nvars, terms, degree):
     return {exps: c for exps, c in out.items() if c}
 
 
-def _cases(seed, count):
+def _closure_multiples(seed, count):
     rng = random.Random(seed)
-    for k in range(count):
+    for _ in range(count):
         blocks, params = rng.randint(1, 3), rng.randint(1, 2)
         rows = [[rng.randint(-3, 3) for _ in range(params)]
                 for _ in range(blocks)]
@@ -200,22 +276,16 @@ def _cases(seed, count):
         tw = TorusWeights(rows)
         nvars = 2 * blocks
         p = _random_poly(rng, nvars, rng.randint(1, 4), 3)
-        if k % 2:
-            # a multiple of a closure equation, binomial or circle, of
-            # degree at most 6 so that the reference stays quick
-            eqs = [e for e in torus_zariski_closure(tw).equations
-                   if max(map(sum, e)) <= 6]
-            p = _product(p, eqs[rng.randrange(len(eqs))])
-        yield tw, p
+        # a multiple of a closure equation, binomial or circle, of degree
+        # at most 6 so that the reference stays quick
+        eqs = [e for e in torus_zariski_closure(tw).equations
+               if max(map(sum, e)) <= 6]
+        yield tw, _product(p, eqs[rng.randrange(len(eqs))])
 
 
 def test_vanishing_matches_the_laurent_substitution():
-    seen = {True: 0, False: 0}
-    for tw, p in _cases(2029, 420):
-        got = vanishes_on_torus(tw, p)
-        assert got == _reference_vanishes(tw, p), (tw, p)
-        seen[got] += 1
-    assert seen[True] >= 210 and seen[False] >= 100
+    for tw, p in _closure_multiples(2029, 210):
+        assert _reference_vanishes(tw, p), (tw, p)
     # terms of degree 40 and more, vanishing and not
     tw = TorusWeights(((1, 2), (-1, 0)))
     circle = torus_zariski_closure(tw).circle_equations[0]
@@ -225,7 +295,6 @@ def test_vanishing_matches_the_laurent_substitution():
     for p, want in ((big, True), (third, True),
                     ({(20, 0, 0, 20): 1, (0, 0, 0, 0): -1}, False),
                     (_plus(third, {(0, 0, 0, 1): 1}), False)):
-        assert vanishes_on_torus(tw, p) is want
         assert _reference_vanishes(tw, p) is want
 
 
@@ -239,38 +308,28 @@ def test_pool_equations_match_the_laurent_substitution():
         tc = torus_zariski_closure(tw)
         assert tc.equation_strings() == item["cert"]["payload"]["equations"]
         for p in tc.equations:
-            assert vanishes_on_torus(tw, p) and _reference_vanishes(tw, p)
+            assert _reference_vanishes(tw, p)
             s1 = (0, 1) + (0,) * (2 * tw.blocks - 2)
-            q = _plus(p, {s1: 1})
-            assert not vanishes_on_torus(tw, q)
-            assert not _reference_vanishes(tw, q)
+            assert not _reference_vanishes(tw, _plus(p, {s1: 1}))
             checked += 1
     assert checked == 22
 
 
 def test_high_degree_equation_is_cheap():
+    # the closure of weights (1, 800) vanishes at rational points of its
+    # curve, and c1^800 - c2 does not
     tw = TorusWeights(((1,), (800,)))
-    # c1^800 - c2
-    assert not vanishes_on_torus(tw, {(800, 0, 0, 0): 1, (0, 0, 1, 0): -1})
+    start = time.perf_counter()
+    tc = torus_zariski_closure(tw)
+    assert time.perf_counter() - start < 1
+    assert tc.relations == ((-800, 1),)
+    for t in (Fraction(1, 2), Fraction(-3, 7)):
+        point = _curve_point(tw, [t])
+        assert all(_value(eq, point) == 0 for eq in tc.equations)
+        assert _value({(800, 0, 0, 0): 1, (0, 0, 1, 0): -1}, point) != 0
     tc = torus_zariski_closure(TorusWeights(((1,), (40,))))
     assert tc.relations == ((-40, 1),)
-    assert all(vanishes_on_torus(tc.weights, eq) for eq in tc.equations)
-
-
-def _convolved_block_factor(a, b):
-    """(z + 1/z)^a (z - 1/z)^b as the product of its two binomial rows."""
-    out = {}
-    for p in range(a + 1):
-        for q in range(b + 1):
-            e = a - 2 * p + b - 2 * q
-            out[e] = out.get(e, 0) + (-1) ** q * comb(a, p) * comb(b, q)
-    return out
-
-
-def test_block_factor_is_the_two_row_convolution():
-    for a in range(31):
-        for b in range(31):
-            assert _block_factor(a, b) == _convolved_block_factor(a, b), (a, b)
+    assert all(_reference_vanishes(tc.weights, eq) for eq in tc.equations)
 
 
 # -- closure output recorded before the integer expansion -------------------
