@@ -21,20 +21,23 @@ _ZERO = Fraction(0)
 def rat(x) -> Fraction:
     """Parse a rational from int, Fraction, or a "p/q" / "p" string; the
     string "0" gives the shared _ZERO."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        # "0", the most common JSON entry, is the shared zero; an optional
-        # "-" and ASCII digits is an int; anything else (space, "+", "/",
-        # ".", "_", other digits) goes through Fraction's own parser
-        if x == "0":
-            return _ZERO
-        if x.isascii() and (x[1:] if x[:1] == "-" else x).isdigit():
-            return Fraction(int(x))
-        return Fraction(x.strip())
-    raise TypeError(f"cannot interpret {x!r} as a rational")
+    # a str, as every JSON entry is, skips isinstance(x, Fraction), which
+    # goes through the numbers ABC's instance check
+    if type(x) is not str:
+        if isinstance(x, Fraction):
+            return x
+        if isinstance(x, int):
+            return Fraction(x)
+        if not isinstance(x, str):
+            raise TypeError(f"cannot interpret {x!r} as a rational")
+    # "0", the most common JSON entry, is the shared zero; an optional "-"
+    # and ASCII digits is an int; anything else (space, "+", "/", ".", "_",
+    # other digits) goes through Fraction's own parser
+    if x == "0":
+        return _ZERO
+    if x.isascii() and (x[1:] if x[:1] == "-" else x).isdigit():
+        return Fraction(int(x))
+    return Fraction(x.strip())
 
 
 def _field(x):

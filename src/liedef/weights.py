@@ -57,9 +57,17 @@ zero too, so it never needs a spectrum again.  A level that restricts to
 zero is read the same way.  A 1x1 level is its own eigenvalue.  A level
 that is upper or lower triangular in its own coordinates has its diagonal
 entries as eigenvalues, so the rule's pick is the least of them in the
-rule's order, and one elimination gives its eigenspace.
+rule's order, and one elimination gives its eigenspace.  A level of two
+vectors with rational entries, such as a rotation pair, has the roots of
+t^2 - tr t + det as eigenvalues: with D = tr^2 - 4 det they are
+(tr -+ sqrt D)/2 when D is a rational square, (tr -+ i sqrt(-D))/2 when -D
+is, and they lie outside Q(i) otherwise (_two_vector_roots).  The least
+of them in the rule's order is the pick, as below, since every root of
+the level is a root of the whole action.
 
-Only the other levels factor.  Their roots are found once per chain
+Only the other levels factor: three or more vectors, or two with Q(i)
+entries (above a nonreal pick in the same walk, or on weight_flag's
+lifted module).  Their roots are found once per chain
 direction z_k and weight_flag call: the spectrum of z_k on the module left
 to peel (its roots in Q(i), with multiplicity) is factored the first time
 such a level needs it and carried to the next peel, less one copy of the
@@ -99,6 +107,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .errors import Indeterminate, InputError, InternalCheckError
 from .lie import LieAlgebra
@@ -155,6 +164,40 @@ def _is_triangular(level):
     triangular in its own coordinates."""
     return (all(j >= i for i, row in enumerate(level) for j in row)
             or all(j <= i for i, row in enumerate(level) for j in row))
+
+
+def _rational_sqrt(x):
+    """The square root of a rational x >= 0, or None when it is not
+    rational: x = n/d in lowest terms is a square exactly when n and d
+    are."""
+    n, d = isqrt(x.numerator), isqrt(x.denominator)
+    if n * n == x.numerator and d * d == x.denominator:
+        return Fraction(n, d)
+    return None
+
+
+def _two_vector_roots(level):
+    """The eigenvalues in Q(i) of a level of two vectors with Fraction
+    entries, the roots of t^2 - tr t + det, in the rule's order
+    (_rule_key), a double root once.
+
+    With D = tr^2 - 4 det they are (tr -+ sqrt D)/2 when D is a rational
+    square and (tr -+ i sqrt(-D))/2 when -D is; D is rational, so the
+    roots lie in Q(i) only then, and otherwise there are none.
+    """
+    zero = Fraction(0)
+    a, b = level[0].get(0, zero), level[0].get(1, zero)
+    c, d = level[1].get(0, zero), level[1].get(1, zero)
+    tr = a + d
+    disc = tr * tr - 4 * (a * d - b * c)
+    s = _rational_sqrt(abs(disc))
+    if s is None:
+        return []
+    if not disc:
+        return [GaussRat(tr / 2)]
+    if disc > 0:
+        return [GaussRat((tr - s) / 2), GaussRat((tr + s) / 2)]
+    return [GaussRat(tr / 2, -s / 2), GaussRat(tr / 2, s / 2)]
 
 
 def _drop_root(spectrum, lam):
@@ -310,10 +353,13 @@ def common_eigenspace(chain, acts, spectra):
     has eigenvalue 0 and keeps the space found so far, with no elimination;
     when every direction does, that space is the whole module.  A
     triangular level tries only its least diagonal entry in the rule's
-    order (_rule_key).  spectra[k] is the spectrum of z_k on the module
-    (_spectrum), or None until a level that is none of these needs it: it
-    is filled in here from the action of z_k, and the level tries its roots
-    in order (_level_eigenspace).  Returns (char_row, eigenspace, lams), the
+    order (_rule_key), and a level of two vectors with Fraction entries
+    only its own roots in Q(i), from its trace and determinant
+    (_two_vector_roots); neither touches spectra[k].  spectra[k] is the
+    spectrum of z_k on the module (_spectrum), or None until a level that
+    is none of these needs it: it is filled in here from the action of z_k
+    as it is then, and the level tries its roots in order
+    (_level_eigenspace).  Returns (char_row, eigenspace, lams), the
     eigenspace as {coordinate: entry} dicts of the nonzero entries and
     lams[k] the eigenvalue of z_k, or an Indeterminate when some level has
     no eigenvalue in Q(i).
@@ -349,6 +395,9 @@ def common_eigenspace(chain, acts, spectra):
             candidates = [min((gauss(row.get(i, 0))
                                for i, row in enumerate(level)),
                               key=_rule_key)]
+        elif len(level) == 2 and all(type(x) is Fraction for row in level
+                                     for x in row.values()):
+            candidates = _two_vector_roots(level)
         else:
             if spectra[k] is None:
                 spectra[k] = _spectrum(b)
@@ -590,13 +639,17 @@ def _weight_table(alg, chars, module_dim, derived):
     anything else raises InternalCheckError.
     """
     merged = {}
-    rows = _sparse_rows(derived)
     for char in chars:
-        for row in rows:
-            if sum((char[j] * x for j, x in row.items()), gauss(0)):
-                raise InternalCheckError(
-                    "weight does not vanish on the derived subalgebra")
         merged[char] = merged.get(char, 0) + 1
+    rows = _sparse_rows(derived)
+    for char in merged:
+        # [alg, alg] is rational, so the character vanishes on a row
+        # exactly when its real and imaginary parts do
+        for part in ([v.re for v in char], [v.im for v in char]):
+            for row in rows:
+                if sum(part[j] * x for j, x in row.items()):
+                    raise InternalCheckError(
+                        "weight does not vanish on the derived subalgebra")
     entries = tuple(
         WeightEntry(values, mult, all(v.is_real() for v in values))
         for values, mult in sorted(

@@ -39,6 +39,31 @@ def test_rat_of_a_short_string_is_what_fraction_parses():
         assert type(got) is Fraction and got == Fraction(text), text
 
 
+def test_rat_keeps_its_result_for_every_input_type():
+    # a str is tested first; a str subclass, bool, int, Fraction (and a
+    # subclass of it) and anything else give what they always gave
+    class Text(str):
+        pass
+
+    class Ratio(Fraction):
+        pass
+
+    for text in ("0", "-7", "3/4", " 1", "+1", "-0"):
+        got = rat(Text(text))
+        assert type(got) is Fraction and got == Fraction(text), text
+    assert rat(Text("0")) is rat("0") is scalars._ZERO
+    for x, want in ((True, 1), (False, 0), (5, 5), (-3, -3)):
+        got = rat(x)
+        assert type(got) is Fraction and got == want, x
+    for x in (Fraction(2, 3), Ratio(1, 2)):
+        assert rat(x) is x
+    for x in (0.5, None, b"1", GaussRat(1), [1]):
+        with pytest.raises(TypeError):
+            rat(x)
+    with pytest.raises(ValueError):
+        rat(Text("one"))
+
+
 def test_rat_str_round_trip():
     for x in (Fraction(0), Fraction(-3, 7), Fraction(22)):
         assert rat(rat_str(x)) == x

@@ -990,7 +990,8 @@ def test_zero_and_triangular_levels_are_read_off_their_entries(monkeypatch):
 def test_the_oracle_factors_few_spectra_on_the_corpus(monkeypatch):
     # over the 68 pinned corpus presentations (matrices for the linear
     # kind only), factoring every level of two or more vectors that is not
-    # a line took 139 spectra; zero and triangular levels need none
+    # a line took 139 spectra; zero and triangular levels need none, and
+    # neither do levels of two vectors, which are all the others here
     kinds = {"definable-simply-connected": ("simply-connected", False),
              "definable-abstract": ("abstract", False),
              "definable-linear": ("linear", False),
@@ -1014,7 +1015,76 @@ def test_the_oracle_factors_few_spectra_on_the_corpus(monkeypatch):
                         matrices=mats))
                 presentations += 1
     assert presentations == 68
-    assert 0 < len(spectra) <= 14
+    assert spectra == []
+
+
+def _two_vector_levels(rng, count):
+    """count seeded 2x2 levels, neither zero nor triangular, with entries
+    p/q, |p|, q <= 9, and the kind of D = tr^2 - 4 det of each: a, b and d
+    are drawn, then a kind, then c among the entries giving that kind."""
+    entries = sorted({Fraction(p, q) for p in range(-9, 10)
+                      for q in range(1, 10)})
+    nonzero = [x for x in entries if x]
+
+    def kind(disc):
+        if not disc:
+            return "zero"
+        root = weights._rational_sqrt(abs(disc))
+        if root is None:
+            return "no square"
+        return "square" if disc > 0 else "minus square"
+
+    kinds = ("zero", "square", "minus square", "no square")
+    levels = []
+    while len(levels) < count:
+        a, d, b = rng.choice(entries), rng.choice(entries), \
+            rng.choice(nonzero)
+        want = kinds[len(levels) % 4]
+        cs = [c for c in nonzero if kind((a - d) ** 2 + 4 * b * c) == want]
+        if cs:
+            c = rng.choice(cs)
+            levels.append(([{j: x for j, x in enumerate(r) if x}
+                            for r in ((a, b), (c, d))], want))
+    return levels
+
+
+def test_two_vector_levels_pick_what_factoring_picks():
+    # the closed form's candidates are the level's own factored spectrum,
+    # in the rule's order and a double root once, so they give the same
+    # pick: the eigenvalue, its eigenspace and free columns, or None (no
+    # eigenvalue in Q(i), which common_eigenspace makes an Indeterminate)
+    seen = Counter()
+    for level, kind in _two_vector_levels(random.Random(37037), 400):
+        seen[kind] += 1
+        b = dict(enumerate(level))
+        factored = [lam for lam, _ in weights._spectrum(b)]
+        closed = weights._two_vector_roots(level)
+        assert _typed(closed) == _typed(factored), level
+        want = weights._level_eigenspace(level, factored)
+        got = weights._level_eigenspace(level, closed)
+        assert _typed(got) == _typed(want), level
+        assert (got is None) == (kind == "no square")
+    assert len(seen) == 4 and min(seen.values()) == 100
+
+
+def test_two_vector_levels_with_gaussian_entries_are_factored(monkeypatch):
+    # a rational level of two vectors is read in closed form; one with
+    # Q(i) entries keeps the factoring route
+    calls = Counter()
+    for name in ("_two_vector_roots", "_spectrum"):
+        def counted(arg, _inner=getattr(weights, name), _name=name):
+            calls[_name] += 1
+            return _inner(arg)
+        monkeypatch.setattr(weights, name, counted)
+    line = LieAlgebra.from_entries(1, {})
+    _, chars = weight_flag(line, [Mat([[1, -1], [1, 1]])])
+    assert chars == [(GaussRat(1, -1),), (GaussRat(1, 1),)]
+    assert calls == {"_two_vector_roots": 1}
+    calls.clear()
+    i = GaussRat(0, 1)
+    _, chars = weight_flag(line, [Mat([[i, 1], [1, i]])])
+    assert chars == [(GaussRat(-1, 1),), (GaussRat(1, 1),)]
+    assert calls == {"_spectrum": 1}
 
 
 def _inline_direction_actions(dirs, mats):
